@@ -1,17 +1,25 @@
 #!/usr/bin/env python3
 """Survey Maslov index parity across genus and radical padding.
 
-For each genus, samples random Lagrangian triples (half in degenerate ambient
-spaces), tabulates the index distribution, and counts agreements between the
-index parity and the dimension-formula prediction.  Every count should land in
-the "agree" column; disagreement would be a counterexample worth keeping.
+For each genus, runs the parity campaign on random Lagrangian triples (half in
+degenerate ambient spaces), tabulates the index distribution, and counts
+agreements between the index parity and the dimension-formula prediction.
+Every count should land in the "agree" column; disagreement would be a
+counterexample worth keeping.
 """
 
 import argparse
 from collections import Counter
+from dataclasses import replace
 
-from evencob.maslov import maslov_index, parity_prediction
+from evencob import campaigns
+from evencob.maslov import maslov_index
 from evencob.sampling import random_triple
+
+
+def _index_and_degeneracy(seed: int, genus: int) -> tuple[int, bool]:
+    triple = random_triple(seed, genus)
+    return maslov_index(triple), triple.space.radical().dim > 0
 
 
 def main() -> None:
@@ -21,21 +29,17 @@ def main() -> None:
     parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args()
 
+    survey = replace(campaigns.THEOREMS["parity"], observe=_index_and_degeneracy)
     print(f"{'genus':>5} {'trials':>7} {'agree':>7} {'degenerate':>11}  index histogram")
     for genus in range(1, args.genus_max + 1):
-        agree = 0
-        degenerate = 0
+        # fixing genus_max = genus pins the sampled genus range to [1, genus]
+        result = campaigns.run_campaign(survey, args.trials, args.seed + genus * 1_000_000, genus)
         histogram: Counter[int] = Counter()
-        for trial in range(args.trials):
-            # fixing genus_max = genus pins the sampled genus range to [1, genus]
-            triple = random_triple(args.seed + genus * 1_000_000 + trial, genus)
-            index = maslov_index(triple)
-            histogram[index] += 1
-            if index % 2 == parity_prediction(triple):
-                agree += 1
-            if triple.space.radical().dim > 0:
-                degenerate += 1
+        for (index, _), count in result.tally.items():
+            histogram[index] += count
+        degenerate = sum(count for (_, padded), count in result.tally.items() if padded)
         spread = " ".join(f"{k}:{histogram[k]}" for k in sorted(histogram))
+        agree = sum(result.tally.values())
         print(f"{genus:>5} {args.trials:>7} {agree:>7} {degenerate:>11}  {spread}")
 
 

@@ -1,9 +1,12 @@
-"""Randomized theorem campaigns with replayable counterexample scenarios.
+"""Randomized theorem campaigns with replayable counterexample files.
 
-Each theorem knows how to sample a random instance from a trial seed, how to
-evaluate itself on an instance, and how to express the instance as a scenario
-file.  A campaign that finds a violation serializes the instance so the exact
-failing data can be re-checked standalone with `check --theorem X --in file`.
+Each registry entry knows how to sample a random instance from a trial seed,
+how to evaluate itself on an instance, and how to write the instance as a
+file.  `run_campaign` is the one trial loop, for the `check` theorems and for
+even closure alike.  A campaign that finds a violation serializes the
+instance so the exact failing data can be re-checked standalone: a triple or
+pair theorem writes a scenario (.ssf) for `check --theorem X --in file`, and
+closure writes a two-morphism pipeline (.cbf) for `compose --in file`.
 
 Per-trial seeds are base seed + trial index, so reports are deterministic and
 order-independent.
@@ -11,102 +14,78 @@ order-independent.
 
 from __future__ import annotations
 
+from collections import Counter
+from collections.abc import Hashable
 from dataclasses import dataclass
+from itertools import combinations
 from typing import Callable
 
-from .formats import Scenario, serialize_scenario
+from .cobordism import compose, is_even
+from .formats import Pipeline, PipelineEntry, Scenario, serialize_pipeline, serialize_scenario
 from .linalg import Subspace
 from .maslov import (
     LagrangianTriple,
+    _parity_formulas,
     dim_sum_parity,
     form_annihilator,
-    maslov_form,
     maslov_index,
-    parity_prediction,
 )
-from .sampling import random_lagrangian_pair, random_subspace_pair, random_triple
+from . import sampling
 from .symplectic import SymplecticSpace
 
 
 @dataclass(frozen=True)
 class CheckOutcome:
     holds: bool
-    details: dict
+    details: dict | None  # None: the campaign reports no details
 
 
 @dataclass(frozen=True)
 class Failure:
     trial: int
     seed: int
-    scenario_text: str
-    details: dict
+    kind: str  # "scenario" (.ssf) or "pipeline" (.cbf)
+    text: str
+    details: dict | None
 
 
 @dataclass(frozen=True)
 class CampaignResult:
     theorem: str
-    trials: int
     checked: int
     failure: Failure | None
-
-    @property
-    def holds(self) -> bool:
-        return self.failure is None
+    tally: Counter  # labels returned by the theorem's observer, per trial that held
 
 
-def _triple_scenario(space: SymplecticSpace, l1: Subspace, l2: Subspace, l3: Subspace) -> Scenario:
-    return Scenario(space, {"L1": l1, "L2": l2, "L3": l3}, (("L1", "L2", "L3"),))
-
-
-def _pair_scenario(space: SymplecticSpace, a: Subspace, b: Subspace) -> Scenario:
-    return Scenario(space, {"A": a, "B": b}, ())
-
-
-def evaluate_parity(space: SymplecticSpace, l1: Subspace, l2: Subspace, l3: Subspace) -> CheckOutcome:
+def evaluate_parity(triple: LagrangianTriple) -> CheckOutcome:
     """Index parity equals the dimension formula, in both stated forms."""
-    triple = LagrangianTriple(space, l1, l2, l3)
     index = maslov_index(triple)
-    predicted = parity_prediction(triple)
-    pairs = ((l1, l2), (l1, l3), (l2, l3))
-    by_intersections = (l1.dim + sum(a.intersect(b).dim for a, b in pairs)) % 2
-    by_sums = (l1.dim + sum((a + b).dim for a, b in pairs)) % 2
-    holds = index % 2 == predicted == by_intersections == by_sums
+    by_intersections, by_sums = _parity_formulas(triple)
+    holds = index % 2 == by_intersections == by_sums
     return CheckOutcome(
         holds,
         {
             "maslov_index": index,
-            "parity_prediction": predicted,
+            "parity_prediction": by_intersections,
             "parity_by_intersections": by_intersections,
             "parity_by_sums": by_sums,
         },
     )
 
 
-def evaluate_dim_sum(space: SymplecticSpace, l1: Subspace, l2: Subspace, l3: Subspace) -> CheckOutcome:
-    triple = LagrangianTriple(space, l1, l2, l3)
+def evaluate_dim_sum(triple: LagrangianTriple) -> CheckOutcome:
     p, q = dim_sum_parity(triple)
     return CheckOutcome(p == q, {"sum_parity": p, "intersection_parity": q})
 
 
-def evaluate_annihilator(
-    space: SymplecticSpace, l1: Subspace, l2: Subspace, l3: Subspace
-) -> CheckOutcome:
+def evaluate_annihilator(triple: LagrangianTriple) -> CheckOutcome:
     """The radical of the Maslov form equals (l1^l3) + (l2^l3)."""
-    triple = LagrangianTriple(space, l1, l2, l3)
     radical = form_annihilator(triple)
-    expected = l1.intersect(l3) + l2.intersect(l3)
+    expected = triple.l1.intersect(triple.l3) + triple.l2.intersect(triple.l3)
     return CheckOutcome(
         radical == expected,
         {"radical_dim": radical.dim, "expected_dim": expected.dim},
     )
-
-
-def evaluate_symmetry(
-    space: SymplecticSpace, l1: Subspace, l2: Subspace, l3: Subspace
-) -> CheckOutcome:
-    triple = LagrangianTriple(space, l1, l2, l3)
-    gram = maslov_form(triple).gram
-    return CheckOutcome(gram.is_symmetric(), {"domain_dim": gram.rows})
 
 
 def evaluate_pair_dims(space: SymplecticSpace, a: Subspace, b: Subspace) -> CheckOutcome:
@@ -137,108 +116,127 @@ def evaluate_ann_identities(space: SymplecticSpace, a: Subspace, b: Subspace) ->
     )
 
 
+def evaluate_closure(m1, m2) -> CheckOutcome:
+    """The composite of two generator-built even morphisms is even."""
+    return CheckOutcome(is_even(compose(m1, m2)).is_even, None)
+
+
 @dataclass(frozen=True)
 class TheoremCheck:
+    """A registry entry.  An instance is the tuple of `evaluate`'s arguments."""
+
     ident: str
-    arity: str  # "triple" or "pair"
+    arity: str  # "triple", "pair" or "morphism-pair"
     sample: Callable[[int, int], tuple]
     evaluate: Callable[..., CheckOutcome]
+    # called with the trial seed and genus cap after each trial that holds;
+    # the campaign counts the labels it returns
+    observe: Callable[[int, int], Hashable] | None = None
 
-    def scenario(self, *instance) -> Scenario:
+    def counterexample(self, *instance) -> tuple[str, str]:
+        """The instance as a replayable file: its kind and its text."""
         if self.arity == "triple":
-            return _triple_scenario(*instance)
-        return _pair_scenario(*instance)
+            (t,) = instance
+            names = {"L1": t.l1, "L2": t.l2, "L3": t.l3}
+            return "scenario", serialize_scenario(Scenario(t.space, names, (("L1", "L2", "L3"),)))
+        if self.arity == "pair":
+            space, a, b = instance
+            return "scenario", serialize_scenario(Scenario(space, {"A": a, "B": b}, ()))
+        m1, m2 = instance
+        objects = {"a": m1.source, "b": m1.target, "c": m2.target}
+        entries = (PipelineEntry("m1", "a", "b", m1), PipelineEntry("m2", "b", "c", m2))
+        return "pipeline", serialize_pipeline(Pipeline(objects, entries))
+
+
+# These wrappers look the sampling functions up in their module on every call,
+# so a caller that patches `evencob.sampling` sees those calls.
 
 
 def _sample_triple(seed: int, genus_max: int) -> tuple:
-    t = random_triple(seed, genus_max)
-    return (t.space, t.l1, t.l2, t.l3)
-
-
-def _sample_lagrangian_pair(seed: int, genus_max: int) -> tuple:
-    return random_lagrangian_pair(seed, genus_max)
+    return (sampling.random_triple(seed, genus_max),)
 
 
 def _sample_subspace_pair(seed: int, genus_max: int) -> tuple:
     # alternate unrestricted and radical-containing pairs so both halves of
     # the identity get exercised
-    return random_subspace_pair(seed, genus_max, contain_radical=bool(seed % 2))
+    return sampling.random_subspace_pair(seed, genus_max, contain_radical=bool(seed % 2))
+
+
+def _sample_even_pair(seed: int, genus_max: int) -> tuple:
+    return sampling.random_even_pair(seed, genus_max)
+
+
+def _abstract_closure(seed: int, genus_max: int) -> str:
+    # abstract validated records: outcomes are logged, not asserted
+    a1, a2 = sampling.random_abstract_even_pair(seed, genus_max)
+    return "even" if is_even(compose(a1, a2)).is_even else "odd"
 
 
 THEOREMS: dict[str, TheoremCheck] = {
     "parity": TheoremCheck("parity", "triple", _sample_triple, evaluate_parity),
     "dim-sum": TheoremCheck("dim-sum", "triple", _sample_triple, evaluate_dim_sum),
     "annihilator": TheoremCheck("annihilator", "triple", _sample_triple, evaluate_annihilator),
-    "pair-dims": TheoremCheck("pair-dims", "pair", _sample_lagrangian_pair, evaluate_pair_dims),
+    "pair-dims": TheoremCheck(
+        "pair-dims", "pair", sampling.random_lagrangian_pair, evaluate_pair_dims
+    ),
     "ann-identities": TheoremCheck(
         "ann-identities", "pair", _sample_subspace_pair, evaluate_ann_identities
+    ),
+    "closure": TheoremCheck(
+        "closure", "morphism-pair", _sample_even_pair, evaluate_closure, _abstract_closure
     ),
 }
 
 
-def run_campaign(theorem_id: str, trials: int, seed: int, genus_max: int) -> CampaignResult:
-    """Evaluate the theorem on `trials` random instances; stop at a violation.
+def _evaluate(theorem: TheoremCheck, instance: tuple) -> CheckOutcome:
+    # internal post-check assertions are violations too, so a false statement
+    # surfaces as a counterexample rather than a crash
+    try:
+        return theorem.evaluate(*instance)
+    except AssertionError as exc:
+        return CheckOutcome(False, {"post_check": str(exc) or "internal post-check failed"})
 
-    Internal post-check assertions are treated as violations too, so a false
-    statement surfaces as a counterexample rather than a crash.
-    """
-    theorem = THEOREMS[theorem_id]
-    failure = None
-    checked = 0
+
+def run_campaign(theorem: TheoremCheck, trials: int, seed: int, genus_max: int) -> CampaignResult:
+    """Evaluate the theorem on `trials` random instances; stop at a violation."""
+    tally: Counter = Counter()
     for trial in range(trials):
         trial_seed = seed + trial
         instance = theorem.sample(trial_seed, genus_max)
-        try:
-            outcome = theorem.evaluate(*instance)
-        except AssertionError as exc:
-            outcome = CheckOutcome(False, {"post_check": str(exc) or "internal post-check failed"})
-        checked += 1
+        outcome = _evaluate(theorem, instance)
         if not outcome.holds:
-            failure = Failure(
-                trial, trial_seed, serialize_scenario(theorem.scenario(*instance)), outcome.details
-            )
-            break
-    return CampaignResult(theorem_id, trials, checked, failure)
+            kind, text = theorem.counterexample(*instance)
+            failure = Failure(trial, trial_seed, kind, text, outcome.details)
+            return CampaignResult(theorem.ident, trial + 1, failure, tally)
+        if theorem.observe is not None:
+            tally[theorem.observe(trial_seed, genus_max)] += 1
+    return CampaignResult(theorem.ident, trials, None, tally)
 
 
-def evaluate_scenario(theorem_id: str, scenario: Scenario) -> list[tuple[str, CheckOutcome]]:
+def scenario_triples(scenario: Scenario) -> list[tuple[tuple[str, str, str], LagrangianTriple]]:
+    """Each triple query with its triple, validated once; InvalidTripleError if one is not."""
+    return [
+        (names, LagrangianTriple(scenario.space, *(scenario.named_subspaces[n] for n in names)))
+        for names in scenario.queries
+    ]
+
+
+def evaluate_scenario(theorem: TheoremCheck, scenario: Scenario) -> list[tuple[str, CheckOutcome]]:
     """Evaluate the theorem on the data in a scenario file.
 
     Triple theorems run on each triple query; pair theorems run on every
-    unordered pair of named subspaces, in name order.
+    unordered pair of named subspaces, in name order, leaving out the pairs
+    the theorem skips.
     """
-    theorem = THEOREMS[theorem_id]
-    results: list[tuple[str, CheckOutcome]] = []
     if theorem.arity == "triple":
-        for names in scenario.queries:
-            subs = tuple(scenario.named_subspaces[n] for n in names)
-            try:
-                outcome = theorem.evaluate(scenario.space, *subs)
-            except AssertionError as exc:
-                outcome = CheckOutcome(False, {"post_check": str(exc) or "post-check failed"})
-            results.append((" ".join(names), outcome))
-    else:
-        names = sorted(scenario.named_subspaces)
-        for i, first in enumerate(names):
-            for second in names[i + 1 :]:
-                if theorem.ident == "pair-dims":
-                    space = scenario.space
-                    a, b = scenario.named_subspaces[first], scenario.named_subspaces[second]
-                    if not (space.is_lagrangian(a) and space.is_lagrangian(b)):
-                        continue
-                try:
-                    outcome = theorem.evaluate(
-                        scenario.space,
-                        scenario.named_subspaces[first],
-                        scenario.named_subspaces[second],
-                    )
-                except AssertionError as exc:
-                    outcome = CheckOutcome(False, {"post_check": str(exc) or "post-check failed"})
-                results.append((f"{first} {second}", outcome))
+        return [
+            (" ".join(names), _evaluate(theorem, (triple,)))
+            for names, triple in scenario_triples(scenario)
+        ]
+    results = []
+    for first, second in combinations(sorted(scenario.named_subspaces), 2):
+        subs = scenario.named_subspaces[first], scenario.named_subspaces[second]
+        outcome = _evaluate(theorem, (scenario.space, *subs))
+        if "skipped" not in outcome.details:
+            results.append((f"{first} {second}", outcome))
     return results
-
-
-def check_scenario_triples(scenario: Scenario) -> None:
-    """Raise InvalidTripleError early if a query's subspaces are not Lagrangian."""
-    for names in scenario.queries:
-        LagrangianTriple(scenario.space, *(scenario.named_subspaces[n] for n in names))

@@ -27,7 +27,6 @@ from . import campaigns
 from .cobordism import compose, is_even, push_forward, validate
 from .errors import EvencobError
 from .formats import (
-    Scenario,
     parse_pipeline,
     parse_scenario,
     pipeline_for_morphism,
@@ -42,13 +41,27 @@ from .maslov import (
     maslov_index,
     parity_prediction,
 )
-from .sampling import random_abstract_even_pair, random_even_pair
 
 EXIT_OK = 0
 EXIT_COUNTEREXAMPLE = 1
 EXIT_INPUT_ERROR = 2
 
 SCHEMA_VERSION = 1
+
+
+def _at_least(minimum: int):
+    """An argparse type: an integer no smaller than `minimum`."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be at least {minimum}, got {value}")
+        return value
+
+    return parse
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -61,19 +74,20 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p: argparse.ArgumentParser) -> None:
         p.add_argument("--output", choices=("text", "json"), default="text")
 
+    def campaign(p: argparse.ArgumentParser) -> None:
+        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--trials", type=_at_least(0), default=100)
+        p.add_argument("--genus-max", type=_at_least(1), default=3)
+
     p = sub.add_parser("maslov", help="Maslov data for the triples in a scenario file")
     p.add_argument("--in", dest="input", required=True, metavar="PATH")
     common(p)
 
     p = sub.add_parser("check", help="verify a theorem on random or given data")
-    p.add_argument(
-        "--theorem",
-        required=True,
-        choices=("parity", "dim-sum", "annihilator", "pair-dims", "ann-identities"),
-    )
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--trials", type=int, default=100)
-    p.add_argument("--genus-max", type=int, default=3)
+    # closure's instances are morphism pairs, which no scenario file holds
+    theorems = [t for t, entry in campaigns.THEOREMS.items() if entry.arity != "morphism-pair"]
+    p.add_argument("--theorem", required=True, choices=theorems)
+    campaign(p)
     p.add_argument("--in", dest="input", metavar="PATH")
     p.add_argument("--counterexample-out", metavar="PATH")
     common(p)
@@ -92,9 +106,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
 
     p = sub.add_parser("closure", help="compose random even pairs and check evenness")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--trials", type=int, default=100)
-    p.add_argument("--genus-max", type=int, default=3)
+    campaign(p)
     p.add_argument("--counterexample-out", metavar="PATH")
     common(p)
 
@@ -112,9 +124,7 @@ def _base_report(command: str, params: dict) -> dict:
     }
 
 
-def _triple_report(scenario: Scenario, names: tuple[str, str, str]) -> dict:
-    subs = tuple(scenario.named_subspaces[n] for n in names)
-    triple = LagrangianTriple(scenario.space, *subs)
+def _triple_report(names: tuple[str, str, str], triple: LagrangianTriple) -> dict:
     form = maslov_form(triple)
     index = maslov_index(triple)
     p, q = dim_sum_parity(triple)
@@ -131,10 +141,35 @@ def _triple_report(scenario: Scenario, names: tuple[str, str, str]) -> dict:
 
 def _cmd_maslov(args: argparse.Namespace) -> tuple[dict, int]:
     scenario = parse_scenario(Path(args.input).read_text())
-    campaigns.check_scenario_triples(scenario)
+    triples = campaigns.scenario_triples(scenario)
     report = _base_report("maslov", {"input": args.input})
-    report["results"] = [_triple_report(scenario, names) for names in scenario.queries]
+    report["results"] = [_triple_report(names, triple) for names, triple in triples]
     return report, EXIT_OK
+
+
+_SUFFIXES = {"scenario": ".ssf", "pipeline": ".cbf"}
+
+
+def _campaign_status(
+    report: dict, result: campaigns.CampaignResult, out_path: str | None
+) -> tuple[dict, int]:
+    """Set a campaign report's status; on a violation write the counterexample file."""
+    failure = result.failure
+    if failure is None:
+        report["status"] = "holds"
+        return report, EXIT_OK
+    out_path = out_path or f"{result.theorem}-counterexample{_SUFFIXES[failure.kind]}"
+    Path(out_path).write_text(failure.text)
+    report["status"] = "counterexample"
+    report["counterexample"] = {
+        "trial": failure.trial,
+        "seed": failure.seed,
+        failure.kind: failure.text,
+        "written_to": out_path,
+    }
+    if failure.details is not None:
+        report["counterexample"]["details"] = _plain(failure.details)
+    return report, EXIT_COUNTEREXAMPLE
 
 
 def _cmd_check(args: argparse.Namespace) -> tuple[dict, int]:
@@ -146,9 +181,10 @@ def _cmd_check(args: argparse.Namespace) -> tuple[dict, int]:
         "input": args.input,
     }
     report = _base_report("check", params)
+    theorem = campaigns.THEOREMS[args.theorem]
     if args.input is not None:
         scenario = parse_scenario(Path(args.input).read_text())
-        results = campaigns.evaluate_scenario(args.theorem, scenario)
+        results = campaigns.evaluate_scenario(theorem, scenario)
         report["results"] = [
             {"instance": label, "holds": out.holds, "details": _plain(out.details)}
             for label, out in results
@@ -159,22 +195,9 @@ def _cmd_check(args: argparse.Namespace) -> tuple[dict, int]:
         report["status"] = "counterexample"
         return report, EXIT_COUNTEREXAMPLE
 
-    result = campaigns.run_campaign(args.theorem, args.trials, args.seed, args.genus_max)
-    report["results"] = [{"checked": result.checked, "trials": result.trials}]
-    if result.holds:
-        report["status"] = "holds"
-        return report, EXIT_OK
-    report["status"] = "counterexample"
-    out_path = args.counterexample_out or f"{args.theorem}-counterexample.ssf"
-    Path(out_path).write_text(result.failure.scenario_text)
-    report["counterexample"] = {
-        "trial": result.failure.trial,
-        "seed": result.failure.seed,
-        "details": _plain(result.failure.details),
-        "scenario": result.failure.scenario_text,
-        "written_to": out_path,
-    }
-    return report, EXIT_COUNTEREXAMPLE
+    result = campaigns.run_campaign(theorem, args.trials, args.seed, args.genus_max)
+    report["results"] = [{"checked": result.checked, "trials": args.trials}]
+    return _campaign_status(report, result, args.counterexample_out)
 
 
 def _morphism_summary(m) -> dict:
@@ -233,49 +256,11 @@ def _cmd_gen(args: argparse.Namespace) -> tuple[dict, int]:
 def _cmd_closure(args: argparse.Namespace) -> tuple[dict, int]:
     params = {"seed": args.seed, "trials": args.trials, "genus_max": args.genus_max}
     report = _base_report("closure", params)
-    failure = None
-    abstract_even = abstract_odd = 0
-    for trial in range(args.trials):
-        trial_seed = args.seed + trial
-        m1, m2 = random_even_pair(trial_seed, args.genus_max)
-        composite = compose(m1, m2)
-        if not is_even(composite).is_even:
-            failure = (trial, trial_seed, m1, m2)
-            break
-        # abstract validated records: outcomes are logged, not asserted
-        a1, a2 = random_abstract_even_pair(trial_seed, args.genus_max)
-        if is_even(compose(a1, a2)).is_even:
-            abstract_even += 1
-        else:
-            abstract_odd += 1
-    report["results"] = [
-        {
-            "pairs_checked": args.trials if failure is None else failure[0] + 1,
-            "abstract_records": {"even": abstract_even, "odd": abstract_odd},
-        }
-    ]
-    if failure is None:
-        report["status"] = "holds"
-        return report, EXIT_OK
-    report["status"] = "counterexample"
-    trial, trial_seed, m1, m2 = failure
-    from .formats import Pipeline, PipelineEntry
-
-    objects = {"a": m1.source, "b": m1.target, "c": m2.target}
-    pipeline = Pipeline(
-        objects,
-        (PipelineEntry("m1", "a", "b", m1), PipelineEntry("m2", "b", "c", m2)),
-    )
-    text = serialize_pipeline(pipeline)
-    out_path = args.counterexample_out or "closure-counterexample.cbf"
-    Path(out_path).write_text(text)
-    report["counterexample"] = {
-        "trial": trial,
-        "seed": trial_seed,
-        "pipeline": text,
-        "written_to": out_path,
-    }
-    return report, EXIT_COUNTEREXAMPLE
+    theorem = campaigns.THEOREMS["closure"]
+    result = campaigns.run_campaign(theorem, args.trials, args.seed, args.genus_max)
+    abstract = {"even": result.tally["even"], "odd": result.tally["odd"]}
+    report["results"] = [{"pairs_checked": result.checked, "abstract_records": abstract}]
+    return _campaign_status(report, result, args.counterexample_out)
 
 
 def _plain(value):
@@ -324,10 +309,7 @@ def main(argv: list[str] | None = None) -> int:
         return exc.code if isinstance(exc.code, int) else EXIT_INPUT_ERROR
     try:
         report, code = _COMMANDS[args.command](args)
-    except EvencobError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT_ERROR
-    except FileNotFoundError as exc:
+    except (EvencobError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
     print(render(report, args.output))

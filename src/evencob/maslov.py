@@ -193,6 +193,15 @@ def form_annihilator(triple: LagrangianTriple) -> Subspace:
     return radical
 
 
+def _parity_formulas(triple: LagrangianTriple) -> tuple[int, int]:
+    """(dim l1 + pairwise intersection dims) mod 2, then the same with sums."""
+    l1, l2, l3 = triple.lagrangians()
+    pairs = ((l1, l2), (l1, l3), (l2, l3))
+    by_intersections = (l1.dim + sum(a.intersect(b).dim for a, b in pairs)) % 2
+    by_sums = (l1.dim + sum((a + b).dim for a, b in pairs)) % 2
+    return by_intersections, by_sums
+
+
 def parity_prediction(triple: LagrangianTriple) -> int:
     """Predicted parity of the Maslov index from dimension data alone.
 
@@ -200,10 +209,7 @@ def parity_prediction(triple: LagrangianTriple) -> int:
     equivalent expression with pairwise sums in place of intersections is
     computed too and the two are asserted to agree.
     """
-    l1, l2, l3 = triple.lagrangians()
-    pairs = ((l1, l2), (l1, l3), (l2, l3))
-    first = (l1.dim + sum(a.intersect(b).dim for a, b in pairs)) % 2
-    second = (l1.dim + sum((a + b).dim for a, b in pairs)) % 2
+    first, second = _parity_formulas(triple)
     assert first == second
     return first
 

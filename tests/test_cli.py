@@ -1,9 +1,14 @@
 import json
+import os
+import subprocess
+import sys
+from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
-from evencob import campaigns
-from evencob.campaigns import CheckOutcome, TheoremCheck
+from evencob import campaigns, sampling
+from evencob.campaigns import CheckOutcome
 from evencob.cli import main
 
 GENUS_ONE_SSF = """\
@@ -111,6 +116,14 @@ class TestCheckCommand:
         # three subspaces means three unordered pairs
         assert len(report["results"]) == 3
 
+    def test_pair_dims_skips_non_lagrangian_pairs(self, capsys, tmp_path):
+        path = tmp_path / "plane.ssf"
+        path.write_text(GENUS_ONE_SSF + "subspace P 2\n1 0\n0 1\n")
+        code, report = run_json(capsys, "check", "--theorem", "pair-dims", "--in", str(path))
+        assert code == 0
+        # the full plane P is not Lagrangian, so no pair with P is checked
+        assert [r["instance"] for r in report["results"]] == ["L1 L2", "L1 L3", "L2 L3"]
+
     def test_deterministic_json(self, capsys):
         args = ("check", "--theorem", "parity", "--seed", "7", "--trials", "25")
         code1, out1 = run(capsys, *args, "--output", "json")
@@ -121,11 +134,9 @@ class TestCheckCommand:
     def test_counterexample_path(self, capsys, tmp_path, monkeypatch):
         # no true theorem can fail, so inject a falsifiable one behind an
         # existing name and watch the full counterexample flow
-        broken = TheoremCheck(
-            "parity",
-            "triple",
-            campaigns.THEOREMS["parity"].sample,
-            lambda space, l1, l2, l3: CheckOutcome(l1.intersect(l2).dim > 0, {}),
+        broken = replace(
+            campaigns.THEOREMS["parity"],
+            evaluate=lambda triple: CheckOutcome(triple.l1.intersect(triple.l2).dim > 0, {}),
         )
         monkeypatch.setitem(campaigns.THEOREMS, "parity", broken)
         out_path = tmp_path / "ce.ssf"
@@ -249,16 +260,13 @@ class TestClosureCommand:
     def test_counterexample_path(self, capsys, tmp_path, monkeypatch):
         # even pairs provably compose even, so sneak an odd morphism into the
         # sampled pair to drive the reporting flow
-        import evencob.cli as cli_module
-        from dataclasses import replace
-        from evencob.cobordism import is_even
         from evencob.sampling import random_even_pair
 
         def odd_pair(seed, genus_max):
             m1, m2 = random_even_pair(seed, genus_max)
             return replace(m1, weight=m1.weight + 1), m2
 
-        monkeypatch.setattr(cli_module, "random_even_pair", odd_pair)
+        monkeypatch.setattr(sampling, "random_even_pair", odd_pair)
         out_path = tmp_path / "bad.cbf"
         code, report = run_json(
             capsys,
@@ -290,3 +298,33 @@ class TestExitCodes:
         code, out = run(capsys, "maslov", "--in", triple_file)
         assert code == 0
         assert "maslov_index=-1" in out
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["check", "--theorem", "parity", "--genus-max", "0"],
+            ["closure", "--genus-max", "0"],
+            ["check", "--theorem", "parity", "--trials", "-3"],
+            ["closure", "--trials", "-3"],
+        ],
+    )
+    def test_out_of_range_campaign_size_is_input_error(self, capsys, argv):
+        code = main(argv)
+        out, err = capsys.readouterr()
+        assert code == 2
+        assert out == ""
+        assert f"argument {argv[-2]}: must be at least" in err
+
+
+def test_parity_survey_script_runs():
+    root = Path(__file__).resolve().parent.parent
+    path = os.pathsep.join([str(root / "src"), os.environ.get("PYTHONPATH", "")])
+    script = root / "scripts" / "parity_survey.py"
+    done = subprocess.run(
+        [sys.executable, str(script), "--trials", "2", "--genus-max", "1"],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=path),
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr

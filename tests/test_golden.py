@@ -1,0 +1,116 @@
+"""Golden gate: CLI runs compared byte for byte with recorded expectations.
+
+Each case runs `evencob.cli.main` in a scratch directory holding the fixture
+files, and compares stdout, stderr, the exit code and every file the run
+writes with `tests/golden/expected.json`.  Paths in the argv are relative, so
+the reports do not depend on where the suite runs.  The counterexample cases
+inject a fault, because no true theorem yields a counterexample.
+"""
+
+import json
+from dataclasses import replace
+from pathlib import Path
+
+import pytest
+
+from evencob import campaigns, sampling
+from evencob.campaigns import CheckOutcome
+from evencob.cli import main
+
+EXPECTED = Path(__file__).parent / "golden" / "expected.json"
+
+THEOREMS = ("parity", "dim-sum", "annihilator", "pair-dims", "ann-identities")
+
+FIXTURES = {
+    "genus1.ssf": "form 2\n0 1\n-1 0\nsubspace L1 1\n1 0\nsubspace L2 1\n0 1\n"
+    "subspace L3 1\n1 1\ntriple L1 L2 L3\n",
+    # the genus-1 triple next to the full plane P, which is not Lagrangian
+    "plane.ssf": "form 2\n0 1\n-1 0\nsubspace L1 1\n1 0\nsubspace L2 1\n0 1\n"
+    "subspace L3 1\n1 1\nsubspace P 2\n1 0\n0 1\ntriple L1 L2 L3\n",
+    "bad.ssf": "form 2\n0 1\n-1 0\nsubspace A 2\n1 0\n0 1\n"
+    "subspace B 1\n1 0\nsubspace C 1\n0 1\ntriple A B C\n",
+}
+
+
+def _break_parity(monkeypatch):
+    # holds only when l1 and l2 meet, so some early trial fails
+    def evaluate(triple):
+        return CheckOutcome(triple.l1.intersect(triple.l2).dim > 0, {})
+
+    broken = replace(campaigns.THEOREMS["parity"], evaluate=evaluate)
+    monkeypatch.setitem(campaigns.THEOREMS, "parity", broken)
+
+
+def _odd_closure(monkeypatch):
+    sample = sampling.random_even_pair
+
+    def odd_pair(seed, genus_max):
+        m1, m2 = sample(seed, genus_max)
+        return replace(m1, weight=m1.weight + 1), m2
+
+    monkeypatch.setattr(sampling, "random_even_pair", odd_pair)
+
+
+FAULTS = {"parity": _break_parity, "closure": _odd_closure}
+
+CHECK_CE = ["check", "--theorem", "parity", "--trials", "50", "--seed", "0"]
+CLOSURE_CE = ["closure", "--trials", "4", "--seed", "0"]
+
+# case name -> (argv without --output, fault to inject or None)
+CASES = {
+    "closure": (["closure", "--trials", "6", "--seed", "2"], None),
+    "maslov": (["maslov", "--in", "genus1.ssf"], None),
+    "maslov-not-lagrangian": (["maslov", "--in", "bad.ssf"], None),
+    "check-bad-theorem": (["check", "--theorem", "closure"], None),
+    "check-counterexample": (CHECK_CE, "parity"),
+    "check-counterexample-out": (CHECK_CE + ["--counterexample-out", "ce-out.ssf"], "parity"),
+    "closure-counterexample": (CLOSURE_CE, "closure"),
+    "closure-counterexample-out": (CLOSURE_CE + ["--counterexample-out", "ce-out.cbf"], "closure"),
+}
+for t in THEOREMS:
+    CASES[f"check-{t}"] = (["check", "--theorem", t, "--trials", "8", "--seed", "3"], None)
+    CASES[f"check-in-{t}"] = (["check", "--theorem", t, "--in", "genus1.ssf"], None)
+for t in ("pair-dims", "ann-identities"):
+    CASES[f"check-in-plane-{t}"] = (["check", "--theorem", t, "--in", "plane.ssf"], None)
+
+RUNS = {
+    f"{name}.{mode}": argv + ["--output", mode]
+    for name, (argv, _) in CASES.items()
+    for mode in ("text", "json")
+}
+RUNS["check-help"] = ["check", "--help"]
+RUNS["closure-help"] = ["closure", "--help"]
+
+
+def fault_of(run: str):
+    fault = CASES.get(run.rsplit(".", 1)[0], (None, None))[1]
+    return FAULTS[fault] if fault else None
+
+
+def capture(argv, capsys, workdir: Path) -> dict:
+    """Run one argv in workdir and collect everything it produced."""
+    for name, text in FIXTURES.items():
+        (workdir / name).write_text(text)
+    code = main(list(argv))
+    out, err = capsys.readouterr()
+    written = {p.name: p.read_text() for p in sorted(workdir.iterdir()) if p.name not in FIXTURES}
+    return {"argv": list(argv), "exit": code, "stdout": out, "stderr": err, "files": written}
+
+
+@pytest.fixture(scope="module")
+def expected():
+    return json.loads(EXPECTED.read_text())
+
+
+def test_every_run_is_recorded(expected):
+    assert sorted(expected) == sorted(RUNS)
+
+
+@pytest.mark.parametrize("run", sorted(RUNS))
+def test_golden(run, expected, capsys, monkeypatch, tmp_path):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps help at the terminal width
+    fault = fault_of(run)
+    if fault is not None:
+        fault(monkeypatch)
+    assert capture(RUNS[run], capsys, tmp_path) == expected[run]
