@@ -92,11 +92,10 @@ def evaluate_pair_dims(space: SymplecticSpace, a: Subspace, b: Subspace) -> Chec
     """Lagrangians have equal dimension, and dim(sum) = dim(intersection) mod 2."""
     if not (space.is_lagrangian(a) and space.is_lagrangian(b)):
         return CheckOutcome(True, {"skipped": "pair is not Lagrangian"})
-    same_dim = a.dim == b.dim
-    congruent = ((a + b).dim - a.intersect(b).dim) % 2 == 0
+    sum_dim, meet_dim = (a + b).dim, a.intersect(b).dim
     return CheckOutcome(
-        same_dim and congruent,
-        {"dim_a": a.dim, "dim_b": b.dim, "sum_dim": (a + b).dim, "meet_dim": a.intersect(b).dim},
+        a.dim == b.dim and (sum_dim - meet_dim) % 2 == 0,
+        {"dim_a": a.dim, "dim_b": b.dim, "sum_dim": sum_dim, "meet_dim": meet_dim},
     )
 
 

@@ -35,11 +35,11 @@ from .formats import (
 from .generators import format_generator_spec, parse_generator_spec, random_even_morphism
 from .maslov import (
     LagrangianTriple,
+    _form_radical,
     dim_sum_parity,
-    form_annihilator,
     maslov_form,
-    maslov_index,
     parity_prediction,
+    signature,
 )
 
 EXIT_OK = 0
@@ -126,7 +126,7 @@ def _base_report(command: str, params: dict) -> dict:
 
 def _triple_report(names: tuple[str, str, str], triple: LagrangianTriple) -> dict:
     form = maslov_form(triple)
-    index = maslov_index(triple)
+    index = signature(form.gram)
     p, q = dim_sum_parity(triple)
     return {
         "triple": list(names),
@@ -134,7 +134,7 @@ def _triple_report(names: tuple[str, str, str], triple: LagrangianTriple) -> dic
         "maslov_index": index,
         "parity": index % 2,
         "parity_prediction": parity_prediction(triple),
-        "annihilator_dim": form_annihilator(triple).dim,
+        "annihilator_dim": _form_radical(triple, form).dim,
         "dim_sum_parity": [p, q],
     }
 

@@ -29,7 +29,7 @@ can differ by a basis choice, so tests compare invariants instead.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 
 from .errors import (
@@ -147,18 +147,7 @@ def pseudo_cylinder(
 ) -> CobordismMorphism:
     """A cylinder whose two ends may carry different Lagrangians."""
     target = SurfaceObject(surface.genera, target_lagrangian)
-    base = identity(surface)
-    return CobordismMorphism(
-        surface,
-        target,
-        weight,
-        base.h1_dim,
-        base.h0_dim,
-        base.j_src_h1,
-        base.j_tgt_h1,
-        base.j_src_h0,
-        base.j_tgt_h0,
-    )
+    return replace(identity(surface), target=target, weight=weight)
 
 
 def is_pseudo_cylinder(m: CobordismMorphism) -> bool:
@@ -184,6 +173,25 @@ def inverse_pseudo_cylinder(m: CobordismMorphism) -> CobordismMorphism:
     return pseudo_cylinder(m.target, m.source.lagrangian, -m.weight)
 
 
+def _carry(
+    lagrangian: Subspace,
+    side: str,
+    start: SurfaceObject,
+    j_start: RationalMatrix,
+    end: SurfaceObject,
+    j_end: RationalMatrix,
+) -> Subspace:
+    # preimage under the end inclusion of the image under the start inclusion
+    if lagrangian.ambient_dim != start.beta1:
+        raise DimensionMismatchError(
+            f"subspace of ambient {lagrangian.ambient_dim}, {side} surface has "
+            f"dimension {start.beta1}"
+        )
+    result = preimage(j_end, map_subspace(j_start, lagrangian))
+    assert end.space.is_lagrangian(result)
+    return result
+
+
 def push_forward(m: CobordismMorphism, lagrangian: Subspace) -> Subspace:
     """Carry a source-surface Lagrangian to the target surface through the body.
 
@@ -191,28 +199,12 @@ def push_forward(m: CobordismMorphism, lagrangian: Subspace) -> Subspace:
     inclusion; Lagrangian in the target space whenever the record validates
     (asserted).
     """
-    if lagrangian.ambient_dim != m.source.beta1:
-        raise DimensionMismatchError(
-            f"subspace of ambient {lagrangian.ambient_dim}, source surface has "
-            f"dimension {m.source.beta1}"
-        )
-    carried = map_subspace(m.j_src_h1, lagrangian)
-    result = preimage(m.j_tgt_h1, carried)
-    assert m.target.space.is_lagrangian(result)
-    return result
+    return _carry(lagrangian, "source", m.source, m.j_src_h1, m.target, m.j_tgt_h1)
 
 
 def pull_back(m: CobordismMorphism, lagrangian: Subspace) -> Subspace:
     """Mirror of push_forward with source and target exchanged."""
-    if lagrangian.ambient_dim != m.target.beta1:
-        raise DimensionMismatchError(
-            f"subspace of ambient {lagrangian.ambient_dim}, target surface has "
-            f"dimension {m.target.beta1}"
-        )
-    carried = map_subspace(m.j_tgt_h1, lagrangian)
-    result = preimage(m.j_src_h1, carried)
-    assert m.source.space.is_lagrangian(result)
-    return result
+    return _carry(lagrangian, "target", m.target, m.j_tgt_h1, m.source, m.j_src_h1)
 
 
 def epsilon(m: CobordismMorphism) -> int:
@@ -241,6 +233,14 @@ def is_even(m: CobordismMorphism) -> EvennessReport:
     rhs = sum(terms.values()) % 2
     weight_parity = m.weight % 2
     return EvennessReport(rhs, weight_parity, rhs == weight_parity, terms)
+
+
+def evened(m: CobordismMorphism) -> CobordismMorphism:
+    """The record itself if even, else with its weight bumped by one.
+
+    Evenness constrains only the weight parity, so the bump makes it even.
+    """
+    return m if is_even(m).is_even else replace(m, weight=m.weight + 1)
 
 
 @lru_cache(maxsize=None)
@@ -312,24 +312,18 @@ def compose(m1: CobordismMorphism, m2: CobordismMorphism) -> CobordismMorphism:
     d0, q0 = cokernel(alpha0)
     k0 = kernel(alpha0).dim
 
-    def through_h1(mat: RationalMatrix, first: bool) -> RationalMatrix:
-        if first:
-            embedded = mat.vstack(RationalMatrix.zeros(m2.h1_dim, mat.cols))
-        else:
-            embedded = RationalMatrix.zeros(m1.h1_dim, mat.cols).vstack(mat)
+    def through(mat: RationalMatrix, first: bool, h0: bool) -> RationalMatrix:
+        # embed with zeros on the other body's rows, then project to the cokernel
+        other = m2 if first else m1
+        zeros = RationalMatrix.zeros(other.h0_dim if h0 else other.h1_dim, mat.cols)
+        projected = (q0 if h0 else q1) @ (mat.vstack(zeros) if first else zeros.vstack(mat))
+        if h0:
+            for j in range(projected.cols):
+                assert [x for x in projected.column(j) if x] == [1]
+            return projected
         # zero rows in the ker(alpha0) summand: one-sided classes have no
         # connecting image
-        return (q1 @ embedded).vstack(RationalMatrix.zeros(k0, mat.cols))
-
-    def through_h0(mat: RationalMatrix, first: bool) -> RationalMatrix:
-        if first:
-            embedded = mat.vstack(RationalMatrix.zeros(m2.h0_dim, mat.cols))
-        else:
-            embedded = RationalMatrix.zeros(m1.h0_dim, mat.cols).vstack(mat)
-        projected = q0 @ embedded
-        for j in range(projected.cols):
-            assert [x for x in projected.column(j) if x] == [1]
-        return projected
+        return projected.vstack(RationalMatrix.zeros(k0, mat.cols))
 
     return CobordismMorphism(
         m1.source,
@@ -337,8 +331,8 @@ def compose(m1: CobordismMorphism, m2: CobordismMorphism) -> CobordismMorphism:
         weight,
         d1 + k0,
         d0,
-        through_h1(m1.j_src_h1, first=True),
-        through_h1(m2.j_tgt_h1, first=False),
-        through_h0(m1.j_src_h0, first=True),
-        through_h0(m2.j_tgt_h0, first=False),
+        through(m1.j_src_h1, first=True, h0=False),
+        through(m2.j_tgt_h1, first=False, h0=False),
+        through(m1.j_src_h0, first=True, h0=True),
+        through(m2.j_tgt_h0, first=False, h0=True),
     )

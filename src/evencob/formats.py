@@ -134,7 +134,8 @@ class _Lines:
 
 
 def _parse_count(token: str, line: int, what: str) -> int:
-    if not token.lstrip("-").isdigit():
+    # one optional minus sign, then the decimal digits int() accepts
+    if not token.removeprefix("-").isdecimal():
         raise FileSyntaxError(f"{what} must be an integer, found {token!r}", line)
     value = int(token)
     if value < 0:
@@ -193,14 +194,18 @@ def parse_scenario(text: str) -> Scenario:
     return Scenario(space, subspaces, tuple(queries))
 
 
+def _matrix_lines(matrix: RationalMatrix) -> list[str]:
+    if matrix.cols == 0:
+        return []  # zero-width rows have no data lines
+    return [" ".join(format_rational(x) for x in matrix.row(i)) for i in range(matrix.rows)]
+
+
 def serialize_scenario(scenario: Scenario) -> str:
     out = [f"form {scenario.space.dim}"]
-    for i in range(scenario.space.dim):
-        out.append(" ".join(format_rational(x) for x in scenario.space.gram.row(i)))
+    out.extend(_matrix_lines(scenario.space.gram))
     for name, sub in scenario.named_subspaces.items():
         out.append(f"subspace {name} {sub.dim}")
-        for row in sub.basis_rows():
-            out.append(" ".join(format_rational(x) for x in row))
+        out.extend(_matrix_lines(sub.basis))
     for a, b, c in scenario.queries:
         out.append(f"triple {a} {b} {c}")
     return "\n".join(out) + "\n"
@@ -307,40 +312,26 @@ def parse_pipeline(text: str) -> Pipeline:
     return Pipeline(objects, tuple(entries))
 
 
-def _matrix_lines(matrix: RationalMatrix) -> list[str]:
-    if matrix.rows == 0 or matrix.cols == 0:
-        return []
-    return [
-        " ".join(format_rational(x) for x in matrix.row(i)) for i in range(matrix.rows)
-    ]
-
-
 def serialize_pipeline(pipeline: Pipeline) -> str:
     out: list[str] = []
     for name, obj in pipeline.objects.items():
         out.append(f"object {name} genera {' '.join(str(g) for g in obj.genera)}".rstrip())
         out.append(f"lagrangian {obj.lagrangian.dim}")
-        out.extend(" ".join(format_rational(x) for x in row) for row in obj.lagrangian.basis_rows())
+        out.extend(_matrix_lines(obj.lagrangian.basis))
     for entry in pipeline.entries:
         m = entry.morphism
         out.append(
             f"morphism {entry.name} {entry.source_name} {entry.target_name} "
             f"weight {m.weight} h1 {m.h1_dim} h0 {m.h0_dim}"
         )
-        for label, matrix in (
-            ("jsrc_h1", m.j_src_h1),
-            ("jtgt_h1", m.j_tgt_h1),
-            ("jsrc_h0", m.j_src_h0),
-            ("jtgt_h0", m.j_tgt_h0),
-        ):
+        blocks = (m.j_src_h1, m.j_tgt_h1, m.j_src_h0, m.j_tgt_h0)
+        for label, matrix in zip(_MORPHISM_BLOCKS, blocks):
             out.append(label)
             out.extend(_matrix_lines(matrix))
     return "\n".join(out) + "\n"
 
 
-def pipeline_for_morphism(
-    morphism: CobordismMorphism, name: str = "m", source_name: str = "src", target_name: str = "dst"
-) -> Pipeline:
-    """Wrap a single morphism as a pipeline so it can be written to a file."""
-    objects = {source_name: morphism.source, target_name: morphism.target}
-    return Pipeline(objects, (PipelineEntry(name, source_name, target_name, morphism),))
+def pipeline_for_morphism(morphism: CobordismMorphism) -> Pipeline:
+    """Wrap a single morphism as a pipeline, named m from src to dst, for writing."""
+    objects = {"src": morphism.source, "dst": morphism.target}
+    return Pipeline(objects, (PipelineEntry("m", "src", "dst", morphism),))

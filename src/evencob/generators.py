@@ -32,6 +32,7 @@ from .cobordism import (
     SurfaceObject,
     compose,
     empty_surface,
+    evened,
     identity,
     is_even,
     pseudo_cylinder,
@@ -50,6 +51,23 @@ ATOM_KINDS = ("identity", "pseudo_cylinder", "twisted_cylinder", "handlebody", "
 COMBO_KINDS = ("disjoint_union", "composite")
 
 
+def _check_twist(name: str, twist: RationalMatrix, surface: SurfaceObject) -> None:
+    n = surface.beta1
+    if twist.rows != n or twist.cols != n:
+        raise DimensionMismatchError(f"{name} is {twist.rows}x{twist.cols}, surface needs {n}x{n}")
+    gram = surface.space.gram
+    if twist.transpose() @ gram @ twist != gram:
+        raise NotSymplecticError(f"{name} does not preserve the surface form")
+
+
+def _cores(genus: int) -> RationalMatrix:
+    # H1 of the genus-g handlebody: e_i maps to the i-th core, f_i bounds
+    return RationalMatrix(
+        tuple(tuple(1 if c == 2 * i else 0 for c in range(2 * genus)) for i in range(genus)),
+        cols=2 * genus,
+    )
+
+
 def twisted_cylinder(
     surface: SurfaceObject,
     twist: RationalMatrix,
@@ -62,12 +80,7 @@ def twisted_cylinder(
     The twist must preserve the surface form; its graph is then Lagrangian in
     the boundary form and the record validates by construction.
     """
-    gram = surface.space.gram
-    n = surface.beta1
-    if twist.rows != n or twist.cols != n:
-        raise DimensionMismatchError(f"twist is {twist.rows}x{twist.cols}, surface needs {n}x{n}")
-    if twist.transpose() @ gram @ twist != gram:
-        raise NotSymplecticError("twist does not preserve the surface form")
+    _check_twist("twist", twist, surface)
     base = pseudo_cylinder(surface, target_lagrangian, weight)
     return replace(base, j_tgt_h1=twist.inverse())
 
@@ -79,13 +92,6 @@ def handlebody(genus: int, target_lagrangian: Subspace, weight: int) -> Cobordis
     f_i bounds, so the boundary kernel is span{f_1..f_g}.
     """
     target = SurfaceObject((genus,), target_lagrangian)
-    j_tgt_h1 = RationalMatrix(
-        tuple(
-            tuple(1 if c == 2 * i else 0 for c in range(2 * genus))
-            for i in range(genus)
-        ),
-        cols=2 * genus,
-    )
     return CobordismMorphism(
         empty_surface(),
         target,
@@ -93,7 +99,7 @@ def handlebody(genus: int, target_lagrangian: Subspace, weight: int) -> Cobordis
         genus,
         1,
         RationalMatrix.zeros(genus, 0),
-        j_tgt_h1,
+        _cores(genus),
         RationalMatrix.zeros(1, 0),
         RationalMatrix.identity(1),
     )
@@ -112,28 +118,14 @@ def cap(
     source = SurfaceObject((genus,), source_lagrangian)
     if pre_twist is None:
         pre_twist = RationalMatrix.identity(2 * genus)
-    gram = source.space.gram
-    if pre_twist.rows != 2 * genus or pre_twist.cols != 2 * genus:
-        raise DimensionMismatchError(
-            f"pre_twist is {pre_twist.rows}x{pre_twist.cols}, surface needs "
-            f"{2 * genus}x{2 * genus}"
-        )
-    if pre_twist.transpose() @ gram @ pre_twist != gram:
-        raise NotSymplecticError("pre_twist does not preserve the surface form")
-    core_projection = RationalMatrix(
-        tuple(
-            tuple(1 if c == 2 * i else 0 for c in range(2 * genus))
-            for i in range(genus)
-        ),
-        cols=2 * genus,
-    )
+    _check_twist("pre_twist", pre_twist, source)
     return CobordismMorphism(
         source,
         empty_surface(),
         weight,
         genus,
         1,
-        core_projection @ pre_twist,
+        _cores(genus) @ pre_twist,
         RationalMatrix.zeros(genus, 0),
         RationalMatrix.identity(1),
         RationalMatrix.zeros(1, 0),
@@ -192,7 +184,10 @@ class GeneratorSpec:
         else:
             raise GeneratorSpecError(f"unknown generator kind {self.kind!r}")
         if self.genera is not None:
-            object.__setattr__(self, "genera", tuple(int(g) for g in self.genera))
+            genera = tuple(int(g) for g in self.genera)
+            if any(g < 0 for g in genera):
+                raise GeneratorSpecError(f"genera must be non-negative, got {genera}")
+            object.__setattr__(self, "genera", genera)
 
 
 def _single_genus(spec: GeneratorSpec, context: SurfaceObject | None) -> int:
@@ -289,10 +284,7 @@ def random_even_morphism(
     Evenness constrains only the weight parity, so a unit weight bump fixes an
     odd build.  Identical shape and seed reproduce the identical record.
     """
-    rng = random.Random(seed)
-    morphism = _build(shape, rng, source)
-    if not is_even(morphism).is_even:
-        morphism = replace(morphism, weight=morphism.weight + 1)
+    morphism = evened(_build(shape, random.Random(seed), source))
     assert is_even(morphism).is_even
     assert not validate(morphism)
     return morphism
@@ -314,20 +306,12 @@ def build_from_objects(
             "as separate entries"
         )
     weight = spec.weight if spec.weight is not None else 0
-
-    def check_genera(declared: tuple[int, ...], obj: SurfaceObject, role: str) -> None:
-        if obj.genera != declared:
-            raise GeneratorSpecError(
-                f"{spec.kind} expects {role} genera {declared}, object has {obj.genera}"
-            )
-
-    if spec.genera is not None:
-        if spec.kind == "handlebody":
-            check_genera(spec.genera, target, "target")
-        elif spec.kind == "cap":
-            check_genera(spec.genera, source, "source")
-        else:
-            check_genera(spec.genera, source, "source")
+    # a handlebody's declared genus is that of its target, every other's of its source
+    role, obj = ("target", target) if spec.kind == "handlebody" else ("source", source)
+    if spec.genera is not None and obj.genera != spec.genera:
+        raise GeneratorSpecError(
+            f"{spec.kind} expects {role} genera {spec.genera}, object has {obj.genera}"
+        )
 
     rng = random.Random(spec.twist_seed if spec.twist_seed is not None else 0)
     if spec.kind == "identity":

@@ -184,9 +184,6 @@ class RationalMatrix:
     def is_symmetric(self) -> bool:
         return self.rows == self.cols and self == self.transpose()
 
-    def is_skew_symmetric(self) -> bool:
-        return self.rows == self.cols and self.transpose() == -self
-
     # -- stacking -------------------------------------------------------------
 
     def hstack(self, other: "RationalMatrix") -> "RationalMatrix":
@@ -398,12 +395,11 @@ def canonical_basis(vectors: Sequence[Iterable], ambient_dim: int) -> Subspace:
     return Subspace(ambient_dim, RationalMatrix(rows, cols=ambient_dim))
 
 
-def kernel(f: RationalMatrix) -> Subspace:
-    """{x : f @ x = 0} in canonical form; dimension cols - rank."""
-    red, pivots = f.rref()
-    n = f.cols
+def _null_rows(red: RationalMatrix, pivots: tuple[int, ...]) -> list[Vector]:
+    # e_c - sum_i red[i, c] e_pivot(i) for each non-pivot column c of an RREF
+    n = red.cols
     pivot_set = set(pivots)
-    vectors = []
+    rows = []
     for c in range(n):
         if c in pivot_set:
             continue
@@ -411,8 +407,13 @@ def kernel(f: RationalMatrix) -> Subspace:
         v[c] = _ONE
         for i, p in enumerate(pivots):
             v[p] = -red[i, c]
-        vectors.append(v)
-    return canonical_basis(vectors, n)
+        rows.append(tuple(v))
+    return rows
+
+
+def kernel(f: RationalMatrix) -> Subspace:
+    """{x : f @ x = 0} in canonical form; dimension cols - rank."""
+    return canonical_basis(_null_rows(*f.rref()), f.cols)
 
 
 def image(f: RationalMatrix) -> Subspace:
@@ -437,19 +438,8 @@ def cokernel(f: RationalMatrix) -> tuple[int, RationalMatrix]:
     image, corrected along the pivot rows; non-pivot coordinates are taken in
     increasing order, which pins the presentation of composite morphisms.
     """
-    img = image(f)
-    pivots = _leading_columns(img.basis)
-    n = f.rows
-    pivot_set = set(pivots)
-    nonpivots = [c for c in range(n) if c not in pivot_set]
-    rows = []
-    for c in nonpivots:
-        row = [_ZERO] * n
-        row[c] = _ONE
-        for i, p in enumerate(pivots):
-            row[p] = -img.basis[i, c]
-        rows.append(tuple(row))
-    return len(nonpivots), RationalMatrix(tuple(rows), cols=n)
+    rows = _null_rows(*f.transpose().rref())
+    return len(rows), RationalMatrix(rows, cols=f.rows)
 
 
 def map_subspace(f: RationalMatrix, sub: Subspace) -> Subspace:

@@ -184,7 +184,11 @@ def form_annihilator(triple: LagrangianTriple) -> Subspace:
     Computed from the gram matrix alone; the result provably equals
     (l1 cap l3) + (l2 cap l3), which is asserted as a post-check.
     """
-    mf = maslov_form(triple)
+    return _form_radical(triple, maslov_form(triple))
+
+
+def _form_radical(triple: LagrangianTriple, mf: MaslovForm) -> Subspace:
+    """form_annihilator for a Maslov form already built from the triple."""
     coefficient_kernel = kernel(mf.gram)
     vectors = [combine_rows(c, mf.domain_basis) for c in coefficient_kernel.basis_rows()]
     radical = canonical_basis(vectors, triple.l1.ambient_dim)

@@ -14,7 +14,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from .cobordism import CobordismMorphism, SurfaceObject, validate
+from .cobordism import CobordismMorphism, SurfaceObject, evened, validate
 from .generators import GeneratorSpec, random_even_morphism
 from .linalg import (
     RationalMatrix,
@@ -35,9 +35,9 @@ MAX_COMPONENT_GENUS = 3
 MAX_CHAIN_LENGTH = 5
 
 
-def _random_unimodular(n: int, rng: random.Random, ops: int | None = None) -> RationalMatrix:
+def _random_unimodular(n: int, rng: random.Random) -> RationalMatrix:
     rows = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-    for _ in range(ops if ops is not None else n + 3):
+    for _ in range(n + 3):
         i = rng.randrange(n)
         j = rng.randrange(n)
         if i == j:
@@ -77,22 +77,24 @@ def _embed_lagrangian(
     return map_subspace(inverse_change, padded)
 
 
-def random_triple(seed: int, genus_max: int) -> LagrangianTriple:
-    """A random Lagrangian triple; roughly half live in degenerate spaces."""
+def _random_lagrangians(
+    seed: int, genus_max: int, count: int
+) -> tuple[SymplecticSpace, list[Subspace]]:
     rng = random.Random(seed)
     genus, pad, space, inv = _random_space(rng, genus_max)
-    lags = [
-        _embed_lagrangian(random_lagrangian(genus, rng), genus, pad, inv)
-        for _ in range(3)
+    return space, [
+        _embed_lagrangian(random_lagrangian(genus, rng), genus, pad, inv) for _ in range(count)
     ]
+
+
+def random_triple(seed: int, genus_max: int) -> LagrangianTriple:
+    """A random Lagrangian triple; roughly half live in degenerate spaces."""
+    space, lags = _random_lagrangians(seed, genus_max, 3)
     return LagrangianTriple(space, *lags)
 
 
 def random_lagrangian_pair(seed: int, genus_max: int) -> tuple[SymplecticSpace, Subspace, Subspace]:
-    rng = random.Random(seed)
-    genus, pad, space, inv = _random_space(rng, genus_max)
-    a = _embed_lagrangian(random_lagrangian(genus, rng), genus, pad, inv)
-    b = _embed_lagrangian(random_lagrangian(genus, rng), genus, pad, inv)
+    space, (a, b) = _random_lagrangians(seed, genus_max, 2)
     return space, a, b
 
 
@@ -237,7 +239,6 @@ def random_abstract_morphism(
     seed: int,
     genus_max: int = MAX_COMPONENT_GENUS,
     source: SurfaceObject | None = None,
-    target: SurfaceObject | None = None,
 ) -> CobordismMorphism:
     """A validated record sampled directly, not built from generators.
 
@@ -254,7 +255,7 @@ def random_abstract_morphism(
         return SurfaceObject(genera, random_lagrangian(genera[0], rng))
 
     src = source if source is not None else draw_object()
-    tgt = target if target is not None else draw_object()
+    tgt = draw_object()
     total = sum(src.genera) + sum(tgt.genera)
     bsrc, btgt = src.beta1, tgt.beta1
     if total:
@@ -289,15 +290,7 @@ def random_abstract_even_pair(
     seed: int, genus_max: int = MAX_COMPONENT_GENUS
 ) -> tuple[CobordismMorphism, CobordismMorphism]:
     """Two composable abstract validated records, each made even by weight."""
-    from dataclasses import replace
-
-    from .cobordism import is_even
-
     rng = random.Random(seed)
     m1 = random_abstract_morphism(rng.getrandbits(32), genus_max)
     m2 = random_abstract_morphism(rng.getrandbits(32), genus_max, source=m1.target)
-
-    def evened(m: CobordismMorphism) -> CobordismMorphism:
-        return m if is_even(m).is_even else replace(m, weight=m.weight + 1)
-
     return evened(m1), evened(m2)

@@ -96,12 +96,7 @@ def validated_genera(genera: Iterable[int]) -> tuple[int, ...]:
 
 @lru_cache(maxsize=None)
 def _standard_space(genera: tuple[int, ...]) -> SymplecticSpace:
-    n = beta1(genera)
-    rows = [[Fraction(0)] * n for _ in range(n)]
-    for h in range(sum(genera)):
-        rows[2 * h][2 * h + 1] = Fraction(1)
-        rows[2 * h + 1][2 * h] = Fraction(-1)
-    return SymplecticSpace(RationalMatrix(rows, cols=n))
+    return SymplecticSpace(RationalMatrix(_int_standard_gram(sum(genera)), cols=beta1(genera)))
 
 
 def standard_surface_space(genera: Iterable[int]) -> SymplecticSpace:

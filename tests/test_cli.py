@@ -316,6 +316,59 @@ class TestExitCodes:
         assert f"argument {argv[-2]}: must be at least" in err
 
 
+@pytest.mark.parametrize(
+    "argv, text, message",
+    [
+        (
+            ["maslov", "--in"],
+            "form --2\n",
+            "error: line 1: form dimension must be an integer, found '--2'\n",
+        ),
+        (
+            ["compose", "--in"],
+            "object E genera --1\nlagrangian 0\n",
+            "error: line 1: genus must be an integer, found '--1'\n",
+        ),
+        (
+            ["even", "--in"],
+            "object E genera \u00b2\nlagrangian 0\n",
+            "error: line 1: genus must be an integer, found '\u00b2'\n",
+        ),
+        (
+            ["gen", "--spec", "handlebody genus=-1"],
+            None,
+            "error: genera must be non-negative, got (-1,)\n",
+        ),
+        (
+            ["gen", "--spec", "pseudo_cylinder genera=[-1]"],
+            None,
+            "error: genera must be non-negative, got (-1,)\n",
+        ),
+        (
+            ["gen", "--spec", "twisted_cylinder genera=[1,-1]"],
+            None,
+            "error: genera must be non-negative, got (1, -1)\n",
+        ),
+    ],
+    ids=[
+        "maslov-form",
+        "compose-genus",
+        "even-genus",
+        "gen-handlebody",
+        "gen-pseudo-cylinder",
+        "gen-twisted-cylinder",
+    ],
+)
+def test_malformed_numbers_are_input_errors(capsys, tmp_path, argv, text, message):
+    if text is not None:
+        path = tmp_path / "input.txt"
+        path.write_text(text)
+        argv = argv + [str(path)]
+    code = main(argv)
+    out, err = capsys.readouterr()
+    assert (code, out, err) == (2, "", message)
+
+
 def test_parity_survey_script_runs():
     root = Path(__file__).resolve().parent.parent
     path = os.pathsep.join([str(root / "src"), os.environ.get("PYTHONPATH", "")])

@@ -19,6 +19,7 @@ from evencob.cobordism import (
     validate,
 )
 from evencob.errors import (
+    DimensionMismatchError,
     GeneraMismatchError,
     LagrangianMismatchError,
     NotAPseudoCylinderError,
@@ -136,6 +137,15 @@ class TestPushPull:
     def test_cap_kernel(self):
         m = cap(1, SPAN_E, 0)
         assert pull_back(m, Subspace.zero(0)) == SPAN_F
+
+    def test_dimension_errors_name_the_surface(self):
+        m = handlebody(1, SPAN_E, 0)
+        with pytest.raises(DimensionMismatchError) as exc:
+            push_forward(m, SPAN_E)
+        assert str(exc.value) == "subspace of ambient 2, source surface has dimension 0"
+        with pytest.raises(DimensionMismatchError) as exc:
+            pull_back(m, Subspace.zero(0))
+        assert str(exc.value) == "subspace of ambient 0, target surface has dimension 2"
 
     def test_lagrangian_outputs_on_random_even_morphisms(self):
         for seed in range(20):

@@ -263,3 +263,30 @@ def test_parse_rational_accepts_only_exact_tokens():
     for bad in ("1.5", "1/0", "1e3", "/2", "x"):
         with pytest.raises(FileSyntaxError):
             parse_rational(bad)
+
+
+@pytest.mark.parametrize("token", ["--2", "\u00b2", "-", "+2", "2_0", "2.0"])
+@pytest.mark.parametrize(
+    "template",
+    ["form {}\n", "object E genera {}\nlagrangian 0\n", "object E genera\nlagrangian {}\n"],
+    ids=["form", "genus", "lagrangian"],
+)
+def test_malformed_counts_are_syntax_errors(template, token):
+    text = template.format(token)
+    parse = parse_scenario if text.startswith("form") else parse_pipeline
+    with pytest.raises(FileSyntaxError) as exc:
+        parse(text)
+    assert str(exc.value).startswith("line ")
+    assert f"must be an integer, found {token!r}" in str(exc.value)
+
+
+@pytest.mark.parametrize("token", ["2", "02", "\u0662"])
+def test_count_tokens_keep_their_value(token):
+    assert parse_scenario(f"form {token}\n0 1\n-1 0\n").space.dim == 2
+    text = f"object T genera {token}\nlagrangian 2\n1 0 0 0\n0 0 1 0\n"
+    assert parse_pipeline(text).objects["T"].genera == (2,)
+
+
+def test_negative_count_is_rejected():
+    with pytest.raises(FileSyntaxError, match="line 1: form dimension must be non-negative"):
+        parse_scenario("form -3\n")

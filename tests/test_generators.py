@@ -11,7 +11,7 @@ from evencob.cobordism import (
     push_forward,
     validate,
 )
-from evencob.errors import GeneratorSpecError, NotSymplecticError
+from evencob.errors import DimensionMismatchError, GeneratorSpecError, NotSymplecticError
 from evencob.generators import (
     GeneratorSpec,
     build_from_objects,
@@ -58,8 +58,14 @@ class TestTwistedCylinder:
             assert validate(m) == []
 
     def test_rejects_non_symplectic(self):
-        with pytest.raises(NotSymplecticError):
+        with pytest.raises(NotSymplecticError) as exc:
             twisted_cylinder(TORUS_E, RationalMatrix([[2, 0], [0, 2]]), SPAN_F, 0)
+        assert str(exc.value) == "twist does not preserve the surface form"
+
+    def test_rejects_wrong_shape(self):
+        with pytest.raises(DimensionMismatchError) as exc:
+            twisted_cylinder(TORUS_E, RationalMatrix.identity(4), SPAN_F, 0)
+        assert str(exc.value) == "twist is 4x4, surface needs 2x2"
 
 
 class TestHandlebody:
@@ -91,6 +97,16 @@ class TestCap:
 
     def test_validates(self):
         assert validate(cap(2, standard_lagrangian(2), 1)) == []
+
+    def test_rejects_non_symplectic_pre_twist(self):
+        with pytest.raises(NotSymplecticError) as exc:
+            cap(1, SPAN_E, 0, RationalMatrix([[2, 0], [0, 2]]))
+        assert str(exc.value) == "pre_twist does not preserve the surface form"
+
+    def test_rejects_wrong_pre_twist_shape(self):
+        with pytest.raises(DimensionMismatchError) as exc:
+            cap(1, SPAN_E, 0, RationalMatrix.identity(4))
+        assert str(exc.value) == "pre_twist is 4x4, surface needs 2x2"
 
 
 class TestDoubles:
@@ -154,6 +170,19 @@ class TestGeneratorSpecText:
     def test_trailing_tokens(self):
         with pytest.raises(GeneratorSpecError):
             parse_generator_spec("cap genus=1) extra")
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "handlebody genus=-1",
+            "pseudo_cylinder genera=[-1]",
+            "twisted_cylinder genera=[1,-1]",
+            "composite(handlebody genus=1, cap genus=-1)",
+        ],
+    )
+    def test_negative_genus_rejected(self, text):
+        with pytest.raises(GeneratorSpecError, match="genera must be non-negative"):
+            parse_generator_spec(text)
 
     def test_combo_needs_children(self):
         with pytest.raises(GeneratorSpecError):
@@ -232,5 +261,19 @@ class TestBuildFromObjects:
 
     def test_genera_consistency_checked(self):
         spec = parse_generator_spec("pseudo_cylinder genus=2")
-        with pytest.raises(GeneratorSpecError):
+        with pytest.raises(GeneratorSpecError) as exc:
             build_from_objects(spec, TORUS_E, TORUS_E)
+        assert str(exc.value) == "pseudo_cylinder expects source genera (2,), object has (1,)"
+
+    @pytest.mark.parametrize(
+        "text, source, target, message",
+        [
+            ("cap genus=2", TORUS_E, empty_surface(), "cap expects source genera"),
+            ("handlebody genus=2", empty_surface(), TORUS_E, "handlebody expects target genera"),
+        ],
+        ids=["cap", "handlebody"],
+    )
+    def test_genera_mismatch_names_the_checked_end(self, text, source, target, message):
+        with pytest.raises(GeneratorSpecError) as exc:
+            build_from_objects(parse_generator_spec(text), source, target)
+        assert str(exc.value) == f"{message} (2,), object has (1,)"

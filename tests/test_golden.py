@@ -29,6 +29,31 @@ FIXTURES = {
     "subspace L3 1\n1 1\nsubspace P 2\n1 0\n0 1\ntriple L1 L2 L3\n",
     "bad.ssf": "form 2\n0 1\n-1 0\nsubspace A 2\n1 0\n0 1\n"
     "subspace B 1\n1 0\nsubspace C 1\n0 1\ntriple A B C\n",
+    # a composable chain: explicit records, twist-seeded generators and a
+    # two-component surface
+    "chain.cbf": "object E genera\nlagrangian 0\n"
+    "object T genera 1\nlagrangian 1\n1 0\n"
+    "object U genera 1 1\nlagrangian 2\n1 0 0 0\n0 0 1 0\n"
+    "object V genera 1 1\nlagrangian 2\n0 1 0 0\n0 0 1 1\n"
+    "morphism H E T weight 1 h1 1 h0 1\njsrc_h1\njtgt_h1\n1 0\njsrc_h0\njtgt_h0\n1\n"
+    "generator C T T twisted_cylinder weight=2 twist_seed=3\n"
+    "generator K T E cap weight=1 twist_seed=5\n"
+    "morphism HH E U weight 0 h1 2 h0 2\njsrc_h1\njtgt_h1\n1 0 0 0\n0 0 1 0\n"
+    "jsrc_h0\njtgt_h0\n1 0\n0 1\n"
+    "generator P U V pseudo_cylinder weight=1\n"
+    "generator W V V twisted_cylinder twist_seed=8 twist_length=5\n"
+    "morphism KK V E weight 1 h1 2 h0 2\njsrc_h1\n1 0 0 0\n0 0 1 0\njtgt_h1\n"
+    "jsrc_h0\n1 0\n0 1\njtgt_h0\n",
+}
+
+GEN_SPECS = {
+    "identity": "identity genus=2",
+    "pseudo-cylinder": "pseudo_cylinder genus=1",
+    "twisted-cylinder": "twisted_cylinder genera=[1,1]",
+    "handlebody": "handlebody genus=2",
+    "cap": "cap genus=1",
+    "composite": "composite(handlebody genus=1, twisted_cylinder genus=1, cap genus=1)",
+    "disjoint-union": "disjoint_union(handlebody genus=1, pseudo_cylinder genus=2)",
 }
 
 
@@ -72,6 +97,11 @@ for t in THEOREMS:
     CASES[f"check-in-{t}"] = (["check", "--theorem", t, "--in", "genus1.ssf"], None)
 for t in ("pair-dims", "ann-identities"):
     CASES[f"check-in-plane-{t}"] = (["check", "--theorem", t, "--in", "plane.ssf"], None)
+for kind, spec in GEN_SPECS.items():
+    for seed in ("0", "5"):
+        CASES[f"gen-{kind}-seed{seed}"] = (["gen", "--spec", spec, "--seed", seed], None)
+CASES["compose-chain"] = (["compose", "--in", "chain.cbf"], None)
+CASES["even-chain"] = (["even", "--in", "chain.cbf"], None)
 
 RUNS = {
     f"{name}.{mode}": argv + ["--output", mode]
