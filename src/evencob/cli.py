@@ -217,6 +217,12 @@ def _cmd_compose(args: argparse.Namespace) -> tuple[dict, int]:
     pipeline = parse_pipeline(Path(args.input).read_text())
     if not pipeline.entries:
         raise EvencobError("pipeline has no morphisms to compose")
+    for entry in pipeline.entries:
+        violations = validate(entry.morphism)
+        if violations:
+            raise EvencobError(
+                f"line {entry.line}: entry {entry.name!r} is not realizable: {violations[0]}"
+            )
     composite = pipeline.entries[0].morphism
     for entry in pipeline.entries[1:]:
         composite = compose(composite, entry.morphism)

@@ -70,6 +70,8 @@ class PipelineEntry:
     source_name: str
     target_name: str
     morphism: CobordismMorphism
+    # where the record starts in its file; None for entries built in memory
+    line: int | None = field(default=None, compare=False)
 
 
 @dataclass(frozen=True)
@@ -290,7 +292,7 @@ def parse_pipeline(text: str) -> Pipeline:
                 )
             except EvencobError as exc:
                 raise type(exc)(f"line {number}: {exc}") from exc
-            entries.append(PipelineEntry(name, src_name, dst_name, morphism))
+            entries.append(PipelineEntry(name, src_name, dst_name, morphism, number))
             _check_chain(entries, number)
         elif keyword == "generator":
             if len(tokens) < 5:
@@ -305,7 +307,7 @@ def parse_pipeline(text: str) -> Pipeline:
                 morphism = build_from_objects(spec, source, target)
             except EvencobError as exc:
                 raise type(exc)(f"line {number}: {exc}") from exc
-            entries.append(PipelineEntry(name, src_name, dst_name, morphism))
+            entries.append(PipelineEntry(name, src_name, dst_name, morphism, number))
             _check_chain(entries, number)
         else:
             raise FileSyntaxError(f"unknown statement {keyword!r}", number)

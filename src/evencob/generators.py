@@ -188,6 +188,8 @@ class GeneratorSpec:
             if any(g < 0 for g in genera):
                 raise GeneratorSpecError(f"genera must be non-negative, got {genera}")
             object.__setattr__(self, "genera", genera)
+        if self.twist_length < 0:
+            raise GeneratorSpecError(f"twist_length must be non-negative, got {self.twist_length}")
 
 
 def _single_genus(spec: GeneratorSpec, context: SurfaceObject | None) -> int:

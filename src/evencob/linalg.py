@@ -4,15 +4,19 @@ Everything downstream (skew forms, Maslov indices, homological gluing) reduces
 to the operations here: reduced-row-echelon canonicalization and the subspace
 lattice with exact kernel / image / preimage / cokernel computations.
 
-Matrices are immutable and store :class:`fractions.Fraction` entries.  A
-subspace is identified with its unique RREF row basis, so subspace equality is
-plain structural equality and regression values can be frozen verbatim.
+Matrices are immutable and store :class:`fractions.Fraction` entries.
+Elimination runs fraction-free: each row is scaled to primitive integers and
+reduced with integer row operations, and the canonical ``Fraction`` RREF is
+produced only at the end.  A subspace is identified with its unique RREF row
+basis, so subspace equality is plain structural equality and regression values
+can be frozen verbatim.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 from typing import Iterable, Sequence
 
 from .errors import DimensionMismatchError
@@ -25,13 +29,21 @@ _ONE = Fraction(1)
 
 def as_fraction(value: int | str | Fraction) -> Fraction:
     """Coerce to Fraction, rejecting floats outright (exactness guard)."""
+    if type(value) is Fraction:
+        return value
     if isinstance(value, float):
         raise TypeError(f"refusing float {value!r} in exact arithmetic")
     return Fraction(value)
 
 
 def as_vector(entries: Iterable) -> Vector:
-    return tuple(as_fraction(x) for x in entries)
+    return tuple(map(as_fraction, entries))
+
+
+def _primitive(row: list[int]) -> list[int]:
+    """An integer row divided by the gcd of its entries (a zero row unchanged)."""
+    g = gcd(*row)
+    return [x // g for x in row] if g > 1 else row
 
 
 def zero_vector(n: int) -> Vector:
@@ -208,8 +220,21 @@ class RationalMatrix:
     # -- elimination ----------------------------------------------------------
 
     def rref(self) -> tuple["RationalMatrix", tuple[int, ...]]:
-        """Reduced row-echelon form and the tuple of pivot columns."""
-        m = [list(r) for r in self._rows]
+        """Reduced row-echelon form and the tuple of pivot columns.
+
+        Fraction-free Gauss-Jordan: each row is scaled to primitive integers
+        (scaling a row leaves the RREF unchanged), eliminated with
+        ``p * row - f * pivot_row`` and divided by the gcd of its entries.
+        Pivot rows are divided by their pivots once, at the end.
+        """
+        m = []
+        for row in self._rows:
+            den = 1  # the lcm of the row's denominators
+            for x in row:
+                d = x.denominator
+                if d != 1:
+                    den = den * d // gcd(den, d)
+            m.append(_primitive([x.numerator * (den // x.denominator) for x in row]))
         nrows, ncols = len(m), self._ncols
         pivots: list[int] = []
         r = 0
@@ -224,16 +249,17 @@ class RationalMatrix:
             if pr is None:
                 continue
             m[r], m[pr] = m[pr], m[r]
-            inv = 1 / m[r][c]
-            if inv != 1:
-                m[r] = [x * inv for x in m[r]]
+            prow = m[r]
+            p = prow[c]
             for i in range(nrows):
-                if i != r and m[i][c]:
-                    f = m[i][c]
-                    m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+                f = m[i][c]
+                if i != r and f:
+                    m[i] = _primitive([p * a - f * b for a, b in zip(m[i], prow)])
             pivots.append(c)
             r += 1
-        return RationalMatrix(tuple(tuple(row) for row in m), cols=ncols), tuple(pivots)
+        out = [tuple(Fraction(x, row[c]) if x else _ZERO for x in row) for row, c in zip(m, pivots)]
+        out.extend(zero_vector(ncols) for _ in range(nrows - r))
+        return RationalMatrix(out, cols=ncols), tuple(pivots)
 
     def rank(self) -> int:
         return len(self.rref()[1])

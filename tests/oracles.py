@@ -4,6 +4,10 @@ The signature oracle never touches the congruence-diagonalization code path:
 it computes the characteristic polynomial exactly (Faddeev-LeVerrier) and
 counts eigenvalue signs with Descartes' rule, which is exact for polynomials
 whose roots are all real, as is the case for symmetric matrices.
+
+The RREF oracle is the Fraction Gauss-Jordan loop that evencob's integer
+elimination replaced; the RREF of a matrix is unique, so the two must agree
+entry for entry.
 """
 
 from __future__ import annotations
@@ -51,3 +55,36 @@ def descartes_signature(gram: RationalMatrix) -> int:
     n = gram.rows
     reflected = [c * (-1) ** (n - i) for i, c in enumerate(coeffs)]
     return _sign_changes(coeffs) - _sign_changes(reflected)
+
+
+def reference_rref(m: RationalMatrix) -> tuple[RationalMatrix, tuple[int, ...]]:
+    """Reduced row-echelon form by Gauss-Jordan elimination on Fraction entries.
+
+    The plain textbook loop: normalize each pivot row by the inverse of its
+    pivot, then clear the pivot column from every other row.
+    """
+    m, ncols = [list(m.row(i)) for i in range(m.rows)], m.cols
+    nrows = len(m)
+    pivots: list[int] = []
+    r = 0
+    for c in range(ncols):
+        if r == nrows:
+            break
+        pr = None
+        for i in range(r, nrows):
+            if m[i][c]:
+                pr = i
+                break
+        if pr is None:
+            continue
+        m[r], m[pr] = m[pr], m[r]
+        inv = 1 / m[r][c]
+        if inv != 1:
+            m[r] = [x * inv for x in m[r]]
+        for i in range(nrows):
+            if i != r and m[i][c]:
+                f = m[i][c]
+                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+        pivots.append(c)
+        r += 1
+    return RationalMatrix(tuple(tuple(row) for row in m), cols=ncols), tuple(pivots)

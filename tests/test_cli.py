@@ -40,6 +40,30 @@ jtgt_h0
 generator K T E cap weight=1
 """
 
+# a handlebody, then a record whose boundary kernel is not Lagrangian
+UNREALIZABLE_CBF = """\
+object E genera
+lagrangian 0
+object A genera 1
+lagrangian 1
+1 0
+generator h E A handlebody genus=1
+morphism m A A weight 0 h1 1 h0 1
+jsrc_h1
+0 0
+jtgt_h1
+1 0
+jsrc_h0
+1
+jtgt_h0
+1
+"""
+
+UNREALIZABLE_ERROR = (
+    "error: line 7: entry 'm' is not realizable: boundary kernel is not Lagrangian: "
+    "dimension 3, a Lagrangian has dimension 2\n"
+)
+
 REPORT_KEYS = {"schema_version", "command", "params", "status", "results", "counterexample"}
 
 
@@ -192,8 +216,47 @@ class TestComposeCommand:
         path.write_text(text)
         assert main(["compose", "--in", str(path)]) == 2
 
+    def test_unrealizable_record_is_input_error(self, capsys, tmp_path):
+        path = tmp_path / "unrealizable.cbf"
+        path.write_text(UNREALIZABLE_CBF)
+        code = main(["compose", "--in", str(path)])
+        out, err = capsys.readouterr()
+        assert (code, out, err) == (2, "", UNREALIZABLE_ERROR)
+
+    def test_unrealizable_record_rejected_without_asserts(self, tmp_path):
+        # the rejection must not depend on assert statements, which -O strips
+        path = tmp_path / "unrealizable.cbf"
+        path.write_text(UNREALIZABLE_CBF)
+        root = Path(__file__).resolve().parent.parent
+        env = dict(
+            os.environ,
+            PYTHONPATH=os.pathsep.join([str(root / "src"), os.environ.get("PYTHONPATH", "")]),
+        )
+        runs = [
+            subprocess.run(
+                [sys.executable, *flags, "-m", "evencob", "compose", "--in", str(path)],
+                capture_output=True,
+                text=True,
+                env=env,
+                timeout=120,
+            )
+            for flags in ([], ["-O"])
+        ]
+        for done in runs:
+            assert (done.returncode, done.stdout, done.stderr) == (2, "", UNREALIZABLE_ERROR)
+
 
 class TestEvenCommand:
+    def test_unrealizable_record_reports_violations(self, capsys, tmp_path):
+        path = tmp_path / "unrealizable.cbf"
+        path.write_text(UNREALIZABLE_CBF)
+        code, report = run_json(capsys, "even", "--in", str(path))
+        assert code == 0
+        assert [r["violations"] for r in report["results"]] == [
+            [],
+            ["boundary kernel is not Lagrangian: dimension 3, a Lagrangian has dimension 2"],
+        ]
+
     def test_reports_each_morphism(self, capsys, pipeline_file):
         code, report = run_json(capsys, "even", "--in", pipeline_file)
         assert code == 0
@@ -349,6 +412,11 @@ class TestExitCodes:
             None,
             "error: genera must be non-negative, got (1, -1)\n",
         ),
+        (
+            ["gen", "--spec", "twisted_cylinder genus=1 twist_length=-1"],
+            None,
+            "error: twist_length must be non-negative, got -1\n",
+        ),
     ],
     ids=[
         "maslov-form",
@@ -357,6 +425,7 @@ class TestExitCodes:
         "gen-handlebody",
         "gen-pseudo-cylinder",
         "gen-twisted-cylinder",
+        "gen-twist-length",
     ],
 )
 def test_malformed_numbers_are_input_errors(capsys, tmp_path, argv, text, message):

@@ -184,6 +184,20 @@ class TestGeneratorSpecText:
         with pytest.raises(GeneratorSpecError, match="genera must be non-negative"):
             parse_generator_spec(text)
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "twisted_cylinder genus=1 twist_length=-1",
+            "cap genus=2 twist_seed=3 twist_length=-5",
+        ],
+    )
+    def test_negative_twist_length_rejected(self, text):
+        with pytest.raises(GeneratorSpecError, match="twist_length must be non-negative"):
+            parse_generator_spec(text)
+
+    def test_zero_twist_length_accepted(self):
+        assert parse_generator_spec("twisted_cylinder genus=1 twist_length=0").twist_length == 0
+
     def test_combo_needs_children(self):
         with pytest.raises(GeneratorSpecError):
             GeneratorSpec("composite", children=(GeneratorSpec("cap", genera=(1,)),))

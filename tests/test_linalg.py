@@ -11,11 +11,13 @@ from evencob.linalg import (
     Subspace,
     canonical_basis,
     cokernel,
+    combine_rows,
     image,
     kernel,
     map_subspace,
     preimage,
 )
+from oracles import reference_rref
 
 rationals = st.fractions(min_value=-3, max_value=3, max_denominator=2)
 
@@ -203,8 +205,19 @@ class TestMatrixBasics:
             RationalMatrix([[1, 1], [1, 1]]).inverse()
 
     def test_float_rejected(self):
-        with pytest.raises(TypeError):
-            RationalMatrix([[0.5]])
+        # every entry point coerces through as_fraction, Fraction fast path or not
+        builders = [
+            lambda: RationalMatrix([[0.5]]),
+            lambda: RationalMatrix([[Fraction(1), 2.0]]),
+            lambda: RationalMatrix.from_columns([(1, 0.5)]),
+            lambda: RationalMatrix.identity(2).apply((Fraction(1), 0.5)),
+            lambda: combine_rows((0.5, 1), RationalMatrix.identity(2)),
+            lambda: canonical_basis([(Fraction(1), 0.5)], 2),
+            lambda: Subspace.full(2).contains((0.5, Fraction(1))),
+        ]
+        for build in builders:
+            with pytest.raises(TypeError, match="refusing float"):
+                build()
 
     def test_map_subspace(self):
         rot = RationalMatrix([[0, -1], [1, 0]])
@@ -222,3 +235,47 @@ class TestMatrixBasics:
             assert not image(f).contains(rhs)
         else:
             assert f.apply(solution) == rhs
+
+
+# entries the integer elimination must handle: zeros, small rationals with
+# mixed denominators, and integers and fractions of 60 bits and more
+rref_entries = st.one_of(
+    st.just(Fraction(0)),
+    st.fractions(min_value=-4, max_value=4, max_denominator=12),
+    st.integers(2**60, 2**66),
+    st.integers(-(2**66), -(2**60)),
+    st.builds(Fraction, st.integers(-(2**66), 2**66), st.integers(2**60, 2**62)),
+)
+
+
+@st.composite
+def rref_matrices(draw):
+    rows = draw(st.integers(0, 6))
+    cols = draw(st.integers(0, 6))
+    data = [[draw(rref_entries) for _ in range(cols)] for _ in range(rows)]
+    for _ in range(draw(st.integers(0, 2))):
+        # a duplicate of a drawn row, or a zero row, at a drawn position
+        extra = list(draw(st.sampled_from(data))) if data and draw(st.booleans()) else [0] * cols
+        data.insert(draw(st.integers(0, len(data))), extra)
+    return RationalMatrix(data, cols=cols)
+
+
+class TestRrefOracle:
+    @staticmethod
+    def check(m):
+        red, pivots = m.rref()
+        assert (red, pivots) == reference_rref(m)
+        assert all(type(x) is Fraction for x in red.entries)
+
+    @given(rref_matrices())
+    def test_matches_reference(self, m):
+        self.check(m)
+
+    @pytest.mark.parametrize("shape", [(0, 0), (0, 3), (3, 0)])
+    def test_empty_shapes(self, shape):
+        rows, cols = shape
+        self.check(RationalMatrix.zeros(rows, cols))
+
+    def test_zero_and_duplicate_rows(self):
+        row = [Fraction(1, 3), Fraction(2, 5), 2**64 + 1]
+        self.check(RationalMatrix([[0, 0, 0], row, [0, 0, 0], row]))
