@@ -113,6 +113,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _read_input(path: str) -> str:
+    """The text of an input file; an unreadable or non-UTF-8 file is bad input."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except OSError as exc:
+        raise EvencobError(str(exc)) from None
+    except UnicodeDecodeError as exc:
+        raise EvencobError(f"{path!r} is not UTF-8 text: {exc}") from None
+
+
 def _base_report(command: str, params: dict) -> dict:
     return {
         "schema_version": SCHEMA_VERSION,
@@ -140,7 +150,7 @@ def _triple_report(names: tuple[str, str, str], triple: LagrangianTriple) -> dic
 
 
 def _cmd_maslov(args: argparse.Namespace) -> tuple[dict, int]:
-    scenario = parse_scenario(Path(args.input).read_text())
+    scenario = parse_scenario(_read_input(args.input))
     triples = campaigns.scenario_triples(scenario)
     report = _base_report("maslov", {"input": args.input})
     report["results"] = [_triple_report(names, triple) for names, triple in triples]
@@ -183,7 +193,7 @@ def _cmd_check(args: argparse.Namespace) -> tuple[dict, int]:
     report = _base_report("check", params)
     theorem = campaigns.THEOREMS[args.theorem]
     if args.input is not None:
-        scenario = parse_scenario(Path(args.input).read_text())
+        scenario = parse_scenario(_read_input(args.input))
         results = campaigns.evaluate_scenario(theorem, scenario)
         report["results"] = [
             {"instance": label, "holds": out.holds, "details": _plain(out.details)}
@@ -214,7 +224,7 @@ def _morphism_summary(m) -> dict:
 
 
 def _cmd_compose(args: argparse.Namespace) -> tuple[dict, int]:
-    pipeline = parse_pipeline(Path(args.input).read_text())
+    pipeline = parse_pipeline(_read_input(args.input))
     if not pipeline.entries:
         raise EvencobError("pipeline has no morphisms to compose")
     for entry in pipeline.entries:
@@ -236,7 +246,7 @@ def _cmd_compose(args: argparse.Namespace) -> tuple[dict, int]:
 
 
 def _cmd_even(args: argparse.Namespace) -> tuple[dict, int]:
-    pipeline = parse_pipeline(Path(args.input).read_text())
+    pipeline = parse_pipeline(_read_input(args.input))
     report = _base_report("even", {"input": args.input})
     results = []
     for entry in pipeline.entries:

@@ -220,10 +220,10 @@ def is_even(m: CobordismMorphism) -> EvennessReport:
     body, the component count of the source surface, half the first Betti
     number of the target surface, and the one-sided-boundary indicator.
     """
-    src_image = map_subspace(m.j_src_h1, m.source.lagrangian)
-    tgt_image = map_subspace(m.j_tgt_h1, m.target.lagrangian)
+    src_image = m.source.lagrangian.basis @ m.j_src_h1.transpose()
+    tgt_image = m.target.lagrangian.basis @ m.j_tgt_h1.transpose()
     terms = {
-        "lagrangian_span": (src_image + tgt_image).dim,
+        "lagrangian_span": src_image.vstack(tgt_image).rank(),
         "beta1_body": m.h1_dim,
         "beta0_body": m.h0_dim,
         "beta0_source": m.source.beta0,

@@ -135,11 +135,15 @@ class _Lines:
         return [parse_rational(t, number) for t in tokens]
 
 
-def _parse_count(token: str, line: int, what: str) -> int:
+def _parse_int(token: str, line: int, what: str) -> int:
     # one optional minus sign, then the decimal digits int() accepts
     if not token.removeprefix("-").isdecimal():
         raise FileSyntaxError(f"{what} must be an integer, found {token!r}", line)
-    value = int(token)
+    return int(token)
+
+
+def _parse_count(token: str, line: int, what: str) -> int:
+    value = _parse_int(token, line, what)
     if value < 0:
         raise FileSyntaxError(f"{what} must be non-negative, found {value}", line)
     return value
@@ -259,10 +263,7 @@ def parse_pipeline(text: str) -> Pipeline:
             name, src_name, dst_name = tokens[1], tokens[2], tokens[3]
             source = lookup(src_name, number)
             target = lookup(dst_name, number)
-            try:
-                weight = int(tokens[5])
-            except ValueError:
-                raise FileSyntaxError(f"weight must be an integer, found {tokens[5]!r}", number)
+            weight = _parse_int(tokens[5], number, "weight")
             h1 = _parse_count(tokens[7], number, "h1 dimension")
             h0 = _parse_count(tokens[9], number, "h0 dimension")
             widths = {

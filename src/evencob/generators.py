@@ -43,6 +43,7 @@ from .linalg import RationalMatrix, Subspace
 from .symplectic import (
     DEFAULT_WALK_LENGTH,
     beta1,
+    preserves_standard_form,
     random_lagrangian,
     random_symplectic,
 )
@@ -55,8 +56,7 @@ def _check_twist(name: str, twist: RationalMatrix, surface: SurfaceObject) -> No
     n = surface.beta1
     if twist.rows != n or twist.cols != n:
         raise DimensionMismatchError(f"{name} is {twist.rows}x{twist.cols}, surface needs {n}x{n}")
-    gram = surface.space.gram
-    if twist.transpose() @ gram @ twist != gram:
+    if not preserves_standard_form([twist.column(j) for j in range(n)]):
         raise NotSymplecticError(f"{name} does not preserve the surface form")
 
 
@@ -133,11 +133,9 @@ def cap(
 
 
 def _union_object(a: SurfaceObject, b: SurfaceObject) -> SurfaceObject:
-    rows = [r + (0,) * b.beta1 for r in a.lagrangian.basis_rows()]
-    rows += [(0,) * a.beta1 + r for r in b.lagrangian.basis_rows()]
     # block of two RREF bases over disjoint coordinates is already RREF
-    lag = Subspace(a.beta1 + b.beta1, RationalMatrix(rows, cols=a.beta1 + b.beta1))
-    return SurfaceObject(a.genera + b.genera, lag)
+    basis = RationalMatrix.block_diag(a.lagrangian.basis, b.lagrangian.basis)
+    return SurfaceObject(a.genera + b.genera, Subspace(basis.cols, basis))
 
 
 def disjoint_union(m1: CobordismMorphism, m2: CobordismMorphism) -> CobordismMorphism:
@@ -351,7 +349,8 @@ def build_from_objects(
 
 # -- textual encoding ---------------------------------------------------------
 
-_TOKEN_RE = re.compile(r"\s*(\[[^\]]*\]|[A-Za-z_][A-Za-z_0-9]*|-?\d+|[(),=])")
+_INT = r"-?\d+"
+_TOKEN_RE = re.compile(rf"\s*(\[[^\]]*\]|[A-Za-z_][A-Za-z_0-9]*|{_INT}|[(),=])")
 
 
 def _tokenize(text: str) -> list[str]:
@@ -379,10 +378,10 @@ def _parse_int_list(token: str) -> tuple[int, ...]:
     inner = token[1:-1].strip()
     if not inner:
         return ()
-    try:
-        return tuple(int(part.strip()) for part in inner.split(","))
-    except ValueError as exc:
-        raise GeneratorSpecError(f"bad integer list {token!r}") from exc
+    parts = [part.strip() for part in inner.split(",")]
+    if not all(re.fullmatch(_INT, part) for part in parts):
+        raise GeneratorSpecError(f"bad integer list {token!r}")
+    return tuple(int(part) for part in parts)
 
 
 class _SpecParser:

@@ -442,9 +442,14 @@ def kernel(f: RationalMatrix) -> Subspace:
     return canonical_basis(_null_rows(*f.rref()), f.cols)
 
 
+def row_space(m: RationalMatrix) -> Subspace:
+    """Row span of m, canonicalized."""
+    return canonical_basis([m.row(i) for i in range(m.rows)], m.cols)
+
+
 def image(f: RationalMatrix) -> Subspace:
     """Column span of f, canonicalized."""
-    return canonical_basis([f.column(j) for j in range(f.cols)], f.rows)
+    return row_space(f.transpose())
 
 
 def preimage(f: RationalMatrix, target: Subspace) -> Subspace:
@@ -474,4 +479,4 @@ def map_subspace(f: RationalMatrix, sub: Subspace) -> Subspace:
         raise DimensionMismatchError(
             f"subspace lives in dimension {sub.ambient_dim}, map expects {f.cols}"
         )
-    return canonical_basis([f.apply(r) for r in sub.basis_rows()], f.rows)
+    return row_space(sub.basis @ f.transpose())

@@ -26,9 +26,9 @@ from .linalg import (
     Subspace,
     Vector,
     as_vector,
-    canonical_basis,
     combine_rows,
     kernel,
+    row_space,
 )
 from .symplectic import SymplecticSpace
 
@@ -109,12 +109,9 @@ def maslov_form(triple: LagrangianTriple) -> MaslovForm:
     """
     l1, l2, l3 = triple.lagrangians()
     domain = (l1 + l2).intersect(l3)
-    rows = domain.basis_rows()
-    seconds = [decompose(l1, l2, b)[1] for b in rows]
-    gram = RationalMatrix(
-        tuple(tuple(triple.space.evaluate(a2, b) for b in rows) for a2 in seconds),
-        cols=domain.dim,
-    )
+    seconds = [decompose(l1, l2, b)[1] for b in domain.basis_rows()]
+    a2 = RationalMatrix(seconds, cols=triple.space.dim)
+    gram = a2 @ triple.space.gram @ domain.basis.transpose()
     return MaslovForm(domain.basis, gram)
 
 
@@ -189,9 +186,7 @@ def form_annihilator(triple: LagrangianTriple) -> Subspace:
 
 def _form_radical(triple: LagrangianTriple, mf: MaslovForm) -> Subspace:
     """form_annihilator for a Maslov form already built from the triple."""
-    coefficient_kernel = kernel(mf.gram)
-    vectors = [combine_rows(c, mf.domain_basis) for c in coefficient_kernel.basis_rows()]
-    radical = canonical_basis(vectors, triple.l1.ambient_dim)
+    radical = row_space(kernel(mf.gram).basis @ mf.domain_basis)
     l1, l2, l3 = triple.lagrangians()
     assert radical == l1.intersect(l3) + l2.intersect(l3)
     return radical

@@ -12,7 +12,6 @@ matrix, so the degeneracy is not axis-aligned.
 from __future__ import annotations
 
 import random
-from fractions import Fraction
 
 from .cobordism import CobordismMorphism, SurfaceObject, evened, validate
 from .generators import GeneratorSpec, random_even_morphism
@@ -22,6 +21,7 @@ from .linalg import (
     canonical_basis,
     cokernel,
     map_subspace,
+    row_space,
 )
 from .maslov import LagrangianTriple
 from .symplectic import (
@@ -63,17 +63,10 @@ def _random_space(
     return genus, pad, space, change.inverse()
 
 
-def _embed_lagrangian(
-    lag: Subspace, genus: int, pad: int, inverse_change: RationalMatrix | None
-) -> Subspace:
+def _embed_lagrangian(lag: Subspace, pad: int, inverse_change: RationalMatrix | None) -> Subspace:
     if pad == 0:
         return lag
-    n = 2 * genus + pad
-    rows = [tuple(r) + (0,) * pad for r in lag.basis_rows()]
-    rows += [
-        tuple(Fraction(int(c == 2 * genus + k)) for c in range(n)) for k in range(pad)
-    ]
-    padded = canonical_basis(rows, n)
+    padded = row_space(RationalMatrix.block_diag(lag.basis, RationalMatrix.identity(pad)))
     return map_subspace(inverse_change, padded)
 
 
@@ -83,7 +76,7 @@ def _random_lagrangians(
     rng = random.Random(seed)
     genus, pad, space, inv = _random_space(rng, genus_max)
     return space, [
-        _embed_lagrangian(random_lagrangian(genus, rng), genus, pad, inv) for _ in range(count)
+        _embed_lagrangian(random_lagrangian(genus, rng), pad, inv) for _ in range(count)
     ]
 
 

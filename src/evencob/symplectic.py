@@ -111,74 +111,51 @@ def standard_surface_space(genera: Iterable[int]) -> SymplecticSpace:
 # -- integral symplectic group walk ------------------------------------------
 #
 # The generating family below is frozen; its indexing is part of the seed
-# contract.  With e_i, f_i the coordinates 2i, 2i+1 the list is, in order:
+# contract.  Matrices act on column vectors (column 2i holds the image of e_i,
+# column 2i+1 that of f_i), so right-multiplying by generator k is one in-place
+# column operation:
 #
-#   index 0 .. g-1          rotations      e_i -> f_i,        f_i -> -e_i
-#   index g .. 2g-1         transvections  e_i -> e_i + f_i
-#   index 2g .. 3g-1        transvections  f_i -> f_i + e_i
-#   index 3g ..             handle mixing, ordered pairs (i, j), i != j, in
-#                           lexicographic order:
-#                                          e_i -> e_i + e_j,  f_j -> f_j - f_i
+#   index 0 .. g-1     rotation i        col 2i <- col 2i+1,  col 2i+1 <- -col 2i
+#   index g .. 2g-1    e_i -> e_i + f_i  col 2i += col 2i+1
+#   index 2g .. 3g-1   f_i -> f_i + e_i  col 2i+1 += col 2i
+#   index 3g ..        mixing (i, j)     col 2i += col 2j,  col 2j+1 -= col 2i+1
 #
-# Matrices act on column vectors, so column 2i holds the image of e_i.
+# Rotation i sends e_i -> f_i, f_i -> -e_i.  Mixing (i, j) sends e_i -> e_i + e_j,
+# f_j -> f_j - f_i, over the ordered pairs i != j in lexicographic order.
+
+
+def _column_operation(acc: list[list[int]], g: int, k: int) -> None:
+    """Right-multiply the rows `acc` in place by generator k of genus g."""
+    if k < 3 * g:
+        kind, i = divmod(k, g)
+        e, f = 2 * i, 2 * i + 1
+        for row in acc:
+            if kind == 0:
+                row[e], row[f] = row[f], -row[e]
+            elif kind == 1:
+                row[e] += row[f]
+            else:
+                row[f] += row[e]
+        return
+    i, j = divmod(k - 3 * g, g - 1)
+    j += j >= i
+    for row in acc:
+        row[2 * i] += row[2 * j]
+        row[2 * j + 1] -= row[2 * i + 1]
 
 
 def _int_identity(n: int) -> list[list[int]]:
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
 
-@lru_cache(maxsize=None)
-def _int_generators(g: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
-    n = 2 * g
-    gens: list[list[list[int]]] = []
-    for i in range(g):  # rotations
-        m = _int_identity(n)
-        m[2 * i][2 * i] = 0
-        m[2 * i + 1][2 * i] = 1
-        m[2 * i][2 * i + 1] = -1
-        m[2 * i + 1][2 * i + 1] = 0
-        gens.append(m)
-    for i in range(g):  # e_i -> e_i + f_i
-        m = _int_identity(n)
-        m[2 * i + 1][2 * i] = 1
-        gens.append(m)
-    for i in range(g):  # f_i -> f_i + e_i
-        m = _int_identity(n)
-        m[2 * i][2 * i + 1] = 1
-        gens.append(m)
-    for i in range(g):  # handle mixing
-        for j in range(g):
-            if i == j:
-                continue
-            m = _int_identity(n)
-            m[2 * j][2 * i] = 1
-            m[2 * i + 1][2 * j + 1] = -1
-            gens.append(m)
-    return tuple(tuple(tuple(row) for row in m) for m in gens)
-
-
 def symplectic_generators(g: int) -> tuple[RationalMatrix, ...]:
     """The frozen integral generating family for genus g, in documented order."""
     if g < 1:
         raise ValueError("need at least one handle")
-    return tuple(RationalMatrix(m) for m in _int_generators(g))
-
-
-def _int_matmul(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> list[list[int]]:
-    n = len(a)
-    w = len(b[0])
-    out = [[0] * w for _ in range(n)]
-    for i in range(n):
-        arow = a[i]
-        orow = out[i]
-        for k, x in enumerate(arow):
-            if x:
-                brow = b[k]
-                for j in range(w):
-                    y = brow[j]
-                    if y:
-                        orow[j] += x * y
-    return out
+    gens = [_int_identity(2 * g) for _ in range(g * (g + 2))]
+    for k, m in enumerate(gens):
+        _column_operation(m, g, k)
+    return tuple(RationalMatrix(m) for m in gens)
 
 
 def _int_standard_gram(g: int) -> list[list[int]]:
@@ -190,10 +167,20 @@ def _int_standard_gram(g: int) -> list[list[int]]:
     return j
 
 
-def _is_int_symplectic(a: Sequence[Sequence[int]], g: int) -> bool:
-    j = _int_standard_gram(g)
-    at = [list(col) for col in zip(*a)]
-    return _int_matmul(_int_matmul(at, j), a) == j
+def preserves_standard_form(columns: Sequence[Sequence]) -> bool:
+    """True iff the square matrix A with these columns satisfies A^T J A = J.
+
+    Entry (a, b) of A^T J A is col_a . J col_b, where J col_b swaps each
+    (e_h, f_h) coordinate pair of col_b with a sign.  Both sides are skew, so
+    the entries above the diagonal decide.  Entries may be int or Fraction.
+    """
+    n = len(columns)
+    turned = [[y[k + 1] if k % 2 == 0 else -y[k - 1] for k in range(n)] for y in columns]
+    return all(
+        sum(p * q for p, q in zip(x, turned[b]) if p and q) == (a % 2 == 0 and b == a + 1)
+        for a, x in enumerate(columns)
+        for b in range(a + 1, n)
+    )
 
 
 def random_symplectic(
@@ -202,17 +189,16 @@ def random_symplectic(
     """Seed-deterministic product of `length` draws from the generator family.
 
     Draws use random.Random(seed).randrange over the documented generator
-    order, multiplying on the right; length 0 gives the identity.  The
-    result always satisfies A^T J A = J for the standard form J.
+    order, multiplying on the right by a column operation; length 0 gives the
+    identity.  The result always satisfies A^T J A = J for the standard form J.
     """
     if g < 1:
         raise ValueError("need at least one handle")
     rng = seed if isinstance(seed, random.Random) else random.Random(seed)
-    gens = _int_generators(g)
     acc = _int_identity(2 * g)
     for _ in range(length):
-        acc = _int_matmul(acc, gens[rng.randrange(len(gens))])
-    assert _is_int_symplectic(acc, g)
+        _column_operation(acc, g, rng.randrange(g * (g + 2)))
+    assert preserves_standard_form(list(zip(*acc)))
     return RationalMatrix(acc)
 
 

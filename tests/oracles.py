@@ -8,13 +8,22 @@ whose roots are all real, as is the case for symmetric matrices.
 The RREF oracle is the Fraction Gauss-Jordan loop that evencob's integer
 elimination replaced; the RREF of a matrix is unique, so the two must agree
 entry for entry.
+
+The remaining oracles are the formulations that evencob's products replaced:
+the symplectic generators as dense integer matrices multiplied out one draw at
+a time, the Maslov gram as a double loop of form evaluations, subspace images
+as one matrix-vector product per basis row, and the evenness span as the sum
+of two such images.
 """
 
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 
-from evencob.linalg import RationalMatrix
+from evencob.cobordism import CobordismMorphism
+from evencob.linalg import RationalMatrix, Subspace, canonical_basis
+from evencob.maslov import LagrangianTriple, decompose
 
 
 def _trace(m: RationalMatrix) -> Fraction:
@@ -88,3 +97,71 @@ def reference_rref(m: RationalMatrix) -> tuple[RationalMatrix, tuple[int, ...]]:
         pivots.append(c)
         r += 1
     return RationalMatrix(tuple(tuple(row) for row in m), cols=ncols), tuple(pivots)
+
+
+def _int_identity(n: int) -> list[list[int]]:
+    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+
+
+def reference_symplectic_generators(g: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
+    """The frozen genus-g generating family, each matrix written entry by entry."""
+    n = 2 * g
+    gens: list[list[list[int]]] = []
+    for i in range(g):  # rotations
+        m = _int_identity(n)
+        m[2 * i][2 * i] = 0
+        m[2 * i + 1][2 * i] = 1
+        m[2 * i][2 * i + 1] = -1
+        m[2 * i + 1][2 * i + 1] = 0
+        gens.append(m)
+    for i in range(g):  # e_i -> e_i + f_i
+        m = _int_identity(n)
+        m[2 * i + 1][2 * i] = 1
+        gens.append(m)
+    for i in range(g):  # f_i -> f_i + e_i
+        m = _int_identity(n)
+        m[2 * i][2 * i + 1] = 1
+        gens.append(m)
+    for i in range(g):  # handle mixing
+        for j in range(g):
+            if i == j:
+                continue
+            m = _int_identity(n)
+            m[2 * j][2 * i] = 1
+            m[2 * i + 1][2 * j + 1] = -1
+            gens.append(m)
+    return tuple(tuple(tuple(row) for row in m) for m in gens)
+
+
+def reference_random_symplectic(g: int, seed: int, length: int) -> RationalMatrix:
+    """The walk as a dense product of the drawn generator matrices."""
+    gens = [RationalMatrix(m) for m in reference_symplectic_generators(g)]
+    rng = random.Random(seed)
+    acc = RationalMatrix.identity(2 * g)
+    for _ in range(length):
+        acc = acc @ gens[rng.randrange(len(gens))]
+    return acc
+
+
+def reference_maslov_gram(triple: LagrangianTriple) -> RationalMatrix:
+    """psi(a2, b) over the basis of (l1 + l2) cap l3, one evaluation per entry."""
+    l1, l2, l3 = triple.lagrangians()
+    domain = (l1 + l2).intersect(l3)
+    rows = domain.basis_rows()
+    seconds = [decompose(l1, l2, b)[1] for b in rows]
+    return RationalMatrix(
+        tuple(tuple(triple.space.evaluate(a2, b) for b in rows) for a2 in seconds),
+        cols=domain.dim,
+    )
+
+
+def reference_map_subspace(f: RationalMatrix, sub: Subspace) -> Subspace:
+    """The image of a subspace: f applied to each basis row, canonicalized."""
+    return canonical_basis([f.apply(r) for r in sub.basis_rows()], f.rows)
+
+
+def reference_lagrangian_span(m: CobordismMorphism) -> int:
+    """Dimension of the sum of the two boundary Lagrangians' images in the body."""
+    src = reference_map_subspace(m.j_src_h1, m.source.lagrangian)
+    tgt = reference_map_subspace(m.j_tgt_h1, m.target.lagrangian)
+    return (src + tgt).dim

@@ -438,6 +438,32 @@ def test_malformed_numbers_are_input_errors(capsys, tmp_path, argv, text, messag
     assert (code, out, err) == (2, "", message)
 
 
+UNREADABLE_INPUTS = {
+    "directory": (lambda path: path.mkdir(), "error: [Errno 21] Is a directory: '{}'\n"),
+    "non-utf8": (
+        lambda path: path.write_bytes(b"form 2\n\xff\xfe\n"),
+        "error: '{}' is not UTF-8 text: 'utf-8' codec can't decode byte 0xff in position 7: "
+        "invalid start byte\n",
+    ),
+    "missing": (lambda path: None, "error: [Errno 2] No such file or directory: '{}'\n"),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(UNREADABLE_INPUTS))
+@pytest.mark.parametrize(
+    "argv",
+    [["maslov"], ["check", "--theorem", "parity"], ["compose"], ["even"]],
+    ids=["maslov", "check", "compose", "even"],
+)
+def test_unreadable_input_is_input_error(capsys, tmp_path, argv, kind):
+    make, message = UNREADABLE_INPUTS[kind]
+    path = tmp_path / "input"
+    make(path)
+    code = main(argv + ["--in", str(path)])
+    out, err = capsys.readouterr()
+    assert (code, out, err) == (2, "", message.format(path))
+
+
 def test_parity_survey_script_runs():
     root = Path(__file__).resolve().parent.parent
     path = os.pathsep.join([str(root / "src"), os.environ.get("PYTHONPATH", "")])

@@ -2,6 +2,8 @@ import random
 from dataclasses import replace
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from evencob.cobordism import (
     CobordismMorphism,
@@ -27,8 +29,9 @@ from evencob.errors import (
 )
 from evencob.generators import cap, handlebody, twisted_cylinder
 from evencob.linalg import RationalMatrix, Subspace, canonical_basis
-from evencob.sampling import random_even_chain, random_even_pair
+from evencob.sampling import random_abstract_morphism, random_even_chain, random_even_pair
 from evencob.symplectic import random_lagrangian
+from oracles import reference_lagrangian_span
 
 SPAN_E = canonical_basis([(1, 0)], 2)
 SPAN_F = canonical_basis([(0, 1)], 2)
@@ -201,6 +204,14 @@ class TestIsEven:
                 c = pseudo_cylinder(SurfaceObject((g,), lag1), lag2, w)
                 shortcut = (g + (lag1 + lag2).dim) % 2
                 assert is_even(c).is_even == (w % 2 == shortcut)
+
+
+    @given(st.integers(0, 10**6))
+    def test_lagrangian_span_matches_sum_of_images(self, seed):
+        m1, m2 = random_even_pair(seed, 2)
+        for m in (m1, m2, compose(m1, m2), random_abstract_morphism(seed, 3)):
+            span = is_even(m).term_breakdown["lagrangian_span"]
+            assert span == reference_lagrangian_span(m)
 
 
 class TestValidate:

@@ -290,3 +290,19 @@ def test_count_tokens_keep_their_value(token):
 def test_negative_count_is_rejected():
     with pytest.raises(FileSyntaxError, match="line 1: form dimension must be non-negative"):
         parse_scenario("form -3\n")
+
+
+@pytest.mark.parametrize("token", ["1_0", "+1", "--1", "-", "1.0", "\u00b2"])
+def test_malformed_weights_are_syntax_errors(token):
+    text = HANDLEBODY_CAP_CBF.replace("weight 1 h1", f"weight {token} h1")
+    with pytest.raises(FileSyntaxError) as exc:
+        parse_pipeline(text)
+    assert str(exc.value) == f"line 6: weight must be an integer, found {token!r}"
+
+
+@pytest.mark.parametrize("token, value", [("1", 1), ("-3", -3), ("0", 0), ("07", 7), ("-\u0662", -2)])
+def test_weight_tokens_keep_their_value(token, value):
+    text = HANDLEBODY_CAP_CBF.replace("weight 1 h1", f"weight {token} h1")
+    pipeline = parse_pipeline(text)
+    assert pipeline.entries[0].morphism.weight == value
+    assert parse_pipeline(serialize_pipeline(pipeline)) == pipeline

@@ -195,6 +195,25 @@ class TestGeneratorSpecText:
         with pytest.raises(GeneratorSpecError, match="twist_length must be non-negative"):
             parse_generator_spec(text)
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "handlebody genera=[1_0]",
+            "pseudo_cylinder genera=[ +1 ]",
+            "twisted_cylinder genera=[1, +2]",
+            "twisted_cylinder genera=[1,--2]",
+            "pseudo_cylinder genera=[1.0]",
+            "pseudo_cylinder genera=[1 2]",
+            "pseudo_cylinder genera=[1,,2]",
+        ],
+    )
+    def test_list_elements_outside_the_grammar_rejected(self, text):
+        with pytest.raises(GeneratorSpecError, match="bad integer list"):
+            parse_generator_spec(text)
+
+    def test_list_elements_may_carry_whitespace(self):
+        assert parse_generator_spec("twisted_cylinder genera=[ 1 , 2 ]").genera == (1, 2)
+
     def test_zero_twist_length_accepted(self):
         assert parse_generator_spec("twisted_cylinder genus=1 twist_length=0").twist_length == 0
 

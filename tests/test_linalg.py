@@ -17,7 +17,7 @@ from evencob.linalg import (
     map_subspace,
     preimage,
 )
-from oracles import reference_rref
+from oracles import reference_map_subspace, reference_rref
 
 rationals = st.fractions(min_value=-3, max_value=3, max_denominator=2)
 
@@ -222,6 +222,11 @@ class TestMatrixBasics:
     def test_map_subspace(self):
         rot = RationalMatrix([[0, -1], [1, 0]])
         assert map_subspace(rot, span([(1, 0)], 2)) == span([(0, 1)], 2)
+
+    @given(matrices(), st.data())
+    def test_map_subspace_matches_per_row_apply(self, f, data):
+        sub = data.draw(subspaces(ambient=f.cols))
+        assert map_subspace(f, sub) == reference_map_subspace(f, sub)
 
     @given(matrices(min_rows=1, min_cols=1))
     def test_transpose_involution(self, m):

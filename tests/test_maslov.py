@@ -24,7 +24,7 @@ from evencob.maslov import (
 )
 from evencob.sampling import random_triple
 from evencob.symplectic import standard_surface_space
-from oracles import descartes_signature
+from oracles import descartes_signature, reference_maslov_gram
 
 GENUS_ONE = standard_surface_space((1,))
 SPAN_E = canonical_basis([(1, 0)], 2)
@@ -118,6 +118,12 @@ class TestMaslovForm:
                 cols=domain.dim,
             )
             assert gram == mf.gram, seed
+
+
+    @given(st.integers(0, 10**6), st.integers(1, 4))
+    def test_gram_matches_evaluation_double_loop(self, seed, genus_max):
+        triple = random_triple(seed, genus_max)
+        assert maslov_form(triple).gram == reference_maslov_gram(triple)
 
 
 class TestSignature:

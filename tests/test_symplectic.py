@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given
@@ -12,11 +13,13 @@ from evencob.symplectic import (
     SymplecticSpace,
     beta0,
     beta1,
+    preserves_standard_form,
     random_lagrangian,
     random_symplectic,
     standard_surface_space,
     symplectic_generators,
 )
+from oracles import reference_random_symplectic, reference_symplectic_generators
 
 GENUS_ONE = standard_surface_space((1,))
 SPAN_E = canonical_basis([(1, 0)], 2)
@@ -118,6 +121,53 @@ class TestRandomSymplectic:
     def test_genus_zero_rejected(self):
         with pytest.raises(ValueError):
             random_symplectic(0, 1)
+
+
+class TestColumnOperations:
+    @pytest.mark.parametrize("g", range(1, 6))
+    def test_generators_match_dense_oracle(self, g):
+        dense = tuple(RationalMatrix(m) for m in reference_symplectic_generators(g))
+        assert symplectic_generators(g) == dense
+
+    @pytest.mark.parametrize("g", range(1, 5))
+    def test_walk_matches_dense_product(self, g):
+        for seed in range(50):
+            for length in (0, 1, 5, 20):
+                expected = reference_random_symplectic(g, seed, length)
+                assert random_symplectic(g, seed, length) == expected
+
+
+def columns(m):
+    return [m.column(j) for j in range(m.cols)]
+
+
+class TestPreservesStandardForm:
+    def test_rational_symplectic_accepted(self):
+        scaling = RationalMatrix([[2, 0], [0, Fraction(1, 2)]])
+        a = RationalMatrix.block_diag(scaling, RationalMatrix.identity(2))
+        assert preserves_standard_form(columns(a))
+
+    def test_empty_matrix_accepted(self):
+        assert preserves_standard_form([])
+
+    def test_form_breaking_shear_rejected(self):
+        # e_1 -> e_1 + e_2 alone: the image of e_1 now pairs with f_2
+        shear = RationalMatrix([[1, 0, 0, 0], [0, 1, 0, 0], [1, 0, 1, 0], [0, 0, 0, 1]])
+        assert not preserves_standard_form(columns(shear))
+
+    def test_accepts_integer_columns(self):
+        assert preserves_standard_form([(0, 1), (-1, 0)])
+        assert not preserves_standard_form([(1, 1), (0, 2)])
+
+    @given(st.integers(1, 3), st.integers(0, 10**6), st.data())
+    def test_agrees_with_dense_product(self, g, seed, data):
+        a = [list(random_symplectic(g, seed, 6).row(i)) for i in range(2 * g)]
+        if data.draw(st.booleans()):  # perturb one entry, usually breaking the form
+            i, j = data.draw(st.integers(0, 2 * g - 1)), data.draw(st.integers(0, 2 * g - 1))
+            a[i][j] += data.draw(st.fractions(-2, 2, max_denominator=3))
+        a = RationalMatrix(a)
+        j_form = standard_surface_space((g,)).gram
+        assert preserves_standard_form(columns(a)) == (a.transpose() @ j_form @ a == j_form)
 
 
 class TestRandomLagrangian:
