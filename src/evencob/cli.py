@@ -123,6 +123,14 @@ def _read_input(path: str) -> str:
         raise EvencobError(f"{path!r} is not UTF-8 text: {exc}") from None
 
 
+def _write_output(path: str, text: str) -> None:
+    """Write a file the run produces; an unwritable path is bad input."""
+    try:
+        Path(path).write_text(text)
+    except OSError as exc:
+        raise EvencobError(str(exc)) from None
+
+
 def _base_report(command: str, params: dict) -> dict:
     return {
         "schema_version": SCHEMA_VERSION,
@@ -169,7 +177,7 @@ def _campaign_status(
         report["status"] = "holds"
         return report, EXIT_OK
     out_path = out_path or f"{result.theorem}-counterexample{_SUFFIXES[failure.kind]}"
-    Path(out_path).write_text(failure.text)
+    _write_output(out_path, failure.text)
     report["status"] = "counterexample"
     report["counterexample"] = {
         "trial": failure.trial,
@@ -325,7 +333,7 @@ def main(argv: list[str] | None = None) -> int:
         return exc.code if isinstance(exc.code, int) else EXIT_INPUT_ERROR
     try:
         report, code = _COMMANDS[args.command](args)
-    except (EvencobError, FileNotFoundError) as exc:
+    except EvencobError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
     print(render(report, args.output))

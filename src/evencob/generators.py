@@ -422,6 +422,8 @@ class _SpecParser:
             if tok is None or tok in (",", ")"):
                 break
             key = self.take()
+            if ("genera" if key == "genus" else key) in params:
+                raise GeneratorSpecError(f"generator parameter {key!r} sets a value already given")
             self.expect("=")
             value = self.take()
             if key == "genus":

@@ -5,6 +5,8 @@ to the operations here: reduced-row-echelon canonicalization and the subspace
 lattice with exact kernel / image / preimage / cokernel computations.
 
 Matrices are immutable and store :class:`fractions.Fraction` entries.
+``rref`` is the only elimination and ``@`` the only product: each linear
+system or containment test is one ``rref`` of an augmented matrix.
 Elimination runs fraction-free: each row is scaled to primitive integers and
 reduced with integer row operations, and the canonical ``Fraction`` RREF is
 produced only at the end.  A subspace is identified with its unique RREF row
@@ -48,16 +50,6 @@ def _primitive(row: list[int]) -> list[int]:
 
 def zero_vector(n: int) -> Vector:
     return (_ZERO,) * n
-
-
-def dot(x: Sequence[Fraction], y: Sequence[Fraction]) -> Fraction:
-    if len(x) != len(y):
-        raise DimensionMismatchError(f"dot of vectors of lengths {len(x)} and {len(y)}")
-    total = _ZERO
-    for a, b in zip(x, y):
-        if a and b:
-            total += a * b
-    return total
 
 
 class RationalMatrix:
@@ -185,7 +177,7 @@ class RationalMatrix:
         v = as_vector(vector)
         if len(v) != self._ncols:
             raise DimensionMismatchError(f"vector of length {len(v)} for a {self.rows}x{self.cols} matrix")
-        return tuple(dot(r, v) for r in self._rows)
+        return (self @ RationalMatrix.from_columns([v], rows=self._ncols)).column(0)
 
     def transpose(self) -> "RationalMatrix":
         return RationalMatrix(
@@ -264,56 +256,31 @@ class RationalMatrix:
     def rank(self) -> int:
         return len(self.rref()[1])
 
-    def solve(self, rhs: Iterable) -> Vector | None:
-        """First solution of ``self @ x = rhs`` with free variables set to zero.
+    def solve(self, rhs: "RationalMatrix") -> "RationalMatrix | None":
+        """The solution X of ``self @ X = rhs``, one column per column of rhs.
 
-        Returns None when the system is inconsistent.  The choice of solution
-        is deterministic: the RREF particular solution.
+        Each column of ``rhs`` is a right-hand side.  X is read off one RREF of
+        ``[self | rhs]``: the particular solution with every free variable set
+        to zero.  Returns None when any column is inconsistent.
         """
-        v = as_vector(rhs)
-        if len(v) != self.rows:
-            raise DimensionMismatchError(f"rhs of length {len(v)} for {self.rows} equations")
-        aug = self.hstack(RationalMatrix.from_columns([v], rows=self.rows))
-        red, pivots = aug.rref()
-        if self._ncols in pivots:
+        if rhs.rows != self.rows:
+            raise DimensionMismatchError(f"rhs with {rhs.rows} rows for {self.rows} equations")
+        n = self._ncols
+        red, pivots = self.hstack(rhs).rref()
+        if pivots and pivots[-1] >= n:
             return None
-        x = [_ZERO] * self._ncols
+        x = [zero_vector(rhs.cols)] * n
         for i, p in enumerate(pivots):
-            x[p] = red[i, self._ncols]
-        return tuple(x)
+            x[p] = red.row(i)[n:]
+        return RationalMatrix(x, cols=rhs.cols)
 
     def inverse(self) -> "RationalMatrix":
         if self.rows != self._ncols:
             raise DimensionMismatchError("only square matrices can be inverted")
-        n = self.rows
-        red, pivots = self.hstack(RationalMatrix.identity(n)).rref()
-        if pivots[:n] != tuple(range(n)):
+        x = self.solve(RationalMatrix.identity(self.rows))
+        if x is None:
             raise ValueError("matrix is not invertible")
-        return RationalMatrix(tuple(red.row(i)[n:] for i in range(n)), cols=n)
-
-
-def combine_rows(coeffs: Iterable, m: RationalMatrix) -> Vector:
-    """Linear combination sum(coeffs[i] * row_i) as an ambient vector."""
-    cs = as_vector(coeffs)
-    if len(cs) != m.rows:
-        raise DimensionMismatchError(f"{len(cs)} coefficients for {m.rows} rows")
-    out = [_ZERO] * m.cols
-    for c, row in zip(cs, (m.row(i) for i in range(m.rows))):
-        if c:
-            for j, x in enumerate(row):
-                if x:
-                    out[j] += c * x
-    return tuple(out)
-
-
-def _leading_columns(m: RationalMatrix) -> tuple[int, ...]:
-    out = []
-    for i in range(m.rows):
-        row = m.row(i)
-        lead = next((j for j, x in enumerate(row) if x), None)
-        if lead is not None:
-            out.append(lead)
-    return tuple(out)
+        return x
 
 
 def _rref_violation(basis: RationalMatrix) -> str | None:
@@ -370,21 +337,17 @@ class Subspace:
         return tuple(self.basis.row(i) for i in range(self.basis.rows))
 
     def contains(self, vector: Iterable) -> bool:
-        v = list(as_vector(vector))
+        v = as_vector(vector)
         if len(v) != self.ambient_dim:
             raise DimensionMismatchError(
                 f"vector of length {len(v)} in ambient dimension {self.ambient_dim}"
             )
-        for i, lead in enumerate(_leading_columns(self.basis)):
-            c = v[lead]
-            if c:
-                row = self.basis.row(i)
-                v = [a - c * b for a, b in zip(v, row)]
-        return not any(v)
+        column = RationalMatrix.from_columns([v], rows=len(v))
+        return self.basis.transpose().solve(column) is not None
 
     def contains_subspace(self, other: "Subspace") -> bool:
         self._check_ambient(other)
-        return all(self.contains(r) for r in other.basis_rows())
+        return self.basis.transpose().solve(other.basis.transpose()) is not None
 
     def _check_ambient(self, other: "Subspace") -> None:
         if self.ambient_dim != other.ambient_dim:

@@ -26,7 +26,6 @@ from .linalg import (
     Subspace,
     Vector,
     as_vector,
-    combine_rows,
     kernel,
     row_space,
 )
@@ -76,6 +75,17 @@ class MaslovForm:
         return self.domain_basis.rows
 
 
+def _split(l1: Subspace, l2: Subspace, a: RationalMatrix) -> tuple[RationalMatrix, RationalMatrix]:
+    """The decompose parts of every row of `a`, as two matrices, from one solve."""
+    coeffs = l1.basis.vstack(l2.basis).transpose().solve(a.transpose())
+    if coeffs is None:
+        raise DecompositionError("vector is not in the sum of the two subspaces")
+    c = [coeffs.row(i) for i in range(coeffs.rows)]
+    a1 = RationalMatrix(c[: l1.dim], cols=a.rows).transpose() @ l1.basis
+    a2 = RationalMatrix(c[l1.dim :], cols=a.rows).transpose() @ l2.basis
+    return a1, a2
+
+
 def decompose(l1: Subspace, l2: Subspace, a: Iterable) -> tuple[Vector, Vector]:
     """Split a = a1 + a2 with a1 in l1 and a2 in l2.
 
@@ -90,14 +100,8 @@ def decompose(l1: Subspace, l2: Subspace, a: Iterable) -> tuple[Vector, Vector]:
         raise DimensionMismatchError(
             f"vector of length {len(v)} in ambient dimension {l1.ambient_dim}"
         )
-    columns = list(l1.basis_rows()) + list(l2.basis_rows())
-    system = RationalMatrix.from_columns(columns, rows=l1.ambient_dim)
-    coeffs = system.solve(v)
-    if coeffs is None:
-        raise DecompositionError("vector is not in the sum of the two subspaces")
-    a1 = combine_rows(coeffs[: l1.dim], l1.basis)
-    a2 = combine_rows(coeffs[l1.dim :], l2.basis)
-    return a1, a2
+    a1, a2 = _split(l1, l2, RationalMatrix([v], cols=len(v)))
+    return a1.row(0), a2.row(0)
 
 
 def maslov_form(triple: LagrangianTriple) -> MaslovForm:
@@ -109,8 +113,7 @@ def maslov_form(triple: LagrangianTriple) -> MaslovForm:
     """
     l1, l2, l3 = triple.lagrangians()
     domain = (l1 + l2).intersect(l3)
-    seconds = [decompose(l1, l2, b)[1] for b in domain.basis_rows()]
-    a2 = RationalMatrix(seconds, cols=triple.space.dim)
+    a2 = _split(l1, l2, domain.basis)[1]
     gram = a2 @ triple.space.gram @ domain.basis.transpose()
     return MaslovForm(domain.basis, gram)
 

@@ -21,7 +21,6 @@ from .linalg import (
     Subspace,
     as_vector,
     canonical_basis,
-    dot,
     kernel,
 )
 
@@ -57,7 +56,7 @@ class SymplecticSpace:
             raise DimensionMismatchError(
                 f"vectors of lengths {len(vx)}, {len(vy)} in dimension {self.dim}"
             )
-        return dot(vx, self.gram.apply(vy))
+        return (RationalMatrix([vx], cols=self.dim) @ self.gram).apply(vy)[0]
 
     def annihilator(self, sub: Subspace) -> Subspace:
         """All vectors pairing to zero with every element of the subspace."""

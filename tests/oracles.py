@@ -9,6 +9,11 @@ The RREF oracle is the Fraction Gauss-Jordan loop that evencob's integer
 elimination replaced; the RREF of a matrix is unique, so the two must agree
 entry for entry.
 
+The linear-system oracles are the paths that evencob's single augmented
+`rref` replaced: the one-vector `solve`, the identity-augmented `inverse`, the
+leading-column reduction behind `Subspace.contains`, the `combine_rows` loop,
+and `decompose` written with them.
+
 The remaining oracles are the formulations that evencob's products replaced:
 the symplectic generators as dense integer matrices multiplied out one draw at
 a time, the Maslov gram as a double loop of form evaluations, subspace images
@@ -21,9 +26,14 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
+from typing import Iterable
+
 from evencob.cobordism import CobordismMorphism
-from evencob.linalg import RationalMatrix, Subspace, canonical_basis
-from evencob.maslov import LagrangianTriple, decompose
+from evencob.errors import DecompositionError, DimensionMismatchError
+from evencob.linalg import RationalMatrix, Subspace, Vector, as_vector, canonical_basis
+from evencob.maslov import LagrangianTriple
+
+_ZERO = Fraction(0)
 
 
 def _trace(m: RationalMatrix) -> Fraction:
@@ -99,6 +109,93 @@ def reference_rref(m: RationalMatrix) -> tuple[RationalMatrix, tuple[int, ...]]:
     return RationalMatrix(tuple(tuple(row) for row in m), cols=ncols), tuple(pivots)
 
 
+def reference_solve(m: RationalMatrix, rhs: Iterable) -> Vector | None:
+    """First solution of ``m @ x = rhs`` with free variables set to zero.
+
+    Returns None when the system is inconsistent.  The choice of solution
+    is deterministic: the RREF particular solution.
+    """
+    v = as_vector(rhs)
+    if len(v) != m.rows:
+        raise DimensionMismatchError(f"rhs of length {len(v)} for {m.rows} equations")
+    aug = m.hstack(RationalMatrix.from_columns([v], rows=m.rows))
+    red, pivots = aug.rref()
+    if m.cols in pivots:
+        return None
+    x = [_ZERO] * m.cols
+    for i, p in enumerate(pivots):
+        x[p] = red[i, m.cols]
+    return tuple(x)
+
+
+def reference_inverse(m: RationalMatrix) -> RationalMatrix:
+    """The inverse read off the RREF of ``[m | I]``."""
+    if m.rows != m.cols:
+        raise DimensionMismatchError("only square matrices can be inverted")
+    n = m.rows
+    red, pivots = m.hstack(RationalMatrix.identity(n)).rref()
+    if pivots[:n] != tuple(range(n)):
+        raise ValueError("matrix is not invertible")
+    return RationalMatrix(tuple(red.row(i)[n:] for i in range(n)), cols=n)
+
+
+def reference_combine_rows(coeffs: Iterable, m: RationalMatrix) -> Vector:
+    """Linear combination sum(coeffs[i] * row_i) as an ambient vector."""
+    cs = as_vector(coeffs)
+    if len(cs) != m.rows:
+        raise DimensionMismatchError(f"{len(cs)} coefficients for {m.rows} rows")
+    out = [_ZERO] * m.cols
+    for c, row in zip(cs, (m.row(i) for i in range(m.rows))):
+        if c:
+            for j, x in enumerate(row):
+                if x:
+                    out[j] += c * x
+    return tuple(out)
+
+
+def _leading_columns(m: RationalMatrix) -> tuple[int, ...]:
+    out = []
+    for i in range(m.rows):
+        row = m.row(i)
+        lead = next((j for j, x in enumerate(row) if x), None)
+        if lead is not None:
+            out.append(lead)
+    return tuple(out)
+
+
+def reference_contains(sub: Subspace, vector: Iterable) -> bool:
+    """Membership by clearing the vector along the RREF basis' leading columns."""
+    v = list(as_vector(vector))
+    if len(v) != sub.ambient_dim:
+        raise DimensionMismatchError(
+            f"vector of length {len(v)} in ambient dimension {sub.ambient_dim}"
+        )
+    for i, lead in enumerate(_leading_columns(sub.basis)):
+        c = v[lead]
+        if c:
+            row = sub.basis.row(i)
+            v = [a - c * b for a, b in zip(v, row)]
+    return not any(v)
+
+
+def reference_decompose(l1: Subspace, l2: Subspace, a: Iterable) -> tuple[Vector, Vector]:
+    """Split a = a1 + a2 with one `reference_solve` and two `reference_combine_rows`."""
+    l1._check_ambient(l2)
+    v = as_vector(a)
+    if len(v) != l1.ambient_dim:
+        raise DimensionMismatchError(
+            f"vector of length {len(v)} in ambient dimension {l1.ambient_dim}"
+        )
+    columns = list(l1.basis_rows()) + list(l2.basis_rows())
+    system = RationalMatrix.from_columns(columns, rows=l1.ambient_dim)
+    coeffs = reference_solve(system, v)
+    if coeffs is None:
+        raise DecompositionError("vector is not in the sum of the two subspaces")
+    a1 = reference_combine_rows(coeffs[: l1.dim], l1.basis)
+    a2 = reference_combine_rows(coeffs[l1.dim :], l2.basis)
+    return a1, a2
+
+
 def _int_identity(n: int) -> list[list[int]]:
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
@@ -148,7 +245,7 @@ def reference_maslov_gram(triple: LagrangianTriple) -> RationalMatrix:
     l1, l2, l3 = triple.lagrangians()
     domain = (l1 + l2).intersect(l3)
     rows = domain.basis_rows()
-    seconds = [decompose(l1, l2, b)[1] for b in rows]
+    seconds = [reference_decompose(l1, l2, b)[1] for b in rows]
     return RationalMatrix(
         tuple(tuple(triple.space.evaluate(a2, b) for b in rows) for a2 in seconds),
         cols=domain.dim,

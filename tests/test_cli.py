@@ -10,6 +10,7 @@ import pytest
 from evencob import campaigns, sampling
 from evencob.campaigns import CheckOutcome
 from evencob.cli import main
+from test_golden import CHECK_CE, CLOSURE_CE, FAULTS
 
 GENUS_ONE_SSF = """\
 form 2
@@ -462,6 +463,31 @@ def test_unreadable_input_is_input_error(capsys, tmp_path, argv, kind):
     code = main(argv + ["--in", str(path)])
     out, err = capsys.readouterr()
     assert (code, out, err) == (2, "", message.format(path))
+
+
+UNWRITABLE_OUTPUTS = {
+    "directory": (lambda path: path.mkdir(parents=True), "[Errno 21] Is a directory"),
+    "below-a-file": (lambda path: path.parent.write_text(""), "[Errno 20] Not a directory"),
+    "missing-parent": (lambda path: None, "[Errno 2] No such file or directory"),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(UNWRITABLE_OUTPUTS))
+@pytest.mark.parametrize(
+    "argv, fault",
+    [(CHECK_CE, "parity"), (CLOSURE_CE, "closure")],
+    ids=["check", "closure"],
+)
+def test_unwritable_counterexample_out_is_input_error(
+    capsys, tmp_path, monkeypatch, argv, fault, kind
+):
+    make, reason = UNWRITABLE_OUTPUTS[kind]
+    path = tmp_path / "parent" / "ce"
+    make(path)
+    FAULTS[fault](monkeypatch)
+    code = main(argv + ["--counterexample-out", str(path)])
+    out, err = capsys.readouterr()
+    assert (code, out, err) == (2, "", f"error: {reason}: {str(path)!r}\n")
 
 
 def test_parity_survey_script_runs():

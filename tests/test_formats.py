@@ -3,6 +3,7 @@ import pytest
 from evencob.errors import (
     DimensionMismatchError,
     FileSyntaxError,
+    GeneratorSpecError,
     NonSkewFormError,
     NotLagrangianError,
     UnknownNameError,
@@ -306,3 +307,12 @@ def test_weight_tokens_keep_their_value(token, value):
     pipeline = parse_pipeline(text)
     assert pipeline.entries[0].morphism.weight == value
     assert parse_pipeline(serialize_pipeline(pipeline)) == pipeline
+
+
+@pytest.mark.parametrize("params", ["weight=1 weight=3", "genus=1 genera=[1]"])
+def test_repeated_generator_parameter_names_its_line(params):
+    text = HANDLEBODY_CAP_CBF.replace("cap weight=1", f"cap {params}")
+    with pytest.raises(GeneratorSpecError) as exc:
+        parse_pipeline(text)
+    assert str(exc.value).startswith("line 13: generator parameter ")
+    assert str(exc.value).endswith(" sets a value already given")

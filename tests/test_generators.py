@@ -211,6 +211,23 @@ class TestGeneratorSpecText:
         with pytest.raises(GeneratorSpecError, match="bad integer list"):
             parse_generator_spec(text)
 
+    @pytest.mark.parametrize(
+        "text, key",
+        [
+            ("handlebody genus=1 genera=[2]", "genera"),
+            ("handlebody genera=[2] genus=1", "genus"),
+            ("handlebody genus=1 genus=2", "genus"),
+            ("handlebody genus=1 weight=1 weight=2", "weight"),
+            ("cap genus=1 twist_seed=1 twist_seed=1", "twist_seed"),
+            ("twisted_cylinder genus=1 twist_length=2 twist_length=3", "twist_length"),
+            ("composite(handlebody genus=1, cap genus=1 weight=1 weight=3)", "weight"),
+        ],
+    )
+    def test_repeated_parameter_rejected(self, text, key):
+        with pytest.raises(GeneratorSpecError) as exc:
+            parse_generator_spec(text)
+        assert str(exc.value) == f"generator parameter {key!r} sets a value already given"
+
     def test_list_elements_may_carry_whitespace(self):
         assert parse_generator_spec("twisted_cylinder genera=[ 1 , 2 ]").genera == (1, 2)
 

@@ -11,13 +11,19 @@ from evencob.linalg import (
     Subspace,
     canonical_basis,
     cokernel,
-    combine_rows,
     image,
     kernel,
     map_subspace,
     preimage,
 )
-from oracles import reference_map_subspace, reference_rref
+from oracles import (
+    reference_combine_rows,
+    reference_contains,
+    reference_inverse,
+    reference_map_subspace,
+    reference_rref,
+    reference_solve,
+)
 
 rationals = st.fractions(min_value=-3, max_value=3, max_denominator=2)
 
@@ -190,11 +196,11 @@ class TestCokernel:
 class TestMatrixBasics:
     def test_solve_prefers_zero_free_variables(self):
         m = RationalMatrix([[1, 1]])
-        assert m.solve((5,)) == (Fraction(5), Fraction(0))
+        assert m.solve(RationalMatrix([[5]])) == RationalMatrix([[5], [0]])
 
     def test_solve_inconsistent(self):
         m = RationalMatrix([[1], [0]])
-        assert m.solve((0, 1)) is None
+        assert m.solve(RationalMatrix([[0], [1]])) is None
 
     def test_inverse_round_trip(self):
         m = RationalMatrix([[1, 2], [3, 5]])
@@ -211,7 +217,6 @@ class TestMatrixBasics:
             lambda: RationalMatrix([[Fraction(1), 2.0]]),
             lambda: RationalMatrix.from_columns([(1, 0.5)]),
             lambda: RationalMatrix.identity(2).apply((Fraction(1), 0.5)),
-            lambda: combine_rows((0.5, 1), RationalMatrix.identity(2)),
             lambda: canonical_basis([(Fraction(1), 0.5)], 2),
             lambda: Subspace.full(2).contains((0.5, Fraction(1))),
         ]
@@ -235,11 +240,11 @@ class TestMatrixBasics:
     @given(matrices(), st.data())
     def test_solve_sound_and_complete(self, f, data):
         rhs = tuple(data.draw(rationals) for _ in range(f.rows))
-        solution = f.solve(rhs)
+        solution = f.solve(RationalMatrix.from_columns([rhs], rows=f.rows))
         if solution is None:
-            assert not image(f).contains(rhs)
+            assert not reference_contains(image(f), rhs)
         else:
-            assert f.apply(solution) == rhs
+            assert f.apply(solution.column(0)) == rhs
 
 
 # entries the integer elimination must handle: zeros, small rationals with
@@ -284,3 +289,87 @@ class TestRrefOracle:
     def test_zero_and_duplicate_rows(self):
         row = [Fraction(1, 3), Fraction(2, 5), 2**64 + 1]
         self.check(RationalMatrix([[0, 0, 0], row, [0, 0, 0], row]))
+
+
+@st.composite
+def systems(draw):
+    """A matrix and right-hand sides, each f @ x for a drawn x or an arbitrary vector."""
+    f = draw(matrices())
+    columns = []
+    for _ in range(draw(st.integers(0, 3))):
+        if draw(st.booleans()):
+            x = [draw(rationals) for _ in range(f.cols)]
+            columns.append(reference_combine_rows(x, f.transpose()))
+        else:
+            columns.append(tuple(draw(rationals) for _ in range(f.rows)))
+    return f, columns
+
+
+class TestLinearSystemOracles:
+    @staticmethod
+    def check_solve(f, columns):
+        expected = [reference_solve(f, c) for c in columns]
+        for c, e in zip(columns, expected):
+            one = f.solve(RationalMatrix.from_columns([c], rows=f.rows))
+            assert (one.column(0) if one is not None else None) == e
+        got = f.solve(RationalMatrix.from_columns(columns, rows=f.rows))
+        if None in expected:
+            assert got is None
+        else:
+            assert got == RationalMatrix.from_columns(expected, rows=f.cols)
+
+    @given(systems())
+    def test_solve_matches_reference_column_by_column(self, system):
+        self.check_solve(*system)
+
+    @pytest.mark.parametrize("shape", [(0, 0), (0, 3), (3, 0), (2, 3)])
+    def test_solve_empty_shapes(self, shape):
+        rows, cols = shape
+        f = RationalMatrix([[i + j for j in range(cols)] for i in range(rows)], cols=cols)
+        self.check_solve(f, [])
+        self.check_solve(f, [(0,) * rows])
+        if rows:
+            self.check_solve(f, [(0,) * rows, (1,) * rows])
+
+    def test_solve_rhs_row_mismatch(self):
+        with pytest.raises(DimensionMismatchError):
+            RationalMatrix([[1, 2]]).solve(RationalMatrix.zeros(2, 1))
+
+    @given(st.integers(0, 4).flatmap(lambda n: matrices(n, n, n, n)))
+    def test_inverse_matches_reference(self, m):
+        try:
+            expected = reference_inverse(m)
+        except ValueError:
+            with pytest.raises(ValueError, match="matrix is not invertible"):
+                m.inverse()
+        else:
+            assert m.inverse() == expected
+
+    @pytest.mark.parametrize(
+        "rows", [[[1, 1], [1, 1]], [[0, 0], [0, 0]], [[1, 2, 3], [2, 4, 6], [0, 0, 1]]]
+    )
+    def test_inverse_of_singular_matches_reference(self, rows):
+        m = RationalMatrix(rows)
+        for invert in (m.inverse, lambda: reference_inverse(m)):
+            with pytest.raises(ValueError, match="matrix is not invertible"):
+                invert()
+
+    def test_inverse_of_non_square(self):
+        with pytest.raises(DimensionMismatchError, match="only square matrices can be inverted"):
+            RationalMatrix([[1, 2]]).inverse()
+
+    @given(subspaces(), st.data())
+    def test_contains_matches_reference(self, sub, data):
+        n = sub.ambient_dim
+        outside = tuple(data.draw(rationals) for _ in range(n))
+        inside = reference_combine_rows([data.draw(rationals) for _ in range(sub.dim)], sub.basis)
+        for v in (outside, inside):
+            assert sub.contains(v) == reference_contains(sub, v)
+        assert reference_contains(sub, inside)
+
+    @given(st.integers(0, 5), st.data())
+    def test_contains_subspace_matches_reference(self, n, data):
+        a, b = data.draw(subspaces(ambient=n)), data.draw(subspaces(ambient=n))
+        for big, small in ((a, b), (b, a), (a + b, b), (a, a.intersect(b))):
+            expected = all(reference_contains(big, r) for r in small.basis_rows())
+            assert big.contains_subspace(small) == expected

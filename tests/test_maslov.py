@@ -11,7 +11,7 @@ from evencob.errors import (
     InvalidTripleError,
     NotSymmetricError,
 )
-from evencob.linalg import RationalMatrix, Subspace, canonical_basis, combine_rows
+from evencob.linalg import RationalMatrix, Subspace, canonical_basis
 from evencob.maslov import (
     LagrangianTriple,
     decompose,
@@ -24,7 +24,12 @@ from evencob.maslov import (
 )
 from evencob.sampling import random_triple
 from evencob.symplectic import standard_surface_space
-from oracles import descartes_signature, reference_maslov_gram
+from oracles import (
+    descartes_signature,
+    reference_combine_rows,
+    reference_decompose,
+    reference_maslov_gram,
+)
 
 GENUS_ONE = standard_surface_space((1,))
 SPAN_E = canonical_basis([(1, 0)], 2)
@@ -71,6 +76,25 @@ class TestDecompose:
                 assert tuple(x + y for x, y in zip(a1, a2)) == b
 
 
+    @given(st.integers(0, 10**6), st.integers(1, 4), st.data())
+    def test_matches_reference_parts(self, seed, genus_max, data):
+        t = random_triple(seed, genus_max)
+        small = st.integers(-2, 2)
+        vectors = list((t.l1 + t.l2).intersect(t.l3).basis_rows())
+        spanning = t.l1.basis.vstack(t.l2.basis)
+        coeffs = [data.draw(small) for _ in range(spanning.rows)]
+        vectors.append(reference_combine_rows(coeffs, spanning))
+        vectors.append(tuple(data.draw(small) for _ in range(t.space.dim)))
+        for v in vectors:
+            try:
+                expected = reference_decompose(t.l1, t.l2, v)
+            except DecompositionError:
+                with pytest.raises(DecompositionError, match="not in the sum"):
+                    decompose(t.l1, t.l2, v)
+            else:
+                assert decompose(t.l1, t.l2, v) == expected
+
+
 class TestMaslovForm:
     def test_genus_one_fixture(self):
         mf = maslov_form(TRIPLE_EF)
@@ -109,7 +133,7 @@ class TestMaslovForm:
             perturbed = []
             for b in rows:
                 _, a2 = decompose(t.l1, t.l2, b)
-                shift = combine_rows(
+                shift = reference_combine_rows(
                     [rng.randint(-2, 2) for _ in range(meet.dim)], meet.basis
                 )
                 perturbed.append(tuple(x + y for x, y in zip(a2, shift)))
