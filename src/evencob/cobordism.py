@@ -310,7 +310,7 @@ def compose(m1: CobordismMorphism, m2: CobordismMorphism) -> CobordismMorphism:
     alpha0 = m1.j_tgt_h0.vstack(-m2.j_src_h0)
     d1, q1 = cokernel(alpha1)
     d0, q0 = cokernel(alpha0)
-    k0 = alpha0.cols - alpha0.rank()
+    k0 = alpha0.cols - alpha0.rows + d0
 
     def through(mat: RationalMatrix, first: bool, h0: bool) -> RationalMatrix:
         # embed with zeros on the other body's rows, then project to the cokernel

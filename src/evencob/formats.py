@@ -38,11 +38,14 @@ from .errors import (
     LagrangianMismatchError,
     UnknownNameError,
 )
-from .generators import build_from_objects, parse_generator_spec
+from .generators import MAX_TEXT_GENUS, build_from_objects, parse_generator_spec
 from .linalg import RationalMatrix, Subspace, canonical_basis
 from .symplectic import SymplecticSpace, beta0, beta1
 
 _RATIONAL_RE = re.compile(r"^[+-]?\d+(/[1-9]\d*)?$")
+
+# a morphism's h1 and h0 need not be matched by data lines, so they are bounded
+MAX_BODY_DIM = 256
 
 
 def parse_rational(token: str, line: int | None = None) -> Fraction:
@@ -142,10 +145,12 @@ def _parse_int(token: str, line: int, what: str) -> int:
     return int(token)
 
 
-def _parse_count(token: str, line: int, what: str) -> int:
+def _parse_count(token: str, line: int, what: str, most: int | None = None) -> int:
     value = _parse_int(token, line, what)
     if value < 0:
         raise FileSyntaxError(f"{what} must be non-negative, found {value}", line)
+    if most is not None and value > most:
+        raise FileSyntaxError(f"{what} must be at most {most}, found {value}", line)
     return value
 
 
@@ -240,6 +245,10 @@ def parse_pipeline(text: str) -> Pipeline:
             if name in objects:
                 raise FileSyntaxError(f"duplicate object name {name!r}", number)
             genera = tuple(_parse_count(t, number, "genus") for t in tokens[3:])
+            if sum(genera) > MAX_TEXT_GENUS:
+                raise FileSyntaxError(
+                    f"genera add up to {sum(genera)}, at most {MAX_TEXT_GENUS} allowed", number
+                )
             ln, lt = lines.take(expect="lagrangian")
             if len(lt) != 2 or lt[0] != "lagrangian":
                 raise FileSyntaxError("object must be followed by: lagrangian <rows>", ln)
@@ -264,8 +273,8 @@ def parse_pipeline(text: str) -> Pipeline:
             source = lookup(src_name, number)
             target = lookup(dst_name, number)
             weight = _parse_int(tokens[5], number, "weight")
-            h1 = _parse_count(tokens[7], number, "h1 dimension")
-            h0 = _parse_count(tokens[9], number, "h0 dimension")
+            h1 = _parse_count(tokens[7], number, "h1 dimension", MAX_BODY_DIM)
+            h0 = _parse_count(tokens[9], number, "h0 dimension", MAX_BODY_DIM)
             widths = {
                 "jsrc_h1": (h1, beta1(source.genera)),
                 "jtgt_h1": (h1, beta1(target.genera)),

@@ -51,6 +51,10 @@ from .symplectic import (
 ATOM_KINDS = ("identity", "pseudo_cylinder", "twisted_cylinder", "handlebody", "cap")
 COMBO_KINDS = ("disjoint_union", "composite")
 
+# a few characters of generator text ask for dense matrices of these sizes
+MAX_TEXT_GENUS = 32
+MAX_TWIST_LENGTH = 1000
+
 
 def _check_twist(name: str, twist: RationalMatrix, surface: SurfaceObject) -> None:
     n = surface.beta1
@@ -133,9 +137,8 @@ def cap(
 
 
 def _union_object(a: SurfaceObject, b: SurfaceObject) -> SurfaceObject:
-    # block of two RREF bases over disjoint coordinates is already RREF
     basis = RationalMatrix.block_diag(a.lagrangian.basis, b.lagrangian.basis)
-    return SurfaceObject(a.genera + b.genera, Subspace(basis.cols, basis))
+    return SurfaceObject(a.genera + b.genera, Subspace(basis))
 
 
 def disjoint_union(m1: CobordismMorphism, m2: CobordismMorphism) -> CobordismMorphism:
@@ -388,6 +391,7 @@ class _SpecParser:
     def __init__(self, tokens: list[str]):
         self.tokens = tokens
         self.pos = 0
+        self.genus = 0  # sum of the genera written so far
 
     def peek(self) -> str | None:
         return self.tokens[self.pos] if self.pos < len(self.tokens) else None
@@ -436,7 +440,17 @@ class _SpecParser:
                 params[key] = _parse_int(key, value)
             else:
                 raise GeneratorSpecError(f"unknown generator parameter {key!r}")
-        return GeneratorSpec(kind, **params)
+        spec = GeneratorSpec(kind, **params)
+        self.genus += sum(spec.genera or ())
+        if self.genus > MAX_TEXT_GENUS:
+            raise GeneratorSpecError(
+                f"genera add up to {self.genus}, at most {MAX_TEXT_GENUS} allowed"
+            )
+        if spec.twist_length > MAX_TWIST_LENGTH:
+            raise GeneratorSpecError(
+                f"twist_length must be at most {MAX_TWIST_LENGTH}, got {spec.twist_length}"
+            )
+        return spec
 
 
 def parse_generator_spec(text: str) -> GeneratorSpec:

@@ -9,9 +9,10 @@ Matrices are immutable and store :class:`fractions.Fraction` entries.
 system or containment test is one ``rref`` of an augmented matrix.
 Elimination runs fraction-free: each row is scaled to primitive integers and
 reduced with integer row operations, and the canonical ``Fraction`` RREF is
-produced only at the end.  A subspace is identified with its unique RREF row
-basis, so subspace equality is plain structural equality and regression values
-can be frozen verbatim.
+produced only at the end.  A Subspace canonicalizes the matrix it is given to
+its unique RREF row basis, so subspace equality is plain structural equality
+and regression values can be frozen verbatim; ``canonical_basis`` is the entry
+point for vectors from outside.
 """
 
 from __future__ import annotations
@@ -283,51 +284,32 @@ class RationalMatrix:
         return x
 
 
-def _rref_violation(basis: RationalMatrix) -> str | None:
-    prev = -1
-    for i in range(basis.rows):
-        row = basis.row(i)
-        lead = next((j for j, x in enumerate(row) if x), None)
-        if lead is None:
-            return f"row {i} is zero"
-        if lead <= prev:
-            return "pivot columns are not strictly increasing"
-        if row[lead] != 1:
-            return f"pivot of row {i} is not 1"
-        for k in range(basis.rows):
-            if k != i and basis[k, lead]:
-                return f"pivot column {lead} is not cleared"
-        prev = lead
-    return None
-
-
 @dataclass(frozen=True)
 class Subspace:
-    """A linear subspace of Q^n held as its unique RREF row basis.
+    """The row span of the matrix it is given, held as its unique RREF row basis.
 
-    Two Subspace values are equal iff they are the same subspace; the
-    canonical basis makes that a structural comparison.
+    The constructor keeps the nonzero rows of the RREF of any spanning matrix,
+    so two Subspace values are equal iff they are the same subspace.
     """
 
-    ambient_dim: int
     basis: RationalMatrix
 
     def __post_init__(self):
-        if self.basis.cols != self.ambient_dim:
-            raise DimensionMismatchError(
-                f"basis has {self.basis.cols} columns in ambient dimension {self.ambient_dim}"
-            )
-        violation = _rref_violation(self.basis)
-        if violation is not None:
-            raise ValueError(f"basis is not in canonical form: {violation}")
+        red, pivots = self.basis.rref()
+        rows = tuple(red.row(i) for i in range(len(pivots)))
+        object.__setattr__(self, "basis", RationalMatrix(rows, cols=red.cols))
 
     @classmethod
     def zero(cls, ambient_dim: int) -> "Subspace":
-        return cls(ambient_dim, RationalMatrix((), cols=ambient_dim))
+        return cls(RationalMatrix((), cols=ambient_dim))
 
     @classmethod
     def full(cls, ambient_dim: int) -> "Subspace":
-        return cls(ambient_dim, RationalMatrix.identity(ambient_dim))
+        return cls(RationalMatrix.identity(ambient_dim))
+
+    @property
+    def ambient_dim(self) -> int:
+        return self.basis.cols
 
     @property
     def dim(self) -> int:
@@ -358,7 +340,7 @@ class Subspace:
     def __add__(self, other: "Subspace") -> "Subspace":
         """Smallest subspace containing both."""
         self._check_ambient(other)
-        return canonical_basis(self.basis_rows() + other.basis_rows(), self.ambient_dim)
+        return Subspace(self.basis.vstack(other.basis))
 
     def intersect(self, other: "Subspace") -> "Subspace":
         """Largest subspace contained in both, via the stacked constraint kernel."""
@@ -372,16 +354,14 @@ class Subspace:
 
 
 def canonical_basis(vectors: Sequence[Iterable], ambient_dim: int) -> Subspace:
-    """Canonicalize a spanning set into the RREF Subspace it spans."""
+    """The Subspace spanned by vectors given from outside, each of the ambient length."""
     vs = [as_vector(v) for v in vectors]
     for idx, v in enumerate(vs):
         if len(v) != ambient_dim:
             raise DimensionMismatchError(
                 f"vector {idx} has length {len(v)}, ambient dimension is {ambient_dim}"
             )
-    red, pivots = RationalMatrix(vs, cols=ambient_dim).rref()
-    rows = tuple(red.row(i) for i in range(len(pivots)))
-    return Subspace(ambient_dim, RationalMatrix(rows, cols=ambient_dim))
+    return Subspace(RationalMatrix(vs, cols=ambient_dim))
 
 
 def _null_rows(red: RationalMatrix, pivots: tuple[int, ...]) -> list[Vector]:
@@ -402,17 +382,12 @@ def _null_rows(red: RationalMatrix, pivots: tuple[int, ...]) -> list[Vector]:
 
 def kernel(f: RationalMatrix) -> Subspace:
     """{x : f @ x = 0} in canonical form; dimension cols - rank."""
-    return canonical_basis(_null_rows(*f.rref()), f.cols)
-
-
-def row_space(m: RationalMatrix) -> Subspace:
-    """Row span of m, canonicalized."""
-    return canonical_basis([m.row(i) for i in range(m.rows)], m.cols)
+    return Subspace(RationalMatrix(_null_rows(*f.rref()), cols=f.cols))
 
 
 def image(f: RationalMatrix) -> Subspace:
     """Column span of f, canonicalized."""
-    return row_space(f.transpose())
+    return Subspace(f.transpose())
 
 
 def preimage(f: RationalMatrix, target: Subspace) -> Subspace:
@@ -442,4 +417,4 @@ def map_subspace(f: RationalMatrix, sub: Subspace) -> Subspace:
         raise DimensionMismatchError(
             f"subspace lives in dimension {sub.ambient_dim}, map expects {f.cols}"
         )
-    return row_space(sub.basis @ f.transpose())
+    return Subspace(sub.basis @ f.transpose())

@@ -27,7 +27,6 @@ from .linalg import (
     Vector,
     as_vector,
     kernel,
-    row_space,
 )
 from .symplectic import SymplecticSpace
 
@@ -189,7 +188,7 @@ def form_annihilator(triple: LagrangianTriple) -> Subspace:
 
 def _form_radical(triple: LagrangianTriple, mf: MaslovForm) -> Subspace:
     """form_annihilator for a Maslov form already built from the triple."""
-    radical = row_space(kernel(mf.gram).basis @ mf.domain_basis)
+    radical = Subspace(kernel(mf.gram).basis @ mf.domain_basis)
     l1, l2, l3 = triple.lagrangians()
     assert radical == l1.intersect(l3) + l2.intersect(l3)
     return radical

@@ -21,7 +21,6 @@ from .linalg import (
     canonical_basis,
     cokernel,
     map_subspace,
-    row_space,
 )
 from .maslov import LagrangianTriple
 from .symplectic import (
@@ -66,7 +65,7 @@ def _random_space(
 def _embed_lagrangian(lag: Subspace, pad: int, inverse_change: RationalMatrix | None) -> Subspace:
     if pad == 0:
         return lag
-    padded = row_space(RationalMatrix.block_diag(lag.basis, RationalMatrix.identity(pad)))
+    padded = Subspace(RationalMatrix.block_diag(lag.basis, RationalMatrix.identity(pad)))
     return map_subspace(inverse_change, padded)
 
 

@@ -9,6 +9,10 @@ The RREF oracle is the Fraction Gauss-Jordan loop that evencob's integer
 elimination replaced; the RREF of a matrix is unique, so the two must agree
 entry for entry.
 
+The RREF validator is the scan `Subspace` ran on every basis it was handed
+before it canonicalized the matrix itself; it names the first way a matrix
+fails to be a canonical basis, or returns None.
+
 The linear-system oracles are the paths that evencob's single augmented
 `rref` replaced: the one-vector `solve`, the identity-augmented `inverse`, the
 leading-column reduction behind `Subspace.contains`, the `combine_rows` loop,
@@ -107,6 +111,24 @@ def reference_rref(m: RationalMatrix) -> tuple[RationalMatrix, tuple[int, ...]]:
         pivots.append(c)
         r += 1
     return RationalMatrix(tuple(tuple(row) for row in m), cols=ncols), tuple(pivots)
+
+
+def reference_rref_violation(basis: RationalMatrix) -> str | None:
+    prev = -1
+    for i in range(basis.rows):
+        row = basis.row(i)
+        lead = next((j for j, x in enumerate(row) if x), None)
+        if lead is None:
+            return f"row {i} is zero"
+        if lead <= prev:
+            return "pivot columns are not strictly increasing"
+        if row[lead] != 1:
+            return f"pivot of row {i} is not 1"
+        for k in range(basis.rows):
+            if k != i and basis[k, lead]:
+                return f"pivot column {lead} is not cleared"
+        prev = lead
+    return None
 
 
 def reference_solve(m: RationalMatrix, rhs: Iterable) -> Vector | None:

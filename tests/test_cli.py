@@ -311,6 +311,13 @@ class TestGenCommand:
         assert main(["gen", "--spec", "nonsense genus=1"]) == 2
 
 
+    def test_sizes_at_the_limits_accepted(self, capsys):
+        code, out = run(capsys, "gen", "--spec", "twisted_cylinder genus=1 twist_length=1000")
+        assert code == 0 and out.startswith("gen: ok")
+        code, out = run(capsys, "gen", "--spec", "composite(handlebody genus=16, cap genus=16)")
+        assert code == 0 and out.startswith("gen: ok")
+
+
 class TestClosureCommand:
     def test_small_campaign_holds(self, capsys):
         code, report = run_json(capsys, "closure", "--trials", "6", "--seed", "2")
@@ -418,6 +425,26 @@ class TestExitCodes:
             None,
             "error: twist_length must be non-negative, got -1\n",
         ),
+        (
+            ["gen", "--spec", "composite(handlebody genus=20, cap genus=13)"],
+            None,
+            "error: genera add up to 33, at most 32 allowed\n",
+        ),
+        (
+            ["gen", "--spec", "twisted_cylinder genus=1 twist_length=1001"],
+            None,
+            "error: twist_length must be at most 1000, got 1001\n",
+        ),
+        (
+            ["compose", "--in"],
+            "object E genera\nlagrangian 0\nobject A genera 16 17\nlagrangian 0\n",
+            "error: line 3: genera add up to 33, at most 32 allowed\n",
+        ),
+        (
+            ["even", "--in"],
+            "object E genera\nlagrangian 0\nmorphism m E E weight 0 h1 257 h0 0\n",
+            "error: line 3: h1 dimension must be at most 256, found 257\n",
+        ),
     ],
     ids=[
         "maslov-form",
@@ -427,6 +454,10 @@ class TestExitCodes:
         "gen-pseudo-cylinder",
         "gen-twisted-cylinder",
         "gen-twist-length",
+        "gen-genus-limit",
+        "gen-twist-length-limit",
+        "compose-genus-limit",
+        "even-h1-limit",
     ],
 )
 def test_malformed_numbers_are_input_errors(capsys, tmp_path, argv, text, message):

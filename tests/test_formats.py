@@ -316,3 +316,50 @@ def test_repeated_generator_parameter_names_its_line(params):
         parse_pipeline(text)
     assert str(exc.value).startswith("line 13: generator parameter ")
     assert str(exc.value).endswith(" sets a value already given")
+
+
+@pytest.mark.parametrize("genera", ["33", "16 17", "1 0 32"])
+def test_object_genera_past_the_limit_rejected(genera):
+    text = "object E genera\nlagrangian 0\n" + f"object A genera {genera}\nlagrangian 0\n"
+    with pytest.raises(FileSyntaxError) as exc:
+        parse_pipeline(text)
+    assert str(exc.value) == "line 3: genera add up to 33, at most 32 allowed"
+
+
+@pytest.mark.parametrize("genera", ["32", "16 16"])
+def test_object_genera_at_the_limit_accepted(genera):
+    # span{f_1..f_32} of the standard form
+    rows = [" ".join("1" if c == 2 * i + 1 else "0" for c in range(64)) for i in range(32)]
+    text = "\n".join([f"object A genera {genera}", "lagrangian 32", *rows]) + "\n"
+    assert parse_pipeline(text).objects["A"].genera == tuple(map(int, genera.split()))
+
+
+BODY_ONLY_CBF = """\
+object E genera
+lagrangian 0
+morphism m E E weight 0 h1 {h1} h0 {h0}
+jsrc_h1
+jtgt_h1
+jsrc_h0
+jtgt_h0
+"""
+
+
+@pytest.mark.parametrize("label", ["h1", "h0"])
+def test_body_dimension_past_the_limit_rejected(label):
+    dims = {"h1": 0, "h0": 0, label: 257}
+    with pytest.raises(FileSyntaxError) as exc:
+        parse_pipeline(BODY_ONLY_CBF.format(**dims))
+    assert str(exc.value) == f"line 3: {label} dimension must be at most 256, found 257"
+
+
+def test_body_dimensions_at_the_limit_accepted():
+    morphism = parse_pipeline(BODY_ONLY_CBF.format(h1=256, h0=256)).entries[0].morphism
+    assert (morphism.h1_dim, morphism.h0_dim) == (256, 256)
+
+
+def test_generator_text_limits_name_the_line():
+    text = HANDLEBODY_CAP_CBF.replace("cap weight=1", "cap weight=1 twist_length=1001")
+    with pytest.raises(GeneratorSpecError) as exc:
+        parse_pipeline(text)
+    assert str(exc.value) == "line 13: twist_length must be at most 1000, got 1001"

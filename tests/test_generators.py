@@ -234,6 +234,41 @@ class TestGeneratorSpecText:
     def test_zero_twist_length_accepted(self):
         assert parse_generator_spec("twisted_cylinder genus=1 twist_length=0").twist_length == 0
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "handlebody genus=33",
+            "twisted_cylinder genera=[16,17]",
+            "composite(handlebody genus=20, cap genus=13)",
+            "disjoint_union(handlebody genus=16, handlebody genus=16, handlebody genus=1)",
+        ],
+    )
+    def test_genera_past_the_text_limit_rejected(self, text):
+        with pytest.raises(GeneratorSpecError) as exc:
+            parse_generator_spec(text)
+        assert str(exc.value) == "genera add up to 33, at most 32 allowed"
+
+    def test_twist_length_past_the_limit_rejected(self):
+        with pytest.raises(GeneratorSpecError) as exc:
+            parse_generator_spec("cap genus=1 twist_seed=3 twist_length=1001")
+        assert str(exc.value) == "twist_length must be at most 1000, got 1001"
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "twisted_cylinder genus=32 twist_length=1000",
+            "composite(handlebody genus=16, cap genus=16 twist_length=1000)",
+            "disjoint_union(handlebody genera=[16], handlebody genera=[16])",
+        ],
+    )
+    def test_sizes_at_the_limits_accepted(self, text):
+        assert parse_generator_spec(text) is not None
+
+    def test_limits_bound_text_not_plans(self):
+        # sampled plans are built in memory, not read from text
+        spec = GeneratorSpec("twisted_cylinder", genera=(40,), twist_length=2000)
+        assert spec.genera == (40,) and spec.twist_length == 2000
+
     def test_combo_needs_children(self):
         with pytest.raises(GeneratorSpecError):
             GeneratorSpec("composite", children=(GeneratorSpec("cap", genera=(1,)),))

@@ -22,6 +22,7 @@ from oracles import (
     reference_inverse,
     reference_map_subspace,
     reference_rref,
+    reference_rref_violation,
     reference_solve,
 )
 
@@ -289,6 +290,32 @@ class TestRrefOracle:
     def test_zero_and_duplicate_rows(self):
         row = [Fraction(1, 3), Fraction(2, 5), 2**64 + 1]
         self.check(RationalMatrix([[0, 0, 0], row, [0, 0, 0], row]))
+
+
+class TestSubspaceConstructor:
+    """Subspace(M) keeps the nonzero rows of the RREF of any spanning matrix M."""
+
+    @given(rref_matrices(), st.data())
+    def test_canonicalizes_any_spanning_matrix(self, m, data):
+        sub = Subspace(m)
+        assert reference_rref_violation(sub.basis) is None
+        red, pivots = reference_rref(m)
+        assert sub.basis == RationalMatrix(
+            tuple(red.row(i) for i in range(len(pivots))), cols=m.cols
+        )
+        assert sub.ambient_dim == m.cols
+        assert Subspace(sub.basis) == sub
+        # the same span: rows permuted, each scaled by a nonzero rational, one zero row added
+        rows = [m.row(i) for i in data.draw(st.permutations(range(m.rows)))]
+        scales = [data.draw(rationals.filter(bool)) for _ in rows]
+        rows = [tuple(c * x for x in row) for c, row in zip(scales, rows)]
+        rows.insert(data.draw(st.integers(0, len(rows))), (Fraction(0),) * m.cols)
+        assert Subspace(RationalMatrix(rows, cols=m.cols)) == sub
+
+    def test_validator_names_non_canonical_bases(self):
+        assert reference_rref_violation(RationalMatrix([[1, 0], [0, 0]])) == "row 1 is zero"
+        assert reference_rref_violation(RationalMatrix([[2, 0]])) == "pivot of row 0 is not 1"
+        assert Subspace(RationalMatrix([[0, 2], [3, 0], [0, 0]])) == Subspace.full(2)
 
 
 @st.composite
