@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -336,7 +337,12 @@ def main(argv: list[str] | None = None) -> int:
     except EvencobError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
-    print(render(report, args.output))
+    try:
+        print(render(report, args.output))
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader left; point stdout at devnull so the exit flush cannot fail
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     return code
 
 

@@ -54,10 +54,6 @@ def parse_rational(token: str, line: int | None = None) -> Fraction:
     return Fraction(token)
 
 
-def format_rational(value: Fraction) -> str:
-    return str(value)
-
-
 @dataclass(frozen=True)
 class Scenario:
     """A symplectic space, named subspaces, and triple queries."""
@@ -115,9 +111,6 @@ class _Lines:
 
     def done(self) -> bool:
         return self.pos >= len(self.items)
-
-    def peek(self) -> tuple[int, list[str]]:
-        return self.items[self.pos]
 
     def take(self, expect: str | None = None) -> tuple[int, list[str]]:
         if self.done():
@@ -208,7 +201,7 @@ def parse_scenario(text: str) -> Scenario:
 def _matrix_lines(matrix: RationalMatrix) -> list[str]:
     if matrix.cols == 0:
         return []  # zero-width rows have no data lines
-    return [" ".join(format_rational(x) for x in matrix.row(i)) for i in range(matrix.rows)]
+    return [" ".join(map(str, matrix.row(i))) for i in range(matrix.rows)]
 
 
 def serialize_scenario(scenario: Scenario) -> str:

@@ -6,7 +6,7 @@ For Lagrangians l1, l2, l3 of a symplectic space, the pairing
 
 is a well-defined symmetric bilinear form on (l1 + l2) cap l3; its signature is
 the Maslov index of the triple.  This module builds the form exactly, computes
-signatures by symmetric congruence diagonalization over the rationals, and
+signatures by Sylvester's law over 1x1 and 2x2 rational pivot blocks, and
 exposes the dimension-parity quantities the index obeys.
 """
 
@@ -120,56 +120,35 @@ def maslov_form(triple: LagrangianTriple) -> MaslovForm:
 def signature(gram: RationalMatrix) -> int:
     """Exact signature of a symmetric rational matrix.
 
-    Symmetric congruence diagonalization: eliminate below each nonzero
-    diagonal pivot on rows and columns simultaneously.  When the whole
-    trailing diagonal is zero but some off-diagonal entry c is not, adding
-    row and column j into i creates the diagonal entry 2c (nonzero in
-    characteristic zero) and elimination resumes.  Congruence preserves the
-    signature, so the answer is #positive - #negative diagonal entries.
+    Sylvester's law of inertia over 1x1 and 2x2 pivot blocks (Bunch-Kaufman):
+    the first nonzero diagonal entry p is a block counting sign(p); on a zero
+    diagonal, the first nonzero c at (i, j), i < j, gives [[0, c], [c, 0]],
+    counting +1 - 1 = 0.  The loop goes on with the block's Schur complement.
     """
     if not gram.is_symmetric():
         raise NotSymmetricError("signature needs a symmetric matrix")
-    n = gram.rows
-    m = [list(row) for row in (gram.row(i) for i in range(n))]
-
-    def swap(a: int, b: int) -> None:
-        m[a], m[b] = m[b], m[a]
-        for row in m:
-            row[a], row[b] = row[b], row[a]
-
-    pos = neg = 0
-    for k in range(n):
-        if not m[k][k]:
-            pivot_row = next((i for i in range(k + 1, n) if m[i][i]), None)
-            if pivot_row is not None:
-                swap(k, pivot_row)
-            else:
-                pair = next(
-                    ((i, j) for i in range(k, n) for j in range(i + 1, n) if m[i][j]),
-                    None,
-                )
-                if pair is None:
-                    break  # the rest of the form is zero
-                i, j = pair
-                for c in range(n):
-                    m[i][c] += m[j][c]
-                for r in range(n):
-                    m[r][i] += m[r][j]
-                if i != k:
-                    swap(k, i)
-        pivot = m[k][k]
-        for i in range(k + 1, n):
-            if m[i][k]:
-                f = m[i][k] / pivot
-                for c in range(n):
-                    m[i][c] -= f * m[k][c]
-                for r in range(n):
-                    m[r][i] -= f * m[r][k]
-        if pivot > 0:
-            pos += 1
-        else:
-            neg += 1
-    return pos - neg
+    m = [list(gram.row(i)) for i in range(gram.rows)]
+    total = 0
+    while m:
+        n = len(m)
+        k = next((k for k in range(n) if m[k][k]), None)
+        if k is not None:
+            top = m.pop(k)
+            p = top.pop(k)
+            total += 1 if p > 0 else -1
+            for row in m:
+                f = row.pop(k) / p
+                if f:
+                    row[:] = [a - f * b for a, b in zip(row, top)]
+            continue
+        pair = next(((i, j) for i in range(n) for j in range(i + 1, n) if m[i][j]), None)
+        if pair is None:
+            break  # the rest of the form is zero
+        i, j = pair
+        c = m[i][j]
+        rest = [r for r in range(n) if r not in pair]
+        m = [[m[r][s] - (m[r][i] * m[j][s] + m[r][j] * m[i][s]) / c for s in rest] for r in rest]
+    return total
 
 
 def maslov_index(triple: LagrangianTriple) -> int:

@@ -1,9 +1,17 @@
 """Independent oracles used only by the test suite.
 
-The signature oracle never touches the congruence-diagonalization code path:
-it computes the characteristic polynomial exactly (Faddeev-LeVerrier) and
-counts eigenvalue signs with Descartes' rule, which is exact for polynomials
-whose roots are all real, as is the case for symmetric matrices.
+The Descartes signature oracle shares no code with evencob's `signature` or
+with the congruence loop kept here as `reference_signature`: it computes the
+characteristic polynomial exactly (Faddeev-LeVerrier) and counts eigenvalue
+signs with Descartes' rule, which is exact for polynomials whose roots are all
+real, as is the case for symmetric matrices.
+
+The signature reference is the symmetric congruence diagonalization that
+evencob's Schur-complement loop over 1x1 and 2x2 pivot blocks replaced.
+
+The Kashiwara oracle computes the Maslov index of a triple without the Maslov
+form: it is the Descartes signature of Kashiwara's form on l1 (+) l2 (+) l3,
+read off the basis rows and the space's form alone.
 
 The RREF oracle is the Fraction Gauss-Jordan loop that evencob's integer
 elimination replaced; the RREF of a matrix is unique, so the two must agree
@@ -33,7 +41,7 @@ from fractions import Fraction
 from typing import Iterable
 
 from evencob.cobordism import CobordismMorphism
-from evencob.errors import DecompositionError, DimensionMismatchError
+from evencob.errors import DecompositionError, DimensionMismatchError, NotSymmetricError
 from evencob.linalg import RationalMatrix, Subspace, Vector, as_vector, canonical_basis
 from evencob.maslov import LagrangianTriple
 
@@ -78,6 +86,75 @@ def descartes_signature(gram: RationalMatrix) -> int:
     n = gram.rows
     reflected = [c * (-1) ** (n - i) for i, c in enumerate(coeffs)]
     return _sign_changes(coeffs) - _sign_changes(reflected)
+
+
+def reference_signature(gram: RationalMatrix) -> int:
+    """Exact signature of a symmetric rational matrix.
+
+    Symmetric congruence diagonalization: eliminate below each nonzero
+    diagonal pivot on rows and columns simultaneously.  When the whole
+    trailing diagonal is zero but some off-diagonal entry c is not, adding
+    row and column j into i creates the diagonal entry 2c (nonzero in
+    characteristic zero) and elimination resumes.  Congruence preserves the
+    signature, so the answer is #positive - #negative diagonal entries.
+    """
+    if not gram.is_symmetric():
+        raise NotSymmetricError("signature needs a symmetric matrix")
+    n = gram.rows
+    m = [list(row) for row in (gram.row(i) for i in range(n))]
+
+    def swap(a: int, b: int) -> None:
+        m[a], m[b] = m[b], m[a]
+        for row in m:
+            row[a], row[b] = row[b], row[a]
+
+    pos = neg = 0
+    for k in range(n):
+        if not m[k][k]:
+            pivot_row = next((i for i in range(k + 1, n) if m[i][i]), None)
+            if pivot_row is not None:
+                swap(k, pivot_row)
+            else:
+                pair = next(
+                    ((i, j) for i in range(k, n) for j in range(i + 1, n) if m[i][j]),
+                    None,
+                )
+                if pair is None:
+                    break  # the rest of the form is zero
+                i, j = pair
+                for c in range(n):
+                    m[i][c] += m[j][c]
+                for r in range(n):
+                    m[r][i] += m[r][j]
+                if i != k:
+                    swap(k, i)
+        pivot = m[k][k]
+        for i in range(k + 1, n):
+            if m[i][k]:
+                f = m[i][k] / pivot
+                for c in range(n):
+                    m[i][c] -= f * m[k][c]
+                for r in range(n):
+                    m[r][i] -= f * m[r][k]
+        if pivot > 0:
+            pos += 1
+        else:
+            neg += 1
+    return pos - neg
+
+
+def kashiwara_index(triple: LagrangianTriple) -> int:
+    """Signature of w(x1, x2) + w(x2, x3) + w(x3, x1) on l1 (+) l2 (+) l3.
+
+    The doubled polar form has the blocks w(u1, v2), w(u2, v3) and w(u3, v1)
+    off the diagonal and zero on it, each l_i being isotropic; written as
+    sign * w(u, v), the sign is +1 when v's summand follows u's cyclically and
+    -1 when it precedes it.
+    """
+    rows = [(k, row) for k, lag in enumerate(triple.lagrangians()) for row in lag.basis_rows()]
+    sign = (0, 1, -1)
+    q = [[sign[(b - a) % 3] * triple.space.evaluate(u, v) for b, v in rows] for a, u in rows]
+    return descartes_signature(RationalMatrix(q, cols=len(rows)))
 
 
 def reference_rref(m: RationalMatrix) -> tuple[RationalMatrix, tuple[int, ...]]:

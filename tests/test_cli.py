@@ -247,6 +247,34 @@ class TestComposeCommand:
             assert (done.returncode, done.stdout, done.stderr) == (2, "", UNREALIZABLE_ERROR)
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["gen", "--spec", "handlebody genus=1"],
+        ["gen", "--spec", "twisted_cylinder genus=8 twist_length=1000"],
+        ["check", "--theorem", "parity", "--trials", "2"],
+    ],
+)
+def test_closed_stdout_keeps_exit_code(argv):
+    # the reader is gone before the command writes: no traceback, no exit 1
+    root = Path(__file__).resolve().parent.parent
+    path = os.pathsep.join([str(root / "src"), os.environ.get("PYTHONPATH", "")])
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        done = subprocess.run(
+            [sys.executable, "-m", "evencob", *argv],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            text=True,
+            env=dict(os.environ, PYTHONPATH=path),
+            timeout=120,
+        )
+    finally:
+        os.close(write_end)
+    assert (done.returncode, done.stderr) == (main(argv), "")
+
+
 class TestEvenCommand:
     def test_unrealizable_record_reports_violations(self, capsys, tmp_path):
         path = tmp_path / "unrealizable.cbf"

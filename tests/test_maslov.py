@@ -26,10 +26,48 @@ from evencob.sampling import random_triple
 from evencob.symplectic import standard_surface_space
 from oracles import (
     descartes_signature,
+    kashiwara_index,
     reference_combine_rows,
     reference_decompose,
     reference_maslov_gram,
+    reference_signature,
 )
+
+MIXED_FRACTIONS = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+
+
+@st.composite
+def symmetric_matrices(draw):
+    """Symmetric matrices of size 0-6 in three families that stress the pivot choice.
+
+    Zero-diagonal matrices need a 2x2 block at the first step; sums of
+    signed rank-one terms are degenerate; block-diagonal matrices with a zero
+    block leave a zero form behind, first or last.
+    """
+    n = draw(st.integers(0, 6))
+    family = draw(st.sampled_from(["zero-diagonal", "rank-one-sum", "zero-block"]))
+    if family == "rank-one-sum":
+        m = [[Fraction(0)] * n for _ in range(n)]
+        for _ in range(draw(st.integers(0, 3))):
+            v = draw(st.lists(MIXED_FRACTIONS, min_size=n, max_size=n))
+            sign = draw(st.sampled_from([1, -1]))
+            m = [[m[i][j] + sign * v[i] * v[j] for j in range(n)] for i in range(n)]
+        return RationalMatrix(m, cols=n)
+    upper = {(i, j): draw(MIXED_FRACTIONS) for i in range(n) for j in range(i, n)}
+    if family == "zero-diagonal":
+        def keep(i, j):
+            return i != j
+    else:
+        h, zero_first = draw(st.integers(0, n)), draw(st.booleans())
+
+        def keep(i, j):
+            return (i < h) == (j < h) and (i < h) != zero_first
+    return RationalMatrix(
+        [[upper[min(i, j), max(i, j)] if keep(i, j) else Fraction(0) for j in range(n)]
+         for i in range(n)],
+        cols=n,
+    )
+
 
 GENUS_ONE = standard_surface_space((1,))
 SPAN_E = canonical_basis([(1, 0)], 2)
@@ -203,6 +241,10 @@ class TestSignature:
         sym = m + m.transpose()
         assert signature(sym) == descartes_signature(sym)
 
+    @given(symmetric_matrices())
+    def test_against_congruence_and_descartes_oracles(self, sym):
+        assert signature(sym) == reference_signature(sym) == descartes_signature(sym)
+
 
 class TestMaslovIndex:
     def test_genus_one_fixture(self):
@@ -229,6 +271,18 @@ class TestMaslovIndex:
 
     def test_index_depends_on_middle_lagrangian(self):
         assert maslov_index(LagrangianTriple(GENUS_ONE, SPAN_F, SPAN_EF, SPAN_E)) == -1
+
+    @given(st.integers(0, 10**6), st.integers(1, 4))
+    def test_matches_kashiwara_form(self, seed, genus_max):
+        # Kashiwara's form pins the sign and offset that parity checks miss
+        t = random_triple(seed, genus_max)
+        assert maslov_index(t) == kashiwara_index(t)
+
+    def test_kashiwara_fixtures(self):
+        anti = canonical_basis([(1, -1)], 2)
+        for t, index in ((TRIPLE_EF, -1), (TRIPLE_G2, -2),
+                         (LagrangianTriple(GENUS_ONE, SPAN_E, SPAN_F, anti), 1)):
+            assert kashiwara_index(t) == maslov_index(t) == index
 
     def test_invalid_triple_rejected(self):
         with pytest.raises(InvalidTripleError):
