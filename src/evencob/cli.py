@@ -19,6 +19,7 @@ re-run standalone.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -65,7 +66,9 @@ def _at_least(minimum: int):
     return parse
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command line parser, built on the first call and shared after it."""
     parser = argparse.ArgumentParser(
         prog="evencob",
         description="Exact Maslov indices and the weighted cobordism category over Q.",

@@ -47,10 +47,24 @@ _RATIONAL_RE = re.compile(r"^[+-]?\d+(/[1-9]\d*)?$")
 # a morphism's h1 and h0 need not be matched by data lines, so they are bounded
 MAX_BODY_DIM = 256
 
+# the most digits one written integer, numerator or denominator may have; far
+# below Python's limit on converting between int and str
+MAX_NUMBER_DIGITS = 1000
+
+
+def _check_digits(digits: str, line: int | None, what: str) -> None:
+    if len(digits) > MAX_NUMBER_DIGITS:
+        raise FileSyntaxError(
+            f"{what} has {len(digits)} digits, at most {MAX_NUMBER_DIGITS} allowed", line
+        )
+
 
 def parse_rational(token: str, line: int | None = None) -> Fraction:
     if not _RATIONAL_RE.match(token):
         raise FileSyntaxError(f"not a rational (p/q or integer): {token!r}", line)
+    numerator, _, denominator = token.lstrip("+-").partition("/")
+    _check_digits(numerator, line, "a numerator" if denominator else "an integer")
+    _check_digits(denominator, line, "a denominator")
     return Fraction(token)
 
 
@@ -133,8 +147,10 @@ class _Lines:
 
 def _parse_int(token: str, line: int, what: str) -> int:
     # one optional minus sign, then the decimal digits int() accepts
-    if not token.removeprefix("-").isdecimal():
+    digits = token.removeprefix("-")
+    if not digits.isdecimal():
         raise FileSyntaxError(f"{what} must be an integer, found {token!r}", line)
+    _check_digits(digits, line, what)
     return int(token)
 
 

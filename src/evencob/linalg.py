@@ -7,19 +7,33 @@ lattice with exact kernel / image / preimage / cokernel computations.
 Matrices are immutable and store :class:`fractions.Fraction` entries.
 ``rref`` is the only elimination and ``@`` the only product: each linear
 system or containment test is one ``rref`` of an augmented matrix.
-Elimination runs fraction-free: each row is scaled to primitive integers and
-reduced with integer row operations, and the canonical ``Fraction`` RREF is
-produced only at the end.  A Subspace canonicalizes the matrix it is given to
-its unique RREF row basis, so subspace equality is plain structural equality
-and regression values can be frozen verbatim; ``canonical_basis`` is the entry
-point for vectors from outside.
+Both run on integers.  Elimination scales each row to primitive integers,
+reduces with integer row operations and produces the canonical ``Fraction``
+RREF only at the end.  A product puts each row of the left factor over its
+lcm denominator and the whole right factor over one, accumulates integer
+products and makes one ``Fraction`` per output entry.
+
+The public constructor coerces every entry and rejects floats and ragged
+rows; it is the door for matrices from outside.  Rows this module builds
+itself (identities, sums, products, transposes, stacks, RREFs, solutions,
+kernel and cokernel rows) are already ``Fraction`` tuples of one width and go
+through the private ``RationalMatrix._of`` unchecked.
+
+A Subspace canonicalizes the matrix it is given to its unique RREF row basis,
+so subspace equality is plain structural equality and regression values can
+be frozen verbatim; ``canonical_basis`` is the entry point for vectors from
+outside.  Two subspaces intersect by one elimination (Zassenhaus): the RREF
+of ``[[A, A], [B, 0]]`` holds a basis of the intersection in the right halves
+of its rows that start in the right half.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from itertools import chain
+from math import gcd, lcm
+from operator import mul
 from typing import Iterable, Sequence
 
 from .errors import DimensionMismatchError
@@ -41,6 +55,15 @@ def as_fraction(value: int | str | Fraction) -> Fraction:
 
 def as_vector(entries: Iterable) -> Vector:
     return tuple(map(as_fraction, entries))
+
+
+def _over_common_denominator(row: Iterable[Fraction]) -> tuple[list[int], int]:
+    """Integers a and the lcm d of the denominators with row = a / d."""
+    ratios = [x.as_integer_ratio() for x in row]
+    den = lcm(*[d for _, d in ratios])
+    if den == 1:
+        return [n for n, _ in ratios], 1
+    return [n * (den // d) for n, d in ratios], den
 
 
 def _primitive(row: list[int]) -> list[int]:
@@ -74,18 +97,25 @@ class RationalMatrix:
         self._rows = data
         self._ncols = width
 
+    @classmethod
+    def _of(cls, rows: tuple[Vector, ...], cols: int) -> "RationalMatrix":
+        """A matrix on rows this module built: Fraction tuples, each `cols` long."""
+        m = object.__new__(cls)
+        m._rows = rows
+        m._ncols = cols
+        return m
+
     # -- construction helpers -------------------------------------------------
 
     @classmethod
     def identity(cls, n: int) -> "RationalMatrix":
-        return cls(
-            tuple(tuple(_ONE if i == j else _ZERO for j in range(n)) for i in range(n)),
-            cols=n,
+        return cls._of(
+            tuple(tuple(_ONE if i == j else _ZERO for j in range(n)) for i in range(n)), n
         )
 
     @classmethod
     def zeros(cls, nrows: int, ncols: int) -> "RationalMatrix":
-        return cls(tuple(zero_vector(ncols) for _ in range(nrows)), cols=ncols)
+        return cls._of((zero_vector(ncols),) * nrows, ncols)
 
     @classmethod
     def from_columns(cls, columns: Sequence[Iterable], *, rows: int | None = None) -> "RationalMatrix":
@@ -113,7 +143,7 @@ class RationalMatrix:
     @property
     def entries(self) -> Vector:
         """All entries, row major."""
-        return tuple(x for row in self._rows for x in row)
+        return tuple(chain.from_iterable(self._rows))
 
     def row(self, i: int) -> Vector:
         return self._rows[i]
@@ -140,14 +170,14 @@ class RationalMatrix:
     # -- arithmetic -----------------------------------------------------------
 
     def __neg__(self) -> "RationalMatrix":
-        return RationalMatrix(tuple(tuple(-x for x in row) for row in self._rows), cols=self._ncols)
+        return RationalMatrix._of(tuple(tuple(-x for x in row) for row in self._rows), self._ncols)
 
     def __add__(self, other: "RationalMatrix") -> "RationalMatrix":
         if self.rows != other.rows or self.cols != other.cols:
             raise DimensionMismatchError("matrix addition needs equal shapes")
-        return RationalMatrix(
+        return RationalMatrix._of(
             tuple(tuple(a + b for a, b in zip(r1, r2)) for r1, r2 in zip(self._rows, other._rows)),
-            cols=self._ncols,
+            self._ncols,
         )
 
     def __sub__(self, other: "RationalMatrix") -> "RationalMatrix":
@@ -158,20 +188,21 @@ class RationalMatrix:
             raise DimensionMismatchError(
                 f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}"
             )
-        orows = other._rows
+        # other = B / d_other and row r of self = a_r / d_r with B, a_r integral,
+        # so entry (r, j) of the product is (a_r . column j of B) / (d_r * d_other)
         width = other._ncols
+        flat, d_other = _over_common_denominator(chain.from_iterable(other._rows))
+        columns = [flat[j::width] for j in range(width)]
         out = []
-        for r in self._rows:
-            acc = [_ZERO] * width
-            for k, a in enumerate(r):
-                if a:
-                    orow = orows[k]
-                    for j in range(width):
-                        b = orow[j]
-                        if b:
-                            acc[j] += a * b
-            out.append(tuple(acc))
-        return RationalMatrix(tuple(out), cols=width)
+        for row in self._rows:
+            a, d_row = _over_common_denominator(row)
+            den = d_row * d_other
+            sums = [sum(map(mul, a, col)) for col in columns]
+            if den == 1:
+                out.append(tuple(Fraction(s) if s else _ZERO for s in sums))
+            else:
+                out.append(tuple(Fraction(s, den) if s else _ZERO for s in sums))
+        return RationalMatrix._of(tuple(out), width)
 
     def apply(self, vector: Iterable) -> Vector:
         """Matrix times column vector."""
@@ -181,9 +212,8 @@ class RationalMatrix:
         return (self @ RationalMatrix.from_columns([v], rows=self._ncols)).column(0)
 
     def transpose(self) -> "RationalMatrix":
-        return RationalMatrix(
-            tuple(tuple(r[j] for r in self._rows) for j in range(self._ncols)),
-            cols=len(self._rows),
+        return RationalMatrix._of(
+            tuple(tuple(r[j] for r in self._rows) for j in range(self._ncols)), len(self._rows)
         )
 
     def is_symmetric(self) -> bool:
@@ -194,15 +224,15 @@ class RationalMatrix:
     def hstack(self, other: "RationalMatrix") -> "RationalMatrix":
         if self.rows != other.rows:
             raise DimensionMismatchError("hstack needs equal row counts")
-        return RationalMatrix(
+        return RationalMatrix._of(
             tuple(r1 + r2 for r1, r2 in zip(self._rows, other._rows)),
-            cols=self._ncols + other._ncols,
+            self._ncols + other._ncols,
         )
 
     def vstack(self, other: "RationalMatrix") -> "RationalMatrix":
         if self.cols != other.cols:
             raise DimensionMismatchError("vstack needs equal column counts")
-        return RationalMatrix(self._rows + other._rows, cols=self._ncols)
+        return RationalMatrix._of(self._rows + other._rows, self._ncols)
 
     @staticmethod
     def block_diag(a: "RationalMatrix", b: "RationalMatrix") -> "RationalMatrix":
@@ -220,14 +250,7 @@ class RationalMatrix:
         ``p * row - f * pivot_row`` and divided by the gcd of its entries.
         Pivot rows are divided by their pivots once, at the end.
         """
-        m = []
-        for row in self._rows:
-            den = 1  # the lcm of the row's denominators
-            for x in row:
-                d = x.denominator
-                if d != 1:
-                    den = den * d // gcd(den, d)
-            m.append(_primitive([x.numerator * (den // x.denominator) for x in row]))
+        m = [_primitive(_over_common_denominator(row)[0]) for row in self._rows]
         nrows, ncols = len(m), self._ncols
         pivots: list[int] = []
         r = 0
@@ -252,7 +275,7 @@ class RationalMatrix:
             r += 1
         out = [tuple(Fraction(x, row[c]) if x else _ZERO for x in row) for row, c in zip(m, pivots)]
         out.extend(zero_vector(ncols) for _ in range(nrows - r))
-        return RationalMatrix(out, cols=ncols), tuple(pivots)
+        return RationalMatrix._of(tuple(out), ncols), tuple(pivots)
 
     def rank(self) -> int:
         return len(self.rref()[1])
@@ -273,7 +296,7 @@ class RationalMatrix:
         x = [zero_vector(rhs.cols)] * n
         for i, p in enumerate(pivots):
             x[p] = red.row(i)[n:]
-        return RationalMatrix(x, cols=rhs.cols)
+        return RationalMatrix._of(tuple(x), rhs.cols)
 
     def inverse(self) -> "RationalMatrix":
         if self.rows != self._ncols:
@@ -297,7 +320,7 @@ class Subspace:
     def __post_init__(self):
         red, pivots = self.basis.rref()
         rows = tuple(red.row(i) for i in range(len(pivots)))
-        object.__setattr__(self, "basis", RationalMatrix(rows, cols=red.cols))
+        object.__setattr__(self, "basis", RationalMatrix._of(rows, red.cols))
 
     @classmethod
     def zero(cls, ambient_dim: int) -> "Subspace":
@@ -343,10 +366,19 @@ class Subspace:
         return Subspace(self.basis.vstack(other.basis))
 
     def intersect(self, other: "Subspace") -> "Subspace":
-        """Largest subspace contained in both, via the stacked constraint kernel."""
+        """Largest subspace contained in both, by Zassenhaus's one elimination.
+
+        The rows of ``[[A, A], [B, 0]]`` span the pairs (a + b, a) for a in A
+        and b in B.  The rows of its RREF that start in the right half are the
+        pairs (0, a) with a = -b, so their right halves span A cap B.
+        """
         self._check_ambient(other)
-        stacked = self.constraint_matrix().vstack(other.constraint_matrix())
-        return kernel(stacked)
+        n = self.ambient_dim
+        a, b = self.basis._rows, other.basis._rows
+        blocks = tuple(r + r for r in a) + tuple(r + zero_vector(n) for r in b)
+        red, pivots = RationalMatrix._of(blocks, 2 * n).rref()
+        rows = tuple(red.row(i)[n:] for i, p in enumerate(pivots) if p >= n)
+        return Subspace(RationalMatrix._of(rows, n))
 
     def constraint_matrix(self) -> RationalMatrix:
         """A matrix C with {v : C v = 0} equal to this subspace."""
@@ -382,7 +414,7 @@ def _null_rows(red: RationalMatrix, pivots: tuple[int, ...]) -> list[Vector]:
 
 def kernel(f: RationalMatrix) -> Subspace:
     """{x : f @ x = 0} in canonical form; dimension cols - rank."""
-    return Subspace(RationalMatrix(_null_rows(*f.rref()), cols=f.cols))
+    return Subspace(RationalMatrix._of(tuple(_null_rows(*f.rref())), f.cols))
 
 
 def image(f: RationalMatrix) -> Subspace:
@@ -407,8 +439,8 @@ def cokernel(f: RationalMatrix) -> tuple[int, RationalMatrix]:
     image, corrected along the pivot rows; non-pivot coordinates are taken in
     increasing order, which pins the presentation of composite morphisms.
     """
-    rows = _null_rows(*f.transpose().rref())
-    return len(rows), RationalMatrix(rows, cols=f.rows)
+    rows = tuple(_null_rows(*f.transpose().rref()))
+    return len(rows), RationalMatrix._of(rows, f.rows)
 
 
 def map_subspace(f: RationalMatrix, sub: Subspace) -> Subspace:

@@ -12,7 +12,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Iterable, Sequence
 
 from .errors import DimensionMismatchError, NonSkewFormError
@@ -58,22 +58,42 @@ class SymplecticSpace:
             )
         return (RationalMatrix([vx], cols=self.dim) @ self.gram).apply(vy)[0]
 
-    def annihilator(self, sub: Subspace) -> Subspace:
-        """All vectors pairing to zero with every element of the subspace."""
+    def _check_ambient(self, sub: Subspace) -> None:
         if sub.ambient_dim != self.dim:
             raise DimensionMismatchError(
                 f"subspace of ambient {sub.ambient_dim} in a space of dimension {self.dim}"
             )
+
+    def annihilator(self, sub: Subspace) -> Subspace:
+        """All vectors pairing to zero with every element of the subspace."""
+        self._check_ambient(sub)
         pairing = sub.basis @ self.gram.transpose()
         return kernel(pairing)
 
-    def radical(self) -> Subspace:
-        """The degenerate directions: the annihilator of the whole space."""
+    @cached_property
+    def _radical(self) -> Subspace:
         return self.annihilator(Subspace.full(self.dim))
 
+    def radical(self) -> Subspace:
+        """The degenerate directions: the annihilator of the whole space."""
+        return self._radical
+
     def is_lagrangian(self, sub: Subspace) -> bool:
-        """True iff the subspace equals its own annihilator."""
-        return self.annihilator(sub) == sub
+        """True iff the subspace equals its own annihilator.
+
+        A rank test, with R the radical (cached per space): L = Ann(L) iff
+        2 dim L = dim V + dim R and L is isotropic, B G B^T = 0 for the basis
+        B.  Ann(L) has dimension dim V - dim L + dim(L cap R) and contains L
+        when L is isotropic, so the two sides agree once R lies in L.  That
+        needs no third test: an isotropic L maps to an isotropic subspace of
+        the nondegenerate V/R, so dim L - dim(L cap R) <= (dim V - dim R) / 2,
+        and at dim L = (dim V + dim R) / 2 this forces L cap R = R.  The
+        dimension count runs first because it is the cheaper of the two.
+        """
+        self._check_ambient(sub)
+        if 2 * sub.dim != self.dim + self._radical.dim:
+            return False
+        return not any((sub.basis @ self.gram @ sub.basis.transpose()).entries)
 
 
 def beta0(genera: Sequence[int]) -> int:

@@ -26,6 +26,12 @@ The linear-system oracles are the paths that evencob's single augmented
 leading-column reduction behind `Subspace.contains`, the `combine_rows` loop,
 and `decompose` written with them.
 
+The product, intersection and Lagrangian oracles are the paths that evencob's
+integer and single-elimination versions replaced: the ``Fraction`` triple loop
+that was ``RationalMatrix.__matmul__``, the intersection as the kernel of the
+two stacked constraint matrices, and the Lagrangian test as a comparison of a
+subspace with its computed annihilator.
+
 The remaining oracles are the formulations that evencob's products replaced:
 the symplectic generators as dense integer matrices multiplied out one draw at
 a time, the Maslov gram as a double loop of form evaluations, subspace images
@@ -42,8 +48,9 @@ from typing import Iterable
 
 from evencob.cobordism import CobordismMorphism
 from evencob.errors import DecompositionError, DimensionMismatchError, NotSymmetricError
-from evencob.linalg import RationalMatrix, Subspace, Vector, as_vector, canonical_basis
+from evencob.linalg import RationalMatrix, Subspace, Vector, as_vector, canonical_basis, kernel
 from evencob.maslov import LagrangianTriple
+from evencob.symplectic import SymplecticSpace
 
 _ZERO = Fraction(0)
 
@@ -361,3 +368,35 @@ def reference_lagrangian_span(m: CobordismMorphism) -> int:
     src = reference_map_subspace(m.j_src_h1, m.source.lagrangian)
     tgt = reference_map_subspace(m.j_tgt_h1, m.target.lagrangian)
     return (src + tgt).dim
+
+
+def reference_matmul(a: RationalMatrix, b: RationalMatrix) -> RationalMatrix:
+    """The product entry by entry in Fraction arithmetic, skipping zero factors."""
+    if a.cols != b.rows:
+        raise DimensionMismatchError(f"cannot multiply {a.rows}x{a.cols} by {b.rows}x{b.cols}")
+    orows = [b.row(k) for k in range(b.rows)]
+    width = b.cols
+    out = []
+    for r in (a.row(i) for i in range(a.rows)):
+        acc = [_ZERO] * width
+        for k, x in enumerate(r):
+            if x:
+                orow = orows[k]
+                for j in range(width):
+                    y = orow[j]
+                    if y:
+                        acc[j] += x * y
+        out.append(tuple(acc))
+    return RationalMatrix(tuple(out), cols=width)
+
+
+def reference_intersect(a: Subspace, b: Subspace) -> Subspace:
+    """Largest subspace contained in both, via the stacked constraint kernel."""
+    a._check_ambient(b)
+    stacked = a.constraint_matrix().vstack(b.constraint_matrix())
+    return kernel(stacked)
+
+
+def reference_is_lagrangian(space: SymplecticSpace, sub: Subspace) -> bool:
+    """True iff the subspace equals its own annihilator."""
+    return space.annihilator(sub) == sub

@@ -9,7 +9,7 @@ import pytest
 
 from evencob import campaigns, sampling
 from evencob.campaigns import CheckOutcome
-from evencob.cli import main
+from evencob.cli import build_parser, main
 from test_golden import CHECK_CE, CLOSURE_CE, FAULTS
 
 GENUS_ONE_SSF = """\
@@ -473,6 +473,26 @@ class TestExitCodes:
             "object E genera\nlagrangian 0\nmorphism m E E weight 0 h1 257 h0 0\n",
             "error: line 3: h1 dimension must be at most 256, found 257\n",
         ),
+        (
+            ["maslov", "--in"],
+            "form 2\n0 1\n-1 0\nsubspace L 1\n" + "9" * 5000 + " 0\n",
+            "error: line 5: an integer has 5000 digits, at most 1000 allowed\n",
+        ),
+        (
+            ["maslov", "--in"],
+            "form 2\n0 1\n-1 0\nsubspace L 1\n1/1" + "0" * 4300 + " 0\n",
+            "error: line 5: a denominator has 4301 digits, at most 1000 allowed\n",
+        ),
+        (
+            ["maslov", "--in"],
+            "form " + "9" * 5000 + "\n",
+            "error: line 1: form dimension has 5000 digits, at most 1000 allowed\n",
+        ),
+        (
+            ["even", "--in"],
+            HANDLEBODY_CAP_CBF.replace("weight 1 h1", "weight " + "9" * 5000 + " h1"),
+            "error: line 6: weight has 5000 digits, at most 1000 allowed\n",
+        ),
     ],
     ids=[
         "maslov-form",
@@ -486,6 +506,10 @@ class TestExitCodes:
         "gen-twist-length-limit",
         "compose-genus-limit",
         "even-h1-limit",
+        "maslov-long-entry",
+        "maslov-long-denominator",
+        "maslov-long-form",
+        "even-long-weight",
     ],
 )
 def test_malformed_numbers_are_input_errors(capsys, tmp_path, argv, text, message):
@@ -496,6 +520,29 @@ def test_malformed_numbers_are_input_errors(capsys, tmp_path, argv, text, messag
     code = main(argv)
     out, err = capsys.readouterr()
     assert (code, out, err) == (2, "", message)
+
+
+def test_one_process_runs_match_fresh_processes(capsys):
+    # main shares one parser across calls; each run must print what a fresh process prints
+    root = Path(__file__).resolve().parent.parent
+    path = os.pathsep.join([str(root / "src"), os.environ.get("PYTHONPATH", "")])
+    runs = [
+        (["check", "--theorem", "parity", "--trials", "-3"], 2),
+        (["check", "--theorem", "parity", "--trials", "3"], 0),
+        (["gen", "--spec", "handlebody genus=1"], 0),
+    ]
+    for argv, code in runs:
+        assert main(argv) == code
+        out = capsys.readouterr().out
+        fresh = subprocess.run(
+            [sys.executable, "-m", "evencob", *argv],
+            capture_output=True,
+            text=True,
+            env=dict(os.environ, PYTHONPATH=path),
+            timeout=120,
+        )
+        assert (fresh.returncode, fresh.stdout) == (code, out)
+    assert build_parser() is build_parser()
 
 
 UNREADABLE_INPUTS = {

@@ -9,6 +9,7 @@ from evencob.errors import (
     UnknownNameError,
 )
 from evencob.formats import (
+    MAX_NUMBER_DIGITS,
     Pipeline,
     parse_pipeline,
     parse_rational,
@@ -363,3 +364,49 @@ def test_generator_text_limits_name_the_line():
     with pytest.raises(GeneratorSpecError) as exc:
         parse_pipeline(text)
     assert str(exc.value) == "line 13: twist_length must be at most 1000, got 1001"
+
+
+LONG_NUMBER_SSF = "form 2\n0 1\n-1 0\nsubspace L 1\n{} 0\n"
+
+
+@pytest.mark.parametrize(
+    "text, parse, message",
+    [
+        (LONG_NUMBER_SSF.format("9" * 5000), parse_scenario, "line 5: an integer has 5000 digits"),
+        (
+            LONG_NUMBER_SSF.format("1/1" + "0" * 4300),
+            parse_scenario,
+            "line 5: a denominator has 4301 digits",
+        ),
+        ("form " + "9" * 5000 + "\n", parse_scenario, "line 1: form dimension has 5000 digits"),
+        (
+            HANDLEBODY_CAP_CBF.replace("weight 1 h1", "weight " + "9" * 5000 + " h1"),
+            parse_pipeline,
+            "line 6: weight has 5000 digits",
+        ),
+        (LONG_NUMBER_SSF.format("9" * 1001), parse_scenario, "line 5: an integer has 1001 digits"),
+        (
+            LONG_NUMBER_SSF.format("-1" + "0" * 1000 + "/3"),
+            parse_scenario,
+            "line 5: a numerator has 1001 digits",
+        ),
+    ],
+    ids=["entry", "denominator", "form", "weight", "entry-1001", "numerator-1001"],
+)
+def test_numbers_past_the_digit_limit_rejected(text, parse, message):
+    with pytest.raises(FileSyntaxError) as exc:
+        parse(text)
+    assert str(exc.value) == f"{message}, at most {MAX_NUMBER_DIGITS} allowed"
+
+
+def test_numbers_at_the_digit_limit_accepted():
+    from fractions import Fraction
+
+    limit = "9" * MAX_NUMBER_DIGITS
+    other = limit[:-1] + "8"
+    assert parse_rational(f"-{limit}/{other}") == Fraction(-int(limit), int(other))
+    assert parse_scenario("form " + "0" * (MAX_NUMBER_DIGITS - 1) + "2\n0 1\n-1 0\n").space.dim == 2
+    scenario = parse_scenario(LONG_NUMBER_SSF.format(f"{limit}/7"))
+    assert scenario.named_subspaces["L"].dim == 1
+    text = HANDLEBODY_CAP_CBF.replace("weight 1 h1", f"weight -{limit} h1")
+    assert parse_pipeline(text).entries[0].morphism.weight == -int(limit)

@@ -19,8 +19,10 @@ from evencob.linalg import (
 from oracles import (
     reference_combine_rows,
     reference_contains,
+    reference_intersect,
     reference_inverse,
     reference_map_subspace,
+    reference_matmul,
     reference_rref,
     reference_rref_violation,
     reference_solve,
@@ -400,3 +402,127 @@ class TestLinearSystemOracles:
         for big, small in ((a, b), (b, a), (a + b, b), (a, a.intersect(b))):
             expected = all(reference_contains(big, r) for r in small.basis_rows())
             assert big.contains_subspace(small) == expected
+
+
+@st.composite
+def entry_matrices(draw, rows, cols):
+    """A rows x cols matrix of int and Fraction entries with mixed denominators."""
+    entries = st.one_of(st.integers(-5, 5), rref_entries)
+    return RationalMatrix([[draw(entries) for _ in range(cols)] for _ in range(rows)], cols=cols)
+
+
+@st.composite
+def products(draw):
+    rows, inner, cols = (draw(st.integers(0, 5)) for _ in range(3))
+    return draw(entry_matrices(rows, inner)), draw(entry_matrices(inner, cols))
+
+
+class TestProductOracle:
+    @staticmethod
+    def check(a, b):
+        product = a @ b
+        assert product == reference_matmul(a, b)
+        assert all(type(x) is Fraction for x in product.entries)
+
+    @given(products())
+    def test_matches_reference(self, pair):
+        self.check(*pair)
+
+    @pytest.mark.parametrize("shape", [(0, 3, 2), (2, 0, 3), (2, 3, 0), (0, 0, 0), (3, 0, 0)])
+    def test_empty_shapes(self, shape):
+        rows, inner, cols = shape
+        a = RationalMatrix(
+            [[Fraction(i + 1, j + 2) for j in range(inner)] for i in range(rows)], cols=inner
+        )
+        b = RationalMatrix([[j - i for j in range(cols)] for i in range(inner)], cols=cols)
+        self.check(a, b)
+        assert (a @ b) == RationalMatrix.zeros(rows, cols)
+
+    def test_mixed_denominators(self):
+        a = RationalMatrix([[Fraction(1, 2), Fraction(1, 3)], [0, 0], [2**70, Fraction(-5, 7)]])
+        b = RationalMatrix([[Fraction(2, 3), 0, 4], [Fraction(3, 5), Fraction(-1, 6), 0]])
+        self.check(a, b)
+        assert (a @ b).row(0) == (Fraction(8, 15), Fraction(-1, 18), Fraction(2))
+
+    def test_shape_mismatch(self):
+        with pytest.raises(DimensionMismatchError, match="cannot multiply 1x2 by 1x2"):
+            RationalMatrix([[1, 2]]) @ RationalMatrix([[1, 2]])
+
+
+@st.composite
+def entry_subspace_pairs(draw, max_dim=5):
+    n = draw(st.integers(0, max_dim))
+    a, b = (draw(entry_matrices(draw(st.integers(0, n + 1)), n)) for _ in range(2))
+    return Subspace(a), Subspace(b)
+
+
+class TestIntersectOracle:
+    @given(st.one_of(subspace_pairs(), entry_subspace_pairs()))
+    def test_random_pairs_match_reference(self, pair):
+        a, b = pair
+        assert a.intersect(b) == reference_intersect(a, b)
+        assert b.intersect(a) == reference_intersect(a, b)
+
+    @given(st.one_of(subspace_pairs(), entry_subspace_pairs()))
+    def test_nested_pairs_match_reference(self, pair):
+        a, b = pair
+        n = a.ambient_dim
+        bigger = a + b
+        for inner, outer in ((a, bigger), (Subspace.zero(n), a), (a, Subspace.full(n))):
+            assert inner.intersect(outer) == reference_intersect(inner, outer) == inner
+            assert outer.intersect(inner) == inner
+
+    def test_ambient_mismatch(self):
+        with pytest.raises(DimensionMismatchError, match="ambient dimensions differ: 2 vs 3"):
+            Subspace.full(2).intersect(Subspace.full(3))
+
+
+def _rebuilt(m):
+    """The same rows through the public, coercing constructor."""
+    return RationalMatrix([m.row(i) for i in range(m.rows)], cols=m.cols)
+
+
+class TestTrustedConstructor:
+    """Rows the library builds itself skip coercion; they must already be canonical."""
+
+    @staticmethod
+    def check(m):
+        assert m == _rebuilt(m)
+        assert all(type(m.row(i)) is tuple and len(m.row(i)) == m.cols for i in range(m.rows))
+        assert all(type(x) is Fraction for x in m.entries)
+
+    @given(
+        st.tuples(st.integers(0, 4), st.integers(0, 4)).flatmap(
+            lambda shape: st.tuples(entry_matrices(*shape), entry_matrices(*shape))
+        )
+    )
+    def test_library_built_matrices(self, pair):
+        a, b = pair
+        built = [
+            a.transpose(),
+            a.hstack(b),
+            a.vstack(b),
+            a @ b.transpose(),
+            a + b,
+            a - b,
+            -a,
+            a.rref()[0],
+            kernel(a).basis,
+            cokernel(a)[1],
+            RationalMatrix.identity(a.cols),
+            RationalMatrix.zeros(a.rows, a.cols),
+        ]
+        solution = a.solve(b)
+        if solution is not None:
+            built.append(solution)
+        for m in built:
+            self.check(m)
+
+    def test_public_constructor_still_checks(self):
+        with pytest.raises(TypeError, match="refusing float"):
+            RationalMatrix([[1, Fraction(1, 2)], [0.5, 1]])
+        with pytest.raises(ValueError, match="matrix rows have unequal lengths"):
+            RationalMatrix([[1, 2], [3]])
+        with pytest.raises(ValueError, match="declared 3 columns but rows have 2"):
+            RationalMatrix([[1, 2]], cols=3)
+        assert RationalMatrix([[1, Fraction(1, 2)]]) == RationalMatrix([["1", "1/2"]])

@@ -2,12 +2,12 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from evencob.errors import DimensionMismatchError, NonSkewFormError
-from evencob.linalg import RationalMatrix, Subspace, canonical_basis
-from evencob.sampling import random_subspace_pair
+from evencob.linalg import RationalMatrix, Subspace, canonical_basis, map_subspace
+from evencob.sampling import _random_space, random_subspace_pair
 from evencob.symplectic import (
     DEFAULT_WALK_LENGTH,
     SymplecticSpace,
@@ -19,7 +19,11 @@ from evencob.symplectic import (
     standard_surface_space,
     symplectic_generators,
 )
-from oracles import reference_random_symplectic, reference_symplectic_generators
+from oracles import (
+    reference_is_lagrangian,
+    reference_random_symplectic,
+    reference_symplectic_generators,
+)
 
 GENUS_ONE = standard_surface_space((1,))
 SPAN_E = canonical_basis([(1, 0)], 2)
@@ -66,6 +70,92 @@ class TestLagrangianPredicate:
         space = standard_surface_space((2,))
         lag = canonical_basis([(1, 0, 0, 0), (0, 0, 1, 0)], 4)
         assert space.is_lagrangian(lag)
+
+
+    def test_dimension_mismatch(self):
+        with pytest.raises(
+            DimensionMismatchError, match="subspace of ambient 3 in a space of dimension 2"
+        ):
+            GENUS_ONE.is_lagrangian(Subspace.full(3))
+
+    def test_radical_is_cached(self):
+        degenerate = RationalMatrix.block_diag(GENUS_ONE.gram, RationalMatrix.zeros(1, 1))
+        space = SymplecticSpace(degenerate)
+        assert space.radical() is space.radical()
+        assert space.radical() == space.annihilator(Subspace.full(3))
+        with pytest.raises(DimensionMismatchError, match="subspace of ambient 2"):
+            space.annihilator(Subspace.full(2))
+
+
+def _draw_family(family: str, seed: int):
+    """A space from `_random_space`, a subspace of the named family and the
+    answer where the family decides it; None when the space has no such subspace.
+
+    The subspace is built in the padded coordinates, where the form is the
+    standard one on the first 2g coordinates and zero on the last pad ones, and
+    then carried into the drawn space.
+    """
+    rng = random.Random(seed)
+    genus, pad, space, inverse_change = _random_space(rng, 3, pad_choices=(0, 1, 1, 2))
+    n = space.dim
+
+    def unit(c):
+        return tuple(int(i == c) for i in range(n))
+
+    def small_vector():
+        return tuple(Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(n))
+
+    lagrangian = [r + (0,) * pad for r in random_lagrangian(genus, rng).basis_rows()]
+    radical = [unit(2 * genus + k) for k in range(pad)]
+    rows, expected = lagrangian + radical, None
+    if family == "lagrangian":
+        expected = True
+    elif family == "isotropic-short":
+        del rows[rng.randrange(len(rows))]
+        expected = False
+    elif family == "radical-swapped":
+        if pad == 0:
+            return None
+        v = small_vector()
+        rows[len(lagrangian) + rng.randrange(pad)] = v if any(v[: 2 * genus]) else unit(0)
+    elif family == "non-isotropic":
+        if len(rows) < 2:
+            return None
+        # x = J s_j pairs with row j to |s_j|^2 > 0, so x lies outside the
+        # isotropic span of the other rows and the dimension stays
+        j = rng.randrange(len(lagrangian))
+        i = rng.choice([i for i in range(len(rows)) if i != j])
+        surface = standard_surface_space((genus,)).gram.apply(rows[j][: 2 * genus])
+        rows[i] = surface + (0,) * pad
+        expected = False
+    else:
+        rows = [small_vector() for _ in range(rng.randint(0, n + 1))]
+    sub = canonical_basis(rows, n)
+    return space, sub if inverse_change is None else map_subspace(inverse_change, sub), expected
+
+
+LAGRANGIAN_FAMILIES = ("lagrangian", "isotropic-short", "radical-swapped", "non-isotropic", "random")
+
+
+class TestLagrangianOracle:
+    """The rank test agrees with comparing a subspace with its annihilator."""
+
+    @given(st.sampled_from(LAGRANGIAN_FAMILIES), st.integers(0, 2**32))
+    def test_matches_reference_on_degenerate_spaces(self, family, seed):
+        drawn = _draw_family(family, seed)
+        assume(drawn is not None)
+        space, sub, expected = drawn
+        answer = space.is_lagrangian(sub)
+        assert answer == reference_is_lagrangian(space, sub)
+        assert expected is None or answer == expected
+        if answer:
+            assert sub.contains_subspace(space.radical())
+
+    @pytest.mark.parametrize("family", LAGRANGIAN_FAMILIES)
+    def test_every_family_is_drawn(self, family):
+        drawn = [d for d in (_draw_family(family, seed) for seed in range(40)) if d]
+        assert len(drawn) >= 10
+        assert any(space.radical().dim for space, _, _ in drawn)
 
 
 class TestStandardSpace:
