@@ -4,27 +4,29 @@ Everything downstream (skew forms, Maslov indices, homological gluing) reduces
 to the operations here: reduced-row-echelon canonicalization and the subspace
 lattice with exact kernel / image / preimage / cokernel computations.
 
-Matrices are immutable and store :class:`fractions.Fraction` entries.
-``rref`` is the only elimination and ``@`` the only product: each linear
-system or containment test is one ``rref`` of an augmented matrix.
-Both run on integers.  Elimination scales each row to primitive integers,
-reduces with integer row operations and produces the canonical ``Fraction``
-RREF only at the end.  A product puts each row of the left factor over its
-lcm denominator and the whole right factor over one, accumulates integer
-products and makes one ``Fraction`` per output entry.
+Matrices are immutable.  Each row is stored as a tuple of integers over one
+positive denominator, in lowest terms: the gcd of the row's integers and its
+denominator is 1, and a zero row has denominator 1.  That form is unique, so
+structural equality and hashing are exact.  ``rref`` is the only elimination
+and ``@`` the only product: each linear system or containment test is one
+``rref`` of an augmented matrix.  Both, and every other operation here, run
+on the stored integers.  Elimination makes each row primitive, reduces with
+integer row operations and writes each pivot row as the primitive row over
+its (positive) pivot.  A product puts the right factor over one denominator
+and divides each output row by one gcd.
 
-The public constructor coerces every entry and rejects floats and ragged
-rows; it is the door for matrices from outside.  Rows this module builds
-itself (identities, sums, products, transposes, stacks, RREFs, solutions,
-kernel and cokernel rows) are already ``Fraction`` tuples of one width and go
+``Fraction`` values appear only at the boundary: ``row``, ``column``,
+``entries``, ``[i, j]`` and ``repr`` build them, and the public constructor
+takes ints, ``Fraction``s or strings, rejects floats and ragged rows, and puts
+each row over the lcm of its denominators.  Rows this module builds itself go
 through the private ``RationalMatrix._of`` unchecked.
 
 A Subspace canonicalizes the matrix it is given to its unique RREF row basis,
 so subspace equality is plain structural equality and regression values can
 be frozen verbatim; ``canonical_basis`` is the entry point for vectors from
 outside.  Two subspaces intersect by one elimination (Zassenhaus): the RREF
-of ``[[A, A], [B, 0]]`` holds a basis of the intersection in the right halves
-of its rows that start in the right half.
+of ``[[A, A], [B, 0]]`` holds the RREF basis of the intersection in the right
+halves of its rows that start in the right half.
 """
 
 from __future__ import annotations
@@ -39,9 +41,7 @@ from typing import Iterable, Sequence
 from .errors import DimensionMismatchError
 
 Vector = tuple[Fraction, ...]
-
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
+IntRow = tuple[int, ...]
 
 
 def as_fraction(value: int | str | Fraction) -> Fraction:
@@ -57,35 +57,61 @@ def as_vector(entries: Iterable) -> Vector:
     return tuple(map(as_fraction, entries))
 
 
-def _over_common_denominator(row: Iterable[Fraction]) -> tuple[list[int], int]:
-    """Integers a and the lcm d of the denominators with row = a / d."""
-    ratios = [x.as_integer_ratio() for x in row]
+def _ratio(value) -> tuple[int, int]:
+    if type(value) is int or type(value) is Fraction:
+        return value.as_integer_ratio()
+    return as_fraction(value).as_integer_ratio()
+
+
+def _over_common_denominator(row: Iterable) -> tuple[IntRow, int]:
+    """Integers a and the lcm d of the entry denominators with row = a / d.
+
+    The result is in lowest terms: a prime power dividing d exactly divides
+    the denominator of some entry, whose scaled numerator it does not divide.
+    """
+    ratios = [_ratio(x) for x in row]
     den = lcm(*[d for _, d in ratios])
     if den == 1:
-        return [n for n, _ in ratios], 1
-    return [n * (den // d) for n, d in ratios], den
+        return tuple([n for n, _ in ratios]), 1
+    return tuple([n * (den // d) for n, d in ratios]), den
 
 
-def _primitive(row: list[int]) -> list[int]:
+def _reduced(nums: Iterable[int], den: int) -> tuple[IntRow, int]:
+    """The row nums / den (den > 0) in lowest terms."""
+    nums = tuple(nums)
+    if den != 1:
+        g = gcd(den, *nums)
+        if g != 1:
+            return tuple([x // g for x in nums]), den // g
+    return nums, den
+
+
+def _scaled(row: IntRow, factor: int) -> IntRow:
+    return row if factor == 1 else tuple([x * factor for x in row])
+
+
+def _primitive(row: IntRow) -> list[int]:
     """An integer row divided by the gcd of its entries (a zero row unchanged)."""
     g = gcd(*row)
-    return [x // g for x in row] if g > 1 else row
+    return [x // g for x in row] if g > 1 else list(row)
 
 
-def zero_vector(n: int) -> Vector:
-    return (_ZERO,) * n
+def _fractions(row: IntRow, den: int) -> Vector:
+    if den == 1:
+        return tuple(map(Fraction, row))
+    return tuple([Fraction(x, den) for x in row])
 
 
 class RationalMatrix:
-    """Immutable dense matrix of rationals."""
+    """Immutable dense matrix of rationals, one integer row over one denominator each."""
 
-    __slots__ = ("_rows", "_ncols")
+    __slots__ = ("_rows", "_dens", "_ncols")
 
     def __init__(self, rows: Iterable[Iterable], *, cols: int | None = None):
-        data = tuple(as_vector(r) for r in rows)
+        data = [_over_common_denominator(r) for r in rows]
         if data:
-            width = len(data[0])
-            for r in data[1:]:
+            width = len(data[0][0])
+            for r, _ in data[1:]:
                 if len(r) != width:
                     raise ValueError("matrix rows have unequal lengths")
             if cols is not None and cols != width:
@@ -94,28 +120,34 @@ class RationalMatrix:
             if cols is None:
                 raise ValueError("a matrix with no rows needs an explicit column count")
             width = cols
-        self._rows = data
+        self._rows = tuple(r for r, _ in data)
+        self._dens = tuple(d for _, d in data)
         self._ncols = width
 
     @classmethod
-    def _of(cls, rows: tuple[Vector, ...], cols: int) -> "RationalMatrix":
-        """A matrix on rows this module built: Fraction tuples, each `cols` long."""
+    def _of(cls, rows: tuple[IntRow, ...], dens: tuple[int, ...], cols: int) -> "RationalMatrix":
+        """A matrix on rows this module built: each `cols` long and in lowest terms."""
         m = object.__new__(cls)
         m._rows = rows
+        m._dens = dens
         m._ncols = cols
         return m
+
+    @classmethod
+    def _of_pairs(cls, pairs: Sequence[tuple[IntRow, int]], cols: int) -> "RationalMatrix":
+        """A matrix on (integer row, denominator) pairs this module built in lowest terms."""
+        return cls._of(tuple(r for r, _ in pairs), tuple(d for _, d in pairs), cols)
 
     # -- construction helpers -------------------------------------------------
 
     @classmethod
     def identity(cls, n: int) -> "RationalMatrix":
-        return cls._of(
-            tuple(tuple(_ONE if i == j else _ZERO for j in range(n)) for i in range(n)), n
-        )
+        rows = tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
+        return cls._of(rows, (1,) * n, n)
 
     @classmethod
     def zeros(cls, nrows: int, ncols: int) -> "RationalMatrix":
-        return cls._of((zero_vector(ncols),) * nrows, ncols)
+        return cls._of(((0,) * ncols,) * nrows, (1,) * nrows, ncols)
 
     @classmethod
     def from_columns(cls, columns: Sequence[Iterable], *, rows: int | None = None) -> "RationalMatrix":
@@ -143,42 +175,49 @@ class RationalMatrix:
     @property
     def entries(self) -> Vector:
         """All entries, row major."""
-        return tuple(chain.from_iterable(self._rows))
+        return tuple(chain.from_iterable(map(_fractions, self._rows, self._dens)))
 
     def row(self, i: int) -> Vector:
-        return self._rows[i]
+        return _fractions(self._rows[i], self._dens[i])
 
     def column(self, j: int) -> Vector:
-        return tuple(r[j] for r in self._rows)
+        return tuple(Fraction(r[j], d) for r, d in zip(self._rows, self._dens))
 
     def __getitem__(self, key: tuple[int, int]) -> Fraction:
         i, j = key
-        return self._rows[i][j]
+        return Fraction(self._rows[i][j], self._dens[i])
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, RationalMatrix):
             return NotImplemented
-        return self._ncols == other._ncols and self._rows == other._rows
+        return (
+            self._ncols == other._ncols
+            and self._rows == other._rows
+            and self._dens == other._dens
+        )
 
     def __hash__(self) -> int:
-        return hash((self._rows, self._ncols))
+        return hash((self._rows, self._dens, self._ncols))
 
     def __repr__(self) -> str:
-        body = "; ".join(" ".join(str(x) for x in row) for row in self._rows)
+        body = "; ".join(" ".join(map(str, self.row(i))) for i in range(self.rows))
         return f"RationalMatrix({self.rows}x{self.cols}: {body})"
 
     # -- arithmetic -----------------------------------------------------------
 
     def __neg__(self) -> "RationalMatrix":
-        return RationalMatrix._of(tuple(tuple(-x for x in row) for row in self._rows), self._ncols)
+        rows = tuple(tuple([-x for x in r]) for r in self._rows)
+        return RationalMatrix._of(rows, self._dens, self._ncols)
 
     def __add__(self, other: "RationalMatrix") -> "RationalMatrix":
         if self.rows != other.rows or self.cols != other.cols:
             raise DimensionMismatchError("matrix addition needs equal shapes")
-        return RationalMatrix._of(
-            tuple(tuple(a + b for a, b in zip(r1, r2)) for r1, r2 in zip(self._rows, other._rows)),
-            self._ncols,
-        )
+        pairs = []
+        for r1, d1, r2, d2 in zip(self._rows, self._dens, other._rows, other._dens):
+            den = lcm(d1, d2)
+            s1, s2 = _scaled(r1, den // d1), _scaled(r2, den // d2)
+            pairs.append(_reduced([a + b for a, b in zip(s1, s2)], den))
+        return RationalMatrix._of_pairs(pairs, self._ncols)
 
     def __sub__(self, other: "RationalMatrix") -> "RationalMatrix":
         return self + (-other)
@@ -188,21 +227,17 @@ class RationalMatrix:
             raise DimensionMismatchError(
                 f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}"
             )
-        # other = B / d_other and row r of self = a_r / d_r with B, a_r integral,
-        # so entry (r, j) of the product is (a_r . column j of B) / (d_r * d_other)
+        # other = B / e with B integral and row r of self = a_r / d_r, so row r
+        # of the product is (a_r B) / (d_r e), one gcd from lowest terms
         width = other._ncols
-        flat, d_other = _over_common_denominator(chain.from_iterable(other._rows))
-        columns = [flat[j::width] for j in range(width)]
-        out = []
-        for row in self._rows:
-            a, d_row = _over_common_denominator(row)
-            den = d_row * d_other
-            sums = [sum(map(mul, a, col)) for col in columns]
-            if den == 1:
-                out.append(tuple(Fraction(s) if s else _ZERO for s in sums))
-            else:
-                out.append(tuple(Fraction(s, den) if s else _ZERO for s in sums))
-        return RationalMatrix._of(tuple(out), width)
+        e = lcm(*other._dens)
+        scaled = [_scaled(r, e // d) for r, d in zip(other._rows, other._dens)]
+        columns = list(zip(*scaled)) or [()] * width
+        pairs = [
+            _reduced([sum(map(mul, a, col)) for col in columns], d * e)
+            for a, d in zip(self._rows, self._dens)
+        ]
+        return RationalMatrix._of_pairs(pairs, width)
 
     def apply(self, vector: Iterable) -> Vector:
         """Matrix times column vector."""
@@ -212,9 +247,10 @@ class RationalMatrix:
         return (self @ RationalMatrix.from_columns([v], rows=self._ncols)).column(0)
 
     def transpose(self) -> "RationalMatrix":
-        return RationalMatrix._of(
-            tuple(tuple(r[j] for r in self._rows) for j in range(self._ncols)), len(self._rows)
-        )
+        den = lcm(*self._dens)
+        scaled = [_scaled(r, den // d) for r, d in zip(self._rows, self._dens)]
+        columns = list(zip(*scaled)) or [()] * self._ncols
+        return RationalMatrix._of_pairs([_reduced(c, den) for c in columns], len(self._rows))
 
     def is_symmetric(self) -> bool:
         return self.rows == self.cols and self == self.transpose()
@@ -222,17 +258,20 @@ class RationalMatrix:
     # -- stacking -------------------------------------------------------------
 
     def hstack(self, other: "RationalMatrix") -> "RationalMatrix":
+        # over lcm(d1, d2) the joined row stays in lowest terms: at each prime
+        # the half with the larger power keeps an entry the prime does not divide
         if self.rows != other.rows:
             raise DimensionMismatchError("hstack needs equal row counts")
-        return RationalMatrix._of(
-            tuple(r1 + r2 for r1, r2 in zip(self._rows, other._rows)),
-            self._ncols + other._ncols,
-        )
+        pairs = []
+        for r1, d1, r2, d2 in zip(self._rows, self._dens, other._rows, other._dens):
+            den = lcm(d1, d2)
+            pairs.append((_scaled(r1, den // d1) + _scaled(r2, den // d2), den))
+        return RationalMatrix._of_pairs(pairs, self._ncols + other._ncols)
 
     def vstack(self, other: "RationalMatrix") -> "RationalMatrix":
         if self.cols != other.cols:
             raise DimensionMismatchError("vstack needs equal column counts")
-        return RationalMatrix._of(self._rows + other._rows, self._ncols)
+        return RationalMatrix._of(self._rows + other._rows, self._dens + other._dens, self._ncols)
 
     @staticmethod
     def block_diag(a: "RationalMatrix", b: "RationalMatrix") -> "RationalMatrix":
@@ -245,12 +284,14 @@ class RationalMatrix:
     def rref(self) -> tuple["RationalMatrix", tuple[int, ...]]:
         """Reduced row-echelon form and the tuple of pivot columns.
 
-        Fraction-free Gauss-Jordan: each row is scaled to primitive integers
-        (scaling a row leaves the RREF unchanged), eliminated with
-        ``p * row - f * pivot_row`` and divided by the gcd of its entries.
-        Pivot rows are divided by their pivots once, at the end.
+        Fraction-free Gauss-Jordan on the stored integers: each row is made
+        primitive (scaling a row leaves the RREF unchanged), eliminated with
+        ``p * row - f * pivot_row`` (p and f divided by their gcd first) and
+        divided by the gcd of its entries.
+        Each pivot row ends primitive, so over its pivot, with the sign made
+        positive, it is already in lowest terms.
         """
-        m = [_primitive(_over_common_denominator(row)[0]) for row in self._rows]
+        m = [_primitive(row) for row in self._rows]
         nrows, ncols = len(m), self._ncols
         pivots: list[int] = []
         r = 0
@@ -270,12 +311,17 @@ class RationalMatrix:
             for i in range(nrows):
                 f = m[i][c]
                 if i != r and f:
-                    m[i] = _primitive([p * a - f * b for a, b in zip(m[i], prow)])
+                    g = gcd(p, f)
+                    s, t = p // g, f // g
+                    m[i] = _primitive([s * a - t * b for a, b in zip(m[i], prow)])
             pivots.append(c)
             r += 1
-        out = [tuple(Fraction(x, row[c]) if x else _ZERO for x in row) for row, c in zip(m, pivots)]
-        out.extend(zero_vector(ncols) for _ in range(nrows - r))
-        return RationalMatrix._of(tuple(out), ncols), tuple(pivots)
+        pairs = [
+            (tuple(row), row[c]) if row[c] > 0 else (tuple([-x for x in row]), -row[c])
+            for row, c in zip(m, pivots)
+        ]
+        pairs += [((0,) * ncols, 1)] * (nrows - r)
+        return RationalMatrix._of_pairs(pairs, ncols), tuple(pivots)
 
     def rank(self) -> int:
         return len(self.rref()[1])
@@ -293,10 +339,10 @@ class RationalMatrix:
         red, pivots = self.hstack(rhs).rref()
         if pivots and pivots[-1] >= n:
             return None
-        x = [zero_vector(rhs.cols)] * n
+        pairs = [((0,) * rhs.cols, 1)] * n
         for i, p in enumerate(pivots):
-            x[p] = red.row(i)[n:]
-        return RationalMatrix._of(tuple(x), rhs.cols)
+            pairs[p] = _reduced(red._rows[i][n:], red._dens[i])
+        return RationalMatrix._of_pairs(pairs, rhs.cols)
 
     def inverse(self) -> "RationalMatrix":
         if self.rows != self._ncols:
@@ -319,8 +365,15 @@ class Subspace:
 
     def __post_init__(self):
         red, pivots = self.basis.rref()
-        rows = tuple(red.row(i) for i in range(len(pivots)))
-        object.__setattr__(self, "basis", RationalMatrix._of(rows, red.cols))
+        r = len(pivots)
+        object.__setattr__(self, "basis", RationalMatrix._of(red._rows[:r], red._dens[:r], red.cols))
+
+    @classmethod
+    def _canonical(cls, basis: RationalMatrix) -> "Subspace":
+        """A Subspace on a basis that is already the nonzero rows of an RREF."""
+        sub = object.__new__(cls)
+        object.__setattr__(sub, "basis", basis)
+        return sub
 
     @classmethod
     def zero(cls, ambient_dim: int) -> "Subspace":
@@ -370,15 +423,19 @@ class Subspace:
 
         The rows of ``[[A, A], [B, 0]]`` span the pairs (a + b, a) for a in A
         and b in B.  The rows of its RREF that start in the right half are the
-        pairs (0, a) with a = -b, so their right halves span A cap B.
+        pairs (0, a) with a = -b, so their right halves span A cap B.  Those
+        right halves have their leading ones in increasing columns, with zeros
+        above and below each, so they already are the canonical basis.
         """
         self._check_ambient(other)
         n = self.ambient_dim
-        a, b = self.basis._rows, other.basis._rows
-        blocks = tuple(r + r for r in a) + tuple(r + zero_vector(n) for r in b)
-        red, pivots = RationalMatrix._of(blocks, 2 * n).rref()
-        rows = tuple(red.row(i)[n:] for i, p in enumerate(pivots) if p >= n)
-        return Subspace(RationalMatrix._of(rows, n))
+        a, b = self.basis, other.basis
+        blocks = tuple(r + r for r in a._rows) + tuple(r + (0,) * n for r in b._rows)
+        red, pivots = RationalMatrix._of(blocks, a._dens + b._dens, 2 * n).rref()
+        last = len(pivots)
+        first = next((i for i, p in enumerate(pivots) if p >= n), last)
+        rows = tuple(r[n:] for r in red._rows[first:last])
+        return Subspace._canonical(RationalMatrix._of(rows, red._dens[first:last], n))
 
     def constraint_matrix(self) -> RationalMatrix:
         """A matrix C with {v : C v = 0} equal to this subspace."""
@@ -387,34 +444,38 @@ class Subspace:
 
 def canonical_basis(vectors: Sequence[Iterable], ambient_dim: int) -> Subspace:
     """The Subspace spanned by vectors given from outside, each of the ambient length."""
-    vs = [as_vector(v) for v in vectors]
-    for idx, v in enumerate(vs):
+    data = [_over_common_denominator(v) for v in vectors]
+    for idx, (v, _) in enumerate(data):
         if len(v) != ambient_dim:
             raise DimensionMismatchError(
                 f"vector {idx} has length {len(v)}, ambient dimension is {ambient_dim}"
             )
-    return Subspace(RationalMatrix(vs, cols=ambient_dim))
+    return Subspace(RationalMatrix._of_pairs(data, ambient_dim))
 
 
-def _null_rows(red: RationalMatrix, pivots: tuple[int, ...]) -> list[Vector]:
-    # e_c - sum_i red[i, c] e_pivot(i) for each non-pivot column c of an RREF
+def _null_rows(red: RationalMatrix, pivots: tuple[int, ...]) -> list[tuple[IntRow, int]]:
+    # e_c - sum_i red[i, c] e_pivot(i) for each non-pivot column c of an RREF,
+    # over the lcm of the pivot-row denominators it uses
     n = red.cols
+    pivot_rows = list(zip(pivots, red._rows, red._dens))
     pivot_set = set(pivots)
-    rows = []
+    pairs = []
     for c in range(n):
         if c in pivot_set:
             continue
-        v = [_ZERO] * n
-        v[c] = _ONE
-        for i, p in enumerate(pivots):
-            v[p] = -red[i, c]
-        rows.append(tuple(v))
-    return rows
+        den = lcm(*[d for _, r, d in pivot_rows if r[c]])
+        v = [0] * n
+        v[c] = den
+        for p, r, d in pivot_rows:
+            if r[c]:
+                v[p] = -r[c] * (den // d)
+        pairs.append(_reduced(v, den))
+    return pairs
 
 
 def kernel(f: RationalMatrix) -> Subspace:
     """{x : f @ x = 0} in canonical form; dimension cols - rank."""
-    return Subspace(RationalMatrix._of(tuple(_null_rows(*f.rref())), f.cols))
+    return Subspace(RationalMatrix._of_pairs(_null_rows(*f.rref()), f.cols))
 
 
 def image(f: RationalMatrix) -> Subspace:
@@ -439,8 +500,8 @@ def cokernel(f: RationalMatrix) -> tuple[int, RationalMatrix]:
     image, corrected along the pivot rows; non-pivot coordinates are taken in
     increasing order, which pins the presentation of composite morphisms.
     """
-    rows = tuple(_null_rows(*f.transpose().rref()))
-    return len(rows), RationalMatrix._of(rows, f.rows)
+    rows = _null_rows(*f.transpose().rref())
+    return len(rows), RationalMatrix._of_pairs(rows, f.rows)
 
 
 def map_subspace(f: RationalMatrix, sub: Subspace) -> Subspace:

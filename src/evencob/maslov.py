@@ -79,9 +79,9 @@ def _split(l1: Subspace, l2: Subspace, a: RationalMatrix) -> tuple[RationalMatri
     coeffs = l1.basis.vstack(l2.basis).transpose().solve(a.transpose())
     if coeffs is None:
         raise DecompositionError("vector is not in the sum of the two subspaces")
-    c = [coeffs.row(i) for i in range(coeffs.rows)]
-    a1 = RationalMatrix(c[: l1.dim], cols=a.rows).transpose() @ l1.basis
-    a2 = RationalMatrix(c[l1.dim :], cols=a.rows).transpose() @ l2.basis
+    c = coeffs.transpose()
+    a1 = c @ l1.basis.vstack(RationalMatrix.zeros(l2.dim, l2.ambient_dim))
+    a2 = c @ RationalMatrix.zeros(l1.dim, l1.ambient_dim).vstack(l2.basis)
     return a1, a2
 
 

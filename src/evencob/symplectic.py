@@ -40,6 +40,8 @@ class SymplecticSpace:
         g = self.gram
         if g.rows != g.cols:
             raise NonSkewFormError(f"gram matrix is {g.rows}x{g.cols}, not square")
+        if g == -g.transpose():
+            return
         for i in range(g.rows):
             for j in range(i, g.cols):
                 if g[i, j] != -g[j, i]:
@@ -93,7 +95,8 @@ class SymplecticSpace:
         self._check_ambient(sub)
         if 2 * sub.dim != self.dim + self._radical.dim:
             return False
-        return not any((sub.basis @ self.gram @ sub.basis.transpose()).entries)
+        pairing = sub.basis @ self.gram @ sub.basis.transpose()
+        return pairing == RationalMatrix.zeros(sub.dim, sub.dim)
 
 
 def beta0(genera: Sequence[int]) -> int:

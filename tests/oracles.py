@@ -1,17 +1,15 @@
 """Independent oracles used only by the test suite.
 
-The Descartes signature oracle shares no code with evencob's `signature` or
-with the congruence loop kept here as `reference_signature`: it computes the
-characteristic polynomial exactly (Faddeev-LeVerrier) and counts eigenvalue
-signs with Descartes' rule, which is exact for polynomials whose roots are all
-real, as is the case for symmetric matrices.
+`bench_oracle` is the benchmark's `bench/oracle.py`, which imports nothing
+from evencob.  Its `signature` (the characteristic polynomial of a Hessenberg
+form, with eigenvalue signs counted by Descartes' rule) and its
+`kashiwara_index` (that signature on Kashiwara's form on l1 (+) l2 (+) l3)
+take plain lists of `Fraction` rows; `matrix_rows` reads them off a matrix.
+Neither runs on evencob's matrix arithmetic, so a fault in that arithmetic
+cannot pass on both sides of a comparison.
 
 The signature reference is the symmetric congruence diagonalization that
 evencob's Schur-complement loop over 1x1 and 2x2 pivot blocks replaced.
-
-The Kashiwara oracle computes the Maslov index of a triple without the Maslov
-form: it is the Descartes signature of Kashiwara's form on l1 (+) l2 (+) l3,
-read off the basis rows and the space's form alone.
 
 The RREF oracle is the Fraction Gauss-Jordan loop that evencob's integer
 elimination replaced; the RREF of a matrix is unique, so the two must agree
@@ -41,9 +39,10 @@ of two such images.
 
 from __future__ import annotations
 
+import importlib.util
 import random
 from fractions import Fraction
-
+from pathlib import Path
 from typing import Iterable
 
 from evencob.cobordism import CobordismMorphism
@@ -54,45 +53,22 @@ from evencob.symplectic import SymplecticSpace
 
 _ZERO = Fraction(0)
 
-
-def _trace(m: RationalMatrix) -> Fraction:
-    return sum((m[i, i] for i in range(m.rows)), Fraction(0))
+BENCH_ORACLE = Path(__file__).resolve().parent.parent / "bench" / "oracle.py"
 
 
-def _scaled_identity(c: Fraction, n: int) -> RationalMatrix:
-    return RationalMatrix(
-        [[c if i == j else Fraction(0) for j in range(n)] for i in range(n)], cols=n
-    )
+def _load_bench_oracle():
+    spec = importlib.util.spec_from_file_location("bench_oracle", BENCH_ORACLE)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
-def characteristic_polynomial(m: RationalMatrix) -> list[Fraction]:
-    """Coefficients of det(xI - M), highest degree first."""
-    n = m.rows
-    coeffs = [Fraction(1)]
-    auxiliary = m
-    for k in range(1, n + 1):
-        ck = -_trace(auxiliary) / k
-        coeffs.append(ck)
-        if k < n:
-            auxiliary = m @ (auxiliary + _scaled_identity(ck, n))
-    return coeffs
+bench_oracle = _load_bench_oracle()
 
 
-def _sign_changes(coeffs: list[Fraction]) -> int:
-    nonzero = [c for c in coeffs if c]
-    return sum(1 for a, b in zip(nonzero, nonzero[1:]) if (a > 0) != (b > 0))
-
-
-def descartes_signature(gram: RationalMatrix) -> int:
-    """#positive - #negative eigenvalues, via sign changes of the char poly.
-
-    p(x) counts positive roots, p(-x) counts negative roots; both counts are
-    exact because every eigenvalue of a symmetric matrix is real.
-    """
-    coeffs = characteristic_polynomial(gram)
-    n = gram.rows
-    reflected = [c * (-1) ** (n - i) for i, c in enumerate(coeffs)]
-    return _sign_changes(coeffs) - _sign_changes(reflected)
+def matrix_rows(m: RationalMatrix) -> list[list[Fraction]]:
+    """The entries of a matrix as a list of Fraction rows."""
+    return [list(m.row(i)) for i in range(m.rows)]
 
 
 def reference_signature(gram: RationalMatrix) -> int:
@@ -148,20 +124,6 @@ def reference_signature(gram: RationalMatrix) -> int:
         else:
             neg += 1
     return pos - neg
-
-
-def kashiwara_index(triple: LagrangianTriple) -> int:
-    """Signature of w(x1, x2) + w(x2, x3) + w(x3, x1) on l1 (+) l2 (+) l3.
-
-    The doubled polar form has the blocks w(u1, v2), w(u2, v3) and w(u3, v1)
-    off the diagonal and zero on it, each l_i being isotropic; written as
-    sign * w(u, v), the sign is +1 when v's summand follows u's cyclically and
-    -1 when it precedes it.
-    """
-    rows = [(k, row) for k, lag in enumerate(triple.lagrangians()) for row in lag.basis_rows()]
-    sign = (0, 1, -1)
-    q = [[sign[(b - a) % 3] * triple.space.evaluate(u, v) for b, v in rows] for a, u in rows]
-    return descartes_signature(RationalMatrix(q, cols=len(rows)))
 
 
 def reference_rref(m: RationalMatrix) -> tuple[RationalMatrix, tuple[int, ...]]:

@@ -16,7 +16,7 @@ from evencob.linalg import RationalMatrix, canonical_basis
 from evencob.maslov import decompose, dim_sum_parity, form_annihilator
 from evencob.sampling import random_even_chain, random_even_pair, random_subspace_pair
 from evencob.symplectic import SymplecticSpace
-from oracles import descartes_signature, reference_combine_rows
+from oracles import bench_oracle, matrix_rows, reference_combine_rows
 
 PAIR_TRIALS = 1000
 ANNIHILATOR_TRIALS = 500
@@ -146,7 +146,7 @@ def test_criterion_06_signature_oracle():
             ]
             m = RationalMatrix(raw, cols=n)
             sym = m + m.transpose()
-        if signature(sym) != descartes_signature(sym):
+        if signature(sym) != bench_oracle.signature(matrix_rows(sym)):
             bad += 1
     _report(
         6,

@@ -313,6 +313,75 @@ class TestCompose:
             assert validate(compose(m1, m2)) == []
 
 
+def reversed_morphism(m):
+    """The same body read backwards: ends swapped, weight kept."""
+    return CobordismMorphism(
+        m.target, m.source, m.weight, m.h1_dim, m.h0_dim,
+        m.j_tgt_h1, m.j_src_h1, m.j_tgt_h0, m.j_src_h0,
+    )
+
+
+def sphere_tube():
+    """S^2 x I as a cobordism from the empty surface to two spheres."""
+    spheres = SurfaceObject((0, 0), Subspace.zero(0))
+    return CobordismMorphism(
+        empty_surface(), spheres, 0, 0, 1,
+        RationalMatrix((), cols=0), RationalMatrix((), cols=0),
+        RationalMatrix([[]], cols=0), RationalMatrix([[1, 1]]),
+    )
+
+
+def bent_cylinder(g):
+    """Sigma_g x I from the empty surface to two copies of Sigma_g.
+
+    The second copy is the reversed end, so H1 of the body maps into it by
+    R: e_i -> e_i, f_i -> -f_i, and j_tgt_h1 = [I | R].
+    """
+    n = 2 * g
+    rows = [
+        [int(i == j) for j in range(n)] + [(-1) ** i * int(i == j) for j in range(n)]
+        for i in range(n)
+    ]
+    lagrangian = canonical_basis(
+        [[int(c == 2 * i) for c in range(2 * n)] for i in range(n)], 2 * n
+    )
+    return CobordismMorphism(
+        empty_surface(), SurfaceObject((g, g), lagrangian), 0, n, 1,
+        RationalMatrix([[]] * n, cols=0), RationalMatrix(rows),
+        RationalMatrix([[]], cols=0), RationalMatrix([[1, 1]]),
+    )
+
+
+class TestGluingAlongDisconnectedSurfaces:
+    """Closed 3-manifolds glued along two components: ker(alpha0) has k0 = 1.
+
+    Each body component meets the middle surface twice, so H1 of the glued
+    manifold gains one loop beyond coker(alpha1).  Values were recorded
+    before the integer-row rewrite of the kernel and cokernel rows.
+    """
+
+    def test_pieces_validate(self):
+        for m in (sphere_tube(), *(bent_cylinder(g) for g in (1, 2, 3))):
+            assert validate(m) == []
+            assert validate(reversed_morphism(m)) == []
+
+    def test_sphere_cross_circle_from_two_tubes(self):
+        tube = sphere_tube()
+        glued = compose(tube, reversed_morphism(tube))
+        assert (glued.h1_dim, glued.h0_dim, glued.weight) == (1, 1, 0)
+        assert is_even(tube).is_even and is_even(reversed_morphism(tube)).is_even
+        assert is_even(glued).is_even
+
+    @pytest.mark.parametrize("g", [1, 2, 3])
+    def test_surface_cross_circle_from_bent_cylinders(self, g):
+        m = bent_cylinder(g)
+        glued = compose(m, reversed_morphism(m))
+        assert (glued.h1_dim, glued.h0_dim, glued.weight) == (2 * g + 1, 1, 0)
+        assert is_even(m).is_even == (g % 2 == 0)
+        assert is_even(glued).is_even
+        assert validate(glued) == []
+
+
 class TestEvenClosure:
     def test_even_pairs_compose_even(self):
         for seed in range(60):

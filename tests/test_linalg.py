@@ -472,6 +472,13 @@ class TestIntersectOracle:
             assert inner.intersect(outer) == reference_intersect(inner, outer) == inner
             assert outer.intersect(inner) == inner
 
+    @given(st.one_of(subspace_pairs(), entry_subspace_pairs()))
+    def test_result_is_already_canonical(self, pair):
+        # the Zassenhaus right halves are kept without a second elimination
+        a, b = pair
+        meet = a.intersect(b)
+        assert meet == Subspace(meet.basis) == reference_intersect(a, b)
+
     def test_ambient_mismatch(self):
         with pytest.raises(DimensionMismatchError, match="ambient dimensions differ: 2 vs 3"):
             Subspace.full(2).intersect(Subspace.full(3))
@@ -526,3 +533,99 @@ class TestTrustedConstructor:
         with pytest.raises(ValueError, match="declared 3 columns but rows have 2"):
             RationalMatrix([[1, 2]], cols=3)
         assert RationalMatrix([[1, Fraction(1, 2)]]) == RationalMatrix([["1", "1/2"]])
+
+
+def _written(x: Fraction, scale: int) -> object:
+    """x as the constructor may be given it: an int, a string, or an unreduced string."""
+    if scale == 0:
+        return int(x) if x.denominator == 1 else x
+    if scale == 1:
+        return str(x)
+    return f"{x.numerator * scale}/{x.denominator * scale}"
+
+
+@st.composite
+def written_matrices(draw, rows, cols):
+    """A matrix from ints, Fractions and reduced or unreduced strings with a common factor."""
+    scale = draw(st.integers(0, 4))
+    factor = draw(st.sampled_from([1, 2, 6, Fraction(1, 3), Fraction(-5, 4)]))
+    entries = st.one_of(st.integers(-4, 4), rref_entries)
+    data = [[draw(entries) * factor for _ in range(cols)] for _ in range(rows)]
+    return RationalMatrix([[_written(x, scale) for x in row] for row in data], cols=cols)
+
+
+def _routes(a, b):
+    """Matrices built from two same-shape matrices by every route the library has."""
+    built = [
+        a, a @ b.transpose(), b @ a.transpose(), a + b, b + a, a - b, b - a, -a, -(-a),
+        a.transpose(), a.transpose().transpose(), a.hstack(b), a.vstack(b), a.rref()[0],
+        kernel(a).basis, kernel(b).basis, cokernel(a)[1], cokernel(b)[1],
+        Subspace(a).basis, (Subspace(a) + Subspace(b)).basis,
+        Subspace(a).intersect(Subspace(b)).basis, Subspace(b).intersect(Subspace(a)).basis,
+        RationalMatrix.identity(a.cols), RationalMatrix.zeros(a.rows, a.cols),
+    ]
+    for x in (a.solve(b), a.solve(a)):
+        if x is not None:
+            built.append(x)
+    square = a @ a.transpose()
+    if square.rank() == square.rows:
+        built += [square.inverse(), square.inverse().inverse()]
+    return built
+
+
+class TestCanonicalRows:
+    """Structural equality is entry equality on every route a matrix can take.
+
+    Each stored row is an integer row over one positive denominator in lowest
+    terms; a single route that left a row unreduced would make equal matrices
+    compare unequal, and with them equal subspaces and frozen values.
+    """
+
+    @given(
+        st.tuples(st.integers(0, 4), st.integers(0, 4)).flatmap(
+            lambda shape: st.tuples(written_matrices(*shape), written_matrices(*shape))
+        )
+    )
+    def test_equality_is_entry_equality(self, pair):
+        built = _routes(*pair)
+        rebuilt = [RationalMatrix([m.row(i) for i in range(m.rows)], cols=m.cols) for m in built]
+        keyed = [(m, (m.rows, m.cols, m.entries)) for m in built + rebuilt]
+        for x, kx in keyed:
+            for y, ky in keyed:
+                assert (x == y) == (kx == ky)
+                if x == y:
+                    assert hash(x) == hash(y)
+
+    @given(
+        st.tuples(st.integers(0, 4), st.integers(0, 4)).flatmap(
+            lambda shape: st.tuples(written_matrices(*shape), written_matrices(*shape))
+        )
+    )
+    def test_readers_return_fractions(self, pair):
+        for m in _routes(*pair):
+            values = list(m.entries)
+            for i in range(m.rows):
+                values += m.row(i) + tuple(m[i, j] for j in range(m.cols))
+            for j in range(m.cols):
+                values += m.column(j)
+            assert all(type(x) is Fraction for x in values)
+
+    @given(st.integers(0, 4), st.integers(0, 4), st.data())
+    def test_constructor_reads_back_what_it_was_given(self, rows, cols, data):
+        values = [[data.draw(rref_entries) for _ in range(cols)] for _ in range(rows)]
+        scale = data.draw(st.integers(0, 4))
+        m = RationalMatrix([[_written(x, scale) for x in row] for row in values], cols=cols)
+        assert [list(m.row(i)) for i in range(rows)] == values
+        assert m == RationalMatrix(values, cols=cols)
+        assert hash(m) == hash(RationalMatrix(values, cols=cols))
+
+    def test_unreduced_inputs_agree(self):
+        m = RationalMatrix([["2/4", "6/8", 0], [Fraction(3), "9/3", "-0/5"]])
+        assert m == RationalMatrix([[Fraction(1, 2), Fraction(3, 4), 0], [3, 3, 0]])
+        assert m.row(0) == (Fraction(1, 2), Fraction(3, 4), Fraction(0))
+        assert RationalMatrix([[2, 4]]) @ RationalMatrix([["1/2"], ["1/4"]]) == RationalMatrix([[2]])
+        assert Subspace(RationalMatrix([["2/3", "4/3"], [1, 2]])).basis == RationalMatrix([[1, 2]])
+        # the RREF row (1, 2, 3/2) gives the kernel rows (-2, 1, 0) and (-3/2, 0, 1)
+        expected = RationalMatrix([[-2, 1, 0], ["-3/2", 0, 1]])
+        assert cokernel(RationalMatrix([[2], [4], [3]])) == (2, expected)
+        assert RationalMatrix([[2, 4, 3]]).solve(RationalMatrix([[4]])) == RationalMatrix([[2], [0], [0]])
