@@ -34,7 +34,12 @@ from .formats import (
     pipeline_for_morphism,
     serialize_pipeline,
 )
-from .generators import format_generator_spec, parse_generator_spec, random_even_morphism
+from .generators import (
+    MAX_TEXT_GENUS,
+    format_generator_spec,
+    parse_generator_spec,
+    random_even_morphism,
+)
 from .maslov import (
     LagrangianTriple,
     _form_radical,
@@ -51,8 +56,9 @@ EXIT_INPUT_ERROR = 2
 SCHEMA_VERSION = 1
 
 
-def _at_least(minimum: int):
-    """An argparse type: an integer no smaller than `minimum`."""
+def _bounded_int(minimum: int, maximum: int | None = None):
+    """An argparse type: an integer no smaller than `minimum` and, if given,
+    no larger than `maximum`."""
 
     def parse(text: str) -> int:
         try:
@@ -61,6 +67,8 @@ def _at_least(minimum: int):
             raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
         if value < minimum:
             raise argparse.ArgumentTypeError(f"must be at least {minimum}, got {value}")
+        if maximum is not None and value > maximum:
+            raise argparse.ArgumentTypeError(f"must be at most {maximum}, got {value}")
         return value
 
     return parse
@@ -80,8 +88,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     def campaign(p: argparse.ArgumentParser) -> None:
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--trials", type=_at_least(0), default=100)
-        p.add_argument("--genus-max", type=_at_least(1), default=3)
+        p.add_argument("--trials", type=_bounded_int(0), default=100)
+        # the bound generator text has: one trial at a far larger cap need not finish
+        p.add_argument("--genus-max", type=_bounded_int(1, MAX_TEXT_GENUS), default=3)
 
     p = sub.add_parser("maslov", help="Maslov data for the triples in a scenario file")
     p.add_argument("--in", dest="input", required=True, metavar="PATH")

@@ -42,10 +42,9 @@ from .errors import (
 from .linalg import (
     RationalMatrix,
     Subspace,
+    _preimage_of_columns,
     cokernel,
     kernel,
-    map_subspace,
-    preimage,
 )
 from .maslov import LagrangianTriple, maslov_index
 from .symplectic import SymplecticSpace, beta0, beta1, standard_surface_space, validated_genera
@@ -181,13 +180,14 @@ def _carry(
     end: SurfaceObject,
     j_end: RationalMatrix,
 ) -> Subspace:
-    # preimage under the end inclusion of the image under the start inclusion
+    # preimage under the end inclusion of the image under the start inclusion,
+    # with that image given by the columns of j_start @ basis^T
     if lagrangian.ambient_dim != start.beta1:
         raise DimensionMismatchError(
             f"subspace of ambient {lagrangian.ambient_dim}, {side} surface has "
             f"dimension {start.beta1}"
         )
-    result = preimage(j_end, map_subspace(j_start, lagrangian))
+    result = _preimage_of_columns(j_end, j_start @ lagrangian.basis.transpose())
     assert end.space.is_lagrangian(result)
     return result
 

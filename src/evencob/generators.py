@@ -43,7 +43,6 @@ from .linalg import RationalMatrix, Subspace
 from .symplectic import (
     DEFAULT_WALK_LENGTH,
     beta1,
-    preserves_standard_form,
     random_lagrangian,
     random_symplectic,
 )
@@ -60,7 +59,8 @@ def _check_twist(name: str, twist: RationalMatrix, surface: SurfaceObject) -> No
     n = surface.beta1
     if twist.rows != n or twist.cols != n:
         raise DimensionMismatchError(f"{name} is {twist.rows}x{twist.cols}, surface needs {n}x{n}")
-    if not preserves_standard_form([twist.column(j) for j in range(n)]):
+    form = surface.space.gram
+    if twist.transpose() @ form @ twist != form:
         raise NotSymplecticError(f"{name} does not preserve the surface form")
 
 

@@ -26,7 +26,9 @@ so subspace equality is plain structural equality and regression values can
 be frozen verbatim; ``canonical_basis`` is the entry point for vectors from
 outside.  Two subspaces intersect by one elimination (Zassenhaus): the RREF
 of ``[[A, A], [B, 0]]`` holds the RREF basis of the intersection in the right
-halves of its rows that start in the right half.
+halves of its rows that start in the right half.  A preimage is one kernel
+too: the null rows of ``[f | B]``, for B whose columns span the target, are
+the pairs (x, y) with f x = -B y, so their x parts span the preimage.
 """
 
 from __future__ import annotations
@@ -437,10 +439,6 @@ class Subspace:
         rows = tuple(r[n:] for r in red._rows[first:last])
         return Subspace._canonical(RationalMatrix._of(rows, red._dens[first:last], n))
 
-    def constraint_matrix(self) -> RationalMatrix:
-        """A matrix C with {v : C v = 0} equal to this subspace."""
-        return kernel(self.basis).basis
-
 
 def canonical_basis(vectors: Sequence[Iterable], ambient_dim: int) -> Subspace:
     """The Subspace spanned by vectors given from outside, each of the ambient length."""
@@ -483,13 +481,24 @@ def image(f: RationalMatrix) -> Subspace:
     return Subspace(f.transpose())
 
 
+def _preimage_of_columns(f: RationalMatrix, span: RationalMatrix) -> Subspace:
+    """{x : f @ x lies in the column span of `span`}, from one elimination.
+
+    The null rows of ``[f | span]`` are the pairs (x, y) with f x = -span y,
+    so their first ``f.cols`` coordinates span the preimage.
+    """
+    n = f.cols
+    rows = [_reduced(r[:n], d) for r, d in _null_rows(*f.hstack(span).rref())]
+    return Subspace(RationalMatrix._of_pairs(rows, n))
+
+
 def preimage(f: RationalMatrix, target: Subspace) -> Subspace:
     """{x : f @ x lies in target}; always contains kernel(f)."""
     if target.ambient_dim != f.rows:
         raise DimensionMismatchError(
             f"target lives in dimension {target.ambient_dim}, map lands in {f.rows}"
         )
-    return kernel(target.constraint_matrix() @ f)
+    return _preimage_of_columns(f, target.basis.transpose())
 
 
 def cokernel(f: RationalMatrix) -> tuple[int, RationalMatrix]:

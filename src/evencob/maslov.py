@@ -74,15 +74,12 @@ class MaslovForm:
         return self.domain_basis.rows
 
 
-def _split(l1: Subspace, l2: Subspace, a: RationalMatrix) -> tuple[RationalMatrix, RationalMatrix]:
-    """The decompose parts of every row of `a`, as two matrices, from one solve."""
+def _split(l1: Subspace, l2: Subspace, a: RationalMatrix) -> RationalMatrix:
+    """The l2 parts of the decompose splits of every row of `a`, from one solve."""
     coeffs = l1.basis.vstack(l2.basis).transpose().solve(a.transpose())
     if coeffs is None:
         raise DecompositionError("vector is not in the sum of the two subspaces")
-    c = coeffs.transpose()
-    a1 = c @ l1.basis.vstack(RationalMatrix.zeros(l2.dim, l2.ambient_dim))
-    a2 = c @ RationalMatrix.zeros(l1.dim, l1.ambient_dim).vstack(l2.basis)
-    return a1, a2
+    return coeffs.transpose() @ RationalMatrix.zeros(l1.dim, l1.ambient_dim).vstack(l2.basis)
 
 
 def decompose(l1: Subspace, l2: Subspace, a: Iterable) -> tuple[Vector, Vector]:
@@ -99,8 +96,8 @@ def decompose(l1: Subspace, l2: Subspace, a: Iterable) -> tuple[Vector, Vector]:
         raise DimensionMismatchError(
             f"vector of length {len(v)} in ambient dimension {l1.ambient_dim}"
         )
-    a1, a2 = _split(l1, l2, RationalMatrix([v], cols=len(v)))
-    return a1.row(0), a2.row(0)
+    a2 = _split(l1, l2, RationalMatrix([v], cols=len(v))).row(0)
+    return tuple([x - y for x, y in zip(v, a2)]), a2
 
 
 def maslov_form(triple: LagrangianTriple) -> MaslovForm:
@@ -112,7 +109,7 @@ def maslov_form(triple: LagrangianTriple) -> MaslovForm:
     """
     l1, l2, l3 = triple.lagrangians()
     domain = (l1 + l2).intersect(l3)
-    a2 = _split(l1, l2, domain.basis)[1]
+    a2 = _split(l1, l2, domain.basis)
     gram = a2 @ triple.space.gram @ domain.basis.transpose()
     return MaslovForm(domain.basis, gram)
 

@@ -10,6 +10,7 @@ Lagrangians used throughout the test campaigns.
 from __future__ import annotations
 
 import random
+import weakref
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
@@ -80,6 +81,11 @@ class SymplecticSpace:
         """The degenerate directions: the annihilator of the whole space."""
         return self._radical
 
+    @cached_property
+    def _lagrangians(self) -> weakref.WeakSet:
+        # subspaces already found Lagrangian here; an entry dies with its subspace
+        return weakref.WeakSet()
+
     def is_lagrangian(self, sub: Subspace) -> bool:
         """True iff the subspace equals its own annihilator.
 
@@ -91,12 +97,22 @@ class SymplecticSpace:
         the nondegenerate V/R, so dim L - dim(L cap R) <= (dim V - dim R) / 2,
         and at dim L = (dim V + dim R) / 2 this forces L cap R = R.  The
         dimension count runs first because it is the cheaper of the two.
+
+        A True answer is remembered per space, weakly, so a subspace that is
+        checked again (or an equal one: subspaces compare structurally) skips
+        the test.  A False answer is never remembered.
         """
         self._check_ambient(sub)
+        known = self._lagrangians
+        if sub in known:
+            return True
         if 2 * sub.dim != self.dim + self._radical.dim:
             return False
         pairing = sub.basis @ self.gram @ sub.basis.transpose()
-        return pairing == RationalMatrix.zeros(sub.dim, sub.dim)
+        if pairing != RationalMatrix.zeros(sub.dim, sub.dim):
+            return False
+        known.add(sub)
+        return True
 
 
 def beta0(genera: Sequence[int]) -> int:
@@ -205,6 +221,18 @@ def preserves_standard_form(columns: Sequence[Sequence]) -> bool:
     )
 
 
+def _walk(g: int, seed: int | random.Random, length: int) -> list[list[int]]:
+    """The integer rows of the product of `length` draws from the generator family."""
+    if g < 1:
+        raise ValueError("need at least one handle")
+    rng = seed if isinstance(seed, random.Random) else random.Random(seed)
+    acc = _int_identity(2 * g)
+    for _ in range(length):
+        _column_operation(acc, g, rng.randrange(g * (g + 2)))
+    assert preserves_standard_form(list(zip(*acc)))
+    return acc
+
+
 def random_symplectic(
     g: int, seed: int | random.Random, length: int = DEFAULT_WALK_LENGTH
 ) -> RationalMatrix:
@@ -214,14 +242,7 @@ def random_symplectic(
     order, multiplying on the right by a column operation; length 0 gives the
     identity.  The result always satisfies A^T J A = J for the standard form J.
     """
-    if g < 1:
-        raise ValueError("need at least one handle")
-    rng = seed if isinstance(seed, random.Random) else random.Random(seed)
-    acc = _int_identity(2 * g)
-    for _ in range(length):
-        _column_operation(acc, g, rng.randrange(g * (g + 2)))
-    assert preserves_standard_form(list(zip(*acc)))
-    return RationalMatrix(acc)
+    return RationalMatrix(_walk(g, seed, length))
 
 
 def random_lagrangian(
@@ -230,10 +251,9 @@ def random_lagrangian(
     """Image of the standard Lagrangian span{e_1..e_g} under a random walk.
 
     Always Lagrangian in the standard genus-g space; length 0 returns the
-    standard Lagrangian itself.
+    standard Lagrangian itself.  The walk is the one random_symplectic takes.
     """
-    walk = random_symplectic(g, seed, length)
-    columns = [walk.column(2 * i) for i in range(g)]
-    lag = canonical_basis(columns, 2 * g)
+    acc = _walk(g, seed, length)
+    lag = canonical_basis([[row[2 * i] for row in acc] for i in range(g)], 2 * g)
     assert standard_surface_space((g,)).is_lagrangian(lag)
     return lag

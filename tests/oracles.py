@@ -24,11 +24,12 @@ The linear-system oracles are the paths that evencob's single augmented
 leading-column reduction behind `Subspace.contains`, the `combine_rows` loop,
 and `decompose` written with them.
 
-The product, intersection and Lagrangian oracles are the paths that evencob's
-integer and single-elimination versions replaced: the ``Fraction`` triple loop
-that was ``RationalMatrix.__matmul__``, the intersection as the kernel of the
-two stacked constraint matrices, and the Lagrangian test as a comparison of a
-subspace with its computed annihilator.
+The product, intersection, preimage and Lagrangian oracles are the paths that
+evencob's integer and single-elimination versions replaced: the ``Fraction``
+triple loop that was ``RationalMatrix.__matmul__``, the intersection as the
+kernel of the two stacked constraint matrices, the preimage as the kernel of
+the target's constraint matrix composed with the map, and the Lagrangian test
+as a comparison of a subspace with its computed annihilator.
 
 The remaining oracles are the formulations that evencob's products replaced:
 the symplectic generators as dense integer matrices multiplied out one draw at
@@ -352,11 +353,25 @@ def reference_matmul(a: RationalMatrix, b: RationalMatrix) -> RationalMatrix:
     return RationalMatrix(tuple(out), cols=width)
 
 
+def constraint_matrix(sub: Subspace) -> RationalMatrix:
+    """A matrix C with {v : C v = 0} equal to the subspace."""
+    return kernel(sub.basis).basis
+
+
 def reference_intersect(a: Subspace, b: Subspace) -> Subspace:
     """Largest subspace contained in both, via the stacked constraint kernel."""
     a._check_ambient(b)
-    stacked = a.constraint_matrix().vstack(b.constraint_matrix())
+    stacked = constraint_matrix(a).vstack(constraint_matrix(b))
     return kernel(stacked)
+
+
+def reference_preimage(f: RationalMatrix, target: Subspace) -> Subspace:
+    """{x : f @ x lies in target}, as the kernel of the target's constraints after f."""
+    if target.ambient_dim != f.rows:
+        raise DimensionMismatchError(
+            f"target lives in dimension {target.ambient_dim}, map lands in {f.rows}"
+        )
+    return kernel(constraint_matrix(target) @ f)
 
 
 def reference_is_lagrangian(space: SymplecticSpace, sub: Subspace) -> bool:

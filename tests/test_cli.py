@@ -414,6 +414,23 @@ class TestExitCodes:
         assert out == ""
         assert f"argument {argv[-2]}: must be at least" in err
 
+    @pytest.mark.parametrize("command", [["check", "--theorem", "parity"], ["closure"]])
+    def test_genus_cap_above_text_bound_is_input_error(self, capsys, command):
+        # an unbounded cap let one trial draw a surface of any genus and run without end
+        code = main(command + ["--genus-max", "33", "--trials", "1"])
+        out, err = capsys.readouterr()
+        assert (code, out) == (2, "")
+        errors = [line for line in err.splitlines() if "error:" in line]
+        assert errors == [
+            f"evencob {command[0]}: error: argument --genus-max: must be at most 32, got 33"
+        ]
+
+    @pytest.mark.parametrize("command", [["check", "--theorem", "parity"], ["closure"]])
+    def test_genus_cap_at_text_bound_runs(self, capsys, command):
+        code, report = run_json(capsys, *command, "--genus-max", "32", "--trials", "1")
+        assert (code, report["status"]) == (0, "holds")
+        assert report["params"]["genus_max"] == 32
+
 
 @pytest.mark.parametrize(
     "argv, text, message",

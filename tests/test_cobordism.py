@@ -31,7 +31,7 @@ from evencob.generators import cap, handlebody, twisted_cylinder
 from evencob.linalg import RationalMatrix, Subspace, canonical_basis
 from evencob.sampling import random_abstract_morphism, random_even_chain, random_even_pair
 from evencob.symplectic import random_lagrangian
-from oracles import reference_lagrangian_span
+from oracles import reference_lagrangian_span, reference_map_subspace, reference_preimage
 
 SPAN_E = canonical_basis([(1, 0)], 2)
 SPAN_F = canonical_basis([(0, 1)], 2)
@@ -149,6 +149,18 @@ class TestPushPull:
         with pytest.raises(DimensionMismatchError) as exc:
             pull_back(m, Subspace.zero(0))
         assert str(exc.value) == "subspace of ambient 0, target surface has dimension 2"
+
+    def test_matches_preimage_of_image_oracle(self):
+        # push_forward and pull_back run one kernel; the oracle maps the
+        # subspace row by row, then takes two kernels
+        records = [sphere_tube(3), bent_cylinder(2), handlebody(1, SPAN_E, 0), cap(1, SPAN_E, 0)]
+        for seed in range(20):
+            records += [*random_even_pair(seed), random_abstract_morphism(seed, 3)]
+        for m in records + [reversed_morphism(m) for m in records]:
+            pushed = reference_map_subspace(m.j_src_h1, m.source.lagrangian)
+            assert push_forward(m, m.source.lagrangian) == reference_preimage(m.j_tgt_h1, pushed)
+            pulled = reference_map_subspace(m.j_tgt_h1, m.target.lagrangian)
+            assert pull_back(m, m.target.lagrangian) == reference_preimage(m.j_src_h1, pulled)
 
     def test_lagrangian_outputs_on_random_even_morphisms(self):
         for seed in range(20):
@@ -321,13 +333,13 @@ def reversed_morphism(m):
     )
 
 
-def sphere_tube():
-    """S^2 x I as a cobordism from the empty surface to two spheres."""
-    spheres = SurfaceObject((0, 0), Subspace.zero(0))
+def sphere_tube(components=2):
+    """A 3-ball with holes: the empty surface to `components` spheres in one body."""
+    spheres = SurfaceObject((0,) * components, Subspace.zero(0))
     return CobordismMorphism(
         empty_surface(), spheres, 0, 0, 1,
         RationalMatrix((), cols=0), RationalMatrix((), cols=0),
-        RationalMatrix([[]], cols=0), RationalMatrix([[1, 1]]),
+        RationalMatrix([[]], cols=0), RationalMatrix([[1] * components]),
     )
 
 
@@ -353,11 +365,12 @@ def bent_cylinder(g):
 
 
 class TestGluingAlongDisconnectedSurfaces:
-    """Closed 3-manifolds glued along two components: ker(alpha0) has k0 = 1.
+    """Closed 3-manifolds glued along several components: ker(alpha0) has k0 > 0.
 
-    Each body component meets the middle surface twice, so H1 of the glued
-    manifold gains one loop beyond coker(alpha1).  Values were recorded
-    before the integer-row rewrite of the kernel and cokernel rows.
+    Each body component meets the middle surface more than once, so H1 of the
+    glued manifold gains k0 loops beyond coker(alpha1).  Values were recorded
+    before the integer-row rewrite of the kernel and cokernel rows, and those
+    of #k(S^2 x S^1) before the single-kernel preimage in push_forward.
     """
 
     def test_pieces_validate(self):
@@ -371,6 +384,19 @@ class TestGluingAlongDisconnectedSurfaces:
         assert (glued.h1_dim, glued.h0_dim, glued.weight) == (1, 1, 0)
         assert is_even(tube).is_even and is_even(reversed_morphism(tube)).is_even
         assert is_even(glued).is_even
+
+    @pytest.mark.parametrize("k, tube_even, reverse_even", [(2, True, False), (3, True, True)])
+    def test_connected_sum_of_sphere_cross_circles(self, k, tube_even, reverse_even):
+        # k + 1 spheres glued pairwise: k0 = k, on H1 blocks of width zero.
+        # The reversed tube has k + 1 source components; its oddness for even
+        # k is carried into the composite, as the evenness defect is additive.
+        tube = sphere_tube(k + 1)
+        back = reversed_morphism(tube)
+        glued = compose(tube, back)
+        assert (glued.h1_dim, glued.h0_dim, glued.weight) == (k, 1, 0)
+        assert (is_even(tube).is_even, is_even(back).is_even) == (tube_even, reverse_even)
+        assert is_even(glued).is_even == reverse_even
+        assert validate(tube) == validate(back) == validate(glued) == []
 
     @pytest.mark.parametrize("g", [1, 2, 3])
     def test_surface_cross_circle_from_bent_cylinders(self, g):

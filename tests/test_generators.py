@@ -1,3 +1,6 @@
+import random
+from fractions import Fraction
+
 import pytest
 
 from evencob.cobordism import (
@@ -25,6 +28,7 @@ from evencob.generators import (
 )
 from evencob.linalg import RationalMatrix, Subspace, canonical_basis
 from evencob.sampling import random_abstract_morphism, random_even_pair
+from evencob.symplectic import preserves_standard_form, random_symplectic
 
 SPAN_E = canonical_basis([(1, 0)], 2)
 SPAN_F = canonical_basis([(0, 1)], 2)
@@ -38,6 +42,14 @@ def standard_lagrangian(g):
     )
 
 
+def _accepted(build, *args) -> bool:
+    try:
+        build(*args)
+    except NotSymplecticError:
+        return False
+    return True
+
+
 class TestTwistedCylinder:
     def test_identity_twist_is_pseudo_cylinder(self):
         assert twisted_cylinder(TORUS_E, RationalMatrix.identity(2), SPAN_F, 3) == (
@@ -49,8 +61,6 @@ class TestTwistedCylinder:
         assert push_forward(m, SPAN_E) == SPAN_F
 
     def test_always_validates(self):
-        from evencob.symplectic import random_symplectic
-
         for seed in range(10):
             twist = random_symplectic(2, seed)
             obj = SurfaceObject((2,), standard_lagrangian(2))
@@ -61,6 +71,24 @@ class TestTwistedCylinder:
         with pytest.raises(NotSymplecticError) as exc:
             twisted_cylinder(TORUS_E, RationalMatrix([[2, 0], [0, 2]]), SPAN_F, 0)
         assert str(exc.value) == "twist does not preserve the surface form"
+
+    def test_form_check_agrees_with_column_pairing(self):
+        # the check is A^T J A == J; the oracle pairs the columns one by one
+        rng = random.Random(5)
+        for genera in ((1,), (2,), (1, 1), (3,), (1, 2)):
+            g = sum(genera)
+            obj = SurfaceObject(genera, standard_lagrangian(g))
+            for _ in range(12):
+                walk = random_symplectic(g, rng.getrandbits(32), 6)
+                rows = [list(walk.row(i)) for i in range(2 * g)]
+                if rng.random() < 0.5:
+                    i, j = rng.randrange(2 * g), rng.randrange(2 * g)
+                    rows[i][j] += Fraction(rng.choice([-2, -1, 1, 2]), rng.choice([1, 3]))
+                twist = RationalMatrix(rows)
+                symplectic = preserves_standard_form(list(zip(*rows)))
+                assert _accepted(twisted_cylinder, obj, twist, obj.lagrangian, 0) == symplectic
+                if len(genera) == 1:
+                    assert _accepted(cap, g, obj.lagrangian, 0, twist) == symplectic
 
     def test_rejects_wrong_shape(self):
         with pytest.raises(DimensionMismatchError) as exc:

@@ -9,6 +9,7 @@ from evencob.errors import DimensionMismatchError
 from evencob.linalg import (
     RationalMatrix,
     Subspace,
+    _preimage_of_columns,
     canonical_basis,
     cokernel,
     image,
@@ -23,6 +24,7 @@ from oracles import (
     reference_inverse,
     reference_map_subspace,
     reference_matmul,
+    reference_preimage,
     reference_rref,
     reference_rref_violation,
     reference_solve,
@@ -482,6 +484,55 @@ class TestIntersectOracle:
     def test_ambient_mismatch(self):
         with pytest.raises(DimensionMismatchError, match="ambient dimensions differ: 2 vs 3"):
             Subspace.full(2).intersect(Subspace.full(3))
+
+
+@st.composite
+def preimage_cases(draw):
+    """A map with mixed denominators and a target: random, zero or full."""
+    rows, cols = draw(st.integers(0, 5)), draw(st.integers(0, 5))
+    f = draw(st.one_of(matrices(rows, cols, rows, cols), entry_matrices(rows, cols)))
+    target = draw(
+        st.one_of(
+            subspaces(ambient=rows),
+            st.builds(Subspace, entry_matrices(draw(st.integers(0, rows + 1)), rows)),
+            st.just(Subspace.zero(rows)),
+            st.just(Subspace.full(rows)),
+        )
+    )
+    return f, target
+
+
+class TestPreimageOracle:
+    """One kernel of [f | span] agrees with the kernel of the target's constraints after f."""
+
+    @given(preimage_cases())
+    def test_matches_reference(self, case):
+        f, target = case
+        assert preimage(f, target) == reference_preimage(f, target)
+
+    @pytest.mark.parametrize("shape", [(0, 0), (0, 3), (3, 0), (2, 3), (3, 2)])
+    def test_empty_and_extreme_shapes(self, shape):
+        rows, cols = shape
+        f = RationalMatrix([[Fraction(i - j, j + 1) for j in range(cols)] for i in range(rows)], cols=cols)
+        for target in (Subspace.zero(rows), Subspace.full(rows), image(f)):
+            assert preimage(f, target) == reference_preimage(f, target)
+        assert preimage(f, Subspace.zero(rows)) == kernel(f)
+        assert preimage(f, Subspace.full(rows)) == Subspace.full(cols)
+
+    @given(preimage_cases(), st.data())
+    def test_dependent_spanning_columns(self, case, data):
+        # the columns handed over may repeat and scale each other
+        f, target = case
+        rows = target.basis_rows()
+        picks = data.draw(st.lists(st.sampled_from(rows), max_size=4)) if rows else []
+        scales = [data.draw(st.sampled_from([1, -2, Fraction(1, 3)])) for _ in picks]
+        columns = [tuple(c * x for x in r) for c, r in zip(scales, picks)] + list(rows)
+        span = RationalMatrix.from_columns(columns, rows=f.rows)
+        assert _preimage_of_columns(f, span) == reference_preimage(f, target)
+
+    def test_target_mismatch(self):
+        with pytest.raises(DimensionMismatchError, match="target lives in dimension 3, map lands in 2"):
+            preimage(RationalMatrix.zeros(2, 2), Subspace.full(3))
 
 
 def _rebuilt(m):
