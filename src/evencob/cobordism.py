@@ -43,6 +43,7 @@ from .linalg import (
     RationalMatrix,
     Subspace,
     _preimage_of_columns,
+    _times_transpose,
     cokernel,
     kernel,
 )
@@ -187,7 +188,7 @@ def _carry(
             f"subspace of ambient {lagrangian.ambient_dim}, {side} surface has "
             f"dimension {start.beta1}"
         )
-    result = _preimage_of_columns(j_end, j_start @ lagrangian.basis.transpose())
+    result = _preimage_of_columns(j_end, _times_transpose(j_start, lagrangian.basis))
     assert end.space.is_lagrangian(result)
     return result
 
@@ -220,8 +221,8 @@ def is_even(m: CobordismMorphism) -> EvennessReport:
     body, the component count of the source surface, half the first Betti
     number of the target surface, and the one-sided-boundary indicator.
     """
-    src_image = m.source.lagrangian.basis @ m.j_src_h1.transpose()
-    tgt_image = m.target.lagrangian.basis @ m.j_tgt_h1.transpose()
+    src_image = _times_transpose(m.source.lagrangian.basis, m.j_src_h1)
+    tgt_image = _times_transpose(m.target.lagrangian.basis, m.j_tgt_h1)
     terms = {
         "lagrangian_span": src_image.vstack(tgt_image).rank(),
         "beta1_body": m.h1_dim,

@@ -38,14 +38,11 @@ from .errors import (
     LagrangianMismatchError,
     UnknownNameError,
 )
-from .generators import MAX_TEXT_GENUS, build_from_objects, parse_generator_spec
+from .generators import MAX_BODY_DIM, MAX_TEXT_GENUS, build_from_objects, parse_generator_spec
 from .linalg import RationalMatrix, Subspace, canonical_basis
 from .symplectic import SymplecticSpace, beta0, beta1
 
 _RATIONAL_RE = re.compile(r"^[+-]?\d+(/[1-9]\d*)?$")
-
-# a morphism's h1 and h0 need not be matched by data lines, so they are bounded
-MAX_BODY_DIM = 256
 
 # the most digits one written integer, numerator or denominator may have; far
 # below Python's limit on converting between int and str
@@ -253,6 +250,11 @@ def parse_pipeline(text: str) -> Pipeline:
             name = tokens[1]
             if name in objects:
                 raise FileSyntaxError(f"duplicate object name {name!r}", number)
+            if len(tokens) - 3 > MAX_BODY_DIM:
+                raise FileSyntaxError(
+                    f"genera have {len(tokens) - 3} components, at most {MAX_BODY_DIM} allowed",
+                    number,
+                )
             genera = tuple(_parse_count(t, number, "genus") for t in tokens[3:])
             if sum(genera) > MAX_TEXT_GENUS:
                 raise FileSyntaxError(

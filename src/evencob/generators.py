@@ -42,6 +42,7 @@ from .errors import DimensionMismatchError, GeneratorSpecError, NotSymplecticErr
 from .linalg import RationalMatrix, Subspace
 from .symplectic import (
     DEFAULT_WALK_LENGTH,
+    _standard_inverse,
     beta1,
     random_lagrangian,
     random_symplectic,
@@ -53,6 +54,11 @@ COMBO_KINDS = ("disjoint_union", "composite")
 # a few characters of generator text ask for dense matrices of these sizes
 MAX_TEXT_GENUS = 32
 MAX_TWIST_LENGTH = 1000
+
+# genus-0 components add nothing to the genus, and a morphism's h1 and h0 need
+# not be matched by data lines, so component counts and body dimensions are
+# bounded too
+MAX_BODY_DIM = 256
 
 
 def _check_twist(name: str, twist: RationalMatrix, surface: SurfaceObject) -> None:
@@ -82,11 +88,12 @@ def twisted_cylinder(
     the inverse twist, so push_forward acts as the twist itself.
 
     The twist must preserve the surface form; its graph is then Lagrangian in
-    the boundary form and the record validates by construction.
+    the boundary form and the record validates by construction.  Once that
+    is checked, the inverse is -J A^T J, with no elimination.
     """
     _check_twist("twist", twist, surface)
     base = pseudo_cylinder(surface, target_lagrangian, weight)
-    return replace(base, j_tgt_h1=twist.inverse())
+    return replace(base, j_tgt_h1=_standard_inverse(twist))
 
 
 def handlebody(genus: int, target_lagrangian: Subspace, weight: int) -> CobordismMorphism:
@@ -137,8 +144,9 @@ def cap(
 
 
 def _union_object(a: SurfaceObject, b: SurfaceObject) -> SurfaceObject:
+    # two RREF bases side by side are the RREF basis of their direct sum
     basis = RationalMatrix.block_diag(a.lagrangian.basis, b.lagrangian.basis)
-    return SurfaceObject(a.genera + b.genera, Subspace(basis))
+    return SurfaceObject(a.genera + b.genera, Subspace._canonical(basis))
 
 
 def disjoint_union(m1: CobordismMorphism, m2: CobordismMorphism) -> CobordismMorphism:
@@ -392,6 +400,7 @@ class _SpecParser:
         self.tokens = tokens
         self.pos = 0
         self.genus = 0  # sum of the genera written so far
+        self.components = 0  # and their number
 
     def peek(self) -> str | None:
         return self.tokens[self.pos] if self.pos < len(self.tokens) else None
@@ -445,6 +454,11 @@ class _SpecParser:
         if self.genus > MAX_TEXT_GENUS:
             raise GeneratorSpecError(
                 f"genera add up to {self.genus}, at most {MAX_TEXT_GENUS} allowed"
+            )
+        self.components += len(spec.genera or ())
+        if self.components > MAX_BODY_DIM:
+            raise GeneratorSpecError(
+                f"genera have {self.components} components, at most {MAX_BODY_DIM} allowed"
             )
         if spec.twist_length > MAX_TWIST_LENGTH:
             raise GeneratorSpecError(

@@ -7,13 +7,15 @@ lattice with exact kernel / image / preimage / cokernel computations.
 Matrices are immutable.  Each row is stored as a tuple of integers over one
 positive denominator, in lowest terms: the gcd of the row's integers and its
 denominator is 1, and a zero row has denominator 1.  That form is unique, so
-structural equality and hashing are exact.  ``rref`` is the only elimination
-and ``@`` the only product: each linear system or containment test is one
-``rref`` of an augmented matrix.  Both, and every other operation here, run
-on the stored integers.  Elimination makes each row primitive, reduces with
-integer row operations and writes each pivot row as the primitive row over
-its (positive) pivot.  A product puts the right factor over one denominator
-and divides each output row by one gcd.
+structural equality and hashing are exact.  ``rref`` is the only elimination:
+each linear system or containment test is one ``rref`` of an augmented
+matrix.  There is one product loop: ``@`` feeds it the right factor's
+columns, and the private ``_times_transpose`` (A times the transpose of B)
+feeds it B's rows, so no transpose is built.  Both, and every other operation
+here, run on the stored integers.  Elimination makes each row primitive,
+reduces with integer row operations and writes each pivot row as the
+primitive row over its (positive) pivot.  A product puts the right factor
+over one denominator and divides each output row by one gcd.
 
 ``Fraction`` values appear only at the boundary: ``row``, ``column``,
 ``entries``, ``[i, j]`` and ``repr`` build them, and the public constructor
@@ -185,6 +187,11 @@ class RationalMatrix:
     def column(self, j: int) -> Vector:
         return tuple(Fraction(r[j], d) for r, d in zip(self._rows, self._dens))
 
+    def _column_block(self, start: int, stop: int) -> "RationalMatrix":
+        """Columns start to stop - 1, each row put back in lowest terms."""
+        pairs = [_reduced(r[start:stop], d) for r, d in zip(self._rows, self._dens)]
+        return RationalMatrix._of_pairs(pairs, stop - start)
+
     def __getitem__(self, key: tuple[int, int]) -> Fraction:
         i, j = key
         return Fraction(self._rows[i][j], self._dens[i])
@@ -224,22 +231,28 @@ class RationalMatrix:
     def __sub__(self, other: "RationalMatrix") -> "RationalMatrix":
         return self + (-other)
 
+    def _over_one_denominator(self) -> tuple[list[IntRow], int]:
+        """Integer rows A and the lcm e of the row denominators, with self = A / e."""
+        e = lcm(*self._dens)
+        return [_scaled(r, e // d) for r, d in zip(self._rows, self._dens)], e
+
+    def _product(self, lines: Sequence[IntRow], e: int) -> "RationalMatrix":
+        # the product loop: with row r of self = a_r / d_r and each line an
+        # integer vector over e, entry (r, s) is (a_r . line_s) / (d_r e), and
+        # each output row is one gcd from lowest terms
+        pairs = [
+            _reduced([sum(map(mul, a, line)) for line in lines], d * e)
+            for a, d in zip(self._rows, self._dens)
+        ]
+        return RationalMatrix._of_pairs(pairs, len(lines))
+
     def __matmul__(self, other: "RationalMatrix") -> "RationalMatrix":
         if self._ncols != other.rows:
             raise DimensionMismatchError(
                 f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}"
             )
-        # other = B / e with B integral and row r of self = a_r / d_r, so row r
-        # of the product is (a_r B) / (d_r e), one gcd from lowest terms
-        width = other._ncols
-        e = lcm(*other._dens)
-        scaled = [_scaled(r, e // d) for r, d in zip(other._rows, other._dens)]
-        columns = list(zip(*scaled)) or [()] * width
-        pairs = [
-            _reduced([sum(map(mul, a, col)) for col in columns], d * e)
-            for a, d in zip(self._rows, self._dens)
-        ]
-        return RationalMatrix._of_pairs(pairs, width)
+        scaled, e = other._over_one_denominator()
+        return self._product(list(zip(*scaled)) or [()] * other._ncols, e)
 
     def apply(self, vector: Iterable) -> Vector:
         """Matrix times column vector."""
@@ -249,8 +262,7 @@ class RationalMatrix:
         return (self @ RationalMatrix.from_columns([v], rows=self._ncols)).column(0)
 
     def transpose(self) -> "RationalMatrix":
-        den = lcm(*self._dens)
-        scaled = [_scaled(r, den // d) for r, d in zip(self._rows, self._dens)]
+        scaled, den = self._over_one_denominator()
         columns = list(zip(*scaled)) or [()] * self._ncols
         return RationalMatrix._of_pairs([_reduced(c, den) for c in columns], len(self._rows))
 
@@ -379,11 +391,11 @@ class Subspace:
 
     @classmethod
     def zero(cls, ambient_dim: int) -> "Subspace":
-        return cls(RationalMatrix((), cols=ambient_dim))
+        return cls._canonical(RationalMatrix.zeros(0, ambient_dim))
 
     @classmethod
     def full(cls, ambient_dim: int) -> "Subspace":
-        return cls(RationalMatrix.identity(ambient_dim))
+        return cls._canonical(RationalMatrix.identity(ambient_dim))
 
     @property
     def ambient_dim(self) -> int:
@@ -471,6 +483,16 @@ def _null_rows(red: RationalMatrix, pivots: tuple[int, ...]) -> list[tuple[IntRo
     return pairs
 
 
+def _times_transpose(a: RationalMatrix, b: RationalMatrix) -> RationalMatrix:
+    """``a @ b.transpose()`` without the transpose: b's rows feed the product loop."""
+    if a.cols != b.cols:
+        raise DimensionMismatchError(
+            f"cannot multiply {a.rows}x{a.cols} by the transpose of {b.rows}x{b.cols}"
+        )
+    scaled, e = b._over_one_denominator()
+    return a._product(scaled, e)
+
+
 def kernel(f: RationalMatrix) -> Subspace:
     """{x : f @ x = 0} in canonical form; dimension cols - rank."""
     return Subspace(RationalMatrix._of_pairs(_null_rows(*f.rref()), f.cols))
@@ -519,4 +541,4 @@ def map_subspace(f: RationalMatrix, sub: Subspace) -> Subspace:
         raise DimensionMismatchError(
             f"subspace lives in dimension {sub.ambient_dim}, map expects {f.cols}"
         )
-    return Subspace(sub.basis @ f.transpose())
+    return Subspace(_times_transpose(sub.basis, f))

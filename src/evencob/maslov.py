@@ -6,13 +6,15 @@ For Lagrangians l1, l2, l3 of a symplectic space, the pairing
 
 is a well-defined symmetric bilinear form on (l1 + l2) cap l3; its signature is
 the Maslov index of the triple.  This module builds the form exactly, computes
-signatures by Sylvester's law over 1x1 and 2x2 rational pivot blocks, and
+signatures by Sylvester's law over 1x1 and 2x2 pivot blocks on integers, and
 exposes the dimension-parity quantities the index obeys.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
+from math import gcd
 from typing import Iterable
 
 from .errors import (
@@ -25,6 +27,7 @@ from .linalg import (
     RationalMatrix,
     Subspace,
     Vector,
+    _times_transpose,
     as_vector,
     kernel,
 )
@@ -110,21 +113,26 @@ def maslov_form(triple: LagrangianTriple) -> MaslovForm:
     l1, l2, l3 = triple.lagrangians()
     domain = (l1 + l2).intersect(l3)
     a2 = _split(l1, l2, domain.basis)
-    gram = a2 @ triple.space.gram @ domain.basis.transpose()
+    gram = _times_transpose(a2, _times_transpose(domain.basis, triple.space.gram))
     return MaslovForm(domain.basis, gram)
 
 
 def signature(gram: RationalMatrix) -> int:
-    """Exact signature of a symmetric rational matrix.
+    """Exact signature of a symmetric rational matrix, fraction-free.
 
     Sylvester's law of inertia over 1x1 and 2x2 pivot blocks (Bunch-Kaufman):
     the first nonzero diagonal entry p is a block counting sign(p); on a zero
     diagonal, the first nonzero c at (i, j), i < j, gives [[0, c], [c, 0]],
     counting +1 - 1 = 0.  The loop goes on with the block's Schur complement.
+    It runs on integers (after Bareiss): the gram is scaled by the lcm of its
+    denominators, each Schur complement by |p| (or |c|), and each is then
+    divided by the gcd of its entries.  Positive scalings keep the inertia
+    and which entries are zero, so the pivots are the ones the rational loop
+    takes.
     """
     if not gram.is_symmetric():
         raise NotSymmetricError("signature needs a symmetric matrix")
-    m = [list(gram.row(i)) for i in range(gram.rows)]
+    m = [list(row) for row in gram._over_one_denominator()[0]]
     total = 0
     while m:
         n = len(m)
@@ -132,19 +140,30 @@ def signature(gram: RationalMatrix) -> int:
         if k is not None:
             top = m.pop(k)
             p = top.pop(k)
-            total += 1 if p > 0 else -1
+            sign, scale = (1, p) if p > 0 else (-1, -p)
+            total += sign
+            # |p| (row - (f / p) top) for each remaining row
             for row in m:
-                f = row.pop(k) / p
+                f = sign * row.pop(k)
                 if f:
-                    row[:] = [a - f * b for a, b in zip(row, top)]
-            continue
-        pair = next(((i, j) for i in range(n) for j in range(i + 1, n) if m[i][j]), None)
-        if pair is None:
-            break  # the rest of the form is zero
-        i, j = pair
-        c = m[i][j]
-        rest = [r for r in range(n) if r not in pair]
-        m = [[m[r][s] - (m[r][i] * m[j][s] + m[r][j] * m[i][s]) / c for s in rest] for r in rest]
+                    row[:] = [scale * a - f * b for a, b in zip(row, top)]
+                elif scale != 1:
+                    row[:] = [scale * a for a in row]
+        else:
+            pair = next(((i, j) for i in range(n) for j in range(i + 1, n) if m[i][j]), None)
+            if pair is None:
+                break  # the rest of the form is zero
+            i, j = pair
+            c = m[i][j]
+            sign, scale = (1, c) if c > 0 else (-1, -c)
+            rest = [r for r in range(n) if r not in pair]
+            m = [
+                [scale * m[r][s] - sign * (m[r][i] * m[j][s] + m[r][j] * m[i][s]) for s in rest]
+                for r in rest
+            ]
+        g = gcd(*chain.from_iterable(m))
+        if g > 1:
+            m = [[a // g for a in row] for row in m]
     return total
 
 

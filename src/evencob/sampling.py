@@ -65,7 +65,8 @@ def _random_space(
 def _embed_lagrangian(lag: Subspace, pad: int, inverse_change: RationalMatrix | None) -> Subspace:
     if pad == 0:
         return lag
-    padded = Subspace(RationalMatrix.block_diag(lag.basis, RationalMatrix.identity(pad)))
+    # an RREF basis beside an identity block is the RREF basis of the sum
+    padded = Subspace._canonical(RationalMatrix.block_diag(lag.basis, RationalMatrix.identity(pad)))
     return map_subspace(inverse_change, padded)
 
 
@@ -259,8 +260,7 @@ def random_abstract_morphism(
     extra = rng.randrange(2)  # body classes not touching the boundary
 
     def columns(offset: int, width: int) -> RationalMatrix:
-        rows = [projection.row(i)[offset : offset + width] for i in range(projection.rows)]
-        block = RationalMatrix(rows, cols=width)
+        block = projection._column_block(offset, offset + width)
         return block.vstack(RationalMatrix.zeros(extra, width))
 
     morphism = CobordismMorphism(

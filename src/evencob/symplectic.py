@@ -14,12 +14,15 @@ import weakref
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
+from operator import mul
 from typing import Iterable, Sequence
 
 from .errors import DimensionMismatchError, NonSkewFormError
 from .linalg import (
+    IntRow,
     RationalMatrix,
     Subspace,
+    _times_transpose,
     as_vector,
     canonical_basis,
     kernel,
@@ -70,8 +73,7 @@ class SymplecticSpace:
     def annihilator(self, sub: Subspace) -> Subspace:
         """All vectors pairing to zero with every element of the subspace."""
         self._check_ambient(sub)
-        pairing = sub.basis @ self.gram.transpose()
-        return kernel(pairing)
+        return kernel(_times_transpose(sub.basis, self.gram))
 
     @cached_property
     def _radical(self) -> Subspace:
@@ -85,6 +87,28 @@ class SymplecticSpace:
     def _lagrangians(self) -> weakref.WeakSet:
         # subspaces already found Lagrangian here; an entry dies with its subspace
         return weakref.WeakSet()
+
+    @cached_property
+    def _gram_rows(self) -> list[IntRow]:
+        # the gram's integer rows over one positive denominator
+        return self.gram._over_one_denominator()[0]
+
+    def _is_isotropic(self, sub: Subspace) -> bool:
+        """True iff B G B^T = 0 for the basis B, decided on numerators.
+
+        Positive row and gram denominators do not change which entries are
+        zero, and B G B^T is skew, so the entries below its diagonal decide:
+        b_i . (G b_j) for i > j, with the integer rows b.  No gcd, no
+        ``Fraction`` and no transpose; the test stops at the first nonzero.
+        """
+        rows = sub.basis._rows
+        gram = self._gram_rows
+        for j, b in enumerate(rows[:-1]):
+            image = [sum(map(mul, g, b)) for g in gram]
+            for c in rows[j + 1 :]:
+                if sum(map(mul, image, c)):
+                    return False
+        return True
 
     def is_lagrangian(self, sub: Subspace) -> bool:
         """True iff the subspace equals its own annihilator.
@@ -106,10 +130,7 @@ class SymplecticSpace:
         known = self._lagrangians
         if sub in known:
             return True
-        if 2 * sub.dim != self.dim + self._radical.dim:
-            return False
-        pairing = sub.basis @ self.gram @ sub.basis.transpose()
-        if pairing != RationalMatrix.zeros(sub.dim, sub.dim):
+        if 2 * sub.dim != self.dim + self._radical.dim or not self._is_isotropic(sub):
             return False
         known.add(sub)
         return True
@@ -213,12 +234,32 @@ def preserves_standard_form(columns: Sequence[Sequence]) -> bool:
     the entries above the diagonal decide.  Entries may be int or Fraction.
     """
     n = len(columns)
-    turned = [[y[k + 1] if k % 2 == 0 else -y[k - 1] for k in range(n)] for y in columns]
+    turned = [_turned(y) for y in columns]
     return all(
-        sum(p * q for p, q in zip(x, turned[b]) if p and q) == (a % 2 == 0 and b == a + 1)
+        sum(map(mul, x, turned[b])) == (a % 2 == 0 and b == a + 1)
         for a, x in enumerate(columns)
         for b in range(a + 1, n)
     )
+
+
+def _turned(y: Sequence) -> tuple:
+    """J y for the standard form J: each (e_h, f_h) pair (a, b) becomes (b, -a)."""
+    return tuple([y[k + 1] if k % 2 == 0 else -y[k - 1] for k in range(len(y))])
+
+
+def _standard_inverse(a: RationalMatrix) -> RationalMatrix:
+    """-J A^T J, the inverse of a square A with A^T J A = J for the standard J.
+
+    J^-1 = -J, so A^-1 = -J A^T J.  With a_c the columns of A (the rows of
+    A^T), row 2h of the result is J a_(2h+1) and row 2h+1 is J (-a_2h): signed
+    permutations of rows in lowest terms, so no elimination runs.
+    """
+    cols = a.transpose()
+    rows, dens = [], []
+    for e in range(0, cols.rows, 2):
+        rows += [_turned(cols._rows[e + 1]), _turned([-x for x in cols._rows[e]])]
+        dens += [cols._dens[e + 1], cols._dens[e]]
+    return RationalMatrix._of(tuple(rows), tuple(dens), a.cols)
 
 
 def _walk(g: int, seed: int | random.Random, length: int) -> list[list[int]]:

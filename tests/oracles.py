@@ -8,8 +8,10 @@ take plain lists of `Fraction` rows; `matrix_rows` reads them off a matrix.
 Neither runs on evencob's matrix arithmetic, so a fault in that arithmetic
 cannot pass on both sides of a comparison.
 
-The signature reference is the symmetric congruence diagonalization that
-evencob's Schur-complement loop over 1x1 and 2x2 pivot blocks replaced.
+The signature references are the symmetric congruence diagonalization that
+evencob's Schur-complement loop over 1x1 and 2x2 pivot blocks replaced, and
+that loop itself in ``Fraction`` arithmetic, which the fraction-free loop on
+integers replaced.
 
 The RREF oracle is the Fraction Gauss-Jordan loop that evencob's integer
 elimination replaced; the RREF of a matrix is unique, so the two must agree
@@ -73,6 +75,40 @@ def matrix_rows(m: RationalMatrix) -> list[list[Fraction]]:
 
 
 def reference_signature(gram: RationalMatrix) -> int:
+    """Exact signature of a symmetric rational matrix, on Fraction entries.
+
+    Sylvester's law of inertia over 1x1 and 2x2 pivot blocks: the first
+    nonzero diagonal entry p is a block counting sign(p); on a zero diagonal,
+    the first nonzero c at (i, j), i < j, gives [[0, c], [c, 0]], counting
+    nothing.  The loop goes on with the block's rational Schur complement.
+    """
+    if not gram.is_symmetric():
+        raise NotSymmetricError("signature needs a symmetric matrix")
+    m = [list(gram.row(i)) for i in range(gram.rows)]
+    total = 0
+    while m:
+        n = len(m)
+        k = next((k for k in range(n) if m[k][k]), None)
+        if k is not None:
+            top = m.pop(k)
+            p = top.pop(k)
+            total += 1 if p > 0 else -1
+            for row in m:
+                f = row.pop(k) / p
+                if f:
+                    row[:] = [a - f * b for a, b in zip(row, top)]
+            continue
+        pair = next(((i, j) for i in range(n) for j in range(i + 1, n) if m[i][j]), None)
+        if pair is None:
+            break  # the rest of the form is zero
+        i, j = pair
+        c = m[i][j]
+        rest = [r for r in range(n) if r not in pair]
+        m = [[m[r][s] - (m[r][i] * m[j][s] + m[r][j] * m[i][s]) / c for s in rest] for r in rest]
+    return total
+
+
+def reference_congruence_signature(gram: RationalMatrix) -> int:
     """Exact signature of a symmetric rational matrix.
 
     Symmetric congruence diagonalization: eliminate below each nonzero

@@ -491,6 +491,17 @@ class TestExitCodes:
             "error: line 3: h1 dimension must be at most 256, found 257\n",
         ),
         (
+            ["gen", "--spec"],
+            None,
+            "error: genera have 257 components, at most 256 allowed\n",
+        ),
+        (
+            ["even", "--in"],
+            "object a genera " + " ".join(["0"] * 257) + "\nlagrangian 0\n"
+            "generator g a a identity\n",
+            "error: line 1: genera have 257 components, at most 256 allowed\n",
+        ),
+        (
             ["maslov", "--in"],
             "form 2\n0 1\n-1 0\nsubspace L 1\n" + "9" * 5000 + " 0\n",
             "error: line 5: an integer has 5000 digits, at most 1000 allowed\n",
@@ -523,6 +534,8 @@ class TestExitCodes:
         "gen-twist-length-limit",
         "compose-genus-limit",
         "even-h1-limit",
+        "gen-component-limit",
+        "even-component-limit",
         "maslov-long-entry",
         "maslov-long-denominator",
         "maslov-long-form",
@@ -530,6 +543,8 @@ class TestExitCodes:
     ],
 )
 def test_malformed_numbers_are_input_errors(capsys, tmp_path, argv, text, message):
+    if argv == ["gen", "--spec"]:
+        argv = argv + ["pseudo_cylinder genera=[" + ",".join(["0"] * 257) + "]"]
     if text is not None:
         path = tmp_path / "input.txt"
         path.write_text(text)
@@ -537,6 +552,22 @@ def test_malformed_numbers_are_input_errors(capsys, tmp_path, argv, text, messag
     code = main(argv)
     out, err = capsys.readouterr()
     assert (code, out, err) == (2, "", message)
+
+
+def test_component_count_at_the_bound_runs(capsys, tmp_path):
+    # 256 genus-0 components, the most the text may declare
+    spheres = ",".join(["0"] * 256)
+    code, report = run_json(capsys, "gen", "--spec", f"pseudo_cylinder genera=[{spheres}]")
+    assert code == 0
+    assert report["results"][0]["source_genera"] == [0] * 256
+    assert report["results"][0]["even"] is True
+    path = tmp_path / "spheres.cbf"
+    path.write_text(
+        "object a genera " + " ".join(["0"] * 256) + "\nlagrangian 0\ngenerator g a a identity\n"
+    )
+    code, report = run_json(capsys, "even", "--in", str(path))
+    assert code == 0
+    assert (report["results"][0]["beta0"], report["results"][0]["even"]) == (256, True)
 
 
 def test_one_process_runs_match_fresh_processes(capsys):

@@ -335,6 +335,38 @@ def test_object_genera_at_the_limit_accepted(genera):
     assert parse_pipeline(text).objects["A"].genera == tuple(map(int, genera.split()))
 
 
+SPHERES_CBF = "object E genera\nlagrangian 0\nobject S genera {}\nlagrangian 0\n"
+
+
+def test_object_components_past_the_limit_rejected():
+    with pytest.raises(FileSyntaxError) as exc:
+        parse_pipeline(SPHERES_CBF.format(" ".join(["0"] * 257)))
+    assert str(exc.value) == "line 3: genera have 257 components, at most 256 allowed"
+
+
+def test_object_components_at_the_limit_accepted():
+    pipeline = parse_pipeline(SPHERES_CBF.format(" ".join(["0"] * 256)))
+    assert pipeline.objects["S"].genera == (0,) * 256
+
+
+def _spheres_generator(count: int) -> str:
+    spheres = ",".join(["0"] * count)
+    return SPHERES_CBF.format(" ".join(["0"] * 256)) + (
+        f"generator g S S pseudo_cylinder genera=[{spheres}]\n"
+    )
+
+
+def test_generator_components_past_the_limit_name_the_line():
+    with pytest.raises(GeneratorSpecError) as exc:
+        parse_pipeline(_spheres_generator(257))
+    assert str(exc.value) == "line 5: genera have 257 components, at most 256 allowed"
+
+
+def test_generator_components_at_the_limit_accepted():
+    morphism = parse_pipeline(_spheres_generator(256)).entries[0].morphism
+    assert morphism.source.genera == (0,) * 256
+
+
 BODY_ONLY_CBF = """\
 object E genera
 lagrangian 0

@@ -23,11 +23,13 @@ from evencob.generators import (
     format_generator_spec,
     handlebody,
     parse_generator_spec,
+    _union_object,
     random_even_morphism,
     twisted_cylinder,
 )
 from evencob.linalg import RationalMatrix, Subspace, canonical_basis
 from evencob.sampling import random_abstract_morphism, random_even_pair
+from evencob.symplectic import random_lagrangian
 from evencob.symplectic import preserves_standard_form, random_symplectic
 
 SPAN_E = canonical_basis([(1, 0)], 2)
@@ -89,6 +91,41 @@ class TestTwistedCylinder:
                 assert _accepted(twisted_cylinder, obj, twist, obj.lagrangian, 0) == symplectic
                 if len(genera) == 1:
                     assert _accepted(cap, g, obj.lagrangian, 0, twist) == symplectic
+
+    def test_target_map_is_the_inverse_twist(self):
+        # -J A^T J against the inverse from elimination, on walks of genus 1-4,
+        # lengths 0-60 and two-component genera
+        rng = random.Random(13)
+        for genera in ((1,), (2,), (3,), (4,), (1, 1), (1, 2), (2, 2), (1, 3)):
+            g = sum(genera)
+            obj = SurfaceObject(genera, standard_lagrangian(g))
+            for length in (0, 1, 2, 5, 20, 60):
+                twist = random_symplectic(g, rng.getrandbits(32), length)
+                m = twisted_cylinder(obj, twist, obj.lagrangian, 0)
+                assert m.j_tgt_h1 == twist.inverse()
+                assert m.j_tgt_h1 @ twist == RationalMatrix.identity(2 * g)
+
+    def test_target_map_with_rational_twists(self):
+        # e_h -> a e_h, f_h -> f_h / a preserves the form; between two walks
+        # it gives twists with mixed denominators
+        rng = random.Random(17)
+        for genera in ((1,), (2,), (1, 1), (3,)):
+            g = sum(genera)
+            obj = SurfaceObject(genera, standard_lagrangian(g))
+            for _ in range(6):
+                a = [Fraction(rng.choice([1, 2, 3, 5]), rng.choice([1, 2, 7])) for _ in range(g)]
+                scale = RationalMatrix(
+                    [[(a[i // 2] if i % 2 == 0 else 1 / a[i // 2]) if i == j else 0
+                      for j in range(2 * g)] for i in range(2 * g)]
+                )
+                twist = (
+                    random_symplectic(g, rng.getrandbits(32), 8)
+                    @ scale
+                    @ random_symplectic(g, rng.getrandbits(32), 8)
+                )
+                m = twisted_cylinder(obj, twist, obj.lagrangian, 0)
+                assert m.j_tgt_h1 == twist.inverse()
+                assert validate(m) == []
 
     def test_rejects_wrong_shape(self):
         with pytest.raises(DimensionMismatchError) as exc:
@@ -160,6 +197,17 @@ class TestDisjointUnion:
         assert u.weight == m.weight
         assert u.h1_dim == m.h1_dim and u.h0_dim == m.h0_dim
         assert u.target.genera == (1,)
+
+    def test_union_object_is_already_canonical(self):
+        rng = random.Random(19)
+        objects = [empty_surface(), SurfaceObject((0,), Subspace.zero(0))]
+        objects += [SurfaceObject((g,), random_lagrangian(g, rng)) for g in (1, 2, 3)]
+        for a in objects:
+            for b in objects:
+                union = _union_object(a, b).lagrangian
+                assert union == Subspace(union.basis)
+                assert union.basis == Subspace(union.basis).basis
+                assert union.dim == a.lagrangian.dim + b.lagrangian.dim
 
     def test_epsilon_is_not_additive(self):
         # each handlebody has epsilon 1, but so does their union
@@ -275,6 +323,32 @@ class TestGeneratorSpecText:
         with pytest.raises(GeneratorSpecError) as exc:
             parse_generator_spec(text)
         assert str(exc.value) == "genera add up to 33, at most 32 allowed"
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "pseudo_cylinder genera=[" + ",".join(["0"] * 257) + "]",
+            "twisted_cylinder genera=[" + ",".join(["0"] * 256 + ["1"]) + "]",
+            "disjoint_union(identity genera=[" + ",".join(["0"] * 200) + "], "
+            "identity genera=[" + ",".join(["0"] * 57) + "])",
+        ],
+    )
+    def test_components_past_the_limit_rejected(self, text):
+        with pytest.raises(GeneratorSpecError) as exc:
+            parse_generator_spec(text)
+        assert str(exc.value) == "genera have 257 components, at most 256 allowed"
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "pseudo_cylinder genera=[" + ",".join(["0"] * 256) + "]",
+            "disjoint_union(identity genera=[" + ",".join(["0"] * 200) + "], "
+            "identity genera=[" + ",".join(["0"] * 56) + "])",
+        ],
+    )
+    def test_components_at_the_limit_accepted(self, text):
+        spec = parse_generator_spec(text)
+        assert sum(len(c.genera) for c in (spec.children or (spec,))) == 256
 
     def test_twist_length_past_the_limit_rejected(self):
         with pytest.raises(GeneratorSpecError) as exc:

@@ -10,6 +10,7 @@ from evencob.linalg import (
     RationalMatrix,
     Subspace,
     _preimage_of_columns,
+    _times_transpose,
     canonical_basis,
     cokernel,
     image,
@@ -449,6 +450,74 @@ class TestProductOracle:
     def test_shape_mismatch(self):
         with pytest.raises(DimensionMismatchError, match="cannot multiply 1x2 by 1x2"):
             RationalMatrix([[1, 2]]) @ RationalMatrix([[1, 2]])
+
+
+@st.composite
+def transpose_products(draw):
+    rows, inner, cols = (draw(st.integers(0, 5)) for _ in range(3))
+    return draw(entry_matrices(rows, inner)), draw(entry_matrices(cols, inner))
+
+
+class TestTimesTranspose:
+    """A @ B^T from B's rows agrees with building the transpose first."""
+
+    @staticmethod
+    def check(a, b):
+        product = _times_transpose(a, b)
+        assert product == a @ b.transpose() == reference_matmul(a, b.transpose())
+        assert (product.rows, product.cols) == (a.rows, b.rows)
+
+    @given(transpose_products())
+    def test_matches_product_with_transpose(self, pair):
+        self.check(*pair)
+
+    @pytest.mark.parametrize("shape", [(0, 3, 2), (2, 0, 3), (2, 3, 0), (0, 0, 0), (3, 0, 0)])
+    def test_empty_shapes(self, shape):
+        rows, inner, cols = shape
+        a = RationalMatrix(
+            [[Fraction(i + 1, j + 2) for j in range(inner)] for i in range(rows)], cols=inner
+        )
+        b = RationalMatrix([[j - i for j in range(inner)] for i in range(cols)], cols=inner)
+        self.check(a, b)
+        assert _times_transpose(a, b) == RationalMatrix.zeros(rows, cols)
+
+    def test_mixed_denominators(self):
+        a = RationalMatrix([[Fraction(1, 2), Fraction(1, 3)], [0, 0], [2**70, Fraction(-5, 7)]])
+        b = RationalMatrix([[Fraction(2, 3), Fraction(3, 5)], [0, Fraction(-1, 6)], [4, 0]])
+        self.check(a, b)
+        assert _times_transpose(a, b).row(0) == (Fraction(8, 15), Fraction(-1, 18), Fraction(2))
+
+    def test_shape_mismatch(self):
+        with pytest.raises(
+            DimensionMismatchError, match="cannot multiply 1x2 by the transpose of 1x3"
+        ):
+            _times_transpose(RationalMatrix([[1, 2]]), RationalMatrix([[1, 2, 3]]))
+
+
+class TestColumnBlock:
+    @given(st.integers(0, 5), st.integers(0, 5), st.data())
+    def test_matches_the_entries_read_back(self, rows, cols, data):
+        m = data.draw(entry_matrices(rows, cols))
+        start = data.draw(st.integers(0, cols))
+        stop = data.draw(st.integers(start, cols))
+        block = m._column_block(start, stop)
+        expected = RationalMatrix([m.row(i)[start:stop] for i in range(rows)], cols=stop - start)
+        assert block == expected
+
+    def test_rows_return_to_lowest_terms(self):
+        m = RationalMatrix([[Fraction(1, 2), 1, 3], [Fraction(1, 6), Fraction(1, 3), 0]])
+        assert m._column_block(1, 3) == RationalMatrix([[1, 3], [Fraction(1, 3), 0]])
+
+
+class TestCanonicalConstructors:
+    """Bases built canonical by construction equal the ones Subspace computes."""
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 5])
+    def test_zero_and_full(self, n):
+        zero, full = Subspace.zero(n), Subspace.full(n)
+        assert zero == Subspace(RationalMatrix((), cols=n)) == Subspace(zero.basis)
+        assert full == Subspace(RationalMatrix.identity(n)) == Subspace(full.basis)
+        assert (zero.dim, full.dim, zero.ambient_dim, full.ambient_dim) == (0, n, n, n)
 
 
 @st.composite

@@ -29,6 +29,7 @@ from oracles import (
     matrix_rows,
     reference_combine_rows,
     reference_decompose,
+    reference_congruence_signature,
     reference_maslov_gram,
     reference_signature,
 )
@@ -43,14 +44,14 @@ MIXED_FRACTIONS = st.fractions(min_value=-3, max_value=3, max_denominator=4)
 
 
 @st.composite
-def symmetric_matrices(draw):
-    """Symmetric matrices of size 0-6 in three families that stress the pivot choice.
+def symmetric_matrices(draw, max_size=6):
+    """Symmetric matrices of size 0 to max_size in three families that stress the pivot choice.
 
     Zero-diagonal matrices need a 2x2 block at the first step; sums of
     signed rank-one terms are degenerate; block-diagonal matrices with a zero
     block leave a zero form behind, first or last.
     """
-    n = draw(st.integers(0, 6))
+    n = draw(st.integers(0, max_size))
     family = draw(st.sampled_from(["zero-diagonal", "rank-one-sum", "zero-block"]))
     if family == "rank-one-sum":
         m = [[Fraction(0)] * n for _ in range(n)]
@@ -249,7 +250,41 @@ class TestSignature:
 
     @given(symmetric_matrices())
     def test_against_congruence_and_descartes_oracles(self, sym):
-        assert signature(sym) == reference_signature(sym) == bench_oracle.signature(matrix_rows(sym))
+        assert (
+            signature(sym)
+            == reference_congruence_signature(sym)
+            == bench_oracle.signature(matrix_rows(sym))
+        )
+
+    @given(symmetric_matrices(max_size=7))
+    def test_fraction_free_matches_the_rational_loop(self, sym):
+        # same pivot order on integers: zero diagonals, rank-deficient sums
+        # and mixed denominators up to 7x7
+        assert signature(sym) == reference_signature(sym)
+
+    @given(st.integers(0, 7), st.data())
+    def test_fraction_free_matches_on_scaled_congruences(self, n, data):
+        # D S D^T for an invertible diagonal D has the signature of S, with
+        # larger, mixed denominators for the gcd steps to clear
+        entries = st.fractions(min_value=-5, max_value=5, max_denominator=9)
+        m = RationalMatrix(
+            data.draw(st.lists(st.lists(entries, min_size=n, max_size=n), min_size=n, max_size=n)),
+            cols=n,
+        )
+        sym = m + m.transpose()
+        scale = RationalMatrix(
+            [[data.draw(entries.filter(bool)) if i == j else 0 for j in range(n)] for i in range(n)],
+            cols=n,
+        )
+        congruent = scale @ sym @ scale.transpose()
+        assert signature(congruent) == signature(sym) == reference_signature(sym)
+
+    def test_fraction_free_fixtures(self):
+        # a 2x2 block with negative c, then a 1x1 pivot on what it leaves
+        sym = RationalMatrix([[0, -3, 1], [-3, 0, 2], [1, 2, 0]])
+        assert signature(sym) == reference_signature(sym) == 1
+        thirds = RationalMatrix([[Fraction(1, 3), Fraction(1, 2)], [Fraction(1, 2), Fraction(1, 5)]])
+        assert signature(thirds) == reference_signature(thirds) == 0
 
 
 class TestMaslovIndex:

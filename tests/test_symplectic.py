@@ -471,3 +471,76 @@ class TestLagrangianStructure:
             assert ((a + b).dim - a.intersect(b).dim) % 2 == 0
             if space.radical().dim == 0:
                 assert 2 * a.dim == space.dim
+
+
+def _product_vanishes(space: SymplecticSpace, sub: Subspace) -> bool:
+    return (sub.basis @ space.gram @ sub.basis.transpose()) == RationalMatrix.zeros(sub.dim, sub.dim)
+
+
+class TestIsotropyOnNumerators:
+    """The isotropy test on numerators agrees with B G B^T == 0 over the rationals."""
+
+    @given(st.sampled_from(LAGRANGIAN_FAMILIES), st.integers(0, 2**32))
+    def test_matches_the_product_on_degenerate_spaces(self, family, seed):
+        drawn = _draw_family(family, seed)
+        assume(drawn is not None)
+        space, sub, _ = drawn
+        assert space._is_isotropic(sub) == _product_vanishes(space, sub)
+
+    def test_both_answers_are_drawn(self):
+        answers = {True: 0, False: 0}
+        for family in LAGRANGIAN_FAMILIES:
+            for seed in range(30):
+                drawn = _draw_family(family, seed)
+                if drawn is not None:
+                    space, sub, _ = drawn
+                    answer = space._is_isotropic(sub)
+                    assert answer == _product_vanishes(space, sub)
+                    answers[answer] += 1
+        assert min(answers.values()) >= 20
+
+    @pytest.mark.parametrize("i, j", [(i, j) for j in range(4) for i in range(j)])
+    def test_each_pair_of_basis_rows_is_tested(self, i, j):
+        # a form that pairs only e_i with e_j: the full space is isotropic iff
+        # that one entry of B G B^T is skipped
+        gram = [[0] * 4 for _ in range(4)]
+        gram[i][j], gram[j][i] = Fraction(1, 3), Fraction(-1, 3)
+        space = SymplecticSpace(RationalMatrix(gram))
+        assert not space._is_isotropic(Subspace.full(4))
+        rest = canonical_basis([[int(c == k) for c in range(4)] for k in range(4) if k != i], 4)
+        assert space._is_isotropic(rest)
+
+    @given(skew_space_with_pair())
+    def test_matches_the_product_with_rational_grams(self, data):
+        space, a, b = data
+        # a cap Ann(a) is isotropic; a, b and their sum usually are not
+        for sub in (a, b, a + b, a.intersect(space.annihilator(a)), space.radical()):
+            assert space._is_isotropic(sub) == _product_vanishes(space, sub)
+
+
+def test_embedded_lagrangian_basis_is_already_canonical(monkeypatch):
+    # an RREF basis beside an identity block is kept without an elimination
+    from evencob import sampling
+
+    padded = []
+
+    def capture(f, sub):
+        padded.append(sub)
+        return map_subspace(f, sub)
+
+    monkeypatch.setattr(sampling, "map_subspace", capture)
+    for seed in range(40):
+        rng = random.Random(seed)
+        genus, pad, space, inverse_change = _random_space(rng, 3, pad_choices=(1, 2, 3))
+        lag = random_lagrangian(genus, rng)
+        embedded = sampling._embed_lagrangian(lag, pad, inverse_change)
+        sub = padded[-1]
+        assert sub == Subspace(sub.basis)
+        assert sub.basis == Subspace(sub.basis).basis
+        assert sub == canonical_basis([r + (0,) * pad for r in lag.basis_rows()], sub.ambient_dim) + (
+            canonical_basis([[int(c == 2 * genus + k) for c in range(sub.ambient_dim)]
+                             for k in range(pad)], sub.ambient_dim)
+        )
+        assert embedded == map_subspace(inverse_change, sub)
+        assert space.is_lagrangian(embedded)
+    assert len(padded) == 40
