@@ -81,7 +81,7 @@ def evaluate_dim_sum(triple: LagrangianTriple) -> CheckOutcome:
 def evaluate_annihilator(triple: LagrangianTriple) -> CheckOutcome:
     """The radical of the Maslov form equals (l1^l3) + (l2^l3)."""
     radical = form_annihilator(triple)
-    expected = triple.l1.intersect(triple.l3) + triple.l2.intersect(triple.l3)
+    expected = triple._meets_with_l3
     return CheckOutcome(
         radical == expected,
         {"radical_dim": radical.dim, "expected_dim": expected.dim},

@@ -314,10 +314,11 @@ def compose(m1: CobordismMorphism, m2: CobordismMorphism) -> CobordismMorphism:
     k0 = alpha0.cols - alpha0.rows + d0
 
     def through(mat: RationalMatrix, first: bool, h0: bool) -> RationalMatrix:
-        # embed with zeros on the other body's rows, then project to the cokernel
-        other = m2 if first else m1
-        zeros = RationalMatrix.zeros(other.h0_dim if h0 else other.h1_dim, mat.cols)
-        projected = (q0 if h0 else q1) @ (mat.vstack(zeros) if first else zeros.vstack(mat))
+        # embed in the two bodies' direct sum, then project to the cokernel:
+        # the other body's rows are zero, so only this body's columns of the
+        # projection act
+        start = 0 if first else (m1.h0_dim if h0 else m1.h1_dim)
+        projected = (q0 if h0 else q1)._column_block(start, start + mat.rows) @ mat
         if h0:
             for j in range(projected.cols):
                 assert [x for x in projected.column(j) if x] == [1]

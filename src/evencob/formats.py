@@ -21,6 +21,13 @@ Pipeline files (.cbf) describe surface objects and cobordism morphisms:
 
 Rationals are written p/q or as bare integers; no floating point is accepted
 anywhere.  Serializing and re-parsing yields structurally identical values.
+
+The readers are the trust boundary for numbers.  Each token is matched once
+against the rational pattern, its digit counts are bounded, and `int()` reads
+its numerator and denominator, which are divided by their gcd.  A line of
+tokens becomes one integer row over the lcm of its denominators, the row form
+`linalg` stores, so matrices and subspaces are built from the text with no
+`Fraction` in between.
 """
 
 from __future__ import annotations
@@ -28,6 +35,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import gcd
 
 from .cobordism import CobordismMorphism, SurfaceObject
 from .errors import (
@@ -39,7 +47,7 @@ from .errors import (
     UnknownNameError,
 )
 from .generators import MAX_BODY_DIM, MAX_TEXT_GENUS, build_from_objects, parse_generator_spec
-from .linalg import RationalMatrix, Subspace, canonical_basis
+from .linalg import IntRow, RationalMatrix, Subspace, _over_lcm
 from .symplectic import SymplecticSpace, beta0, beta1
 
 _RATIONAL_RE = re.compile(r"^[+-]?\d+(/[1-9]\d*)?$")
@@ -56,13 +64,25 @@ def _check_digits(digits: str, line: int | None, what: str) -> None:
         )
 
 
-def parse_rational(token: str, line: int | None = None) -> Fraction:
+def _read_ratio(token: str, line: int | None) -> tuple[int, int]:
+    """The token as (numerator, positive denominator) in lowest terms."""
     if not _RATIONAL_RE.match(token):
         raise FileSyntaxError(f"not a rational (p/q or integer): {token!r}", line)
     numerator, _, denominator = token.lstrip("+-").partition("/")
-    _check_digits(numerator, line, "a numerator" if denominator else "an integer")
+    if not denominator:
+        _check_digits(numerator, line, "an integer")
+        return int(token), 1
+    _check_digits(numerator, line, "a numerator")
     _check_digits(denominator, line, "a denominator")
-    return Fraction(token)
+    num, den = int(numerator), int(denominator)
+    if token[0] == "-":
+        num = -num
+    g = gcd(num, den)
+    return (num // g, den // g) if g != 1 else (num, den)
+
+
+def parse_rational(token: str, line: int | None = None) -> Fraction:
+    return Fraction(*_read_ratio(token, line))
 
 
 @dataclass(frozen=True)
@@ -132,14 +152,15 @@ class _Lines:
         self.pos += 1
         return item
 
-    def take_numbers(self, count: int, line_hint: str) -> list[Fraction]:
+    def take_numbers(self, count: int, line_hint: str) -> tuple[IntRow, int]:
+        """The next line's rationals as integers over one denominator, in lowest terms."""
         number, tokens = self.take(expect=line_hint)
         if len(tokens) != count:
             raise DimensionMismatchError(
                 f"line {number}: expected {count} rationals for {line_hint}, "
                 f"found {len(tokens)}"
             )
-        return [parse_rational(t, number) for t in tokens]
+        return _over_lcm([_read_ratio(t, number) for t in tokens])
 
 
 def _parse_int(token: str, line: int, what: str) -> int:
@@ -163,8 +184,7 @@ def _parse_count(token: str, line: int, what: str, most: int | None = None) -> i
 def _read_matrix(lines: _Lines, rows: int, cols: int, what: str) -> RationalMatrix:
     if rows == 0 or cols == 0:
         return RationalMatrix.zeros(rows, cols)
-    data = [lines.take_numbers(cols, what) for _ in range(rows)]
-    return RationalMatrix(data, cols=cols)
+    return RationalMatrix._of_pairs([lines.take_numbers(cols, what) for _ in range(rows)], cols)
 
 
 def parse_scenario(text: str) -> Scenario:
@@ -196,7 +216,7 @@ def parse_scenario(text: str) -> Scenario:
                 raise FileSyntaxError(f"duplicate subspace name {name!r}", number)
             k = _parse_count(tokens[2], number, "subspace row count")
             rows = [lines.take_numbers(space.dim, f"a row of subspace {name}") for _ in range(k)]
-            subspaces[name] = canonical_basis(rows, space.dim)
+            subspaces[name] = Subspace(RationalMatrix._of_pairs(rows, space.dim))
         elif keyword == "triple":
             if len(tokens) != 4:
                 raise FileSyntaxError("usage: triple <n1> <n2> <n3>", number)
@@ -267,7 +287,8 @@ def parse_pipeline(text: str) -> Pipeline:
             width = beta1(genera)
             rows = [lines.take_numbers(width, f"a lagrangian row of {name}") for _ in range(k)]
             try:
-                objects[name] = SurfaceObject(genera, canonical_basis(rows, width))
+                lagrangian = Subspace(RationalMatrix._of_pairs(rows, width))
+                objects[name] = SurfaceObject(genera, lagrangian)
             except EvencobError as exc:
                 raise type(exc)(f"line {number}: {exc}") from exc
         elif keyword == "morphism":

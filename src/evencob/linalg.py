@@ -21,7 +21,9 @@ over one denominator and divides each output row by one gcd.
 ``entries``, ``[i, j]`` and ``repr`` build them, and the public constructor
 takes ints, ``Fraction``s or strings, rejects floats and ragged rows, and puts
 each row over the lcm of its denominators.  Rows this module builds itself go
-through the private ``RationalMatrix._of`` unchecked.
+through the private ``RationalMatrix._of`` unchecked, and so do the rows the
+file readers in ``formats`` make from text: each line is read straight into
+integers over the lcm of its denominators, in lowest terms (``_over_lcm``).
 
 A Subspace canonicalizes the matrix it is given to its unique RREF row basis,
 so subspace equality is plain structural equality and regression values can
@@ -68,12 +70,18 @@ def _ratio(value) -> tuple[int, int]:
 
 
 def _over_common_denominator(row: Iterable) -> tuple[IntRow, int]:
-    """Integers a and the lcm d of the entry denominators with row = a / d.
+    """Integers a and the lcm d of the entry denominators with row = a / d."""
+    return _over_lcm([_ratio(x) for x in row])
 
-    The result is in lowest terms: a prime power dividing d exactly divides
-    the denominator of some entry, whose scaled numerator it does not divide.
+
+def _over_lcm(ratios: Sequence[tuple[int, int]]) -> tuple[IntRow, int]:
+    """Integers a and the lcm d of the denominators with row = a / d.
+
+    Each entry is a (numerator, positive denominator) pair in lowest terms.
+    The result is in lowest terms too: a prime power dividing d exactly
+    divides the denominator of some entry, whose scaled numerator it does not
+    divide.
     """
-    ratios = [_ratio(x) for x in row]
     den = lcm(*[d for _, d in ratios])
     if den == 1:
         return tuple([n for n, _ in ratios]), 1
@@ -267,7 +275,15 @@ class RationalMatrix:
         return RationalMatrix._of_pairs([_reduced(c, den) for c in columns], len(self._rows))
 
     def is_symmetric(self) -> bool:
-        return self.rows == self.cols and self == self.transpose()
+        # entries (i, j) and (j, i) agree iff rows[i][j] / dens[i] = rows[j][i] / dens[j]
+        if self.rows != self._ncols:
+            return False
+        rows, dens = self._rows, self._dens
+        return all(
+            rows[i][j] * dens[j] == rows[j][i] * dens[i]
+            for i in range(len(rows))
+            for j in range(i + 1, len(rows))
+        )
 
     # -- stacking -------------------------------------------------------------
 

@@ -13,6 +13,7 @@ exposes the dimension-parity quantities the index obeys.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import chain
 from math import gcd
 from typing import Iterable
@@ -55,6 +56,27 @@ class LagrangianTriple:
     def lagrangians(self) -> tuple[Subspace, Subspace, Subspace]:
         return (self.l1, self.l2, self.l3)
 
+    @cached_property
+    def _lattice(self) -> dict[tuple[str, int, int], Subspace]:
+        # the pairwise sums and intersections asked for so far, keyed by
+        # ("+" or "meet", i, j); the table dies with the triple
+        return {}
+
+    def _pair(self, op: str, i: int, j: int) -> Subspace:
+        """l_i + l_j (op "+") or l_i cap l_j (op "meet"), computed on first use."""
+        key = (op, i, j)
+        table = self._lattice
+        if key not in table:
+            lags = self.lagrangians()
+            a, b = lags[i - 1], lags[j - 1]
+            table[key] = a + b if op == "+" else a.intersect(b)
+        return table[key]
+
+    @cached_property
+    def _meets_with_l3(self) -> Subspace:
+        """(l1 cap l3) + (l2 cap l3): the radical the Maslov form has."""
+        return self._pair("meet", 1, 3) + self._pair("meet", 2, 3)
+
 
 @dataclass(frozen=True)
 class MaslovForm:
@@ -77,12 +99,17 @@ class MaslovForm:
         return self.domain_basis.rows
 
 
-def _split(l1: Subspace, l2: Subspace, a: RationalMatrix) -> RationalMatrix:
-    """The l2 parts of the decompose splits of every row of `a`, from one solve."""
+def _l2_coefficients(l1: Subspace, l2: Subspace, a: RationalMatrix) -> RationalMatrix:
+    """The coefficients on l2's basis rows of the decompose splits of the rows of `a`.
+
+    One solve for all rows, one column per row: the l2 part of row j is
+    column j of the result, transposed, times l2's basis.
+    """
     coeffs = l1.basis.vstack(l2.basis).transpose().solve(a.transpose())
     if coeffs is None:
         raise DecompositionError("vector is not in the sum of the two subspaces")
-    return coeffs.transpose() @ RationalMatrix.zeros(l1.dim, l1.ambient_dim).vstack(l2.basis)
+    k = l1.dim  # coefficient rows k onward weigh the rows of l2's basis
+    return RationalMatrix._of(coeffs._rows[k:], coeffs._dens[k:], coeffs.cols)
 
 
 def decompose(l1: Subspace, l2: Subspace, a: Iterable) -> tuple[Vector, Vector]:
@@ -99,7 +126,8 @@ def decompose(l1: Subspace, l2: Subspace, a: Iterable) -> tuple[Vector, Vector]:
         raise DimensionMismatchError(
             f"vector of length {len(v)} in ambient dimension {l1.ambient_dim}"
         )
-    a2 = _split(l1, l2, RationalMatrix([v], cols=len(v))).row(0)
+    coeffs = _l2_coefficients(l1, l2, RationalMatrix([v], cols=len(v)))
+    a2 = (coeffs.transpose() @ l2.basis).row(0)
     return tuple([x - y for x, y in zip(v, a2)]), a2
 
 
@@ -109,12 +137,17 @@ def maslov_form(triple: LagrangianTriple) -> MaslovForm:
     Well-definedness makes the gram independent of the decomposition choice,
     and it comes out symmetric; both facts are validated by the MaslovForm
     constructor and exercised separately in the test campaigns.
+
+    With D the domain basis, G the space's gram, B2 l2's basis and Y the l2
+    coefficients, the l2 parts are Y^T B2 and the gram is Y^T B2 G D^T.  It
+    is computed as its transpose D G^T B2^T Y, which needs no transpose of Y
+    and equals it because the gram is symmetric, as the constructor checks.
     """
     l1, l2, l3 = triple.lagrangians()
-    domain = (l1 + l2).intersect(l3)
-    a2 = _split(l1, l2, domain.basis)
-    gram = _times_transpose(a2, _times_transpose(domain.basis, triple.space.gram))
-    return MaslovForm(domain.basis, gram)
+    d = triple._pair("+", 1, 2).intersect(l3).basis
+    y = _l2_coefficients(l1, l2, d)
+    gram = _times_transpose(_times_transpose(d, triple.space.gram), l2.basis) @ y
+    return MaslovForm(d, gram)
 
 
 def signature(gram: RationalMatrix) -> int:
@@ -132,6 +165,11 @@ def signature(gram: RationalMatrix) -> int:
     """
     if not gram.is_symmetric():
         raise NotSymmetricError("signature needs a symmetric matrix")
+    return _symmetric_signature(gram)
+
+
+def _symmetric_signature(gram: RationalMatrix) -> int:
+    """signature's pivot loop, for a gram already checked to be symmetric."""
     m = [list(row) for row in gram._over_one_denominator()[0]]
     total = 0
     while m:
@@ -169,7 +207,8 @@ def signature(gram: RationalMatrix) -> int:
 
 def maslov_index(triple: LagrangianTriple) -> int:
     """Signature of the Maslov form of the triple."""
-    return signature(maslov_form(triple).gram)
+    # MaslovForm has checked the gram's symmetry
+    return _symmetric_signature(maslov_form(triple).gram)
 
 
 def form_annihilator(triple: LagrangianTriple) -> Subspace:
@@ -184,17 +223,20 @@ def form_annihilator(triple: LagrangianTriple) -> Subspace:
 def _form_radical(triple: LagrangianTriple, mf: MaslovForm) -> Subspace:
     """form_annihilator for a Maslov form already built from the triple."""
     radical = Subspace(kernel(mf.gram).basis @ mf.domain_basis)
-    l1, l2, l3 = triple.lagrangians()
-    assert radical == l1.intersect(l3) + l2.intersect(l3)
+    assert radical == triple._meets_with_l3
     return radical
 
 
 def _parity_formulas(triple: LagrangianTriple) -> tuple[int, int]:
-    """(dim l1 + pairwise intersection dims) mod 2, then the same with sums."""
-    l1, l2, l3 = triple.lagrangians()
-    pairs = ((l1, l2), (l1, l3), (l2, l3))
-    by_intersections = (l1.dim + sum(a.intersect(b).dim for a, b in pairs)) % 2
-    by_sums = (l1.dim + sum((a + b).dim for a, b in pairs)) % 2
+    """(dim l1 + pairwise intersection dims) mod 2, then the same with sums.
+
+    Each form computes its own subspaces, intersections with `intersect` and
+    sums with `+`, so the two stay independent checks of each other.
+    """
+    pairs = ((1, 2), (1, 3), (2, 3))
+    dim = triple.l1.dim
+    by_intersections = (dim + sum(triple._pair("meet", i, j).dim for i, j in pairs)) % 2
+    by_sums = (dim + sum(triple._pair("+", i, j).dim for i, j in pairs)) % 2
     return by_intersections, by_sums
 
 
@@ -212,7 +254,6 @@ def parity_prediction(triple: LagrangianTriple) -> int:
 
 def dim_sum_parity(triple: LagrangianTriple) -> tuple[int, int]:
     """Parities of dim(l1 + l2 + l3) and dim(l1 cap l2 cap l3), in that order."""
-    l1, l2, l3 = triple.lagrangians()
-    p = (l1 + l2 + l3).dim % 2
-    q = l1.intersect(l2).intersect(l3).dim % 2
+    p = (triple._pair("+", 1, 2) + triple.l3).dim % 2
+    q = triple._pair("meet", 1, 2).intersect(triple.l3).dim % 2
     return p, q

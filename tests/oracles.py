@@ -33,6 +33,10 @@ kernel of the two stacked constraint matrices, the preimage as the kernel of
 the target's constraint matrix composed with the map, and the Lagrangian test
 as a comparison of a subspace with its computed annihilator.
 
+The rational-token oracle is the file reader that evencob's integer reader
+replaced: the same pattern and digit bounds, then ``Fraction(token)``, which
+parses the token a second time with the ``fractions`` module's own pattern.
+
 The remaining oracles are the formulations that evencob's products replaced:
 the symplectic generators as dense integer matrices multiplied out one draw at
 a time, the Maslov gram as a double loop of form evaluations, subspace images
@@ -44,12 +48,19 @@ from __future__ import annotations
 
 import importlib.util
 import random
+import re
 from fractions import Fraction
 from pathlib import Path
 from typing import Iterable
 
 from evencob.cobordism import CobordismMorphism
-from evencob.errors import DecompositionError, DimensionMismatchError, NotSymmetricError
+from evencob.errors import (
+    DecompositionError,
+    DimensionMismatchError,
+    FileSyntaxError,
+    NotSymmetricError,
+)
+from evencob.formats import MAX_NUMBER_DIGITS
 from evencob.linalg import RationalMatrix, Subspace, Vector, as_vector, canonical_basis, kernel
 from evencob.maslov import LagrangianTriple
 from evencob.symplectic import SymplecticSpace
@@ -413,3 +424,22 @@ def reference_preimage(f: RationalMatrix, target: Subspace) -> Subspace:
 def reference_is_lagrangian(space: SymplecticSpace, sub: Subspace) -> bool:
     """True iff the subspace equals its own annihilator."""
     return space.annihilator(sub) == sub
+
+
+_REFERENCE_RATIONAL_RE = re.compile(r"^[+-]?\d+(/[1-9]\d*)?$")
+
+
+def reference_parse_rational(token: str, line: int | None = None) -> Fraction:
+    """A file token as a Fraction: pattern, digit bounds, then ``Fraction(token)``."""
+    if not _REFERENCE_RATIONAL_RE.match(token):
+        raise FileSyntaxError(f"not a rational (p/q or integer): {token!r}", line)
+    numerator, _, denominator = token.lstrip("+-").partition("/")
+    for digits, what in (
+        (numerator, "a numerator" if denominator else "an integer"),
+        (denominator, "a denominator"),
+    ):
+        if len(digits) > MAX_NUMBER_DIGITS:
+            raise FileSyntaxError(
+                f"{what} has {len(digits)} digits, at most {MAX_NUMBER_DIGITS} allowed", line
+            )
+    return Fraction(token)

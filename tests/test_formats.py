@@ -1,4 +1,8 @@
+from fractions import Fraction
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from evencob.errors import (
     DimensionMismatchError,
@@ -19,9 +23,10 @@ from evencob.formats import (
     serialize_scenario,
 )
 from evencob.generators import disjoint_union, handlebody
-from evencob.linalg import canonical_basis
+from evencob.linalg import RationalMatrix, Subspace, canonical_basis
 from evencob.sampling import random_even_pair
-from evencob.symplectic import standard_surface_space
+from evencob.symplectic import random_lagrangian, standard_surface_space
+from oracles import reference_parse_rational
 
 GENUS_ONE_SSF = """\
 # genus-1 standard form with the transverse triple
@@ -442,3 +447,132 @@ def test_numbers_at_the_digit_limit_accepted():
     assert scenario.named_subspaces["L"].dim == 1
     text = HANDLEBODY_CAP_CBF.replace("weight 1 h1", f"weight -{limit} h1")
     assert parse_pipeline(text).entries[0].morphism.weight == -int(limit)
+
+
+# decimal digits in four scripts: the pattern, int() and Fraction() read them all
+_DIGITS = "0123456789٠١٢٩０１９०१९"
+
+
+@st.composite
+def _digit_runs(draw):
+    # short runs, and runs at and around the digit limit
+    length = draw(st.one_of(st.integers(0, 5), st.sampled_from([999, 1000, 1001])))
+    head = draw(st.text(alphabet=_DIGITS, max_size=min(length, 4)))
+    return head + draw(st.sampled_from(_DIGITS)) * (length - len(head))
+
+
+@st.composite
+def _number_tokens(draw):
+    token = draw(st.sampled_from(["", "", "+", "-", "+-", "--"])) + draw(_digit_runs())
+    if draw(st.booleans()):
+        # a denominator may not start with 0 or a digit outside ASCII
+        token += "/" + draw(st.sampled_from("1234567890١")) + draw(_digit_runs())
+    junk = draw(st.sampled_from(["", "", "", "", ".", "e", "_", "x", " ", "\n", "/"]))
+    at = draw(st.integers(0, len(token)))
+    return token[:at] + junk + token[at:]
+
+
+def _read_outcome(reader, token):
+    try:
+        return "value", reader(token, 7)
+    except Exception as exc:  # the two readers must fail alike
+        return type(exc), str(exc)
+
+
+@settings(max_examples=400)
+@given(_number_tokens())
+def test_parse_rational_matches_the_fraction_reader(token):
+    assert _read_outcome(parse_rational, token) == _read_outcome(reference_parse_rational, token)
+
+
+@pytest.mark.parametrize(
+    "token",
+    [
+        "0", "-0", "+0", "-0/7", "0/3", "007", "-007/014", "6/4", "-6/4", "+6/4", "12/36",
+        "٣/٦", "1/1٠", "-９９/3", "०१", "5\n", "5/10\n",
+        "9" * 1000, "9" * 1001, "1/" + "9" * 1000, "1/" + "9" * 1001,
+        "-" + "9" * 1000 + "/" + "7" * 1000, "-" + "9" * 1001 + "/7", "7/" + "1" + "0" * 1000,
+        "1/0", "1/01", "1/١", "1.5", "1e3", "/2", "", "+-1", "1_0", " 1", "1 ", "²",
+    ],
+)
+def test_parse_rational_fixtures_match_the_fraction_reader(token):
+    assert _read_outcome(parse_rational, token) == _read_outcome(reference_parse_rational, token)
+
+
+@st.composite
+def _spelled(draw, x: Fraction) -> str:
+    """One way a file may write x: not in lowest terms, padded, signed, other scripts."""
+    k = draw(st.integers(1, 4))
+    num, den = abs(x.numerator) * k, x.denominator * k
+    sign = "-" if x < 0 else draw(st.sampled_from(["", "+", "-"] if x == 0 else ["", "+"]))
+    numerator = "0" * draw(st.integers(0, 2)) + str(num)
+    if draw(st.booleans()):
+        numerator = numerator.translate(str.maketrans("0123456789", "٠١٢٣٤٥٦٧٨٩"))
+    if den == 1 and draw(st.booleans()):
+        return sign + numerator
+    return f"{sign}{numerator}/{den}"
+
+
+_entries = st.fractions(min_value=-5, max_value=5, max_denominator=6)
+
+
+@st.composite
+def _written_rows(draw, rows: int, cols: int, entries=_entries):
+    """Fraction rows and their text lines, each entry spelled its own way."""
+    data = [[draw(entries) for _ in range(cols)] for _ in range(rows)]
+    lines = [" ".join(draw(_spelled(x)) for x in row) for row in data]
+    return data, lines
+
+
+@given(st.integers(0, 4), st.data())
+def test_parsed_form_equals_the_public_constructor(n, data):
+    upper, _ = data.draw(_written_rows(n, n))
+    skew = [
+        [upper[i][j] if i < j else -upper[j][i] if i > j else 0 for j in range(n)]
+        for i in range(n)
+    ]
+    lines = [" ".join(data.draw(_spelled(x)) for x in row) for row in skew]
+    scenario = parse_scenario("\n".join([f"form {n}", *lines]) + "\n")
+    assert scenario.space.gram == RationalMatrix(skew, cols=n)
+
+
+@given(st.integers(1, 4), st.integers(0, 4), st.data())
+def test_parsed_subspace_equals_the_public_constructor(n, k, data):
+    # a row of width zero has no line to be written on, so n starts at 1
+    rows, lines = data.draw(_written_rows(k, n))
+    form = [" ".join("0" for _ in range(n))] * n
+    text = "\n".join([f"form {n}", *form, f"subspace A {k}", *lines]) + "\n"
+    expected = Subspace(RationalMatrix(rows, cols=n))
+    assert parse_scenario(text).named_subspaces["A"] == expected
+
+
+@given(st.integers(1, 2), st.integers(0, 50), st.data())
+def test_parsed_lagrangian_equals_the_public_constructor(g, seed, data):
+    lag = random_lagrangian(g, seed)
+    scales = st.fractions(min_value=-5, max_value=5, max_denominator=6).filter(bool)
+    # each basis row scaled, then combinations of them: the rows span the Lagrangian
+    factors = data.draw(st.lists(scales, min_size=g, max_size=g))
+    rows = [[c * x for x in lag.basis.row(i)] for i, c in enumerate(factors)]
+    for _ in range(data.draw(st.integers(0, 2))):
+        coeffs = [data.draw(_entries) for _ in range(g)]
+        rows.append([sum(c * r[j] for c, r in zip(coeffs, rows)) for j in range(2 * g)])
+    lines = [" ".join(data.draw(_spelled(Fraction(x))) for x in row) for row in rows]
+    text = "\n".join([f"object A genera {g}", f"lagrangian {len(rows)}", *lines]) + "\n"
+    lagrangian = parse_pipeline(text).objects["A"].lagrangian
+    assert lagrangian == Subspace(RationalMatrix(rows, cols=2 * g)) == lag
+
+
+@given(st.integers(1, 2), st.integers(0, 3), st.data())
+def test_parsed_morphism_blocks_equal_the_public_constructor(g, h1, data):
+    standard = random_lagrangian(g, 0, length=0).basis
+    text = [f"object A genera {g}", f"lagrangian {g}"]
+    text += [" ".join(map(str, standard.row(i))) for i in range(g)]
+    text.append(f"morphism m A A weight 0 h1 {h1} h0 1")
+    expected = []
+    shapes = (("jsrc_h1", h1, 2 * g), ("jtgt_h1", h1, 2 * g), ("jsrc_h0", 1, 1), ("jtgt_h0", 1, 1))
+    for label, rows, cols in shapes:
+        data_rows, lines = data.draw(_written_rows(rows, cols))
+        text += [label, *lines]
+        expected.append(RationalMatrix(data_rows, cols=cols))
+    m = parse_pipeline("\n".join(text) + "\n").entries[0].morphism
+    assert [m.j_src_h1, m.j_tgt_h1, m.j_src_h0, m.j_tgt_h0] == expected

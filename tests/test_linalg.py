@@ -19,6 +19,7 @@ from evencob.linalg import (
     preimage,
 )
 from oracles import (
+    matrix_rows,
     reference_combine_rows,
     reference_contains,
     reference_intersect,
@@ -197,6 +198,32 @@ class TestCokernel:
         assert dim == f.rows - f.rank()
         assert proj @ f == RationalMatrix.zeros(dim, f.cols)
         assert proj.rank() == dim
+
+
+class TestIsSymmetric:
+    # denominators up to 12, so the rows of one matrix have different denominators
+    entries = st.fractions(min_value=-3, max_value=3, max_denominator=12)
+
+    @given(st.integers(0, 5), st.integers(0, 5), st.booleans(), st.data())
+    def test_matches_the_entries(self, rows, cols, symmetrize, data):
+        data_rows = [[data.draw(self.entries) for _ in range(cols)] for _ in range(rows)]
+        m = RationalMatrix(data_rows, cols=cols)
+        if symmetrize and rows == cols:
+            m = m + m.transpose()
+        entries = matrix_rows(m)
+        expected = rows == cols and all(
+            entries[i][j] == entries[j][i] for i in range(rows) for j in range(cols)
+        )
+        assert m.is_symmetric() == expected
+
+    def test_fixtures(self):
+        half, third, quarter = Fraction(1, 2), Fraction(1, 3), Fraction(1, 4)
+        assert RationalMatrix([[1, half], [half, third]]).is_symmetric()
+        assert not RationalMatrix([[0, half], [quarter, 0]]).is_symmetric()
+        assert not RationalMatrix([[0, 1], [-1, 0]]).is_symmetric()
+        assert not RationalMatrix([[1, 2]]).is_symmetric()
+        assert RationalMatrix.zeros(0, 0).is_symmetric()
+        assert not RationalMatrix.zeros(0, 2).is_symmetric()
 
 
 class TestMatrixBasics:

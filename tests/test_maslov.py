@@ -1,16 +1,19 @@
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from evencob import cli
 from evencob.errors import (
     DecompositionError,
     DimensionMismatchError,
     InvalidTripleError,
     NotSymmetricError,
 )
+from evencob.formats import Scenario, serialize_scenario
 from evencob.linalg import RationalMatrix, Subspace, canonical_basis
 from evencob.maslov import (
     LagrangianTriple,
@@ -402,3 +405,57 @@ class TestDimSumParity:
         for seed in range(80):
             p, q = dim_sum_parity(random_triple(seed, 3))
             assert p == q, seed
+
+
+def _triples_of_distinct_lagrangians(count, genus_max=3):
+    """The first `count` random triples, from seed 30000 on, with l1, l2, l3 pairwise distinct."""
+    found, seed = [], 30_000
+    while len(found) < count:
+        t = random_triple(seed, genus_max)
+        seed += 1
+        if t.l1 != t.l2 and t.l1 != t.l3 and t.l2 != t.l3:
+            found.append(t)
+    return found
+
+
+class TestLatticeComputedOnce:
+    @pytest.mark.parametrize(
+        "command",
+        [["maslov"], ["check", "--theorem", "annihilator"]],
+        ids=["maslov", "annihilator"],
+    )
+    @pytest.mark.parametrize("which", range(3))
+    def test_no_sum_or_intersection_is_computed_twice(
+        self, command, which, tmp_path, monkeypatch, capsys
+    ):
+        t = _triples_of_distinct_lagrangians(3)[which]
+        path = tmp_path / "triple.ssf"
+        names = {"A": t.l1, "B": t.l2, "C": t.l3}
+        path.write_text(serialize_scenario(Scenario(t.space, names, (("A", "B", "C"),))))
+        calls = Counter()
+
+        def counted(op, method):
+            def wrapper(a, b):
+                calls[op, a, b] += 1
+                return method(a, b)
+
+            return wrapper
+
+        monkeypatch.setattr(Subspace, "intersect", counted("meet", Subspace.intersect))
+        monkeypatch.setattr(Subspace, "__add__", counted("+", Subspace.__add__))
+        assert cli.main([*command, "--in", str(path), "--output", "json"]) == 0
+        capsys.readouterr()
+        # operand pairs are told apart by value: with distinct Lagrangians no
+        # two lattice elements the query needs are built from equal operands
+        assert calls and max(calls.values()) == 1, [k[0] for k, n in calls.items() if n > 1]
+        assert calls["meet", t.l1, t.l3] == calls["meet", t.l2, t.l3] == 1
+        assert calls["+", t.l1, t.l2] == 1
+
+    @given(st.integers(0, 10**6), st.integers(1, 4), st.permutations(range(3)))
+    def test_results_match_a_fresh_copy_of_the_triple(self, seed, genus_max, order):
+        t = random_triple(seed, genus_max)
+        functions = (dim_sum_parity, parity_prediction, form_annihilator)
+        # the shared triple fills its table in the drawn order
+        shared = {i: functions[i](t) for i in order}
+        for i, f in enumerate(functions):
+            assert f(LagrangianTriple(t.space, t.l1, t.l2, t.l3)) == shared[i]
