@@ -43,10 +43,10 @@ from .generators import (
 from .maslov import (
     LagrangianTriple,
     _form_radical,
-    _symmetric_signature,
     dim_sum_parity,
     maslov_form,
     parity_prediction,
+    signature,
 )
 
 EXIT_OK = 0
@@ -157,7 +157,7 @@ def _base_report(command: str, params: dict) -> dict:
 
 def _triple_report(names: tuple[str, str, str], triple: LagrangianTriple) -> dict:
     form = maslov_form(triple)
-    index = _symmetric_signature(form.gram)  # MaslovForm has checked the symmetry
+    index = signature(form.gram)
     p, q = dim_sum_parity(triple)
     return {
         "triple": list(names),

@@ -46,15 +46,17 @@ from .errors import (
     LagrangianMismatchError,
     UnknownNameError,
 )
-from .generators import MAX_BODY_DIM, MAX_TEXT_GENUS, build_from_objects, parse_generator_spec
+from .generators import (
+    MAX_BODY_DIM,
+    MAX_NUMBER_DIGITS,
+    MAX_TEXT_GENUS,
+    build_from_objects,
+    parse_generator_spec,
+)
 from .linalg import IntRow, RationalMatrix, Subspace, _over_lcm
 from .symplectic import SymplecticSpace, beta0, beta1
 
 _RATIONAL_RE = re.compile(r"^[+-]?\d+(/[1-9]\d*)?$")
-
-# the most digits one written integer, numerator or denominator may have; far
-# below Python's limit on converting between int and str
-MAX_NUMBER_DIGITS = 1000
 
 
 def _check_digits(digits: str, line: int | None, what: str) -> None:

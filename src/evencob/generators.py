@@ -3,8 +3,10 @@
 Handlebodies, twisted cylinders, caps and disjoint unions carry boundary
 kernels that are Lagrangian by design, so every record built here passes
 validate().  GeneratorSpec is a small build plan for composites of these
-pieces; random_even_morphism executes a plan with seed-driven Lagrangians
-and twists and then fixes the weight parity so the result is even.
+pieces.  random_even_morphism executes a plan: for each atom it draws from
+the seed what the plan leaves open, in a fixed per-kind order, and builds the
+atom with build_from_objects exactly as a pipeline file's generator line is
+built; then it fixes the weight parity so the result is even.
 
 Textual encoding of a GeneratorSpec (consumed by the CLI and by pipeline
 files), whitespace separated:
@@ -17,6 +19,7 @@ files), whitespace separated:
                |  handlebody | cap
     keys      :=  genus=INT | genera=[INT,INT,...] | weight=INT
                |  twist_seed=INT | twist_length=INT
+    INT       :=  -?DIGITS, at most MAX_NUMBER_DIGITS (1000) digits
 
 Example:  composite(handlebody genus=1 weight=1, cap genus=1 weight=1)
 """
@@ -43,7 +46,6 @@ from .linalg import RationalMatrix, Subspace
 from .symplectic import (
     DEFAULT_WALK_LENGTH,
     _standard_inverse,
-    beta1,
     random_lagrangian,
     random_symplectic,
 )
@@ -54,6 +56,9 @@ COMBO_KINDS = ("disjoint_union", "composite")
 # a few characters of generator text ask for dense matrices of these sizes
 MAX_TEXT_GENUS = 32
 MAX_TWIST_LENGTH = 1000
+# and an integer there or in a file has at most this many digits, far below
+# Python's limit on converting between int and str
+MAX_NUMBER_DIGITS = 1000
 
 # genus-0 components add nothing to the genus, and a morphism's h1 and h0 need
 # not be matched by data lines, so component counts and body dimensions are
@@ -201,47 +206,9 @@ class GeneratorSpec:
             raise GeneratorSpecError(f"twist_length must be non-negative, got {self.twist_length}")
 
 
-def _single_genus(spec: GeneratorSpec, context: SurfaceObject | None) -> int:
-    if spec.genera is not None:
-        if len(spec.genera) != 1:
-            raise GeneratorSpecError(f"{spec.kind} needs a single-component surface")
-        return spec.genera[0]
-    if context is not None and len(context.genera) == 1:
-        return context.genera[0]
-    raise GeneratorSpecError(f"{spec.kind} needs an explicit genus")
-
-
-def _draw_lagrangian(genera: tuple[int, ...], rng: random.Random) -> Subspace:
+def _draw_object(genera: tuple[int, ...], rng: random.Random) -> SurfaceObject:
     total = sum(genera)
-    if total == 0:
-        return Subspace.zero(beta1(genera))
-    return random_lagrangian(total, rng)
-
-
-def _resolve_source(
-    spec: GeneratorSpec, rng: random.Random, source: SurfaceObject | None
-) -> SurfaceObject:
-    if source is not None:
-        if spec.genera is not None and spec.genera != source.genera:
-            raise GeneratorSpecError(
-                f"{spec.kind} declares genera {spec.genera} but follows a morphism "
-                f"ending in {source.genera}"
-            )
-        return source
-    if spec.genera is None:
-        raise GeneratorSpecError(f"{spec.kind} without context needs explicit genera")
-    return SurfaceObject(spec.genera, _draw_lagrangian(spec.genera, rng))
-
-
-def _draw_weight(spec: GeneratorSpec, rng: random.Random) -> int:
-    return spec.weight if spec.weight is not None else rng.randrange(-4, 5)
-
-
-def _twist(total_genus: int, spec: GeneratorSpec, rng: random.Random) -> RationalMatrix:
-    if total_genus == 0:
-        return RationalMatrix.identity(0)
-    seed = spec.twist_seed if spec.twist_seed is not None else rng.getrandbits(32)
-    return random_symplectic(total_genus, seed, spec.twist_length)
+    return SurfaceObject(genera, random_lagrangian(total, rng) if total else Subspace.zero(0))
 
 
 def _build(
@@ -260,31 +227,28 @@ def _build(
         for child in spec.children[1:]:
             morphism = disjoint_union(morphism, _build(child, rng, None))
         return morphism
-    if kind == "identity":
-        if spec.weight not in (None, 0):
-            raise GeneratorSpecError("identity has weight zero by definition")
-        return identity(_resolve_source(spec, rng, source))
-    if kind == "pseudo_cylinder":
-        obj = _resolve_source(spec, rng, source)
-        return pseudo_cylinder(obj, _draw_lagrangian(obj.genera, rng), _draw_weight(spec, rng))
-    if kind == "twisted_cylinder":
-        obj = _resolve_source(spec, rng, source)
-        twist = _twist(sum(obj.genera), spec, rng)
-        return twisted_cylinder(
-            obj, twist, _draw_lagrangian(obj.genera, rng), _draw_weight(spec, rng)
-        )
+    # an atom: draw what the plan leaves open, in this order, then build it as a
+    # generator line is; a handlebody's genera are its target's, never in context
+    if (source is None or kind == "handlebody") and spec.genera is None:
+        raise GeneratorSpecError(f"{kind} without context needs explicit genera")
+    if source is None:
+        source = empty_surface() if kind == "handlebody" else _draw_object(spec.genera, rng)
+    seed = spec.twist_seed
+    draw_seed = seed is None and sum(source.genera) > 0
+    if kind == "twisted_cylinder" and draw_seed:
+        seed = rng.getrandbits(32)
     if kind == "handlebody":
-        if source is not None and not source.is_empty:
-            raise GeneratorSpecError("handlebody must follow the empty surface")
-        genus = _single_genus(spec, None)
-        return handlebody(genus, _draw_lagrangian((genus,), rng), _draw_weight(spec, rng))
-    if kind == "cap":
-        obj = _resolve_source(spec, rng, source)
-        genus = _single_genus(spec, obj)
-        if obj.genera != (genus,):
-            raise GeneratorSpecError(f"cap of genus {genus} cannot follow genera {obj.genera}")
-        return cap(genus, obj.lagrangian, _draw_weight(spec, rng), _twist(genus, spec, rng))
-    raise GeneratorSpecError(f"unknown generator kind {kind!r}")
+        target = _draw_object(spec.genera, rng)
+    elif kind in ("pseudo_cylinder", "twisted_cylinder"):
+        target = _draw_object(source.genera, rng)
+    else:
+        target = empty_surface() if kind == "cap" else source
+    weight = spec.weight
+    if weight is None and kind != "identity":
+        weight = rng.randrange(-4, 5)
+    if kind == "cap" and draw_seed:
+        seed = rng.getrandbits(32)
+    return build_from_objects(replace(spec, weight=weight, twist_seed=seed), source, target)
 
 
 def random_even_morphism(
@@ -304,12 +268,13 @@ def random_even_morphism(
 def build_from_objects(
     spec: GeneratorSpec, source: SurfaceObject, target: SurfaceObject
 ) -> CobordismMorphism:
-    """Deterministic build for pipeline files: interface data comes from the
-    declared objects, not from a seed.
+    """Build one atom between given objects, for generator lines and seeded
+    plans alike; the one place an atom's preconditions are checked.
 
-    Only atomic kinds are accepted: a composite's intermediate Lagrangians are
-    not determined by the declared endpoints, so chains are written as
-    successive entries instead.
+    An unset weight is 0; an unset twist_seed gives a cap no pre-twist and a
+    twisted cylinder the seed random.Random(0).getrandbits(32).  Only atomic
+    kinds are accepted: a composite's intermediate Lagrangians are not
+    determined by the declared endpoints, so files chain successive entries.
     """
     if spec.kind not in ATOM_KINDS:
         raise GeneratorSpecError(
@@ -324,7 +289,6 @@ def build_from_objects(
             f"{spec.kind} expects {role} genera {spec.genera}, object has {obj.genera}"
         )
 
-    rng = random.Random(spec.twist_seed if spec.twist_seed is not None else 0)
     if spec.kind == "identity":
         if source != target:
             raise GeneratorSpecError("identity needs equal source and target objects")
@@ -338,7 +302,11 @@ def build_from_objects(
     if spec.kind == "twisted_cylinder":
         if source.genera != target.genera:
             raise GeneratorSpecError("twisted_cylinder needs equal genera on both ends")
-        twist = _twist(sum(source.genera), spec, rng)
+        total = sum(source.genera)
+        seed = random.Random(0).getrandbits(32) if spec.twist_seed is None else spec.twist_seed
+        twist = RationalMatrix.identity(0)
+        if total:
+            twist = random_symplectic(total, seed, spec.twist_length)
         return twisted_cylinder(source, twist, target.lagrangian, weight)
     if spec.kind == "handlebody":
         if not source.is_empty:
@@ -346,16 +314,15 @@ def build_from_objects(
         if len(target.genera) != 1:
             raise GeneratorSpecError("handlebody needs a single-component target")
         return handlebody(target.genera[0], target.lagrangian, weight)
-    if spec.kind == "cap":
-        if not target.is_empty:
-            raise GeneratorSpecError("cap needs the empty surface as target")
-        if len(source.genera) != 1:
-            raise GeneratorSpecError("cap needs a single-component source")
-        pre = None
-        if spec.twist_seed is not None and source.genera[0] >= 1:
-            pre = random_symplectic(source.genera[0], spec.twist_seed, spec.twist_length)
-        return cap(source.genera[0], source.lagrangian, weight, pre)
-    raise GeneratorSpecError(f"unknown generator kind {spec.kind!r}")
+    # a cap, the last atomic kind
+    if not target.is_empty:
+        raise GeneratorSpecError("cap needs the empty surface as target")
+    if len(source.genera) != 1:
+        raise GeneratorSpecError("cap needs a single-component source")
+    pre = None
+    if spec.twist_seed is not None and source.genera[0] >= 1:
+        pre = random_symplectic(source.genera[0], spec.twist_seed, spec.twist_length)
+    return cap(source.genera[0], source.lagrangian, weight, pre)
 
 
 # -- textual encoding ---------------------------------------------------------
@@ -379,10 +346,12 @@ def _tokenize(text: str) -> list[str]:
 
 
 def _parse_int(key: str, token: str) -> int:
-    try:
-        return int(token)
-    except ValueError as exc:
-        raise GeneratorSpecError(f"{key} expects an integer, found {token!r}") from exc
+    if not re.fullmatch(_INT, token):
+        raise GeneratorSpecError(f"{key} expects an integer, found {token!r}")
+    digits = len(token.lstrip("-"))
+    if digits > MAX_NUMBER_DIGITS:
+        raise GeneratorSpecError(f"{key} has {digits} digits, at most {MAX_NUMBER_DIGITS} allowed")
+    return int(token)
 
 
 def _parse_int_list(token: str) -> tuple[int, ...]:
@@ -392,7 +361,7 @@ def _parse_int_list(token: str) -> tuple[int, ...]:
     parts = [part.strip() for part in inner.split(",")]
     if not all(re.fullmatch(_INT, part) for part in parts):
         raise GeneratorSpecError(f"bad integer list {token!r}")
-    return tuple(int(part) for part in parts)
+    return tuple(_parse_int("genera", part) for part in parts)
 
 
 class _SpecParser:

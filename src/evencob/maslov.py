@@ -165,11 +165,6 @@ def signature(gram: RationalMatrix) -> int:
     """
     if not gram.is_symmetric():
         raise NotSymmetricError("signature needs a symmetric matrix")
-    return _symmetric_signature(gram)
-
-
-def _symmetric_signature(gram: RationalMatrix) -> int:
-    """signature's pivot loop, for a gram already checked to be symmetric."""
     m = [list(row) for row in gram._over_one_denominator()[0]]
     total = 0
     while m:
@@ -207,8 +202,7 @@ def _symmetric_signature(gram: RationalMatrix) -> int:
 
 def maslov_index(triple: LagrangianTriple) -> int:
     """Signature of the Maslov form of the triple."""
-    # MaslovForm has checked the gram's symmetry
-    return _symmetric_signature(maslov_form(triple).gram)
+    return signature(maslov_form(triple).gram)
 
 
 def form_annihilator(triple: LagrangianTriple) -> Subspace:

@@ -656,3 +656,142 @@ def test_parity_survey_script_runs():
         timeout=120,
     )
     assert done.returncode == 0, done.stderr
+
+
+# objects for one-line pipeline files: E empty, T and U genus 1 with different
+# Lagrangians, S genus 2, P two genus-1 components
+PLAN_OBJECTS = """\
+object E genera
+lagrangian 0
+object T genera 1
+lagrangian 1
+1 0
+object U genera 1
+lagrangian 1
+0 1
+object S genera 2
+lagrangian 2
+1 0 0 0
+0 0 1 0
+object P genera 1 1
+lagrangian 2
+1 0 0 0
+0 0 1 0
+"""
+PLAN_LINE = PLAN_OBJECTS.count("\n") + 1
+
+# every error _build and build_from_objects raise, reached from `gen --spec`
+# text or from a `generator <name> <src> <dst> <text>` line, whichever can
+# write the condition: a file gives every atom its objects and admits no
+# combination, and a plan draws a target that fits its source
+INVALID_PLANS = {
+    "gen-disjoint-union-in-context": (
+        "composite(handlebody genus=1, disjoint_union(cap genus=1, handlebody genus=1))",
+        "disjoint_union cannot inherit a source object",
+    ),
+    "gen-no-genera": (
+        "twisted_cylinder weight=1",
+        "twisted_cylinder without context needs explicit genera",
+    ),
+    "gen-handlebody-no-genera": (
+        "composite(identity genera=[], handlebody)",
+        "handlebody without context needs explicit genera",
+    ),
+    "gen-genera-differ-from-context": (
+        "composite(handlebody genus=1, cap genus=2)",
+        "cap expects source genera (2,), object has (1,)",
+    ),
+    "gen-identity-weight": ("identity genus=1 weight=1", "identity has weight zero by definition"),
+    "gen-handlebody-after-a-surface": (
+        "composite(handlebody genus=1, handlebody genus=1)",
+        "handlebody needs the empty surface as source",
+    ),
+    "gen-handlebody-components": (
+        "handlebody genera=[1,1]",
+        "handlebody needs a single-component target",
+    ),
+    "gen-cap-components": (
+        "composite(pseudo_cylinder genera=[1,1], cap)",
+        "cap needs a single-component source",
+    ),
+    "cbf-composite": (
+        "E E composite(handlebody genus=1, cap genus=1)",
+        "composite is not allowed in pipeline files; declare the pieces as separate entries",
+    ),
+    "cbf-disjoint-union": (
+        "T T disjoint_union(cap genus=1, handlebody genus=1)",
+        "disjoint_union is not allowed in pipeline files; declare the pieces as separate entries",
+    ),
+    "cbf-source-genera": (
+        "T T pseudo_cylinder genus=2",
+        "pseudo_cylinder expects source genera (2,), object has (1,)",
+    ),
+    "cbf-target-genera": (
+        "E T handlebody genus=2",
+        "handlebody expects target genera (2,), object has (1,)",
+    ),
+    "cbf-identity-ends": ("T U identity", "identity needs equal source and target objects"),
+    "cbf-identity-weight": ("T T identity weight=1", "identity has weight zero by definition"),
+    "cbf-pseudo-cylinder-ends": (
+        "T E pseudo_cylinder",
+        "pseudo_cylinder needs equal genera on both ends",
+    ),
+    "cbf-twisted-cylinder-ends": (
+        "T S twisted_cylinder",
+        "twisted_cylinder needs equal genera on both ends",
+    ),
+    "cbf-handlebody-source": ("T T handlebody", "handlebody needs the empty surface as source"),
+    "cbf-handlebody-components": ("E P handlebody", "handlebody needs a single-component target"),
+    "cbf-cap-target": ("T T cap", "cap needs the empty surface as target"),
+    "cbf-cap-components": ("P E cap", "cap needs a single-component source"),
+}
+
+
+def run_generator_text(tmp_path, route, text):
+    """main's exit code for `gen --spec text` (route "gen"), or for a file of
+    PLAN_OBJECTS and the line `generator g text` under `compose --in`."""
+    if route == "gen":
+        return main(["gen", "--spec", text])
+    path = tmp_path / "plan.cbf"
+    path.write_text(PLAN_OBJECTS + f"generator g {text}\n")
+    return main(["compose", "--in", str(path)])
+
+
+@pytest.mark.parametrize("case", sorted(INVALID_PLANS))
+def test_invalid_plans_are_input_errors(capsys, tmp_path, case):
+    route = case.partition("-")[0]
+    text, message = INVALID_PLANS[case]
+    code = run_generator_text(tmp_path, route, text)
+    out, err = capsys.readouterr()
+    prefix = "" if route == "gen" else f"line {PLAN_LINE}: "
+    assert (code, out, err) == (2, "", f"error: {prefix}{message}\n")
+
+
+NUMBERED_ATOMS = {
+    "weight": "pseudo_cylinder genus=1 weight=N",
+    "negative-weight": "pseudo_cylinder genus=1 weight=-N",
+    "twist-seed": "twisted_cylinder genus=1 twist_seed=N",
+    "genera": "pseudo_cylinder genera=[N]",
+}
+
+
+@pytest.mark.parametrize("route, ends", [("gen", ""), ("cbf", "T T ")], ids=["gen", "cbf"])
+@pytest.mark.parametrize("case", ["weight", "negative-weight", "twist-seed"])
+def test_generator_integers_of_1000_digits_run(capsys, tmp_path, route, ends, case):
+    text = ends + NUMBERED_ATOMS[case].replace("N", "9" * 1000)
+    code = run_generator_text(tmp_path, route, text)
+    assert (code, capsys.readouterr().err) == (0, "")
+
+
+@pytest.mark.parametrize("digits", [1001, 4300])
+@pytest.mark.parametrize("route, ends", [("gen", ""), ("cbf", "T T ")], ids=["gen", "cbf"])
+@pytest.mark.parametrize("case", sorted(NUMBERED_ATOMS))
+def test_longer_generator_integers_are_input_errors(capsys, tmp_path, route, ends, case, digits):
+    # 4300-digit weights used to parse, then sum past str()'s limit on output
+    text = ends + NUMBERED_ATOMS[case].replace("N", "9" * digits)
+    code = run_generator_text(tmp_path, route, text)
+    out, err = capsys.readouterr()
+    key = text.rpartition(" ")[2].partition("=")[0]
+    message = f"{key} has {digits} digits, at most 1000 allowed"
+    prefix = "" if route == "gen" else f"line {PLAN_LINE}: "
+    assert (code, out, err) == (2, "", f"error: {prefix}{message}\n")
