@@ -151,19 +151,12 @@ def pseudo_cylinder(
 
 
 def is_pseudo_cylinder(m: CobordismMorphism) -> bool:
-    """Identity homological data between surfaces of the same type."""
+    """Identity homological data between surfaces of the same type: the
+    record, with its target set to its source and its weight to 0, is
+    identity(source)."""
     if m.source.genera != m.target.genera:
         return False
-    eye1 = RationalMatrix.identity(m.source.beta1)
-    eye0 = RationalMatrix.identity(m.source.beta0)
-    return (
-        m.h1_dim == m.source.beta1
-        and m.h0_dim == m.source.beta0
-        and m.j_src_h1 == eye1
-        and m.j_tgt_h1 == eye1
-        and m.j_src_h0 == eye0
-        and m.j_tgt_h0 == eye0
-    )
+    return replace(m, target=m.source, weight=0) == identity(m.source)
 
 
 def inverse_pseudo_cylinder(m: CobordismMorphism) -> CobordismMorphism:
@@ -252,6 +245,11 @@ def _boundary_space(src_genera: tuple[int, ...], tgt_genera: tuple[int, ...]) ->
     return SymplecticSpace(RationalMatrix.block_diag(-src.gram, tgt.gram))
 
 
+def _non_unit_columns(mat: RationalMatrix) -> list[int]:
+    """The indices of the columns that are not standard basis vectors."""
+    return [j for j in range(mat.cols) if [x for x in mat.column(j) if x] != [1]]
+
+
 def validate(m: CobordismMorphism) -> list[str]:
     """Check the realizability invariants; violations are returned, not raised.
 
@@ -261,13 +259,11 @@ def validate(m: CobordismMorphism) -> list[str]:
     (-psi_source) + psi_target, the necessary condition from duality that
     makes push_forward and pull_back produce Lagrangians.
     """
-    issues: list[str] = []
-    for name, mat in (("j_src_h0", m.j_src_h0), ("j_tgt_h0", m.j_tgt_h0)):
-        for j in range(mat.cols):
-            col = mat.column(j)
-            ones = [x for x in col if x]
-            if ones != [1]:
-                issues.append(f"{name} column {j} is not a standard basis vector")
+    issues = [
+        f"{name} column {j} is not a standard basis vector"
+        for name, mat in (("j_src_h0", m.j_src_h0), ("j_tgt_h0", m.j_tgt_h0))
+        for j in _non_unit_columns(mat)
+    ]
     combined = m.j_src_h1.hstack(m.j_tgt_h1)
     boundary_kernel = kernel(combined)
     space = _boundary_space(m.source.genera, m.target.genera)
@@ -280,12 +276,9 @@ def validate(m: CobordismMorphism) -> list[str]:
     return issues
 
 
-def compose(m1: CobordismMorphism, m2: CobordismMorphism) -> CobordismMorphism:
-    """Glue m1 and m2 along the middle surface (m1 first, then m2).
-
-    The middle objects must agree structurally; genera and Lagrangian
-    disagreements raise distinct errors.
-    """
+def check_composable(m1: CobordismMorphism, m2: CobordismMorphism) -> None:
+    """Raise unless m1's target is m2's source: GeneraMismatchError when the
+    genera differ, LagrangianMismatchError when only the Lagrangians do."""
     if m1.target.genera != m2.source.genera:
         raise GeneraMismatchError(
             f"cannot glue target genera {m1.target.genera} to source genera "
@@ -295,6 +288,15 @@ def compose(m1: CobordismMorphism, m2: CobordismMorphism) -> CobordismMorphism:
         raise LagrangianMismatchError(
             "middle surfaces agree on genera but carry different Lagrangians"
         )
+
+
+def compose(m1: CobordismMorphism, m2: CobordismMorphism) -> CobordismMorphism:
+    """Glue m1 and m2 along the middle surface (m1 first, then m2).
+
+    The middle objects must agree structurally, as check_composable decides;
+    pipeline files are checked the same way when they are read.
+    """
+    check_composable(m1, m2)
     middle = m1.target
 
     correction = maslov_index(
@@ -320,8 +322,7 @@ def compose(m1: CobordismMorphism, m2: CobordismMorphism) -> CobordismMorphism:
         start = 0 if first else (m1.h0_dim if h0 else m1.h1_dim)
         projected = (q0 if h0 else q1)._column_block(start, start + mat.rows) @ mat
         if h0:
-            for j in range(projected.cols):
-                assert [x for x in projected.column(j) if x] == [1]
+            assert not _non_unit_columns(projected)
             return projected
         # zero rows in the ker(alpha0) summand: one-sided classes have no
         # connecting image

@@ -28,24 +28,24 @@ its numerator and denominator, which are divided by their gcd.  A line of
 tokens becomes one integer row over the lcm of its denominators, the row form
 `linalg` stores, so matrices and subspaces are built from the text with no
 `Fraction` in between.
+
+An error raised while a statement is checked keeps its class and gets
+`line N: ` in front.  Consecutive pipeline entries must glue, as
+`cobordism.check_composable` decides for `compose`.  The writers refuse a
+weight, numerator or denominator with more digits than the readers accept.
 """
 
 from __future__ import annotations
 
 import re
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
+from typing import Iterable, Iterator
 
-from .cobordism import CobordismMorphism, SurfaceObject
-from .errors import (
-    DimensionMismatchError,
-    EvencobError,
-    FileSyntaxError,
-    GeneraMismatchError,
-    LagrangianMismatchError,
-    UnknownNameError,
-)
+from .cobordism import CobordismMorphism, SurfaceObject, check_composable
+from .errors import DimensionMismatchError, EvencobError, FileSyntaxError, UnknownNameError
 from .generators import (
     MAX_BODY_DIM,
     MAX_NUMBER_DIGITS,
@@ -114,21 +114,14 @@ class Pipeline:
     entries: tuple[PipelineEntry, ...] = ()
 
 
-def _check_chain(entries: list[PipelineEntry], number: int) -> None:
-    # Pipeline invariant: consecutive morphisms are composable
-    if len(entries) < 2:
-        return
-    previous, current = entries[-2].morphism, entries[-1].morphism
-    if previous.target.genera != current.source.genera:
-        raise GeneraMismatchError(
-            f"line {number}: entry {entries[-1].name!r} has source genera "
-            f"{current.source.genera}, previous entry ends in {previous.target.genera}"
-        )
-    if previous.target.lagrangian != current.source.lagrangian:
-        raise LagrangianMismatchError(
-            f"line {number}: entry {entries[-1].name!r} does not continue the "
-            "previous entry: middle Lagrangians differ"
-        )
+@contextmanager
+def _at_line(number: int, what: str = "") -> Iterator[None]:
+    """Re-raise an EvencobError from the block, of the same class, with its
+    message prefixed by the line number and then by `what`."""
+    try:
+        yield
+    except EvencobError as exc:
+        raise type(exc)(f"line {number}: {what}{exc}") from exc
 
 
 class _Lines:
@@ -204,10 +197,8 @@ def parse_scenario(text: str) -> Scenario:
                 raise FileSyntaxError("usage: form <n>", number)
             n = _parse_count(tokens[1], number, "form dimension")
             gram = _read_matrix(lines, n, n, "a form row")
-            try:
+            with _at_line(number):
                 space = SymplecticSpace(gram)
-            except EvencobError as exc:
-                raise type(exc)(f"line {number}: {exc}") from exc
         elif keyword == "subspace":
             if space is None:
                 raise FileSyntaxError("subspace declared before the form", number)
@@ -233,18 +224,31 @@ def parse_scenario(text: str) -> Scenario:
     return Scenario(space, subspaces, tuple(queries))
 
 
-def _matrix_lines(matrix: RationalMatrix) -> list[str]:
+# the least magnitude with more digits than the readers accept
+_DIGITS_BOUND = 10**MAX_NUMBER_DIGITS
+
+
+def _check_writable(values: Iterable[int | Fraction], what: str) -> None:
+    # compared before str() runs: past its own limit str() raises ValueError
+    if any(abs(v.numerator) >= _DIGITS_BOUND or v.denominator >= _DIGITS_BOUND for v in values):
+        raise EvencobError(
+            f"{what} has more than {MAX_NUMBER_DIGITS} digits, at most {MAX_NUMBER_DIGITS} allowed"
+        )
+
+
+def _matrix_lines(matrix: RationalMatrix, what: str) -> list[str]:
     if matrix.cols == 0:
         return []  # zero-width rows have no data lines
+    _check_writable(matrix.entries, f"a number in {what}")
     return [" ".join(map(str, matrix.row(i))) for i in range(matrix.rows)]
 
 
 def serialize_scenario(scenario: Scenario) -> str:
     out = [f"form {scenario.space.dim}"]
-    out.extend(_matrix_lines(scenario.space.gram))
+    out.extend(_matrix_lines(scenario.space.gram, "the form"))
     for name, sub in scenario.named_subspaces.items():
         out.append(f"subspace {name} {sub.dim}")
-        out.extend(_matrix_lines(sub.basis))
+        out.extend(_matrix_lines(sub.basis, f"subspace {name!r}"))
     for a, b, c in scenario.queries:
         out.append(f"triple {a} {b} {c}")
     return "\n".join(out) + "\n"
@@ -288,12 +292,11 @@ def parse_pipeline(text: str) -> Pipeline:
             k = _parse_count(lt[1], ln, "lagrangian row count")
             width = beta1(genera)
             rows = [lines.take_numbers(width, f"a lagrangian row of {name}") for _ in range(k)]
-            try:
+            with _at_line(number):
                 lagrangian = Subspace(RationalMatrix._of_pairs(rows, width))
                 objects[name] = SurfaceObject(genera, lagrangian)
-            except EvencobError as exc:
-                raise type(exc)(f"line {number}: {exc}") from exc
-        elif keyword == "morphism":
+            continue
+        if keyword == "morphism":
             if (
                 len(tokens) != 10
                 or tokens[4] != "weight"
@@ -322,7 +325,7 @@ def parse_pipeline(text: str) -> Pipeline:
                     raise FileSyntaxError(f"expected block label {label!r}", ln)
                 r, c = widths[label]
                 matrices[label] = _read_matrix(lines, r, c, f"a row of {label}")
-            try:
+            with _at_line(number):
                 morphism = CobordismMorphism(
                     source,
                     target,
@@ -334,10 +337,6 @@ def parse_pipeline(text: str) -> Pipeline:
                     matrices["jsrc_h0"],
                     matrices["jtgt_h0"],
                 )
-            except EvencobError as exc:
-                raise type(exc)(f"line {number}: {exc}") from exc
-            entries.append(PipelineEntry(name, src_name, dst_name, morphism, number))
-            _check_chain(entries, number)
         elif keyword == "generator":
             if len(tokens) < 5:
                 raise FileSyntaxError(
@@ -346,15 +345,15 @@ def parse_pipeline(text: str) -> Pipeline:
             name, src_name, dst_name = tokens[1], tokens[2], tokens[3]
             source = lookup(src_name, number)
             target = lookup(dst_name, number)
-            try:
+            with _at_line(number):
                 spec = parse_generator_spec(" ".join(tokens[4:]))
                 morphism = build_from_objects(spec, source, target)
-            except EvencobError as exc:
-                raise type(exc)(f"line {number}: {exc}") from exc
-            entries.append(PipelineEntry(name, src_name, dst_name, morphism, number))
-            _check_chain(entries, number)
         else:
             raise FileSyntaxError(f"unknown statement {keyword!r}", number)
+        if entries:
+            with _at_line(number, f"entry {name!r}: "):
+                check_composable(entries[-1].morphism, morphism)
+        entries.append(PipelineEntry(name, src_name, dst_name, morphism, number))
     return Pipeline(objects, tuple(entries))
 
 
@@ -363,9 +362,10 @@ def serialize_pipeline(pipeline: Pipeline) -> str:
     for name, obj in pipeline.objects.items():
         out.append(f"object {name} genera {' '.join(str(g) for g in obj.genera)}".rstrip())
         out.append(f"lagrangian {obj.lagrangian.dim}")
-        out.extend(_matrix_lines(obj.lagrangian.basis))
+        out.extend(_matrix_lines(obj.lagrangian.basis, f"the lagrangian of object {name!r}"))
     for entry in pipeline.entries:
         m = entry.morphism
+        _check_writable([m.weight], f"the weight of entry {entry.name!r}")
         out.append(
             f"morphism {entry.name} {entry.source_name} {entry.target_name} "
             f"weight {m.weight} h1 {m.h1_dim} h0 {m.h0_dim}"
@@ -373,7 +373,7 @@ def serialize_pipeline(pipeline: Pipeline) -> str:
         blocks = (m.j_src_h1, m.j_tgt_h1, m.j_src_h0, m.j_tgt_h0)
         for label, matrix in zip(_MORPHISM_BLOCKS, blocks):
             out.append(label)
-            out.extend(_matrix_lines(matrix))
+            out.extend(_matrix_lines(matrix, f"{label} of entry {entry.name!r}"))
     return "\n".join(out) + "\n"
 
 

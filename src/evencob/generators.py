@@ -46,6 +46,7 @@ from .linalg import RationalMatrix, Subspace
 from .symplectic import (
     DEFAULT_WALK_LENGTH,
     _standard_inverse,
+    preserves_standard_form,
     random_lagrangian,
     random_symplectic,
 )
@@ -67,11 +68,13 @@ MAX_BODY_DIM = 256
 
 
 def _check_twist(name: str, twist: RationalMatrix, surface: SurfaceObject) -> None:
+    """Raise unless the twist is square of the surface's size and preserves
+    its form, the standard J: with twist = A / e for integer A, A^T J A = e^2 J."""
     n = surface.beta1
     if twist.rows != n or twist.cols != n:
         raise DimensionMismatchError(f"{name} is {twist.rows}x{twist.cols}, surface needs {n}x{n}")
-    form = surface.space.gram
-    if twist.transpose() @ form @ twist != form:
+    rows, e = twist._over_one_denominator()
+    if not preserves_standard_form(list(zip(*rows)), e):
         raise NotSymplecticError(f"{name} does not preserve the surface form")
 
 
@@ -129,19 +132,21 @@ def cap(
 ) -> CobordismMorphism:
     """A handlebody glued from the other side: genus-g surface to empty.
 
-    With a pre-twist A the boundary kernel moves to A^{-1} span{f_1..f_g}.
+    With a pre-twist A, which must preserve the surface form, the boundary
+    kernel moves to A^{-1} span{f_1..f_g}; with none it is span{f_1..f_g}.
     """
     source = SurfaceObject((genus,), source_lagrangian)
-    if pre_twist is None:
-        pre_twist = RationalMatrix.identity(2 * genus)
-    _check_twist("pre_twist", pre_twist, source)
+    cores = _cores(genus)
+    if pre_twist is not None:
+        _check_twist("pre_twist", pre_twist, source)
+        cores = cores @ pre_twist
     return CobordismMorphism(
         source,
         empty_surface(),
         weight,
         genus,
         1,
-        _cores(genus) @ pre_twist,
+        cores,
         RationalMatrix.zeros(genus, 0),
         RationalMatrix.identity(1),
         RationalMatrix.zeros(1, 0),
@@ -211,6 +216,11 @@ def _draw_object(genera: tuple[int, ...], rng: random.Random) -> SurfaceObject:
     return SurfaceObject(genera, random_lagrangian(total, rng) if total else Subspace.zero(0))
 
 
+def target_genera(atom: GeneratorSpec, source_genera: tuple[int, ...]) -> tuple[int, ...]:
+    """The genera an atom ends in when it starts in these."""
+    return {"handlebody": atom.genera, "cap": ()}.get(atom.kind, source_genera)
+
+
 def _build(
     spec: GeneratorSpec, rng: random.Random, source: SurfaceObject | None
 ) -> CobordismMorphism:
@@ -237,12 +247,7 @@ def _build(
     draw_seed = seed is None and sum(source.genera) > 0
     if kind == "twisted_cylinder" and draw_seed:
         seed = rng.getrandbits(32)
-    if kind == "handlebody":
-        target = _draw_object(spec.genera, rng)
-    elif kind in ("pseudo_cylinder", "twisted_cylinder"):
-        target = _draw_object(source.genera, rng)
-    else:
-        target = empty_surface() if kind == "cap" else source
+    target = source if kind == "identity" else _draw_object(target_genera(spec, source.genera), rng)
     weight = spec.weight
     if weight is None and kind != "identity":
         weight = rng.randrange(-4, 5)
@@ -295,13 +300,11 @@ def build_from_objects(
         if spec.weight not in (None, 0):
             raise GeneratorSpecError("identity has weight zero by definition")
         return identity(source)
+    if spec.kind in ("pseudo_cylinder", "twisted_cylinder") and source.genera != target.genera:
+        raise GeneratorSpecError(f"{spec.kind} needs equal genera on both ends")
     if spec.kind == "pseudo_cylinder":
-        if source.genera != target.genera:
-            raise GeneratorSpecError("pseudo_cylinder needs equal genera on both ends")
         return pseudo_cylinder(source, target.lagrangian, weight)
     if spec.kind == "twisted_cylinder":
-        if source.genera != target.genera:
-            raise GeneratorSpecError("twisted_cylinder needs equal genera on both ends")
         total = sum(source.genera)
         seed = random.Random(0).getrandbits(32) if spec.twist_seed is None else spec.twist_seed
         twist = RationalMatrix.identity(0)

@@ -14,7 +14,7 @@ from __future__ import annotations
 import random
 
 from .cobordism import CobordismMorphism, SurfaceObject, evened, validate
-from .generators import GeneratorSpec, random_even_morphism
+from .generators import GeneratorSpec, _draw_object, random_even_morphism, target_genera
 from .linalg import (
     RationalMatrix,
     Subspace,
@@ -158,10 +158,10 @@ def random_shape(
     else:
         current = tuple(source_genera)
         children.append(_next_atom(rng, current, genus_max))
-        current = _after(children[-1], current)
+        current = target_genera(children[-1], current)
     while len(children) < MAX_CHAIN_LENGTH and rng.random() < 0.55:
         children.append(_next_atom(rng, current, genus_max))
-        current = _after(children[-1], current)
+        current = target_genera(children[-1], current)
     if len(children) == 1:
         return children[0]
     return GeneratorSpec("composite", children=tuple(children))
@@ -175,14 +175,6 @@ def _next_atom(
     if len(current) == 1 and rng.random() < 0.25:
         return GeneratorSpec("cap", genera=current)
     return _cylinder_atom(rng, current)
-
-
-def _after(atom: GeneratorSpec, current: tuple[int, ...]) -> tuple[int, ...]:
-    if atom.kind == "handlebody":
-        return atom.genera
-    if atom.kind == "cap":
-        return ()
-    return current
 
 
 def random_even_chain(
@@ -241,14 +233,11 @@ def random_abstract_morphism(
     """
     rng = random.Random(seed)
 
-    def draw_object() -> SurfaceObject:
-        if rng.random() < 0.2:
-            return SurfaceObject((), Subspace.zero(0))
-        genera = (rng.randint(1, genus_max),)
-        return SurfaceObject(genera, random_lagrangian(genera[0], rng))
+    def genera() -> tuple[int, ...]:
+        return () if rng.random() < 0.2 else (rng.randint(1, genus_max),)
 
-    src = source if source is not None else draw_object()
-    tgt = draw_object()
+    src = source if source is not None else _draw_object(genera(), rng)
+    tgt = _draw_object(genera(), rng)
     total = sum(src.genera) + sum(tgt.genera)
     bsrc, btgt = src.beta1, tgt.beta1
     if total:

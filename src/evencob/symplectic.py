@@ -44,11 +44,11 @@ class SymplecticSpace:
         g = self.gram
         if g.rows != g.cols:
             raise NonSkewFormError(f"gram matrix is {g.rows}x{g.cols}, not square")
-        if g == -g.transpose():
-            return
-        for i in range(g.rows):
-            for j in range(i, g.cols):
-                if g[i, j] != -g[j, i]:
+        # entry (i, j) is -entry (j, i) iff rows[i][j] / dens[i] = -rows[j][i] / dens[j]
+        rows, dens = g._rows, g._dens
+        for i, (row, den) in enumerate(zip(rows, dens)):
+            for j in range(i, len(rows)):
+                if row[j] * dens[j] != -rows[j][i] * den:
                     raise NonSkewFormError(f"gram[{i}][{j}] != -gram[{j}][{i}]")
 
     @property
@@ -226,17 +226,18 @@ def _int_standard_gram(g: int) -> list[list[int]]:
     return j
 
 
-def preserves_standard_form(columns: Sequence[Sequence]) -> bool:
-    """True iff the square matrix A with these columns satisfies A^T J A = J.
+def preserves_standard_form(columns: Sequence[Sequence], den: int = 1) -> bool:
+    """True iff the square matrix A = C / den, for C with these columns,
+    satisfies A^T J A = J, that is C^T J C = den^2 J.
 
-    Entry (a, b) of A^T J A is col_a . J col_b, where J col_b swaps each
+    Entry (a, b) of C^T J C is col_a . J col_b, where J col_b swaps each
     (e_h, f_h) coordinate pair of col_b with a sign.  Both sides are skew, so
     the entries above the diagonal decide.  Entries may be int or Fraction.
     """
     n = len(columns)
     turned = [_turned(y) for y in columns]
     return all(
-        sum(map(mul, x, turned[b])) == (a % 2 == 0 and b == a + 1)
+        sum(map(mul, x, turned[b])) == (den * den if a % 2 == 0 and b == a + 1 else 0)
         for a, x in enumerate(columns)
         for b in range(a + 1, n)
     )

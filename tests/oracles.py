@@ -42,6 +42,13 @@ the symplectic generators as dense integer matrices multiplied out one draw at
 a time, the Maslov gram as a double loop of form evaluations, subspace images
 as one matrix-vector product per basis row, and the evenness span as the sum
 of two such images.
+
+The check oracles are second copies of checks that evencob now runs once: the
+twist test as A^T J A == J by general products, which `preserves_standard_form`
+on integer columns replaced; the skew test as a comparison with -G^T followed
+by a ``Fraction`` rescan for the message, which one integer scan replaced; and
+the pseudo-cylinder test field by field, which a comparison with `identity`
+replaced.
 """
 
 from __future__ import annotations
@@ -443,3 +450,37 @@ def reference_parse_rational(token: str, line: int | None = None) -> Fraction:
                 f"{what} has {len(digits)} digits, at most {MAX_NUMBER_DIGITS} allowed", line
             )
     return Fraction(token)
+
+
+def reference_twist_preserves_form(twist: RationalMatrix, gram: RationalMatrix) -> bool:
+    """The twist's form test as two general products: A^T G A == G."""
+    return twist.transpose() @ gram @ twist == gram
+
+
+def reference_skew_violation(gram: RationalMatrix) -> str | None:
+    """None for a skew square gram, else the message for its first (i, j),
+    i <= j in row-major order, with gram[i][j] != -gram[j][i]: the structural
+    comparison with -gram^T, then a rescan in ``Fraction`` entries."""
+    if gram == -gram.transpose():
+        return None
+    for i in range(gram.rows):
+        for j in range(i, gram.cols):
+            if gram[i, j] != -gram[j, i]:
+                return f"gram[{i}][{j}] != -gram[{j}][{i}]"
+    raise AssertionError("a gram that differs from -gram^T has a differing entry")
+
+
+def reference_is_pseudo_cylinder(m: CobordismMorphism) -> bool:
+    """Identity homological data, field by field against identity matrices."""
+    if m.source.genera != m.target.genera:
+        return False
+    eye1 = RationalMatrix.identity(m.source.beta1)
+    eye0 = RationalMatrix.identity(m.source.beta0)
+    return (
+        m.h1_dim == m.source.beta1
+        and m.h0_dim == m.source.beta0
+        and m.j_src_h1 == eye1
+        and m.j_tgt_h1 == eye1
+        and m.j_src_h0 == eye0
+        and m.j_tgt_h0 == eye0
+    )

@@ -1,15 +1,20 @@
+import io
 import json
 import os
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import replace
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from evencob import campaigns, sampling
 from evencob.campaigns import CheckOutcome
 from evencob.cli import build_parser, main
+from evencob.formats import parse_pipeline, serialize_pipeline
 from test_golden import CHECK_CE, CLOSURE_CE, FAULTS
 
 GENUS_ONE_SSF = """\
@@ -795,3 +800,117 @@ def test_longer_generator_integers_are_input_errors(capsys, tmp_path, route, end
     message = f"{key} has {digits} digits, at most 1000 allowed"
     prefix = "" if route == "gen" else f"line {PLAN_LINE}: "
     assert (code, out, err) == (2, "", f"error: {prefix}{message}\n")
+
+
+# gluing is checked by the function compose runs; the reader names the entry
+GLUE_ERRORS = {
+    "genera": (
+        "generator a E T handlebody genus=1\ngenerator c S S identity\n",
+        "entry 'c': cannot glue target genera (1,) to source genera (2,)",
+    ),
+    "lagrangians": (
+        "generator a E T handlebody genus=1\ngenerator c U U identity\n",
+        "entry 'c': middle surfaces agree on genera but carry different Lagrangians",
+    ),
+}
+
+
+@pytest.mark.parametrize("command", ["even", "compose"])
+@pytest.mark.parametrize("case", sorted(GLUE_ERRORS))
+def test_unglued_entries_are_input_errors(capsys, tmp_path, command, case):
+    lines, message = GLUE_ERRORS[case]
+    path = tmp_path / "unglued.cbf"
+    path.write_text(PLAN_OBJECTS + lines)
+    code = main([command, "--in", str(path)])
+    out, err = capsys.readouterr()
+    assert (code, out, err) == (2, "", f"error: line {PLAN_LINE + 1}: {message}\n")
+
+
+def twist_chain(atoms: int) -> str:
+    """A composite of genus-1 twisted cylinders with the longest walks."""
+    rest = ", twisted_cylinder twist_length=1000" * (atoms - 1)
+    return f"composite(twisted_cylinder genus=1 twist_length=1000{rest})"
+
+
+def weight_pair(digits: str) -> str:
+    return f"composite(pseudo_cylinder genus=1 weight={digits}, pseudo_cylinder weight={digits})"
+
+
+# a built morphism can hold numbers longer than any its text wrote
+UNWRITABLE = {
+    # past str()'s own limit: this was a ValueError traceback and exit 1
+    "twists-76": (twist_chain(76), "a number in jsrc_h1 of entry 'm'"),
+    # about 1360 digits: this was written, and the reader refused it
+    "twists-25": (twist_chain(25), "a number in jsrc_h1 of entry 'm'"),
+    # two 1000-digit weights add up to 1001 digits
+    "weights": (weight_pair("9" * 1000), "the weight of entry 'm'"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(UNWRITABLE))
+def test_numbers_the_reader_refuses_are_not_written(capsys, case):
+    text, what = UNWRITABLE[case]
+    code = main(["gen", "--spec", text])
+    out, err = capsys.readouterr()
+    message = f"error: {what} has more than 1000 digits, at most 1000 allowed\n"
+    assert (code, out, err) == (2, "", message)
+
+
+def test_a_written_weight_of_1000_digits_reads_back(capsys, tmp_path):
+    code, report = run_json(capsys, "gen", "--spec", weight_pair("4" + "9" * 999))
+    assert code == 0
+    (result,) = report["results"]
+    assert len(str(abs(result["weight"]))) == 1000
+    path = tmp_path / "generated.cbf"
+    path.write_text(result["pipeline"])
+    code, reread = run_json(capsys, "even", "--in", str(path))
+    assert code == 0
+    assert reread["results"][0]["weight"] == result["weight"]
+    assert serialize_pipeline(parse_pipeline(result["pipeline"])) == result["pipeline"]
+
+
+@st.composite
+def texts_near_the_bounds(draw):
+    """Generator text with walks of up to 1000 steps, weights of up to 1001
+    digits and up to 80 atoms, starting at genus 1 or from a handlebody."""
+
+    def params(kind):
+        # a few weights, so that most long chains get past the text bounds
+        out = ""
+        if kind != "identity" and draw(st.integers(0, 7)) == 0:
+            digits = draw(st.one_of(st.integers(1, 1001), st.sampled_from([999, 1000, 1001])))
+            sign = draw(st.sampled_from(["", "-"]))
+            out += f" weight={sign}{draw(st.sampled_from('123456789'))}{'9' * (digits - 1)}"
+        if kind == "twisted_cylinder" and draw(st.booleans()):
+            length = draw(st.one_of(st.integers(0, 1000), st.just(1000)))
+            out += f" twist_length={length}"
+        return out
+
+    kinds = st.sampled_from(["pseudo_cylinder", "twisted_cylinder", "twisted_cylinder", "identity"])
+    first = draw(st.sampled_from(["handlebody", "pseudo_cylinder", "twisted_cylinder"]))
+    atoms = [f"{first} genus=1{params(first)}"]
+    for _ in range(draw(st.one_of(st.integers(0, 79), st.just(79)))):
+        kind = draw(kinds)
+        atoms.append(f"{kind}{params(kind)}")
+    if len(atoms) < 80 and draw(st.booleans()):
+        atoms.append(f"cap{params('cap')}")
+    return atoms[0] if len(atoms) == 1 else f"composite({', '.join(atoms)})"
+
+
+@settings(max_examples=10)
+@example(text=twist_chain(76), seed=0)
+@example(text=twist_chain(25), seed=0)
+@example(text=weight_pair("9" * 1000), seed=0)
+@given(text=texts_near_the_bounds(), seed=st.integers(0, 2**32))
+def test_what_gen_writes_the_reader_reads(text, seed):
+    # exit 2 with one error line, or a pipeline that reads back to itself
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(["gen", "--spec", text, "--seed", str(seed), "--output", "json"])
+    if code == 2:
+        assert out.getvalue() == ""
+        assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
+        return
+    assert (code, err.getvalue()) == (0, "")
+    pipeline = json.loads(out.getvalue())["results"][0]["pipeline"]
+    assert serialize_pipeline(parse_pipeline(pipeline)) == pipeline

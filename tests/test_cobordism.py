@@ -27,11 +27,23 @@ from evencob.errors import (
     NotAPseudoCylinderError,
     NotLagrangianError,
 )
-from evencob.generators import cap, handlebody, twisted_cylinder
+from evencob.generators import (
+    ATOM_KINDS,
+    GeneratorSpec,
+    cap,
+    handlebody,
+    random_even_morphism,
+    twisted_cylinder,
+)
 from evencob.linalg import RationalMatrix, Subspace, canonical_basis
 from evencob.sampling import random_abstract_morphism, random_even_chain, random_even_pair
 from evencob.symplectic import random_lagrangian
-from oracles import reference_lagrangian_span, reference_map_subspace, reference_preimage
+from oracles import (
+    reference_is_pseudo_cylinder,
+    reference_lagrangian_span,
+    reference_map_subspace,
+    reference_preimage,
+)
 
 SPAN_E = canonical_basis([(1, 0)], 2)
 SPAN_F = canonical_basis([(0, 1)], 2)
@@ -120,6 +132,79 @@ class TestInversePseudoCylinder:
             assert loop.h1_dim == 2 and loop.h0_dim == 1
             for lag in (SPAN_E, SPAN_F, canonical_basis([(1, 1)], 2)):
                 assert push_forward(loop, lag) == lag
+
+
+PERTURBATIONS = ("none", "entry", "h1-row", "h0-row", "weight", "target")
+
+
+def _atom_record(kind: str, genera: tuple[int, ...], seed: int, length: int):
+    """An even record of an atom kind; handlebodies and caps take one component."""
+    genera = genera[:1] if kind in ("handlebody", "cap") else genera
+    return random_even_morphism(GeneratorSpec(kind, genera=genera, twist_length=length), seed)
+
+
+def _perturbed(m: CobordismMorphism, how: str, rng: random.Random) -> CobordismMorphism:
+    if how == "entry":
+        names = [n for n in ("j_src_h1", "j_tgt_h1", "j_src_h0", "j_tgt_h0")
+                 if getattr(m, n).rows and getattr(m, n).cols]
+        if not names:
+            return m
+        name = rng.choice(names)
+        mat = getattr(m, name)
+        rows = [list(mat.row(i)) for i in range(mat.rows)]
+        rows[rng.randrange(mat.rows)][rng.randrange(mat.cols)] += rng.choice([-1, 1])
+        return replace(m, **{name: RationalMatrix(rows)})
+    if how in ("h1-row", "h0-row"):
+        h = how[:2]
+        src, tgt = getattr(m, f"j_src_{h}"), getattr(m, f"j_tgt_{h}")
+        return replace(
+            m,
+            **{
+                f"{h}_dim": getattr(m, f"{h}_dim") + 1,
+                f"j_src_{h}": src.vstack(RationalMatrix.zeros(1, src.cols)),
+                f"j_tgt_{h}": tgt.vstack(RationalMatrix.zeros(1, tgt.cols)),
+            },
+        )
+    if how == "weight":
+        return replace(m, weight=m.weight + 1)
+    if how == "target" and m.target.beta1:
+        genus = sum(m.target.genera)
+        lag = random_lagrangian(genus, rng.getrandbits(32))
+        return replace(m, target=SurfaceObject(m.target.genera, lag))
+    return m
+
+
+class TestIsPseudoCylinder:
+    """The comparison with identity(source) agrees with the field-by-field test."""
+
+    @given(
+        st.sampled_from(ATOM_KINDS),
+        st.sampled_from([(0,), (1,), (2,), (1, 1), (0, 2)]),
+        st.integers(0, 2**32),
+        st.sampled_from([0, 1, 20]),
+        st.sampled_from(PERTURBATIONS),
+    )
+    def test_matches_the_field_by_field_test(self, kind, genera, seed, length, how):
+        m = _perturbed(_atom_record(kind, genera, seed, length), how, random.Random(seed))
+        assert is_pseudo_cylinder(m) == reference_is_pseudo_cylinder(m)
+
+    @given(st.integers(0, 10**6), st.sampled_from(PERTURBATIONS))
+    def test_matches_on_abstract_and_composed_records(self, seed, how):
+        m1, m2 = random_even_pair(seed, 2)
+        for m in (m1, m2, compose(m1, m2), random_abstract_morphism(seed, 3)):
+            m = _perturbed(m, how, random.Random(seed))
+            assert is_pseudo_cylinder(m) == reference_is_pseudo_cylinder(m)
+
+    def test_both_answers_are_drawn(self):
+        answers = {True: 0, False: 0}
+        for seed in range(60):
+            kind = ATOM_KINDS[seed % len(ATOM_KINDS)]
+            how = PERTURBATIONS[seed % len(PERTURBATIONS)]
+            m = _perturbed(_atom_record(kind, (1,), seed, seed % 2), how, random.Random(seed))
+            answer = reference_is_pseudo_cylinder(m)
+            assert is_pseudo_cylinder(m) == answer
+            answers[answer] += 1
+        assert min(answers.values()) >= 15
 
 
 class TestPushPull:

@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from evencob.cobordism import (
     SurfaceObject,
@@ -32,6 +34,7 @@ from evencob.linalg import RationalMatrix, Subspace, canonical_basis
 from evencob.sampling import random_abstract_morphism, random_even_pair
 from evencob.symplectic import random_lagrangian
 from evencob.symplectic import preserves_standard_form, random_symplectic
+from oracles import reference_twist_preserves_form
 
 SPAN_E = canonical_basis([(1, 0)], 2)
 SPAN_F = canonical_basis([(0, 1)], 2)
@@ -51,6 +54,28 @@ def _accepted(build, *args) -> bool:
     except NotSymplecticError:
         return False
     return True
+
+
+def _drawn_twist(g: int, seed: int, rational: bool, off: bool) -> RationalMatrix:
+    """A genus-g twist from a walk; with rational entries when asked (a scaling
+    e_h -> a e_h, f_h -> f_h / a between two walks preserves the form); and,
+    when asked, with one entry moved, which usually breaks the form."""
+    rng = random.Random(seed)
+    if not g:
+        return RationalMatrix.identity(0)
+    twist = random_symplectic(g, rng.getrandbits(32), rng.randrange(13))
+    if rational:
+        a = [Fraction(rng.randint(1, 7), rng.randint(1, 7)) for _ in range(g)]
+        scale = RationalMatrix(
+            [[(a[i // 2] if i % 2 == 0 else 1 / a[i // 2]) if i == j else 0
+              for j in range(2 * g)] for i in range(2 * g)]
+        )
+        twist = twist @ scale @ random_symplectic(g, rng.getrandbits(32), 4)
+    rows = [list(twist.row(i)) for i in range(2 * g)]
+    if off:
+        i, j = rng.randrange(2 * g), rng.randrange(2 * g)
+        rows[i][j] += Fraction(rng.choice([-2, -1, 1, 2]), rng.choice([1, 3]))
+    return RationalMatrix(rows)
 
 
 class TestTwistedCylinder:
@@ -92,6 +117,25 @@ class TestTwistedCylinder:
                 assert _accepted(twisted_cylinder, obj, twist, obj.lagrangian, 0) == symplectic
                 if len(genera) == 1:
                     assert _accepted(cap, g, obj.lagrangian, 0, twist) == symplectic
+
+    @given(st.integers(0, 3), st.integers(0, 2**32), st.booleans(), st.booleans())
+    def test_form_check_matches_the_product(self, g, seed, rational, off):
+        obj = SurfaceObject((g,), standard_lagrangian(g))
+        twist = _drawn_twist(g, seed, rational, off)
+        expected = reference_twist_preserves_form(twist, obj.space.gram)
+        assert _accepted(twisted_cylinder, obj, twist, obj.lagrangian, 0) == expected
+        assert _accepted(cap, g, obj.lagrangian, 0, twist) == expected
+
+    def test_form_check_draws_both_answers(self):
+        answers = {True: 0, False: 0}
+        for seed in range(40):
+            g = 1 + seed % 3
+            obj = SurfaceObject((g,), standard_lagrangian(g))
+            twist = _drawn_twist(g, seed, seed % 4 < 2, seed % 2 == 0)
+            answer = reference_twist_preserves_form(twist, obj.space.gram)
+            assert _accepted(twisted_cylinder, obj, twist, obj.lagrangian, 0) == answer
+            answers[answer] += 1
+        assert min(answers.values()) >= 15
 
     def test_target_map_is_the_inverse_twist(self):
         # -J A^T J against the inverse from elimination, on walks of genus 1-4,

@@ -23,6 +23,7 @@ from evencob.symplectic import (
 from oracles import (
     reference_is_lagrangian,
     reference_random_symplectic,
+    reference_skew_violation,
     reference_symplectic_generators,
 )
 
@@ -258,6 +259,53 @@ class TestStandardSpace:
 def test_skew_validation_names_entry():
     with pytest.raises(NonSkewFormError, match=r"gram\[0\]\[1\]"):
         SymplecticSpace(RationalMatrix([[0, 1], [1, 0]]))
+
+
+def _near_skew(n: int, seed: int, changes: int) -> RationalMatrix:
+    """A skew n x n gram with entries p/q, then `changes` entries moved."""
+    rng = random.Random(seed)
+    gram = [[Fraction(0)] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            x = Fraction(rng.randint(-3, 3), rng.choice([1, 1, 2, 3]))
+            gram[i][j], gram[j][i] = x, -x
+    for _ in range(changes if n else 0):
+        i, j = rng.randrange(n), rng.randrange(n)
+        gram[i][j] += Fraction(rng.choice([-1, 1]), rng.choice([1, 2, 5]))
+    return RationalMatrix(gram, cols=n)
+
+
+def _skew_message(gram: RationalMatrix) -> str | None:
+    try:
+        SymplecticSpace(gram)
+    except NonSkewFormError as exc:
+        return str(exc)
+    return None
+
+
+@given(st.integers(0, 6), st.integers(0, 2**32), st.integers(0, 3))
+def test_skew_scan_matches_the_rescan(n, seed, changes):
+    # the same verdict, and the same first (i, j) with i <= j in the message
+    gram = _near_skew(n, seed, changes)
+    assert _skew_message(gram) == reference_skew_violation(gram)
+
+
+@pytest.mark.parametrize(
+    "bad, first",
+    [
+        ([(1, 1), (0, 3)], "gram[0][3] != -gram[3][0]"),
+        ([(2, 0), (1, 1)], "gram[0][2] != -gram[2][0]"),
+        ([(3, 3), (2, 3)], "gram[2][3] != -gram[3][2]"),
+        ([(3, 3)], "gram[3][3] != -gram[3][3]"),
+    ],
+)
+def test_skew_scan_names_the_first_entry(bad, first):
+    gram = [[Fraction(0)] * 4 for _ in range(4)]
+    for i, j in bad:
+        gram[i][j] = Fraction(1, 3)
+    assert _skew_message(RationalMatrix(gram)) == first == reference_skew_violation(
+        RationalMatrix(gram)
+    )
 
 
 class TestRandomSymplectic:
