@@ -16,7 +16,7 @@ from evencob.linalg import RationalMatrix, canonical_basis
 from evencob.maslov import decompose, dim_sum_parity, form_annihilator
 from evencob.sampling import random_even_chain, random_even_pair, random_subspace_pair
 from evencob.symplectic import SymplecticSpace
-from oracles import bench_oracle, matrix_rows, reference_combine_rows
+from oracles import bench_oracle, combination, matrix_rows
 
 PAIR_TRIALS = 1000
 ANNIHILATOR_TRIALS = 500
@@ -95,7 +95,8 @@ def test_criterion_04_symmetry_and_well_definedness(triple_corpus):
         perturbed = []
         for b in domain_rows:
             _, a2 = decompose(t.l1, t.l2, b)
-            shift = reference_combine_rows([rng.randint(-2, 2) for _ in range(meet.dim)], meet.basis)
+            coeffs = [rng.randint(-2, 2) for _ in range(meet.dim)]
+            shift = combination(coeffs, meet.basis_rows(), meet.ambient_dim)
             perturbed.append(tuple(x + y for x, y in zip(a2, shift)))
         regram = RationalMatrix(
             [[t.space.evaluate(a2, b) for b in domain_rows] for a2 in perturbed],

@@ -11,9 +11,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from evencob import campaigns, sampling
+from evencob import campaigns
 from evencob.campaigns import CheckOutcome
 from evencob.cli import build_parser, main
+from evencob.cobordism import compose
 from evencob.formats import parse_pipeline, serialize_pipeline
 from test_golden import CHECK_CE, CLOSURE_CE, FAULTS
 
@@ -160,38 +161,6 @@ class TestCheckCommand:
         code2, out2 = run(capsys, *args, "--output", "json")
         assert code1 == code2 == 0
         assert out1 == out2
-
-    def test_counterexample_path(self, capsys, tmp_path, monkeypatch):
-        # no true theorem can fail, so inject a falsifiable one behind an
-        # existing name and watch the full counterexample flow
-        broken = replace(
-            campaigns.THEOREMS["parity"],
-            evaluate=lambda triple: CheckOutcome(triple.l1.intersect(triple.l2).dim > 0, {}),
-        )
-        monkeypatch.setitem(campaigns.THEOREMS, "parity", broken)
-        out_path = tmp_path / "ce.ssf"
-        code, report = run_json(
-            capsys,
-            "check",
-            "--theorem",
-            "parity",
-            "--trials",
-            "50",
-            "--seed",
-            "0",
-            "--counterexample-out",
-            str(out_path),
-        )
-        assert code == 1
-        assert report["status"] == "counterexample"
-        assert out_path.exists()
-        assert report["counterexample"]["scenario"] == out_path.read_text()
-        # the emitted file replays standalone and still fails
-        code2, report2 = run_json(
-            capsys, "check", "--theorem", "parity", "--in", str(out_path)
-        )
-        assert code2 == 1
-        assert report2["status"] == "counterexample"
 
 
 class TestComposeCommand:
@@ -361,34 +330,38 @@ class TestClosureCommand:
         abstract = result["abstract_records"]
         assert abstract["even"] + abstract["odd"] == 6
 
-    def test_counterexample_path(self, capsys, tmp_path, monkeypatch):
-        # even pairs provably compose even, so sneak an odd morphism into the
-        # sampled pair to drive the reporting flow
-        from evencob.sampling import random_even_pair
 
-        def odd_pair(seed, genus_max):
-            m1, m2 = random_even_pair(seed, genus_max)
-            return replace(m1, weight=m1.weight + 1), m2
+# a falsifiable statement per instance shape: two of the subspaces meet, or
+# the composite's weight is even
+FALSE_STATEMENTS = {
+    "triple": lambda triple: CheckOutcome(triple.l1.intersect(triple.l2).dim > 0, {}),
+    "pair": lambda space, a, b: CheckOutcome(a.intersect(b).dim > 0, {}),
+    "morphism-pair": lambda m1, m2: CheckOutcome(compose(m1, m2).weight % 2 == 0, None),
+}
 
-        monkeypatch.setattr(sampling, "random_even_pair", odd_pair)
-        out_path = tmp_path / "bad.cbf"
-        code, report = run_json(
-            capsys,
-            "closure",
-            "--trials",
-            "4",
-            "--seed",
-            "0",
-            "--counterexample-out",
-            str(out_path),
-        )
-        assert code == 1
-        assert report["status"] == "counterexample"
-        assert out_path.exists()
-        # the emitted pipeline replays standalone: its composite is odd
-        code2, report2 = run_json(capsys, "compose", "--in", str(out_path))
-        assert code2 == 0
-        assert report2["results"][0]["even"] is False
+
+@pytest.mark.parametrize("name", list(campaigns.THEOREMS))
+def test_counterexample_round_trip(capsys, tmp_path, monkeypatch, name):
+    # no registered theorem can fail, so a falsifiable statement takes its
+    # name; the file written for the failure must replay to the same failure
+    theorem = campaigns.THEOREMS[name]
+    falsifiable = replace(theorem, evaluate=FALSE_STATEMENTS[theorem.arity])
+    monkeypatch.setitem(campaigns.THEOREMS, name, falsifiable)
+    closure = theorem.arity == "morphism-pair"
+    out_path = tmp_path / ("ce.cbf" if closure else "ce.ssf")
+    argv = ["closure"] if closure else ["check", "--theorem", name]
+    code, report = run_json(
+        capsys, *argv, "--trials", "50", "--seed", "0", "--counterexample-out", str(out_path)
+    )
+    assert (code, report["status"]) == (1, "counterexample")
+    assert report["counterexample"]["pipeline" if closure else "scenario"] == out_path.read_text()
+    if closure:
+        code, replay = run_json(capsys, "compose", "--in", str(out_path))
+        assert code == 0 and replay["results"][0]["weight"] % 2 == 1
+    else:
+        code, replay = run_json(capsys, "check", "--theorem", name, "--in", str(out_path))
+        assert (code, replay["status"]) == (1, "counterexample")
+        assert [r["holds"] for r in replay["results"]] == [False]
 
 
 class TestExitCodes:
