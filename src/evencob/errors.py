@@ -65,7 +65,6 @@ class ParseError(EvencobError):
         if line is not None:
             message = f"line {line}: {message}"
         super().__init__(message)
-        self.line = line
 
 
 class FileSyntaxError(ParseError):

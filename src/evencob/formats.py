@@ -23,11 +23,13 @@ Rationals are written p/q or as bare integers; no floating point is accepted
 anywhere.  Serializing and re-parsing yields structurally identical values.
 
 The readers are the trust boundary for numbers.  Each token is matched once
-against the rational pattern, its digit counts are bounded, and `int()` reads
-its numerator and denominator, which are divided by their gcd.  A line of
-tokens becomes one integer row over the lcm of its denominators, the row form
-`linalg` stores, so matrices and subspaces are built from the text with no
-`Fraction` in between.
+against the rational pattern, `generators.check_digits` bounds its digit
+counts, and `int()` reads its numerator and denominator, which are divided by
+their gcd.  A line of tokens becomes one integer row over the lcm of its
+denominators, the row form `linalg` stores, so matrices and subspaces are
+built from the text with no `Fraction` in between.  Other integers and the
+genera are read and bounded as generator text reads them, by
+`generators.read_int` and `generators.check_genera`.
 
 An error raised while a statement is checked keeps its class and gets
 `line N: ` in front.  Consecutive pipeline entries must glue, as
@@ -49,21 +51,16 @@ from .errors import DimensionMismatchError, EvencobError, FileSyntaxError, Unkno
 from .generators import (
     MAX_BODY_DIM,
     MAX_NUMBER_DIGITS,
-    MAX_TEXT_GENUS,
     build_from_objects,
+    check_digits,
+    check_genera,
     parse_generator_spec,
+    read_int,
 )
 from .linalg import IntRow, RationalMatrix, Subspace, _over_lcm
 from .symplectic import SymplecticSpace, beta0, beta1
 
 _RATIONAL_RE = re.compile(r"^[+-]?\d+(/[1-9]\d*)?$")
-
-
-def _check_digits(digits: str, line: int | None, what: str) -> None:
-    if len(digits) > MAX_NUMBER_DIGITS:
-        raise FileSyntaxError(
-            f"{what} has {len(digits)} digits, at most {MAX_NUMBER_DIGITS} allowed", line
-        )
 
 
 def _read_ratio(token: str, line: int | None) -> tuple[int, int]:
@@ -72,10 +69,10 @@ def _read_ratio(token: str, line: int | None) -> tuple[int, int]:
         raise FileSyntaxError(f"not a rational (p/q or integer): {token!r}", line)
     numerator, _, denominator = token.lstrip("+-").partition("/")
     if not denominator:
-        _check_digits(numerator, line, "an integer")
+        check_digits(numerator, "an integer", FileSyntaxError, line)
         return int(token), 1
-    _check_digits(numerator, line, "a numerator")
-    _check_digits(denominator, line, "a denominator")
+    check_digits(numerator, "a numerator", FileSyntaxError, line)
+    check_digits(denominator, "a denominator", FileSyntaxError, line)
     num, den = int(numerator), int(denominator)
     if token[0] == "-":
         num = -num
@@ -158,17 +155,8 @@ class _Lines:
         return _over_lcm([_read_ratio(t, number) for t in tokens])
 
 
-def _parse_int(token: str, line: int, what: str) -> int:
-    # one optional minus sign, then the decimal digits int() accepts
-    digits = token.removeprefix("-")
-    if not digits.isdecimal():
-        raise FileSyntaxError(f"{what} must be an integer, found {token!r}", line)
-    _check_digits(digits, line, what)
-    return int(token)
-
-
 def _parse_count(token: str, line: int, what: str, most: int | None = None) -> int:
-    value = _parse_int(token, line, what)
+    value = read_int(token, what, FileSyntaxError, line)
     if value < 0:
         raise FileSyntaxError(f"{what} must be non-negative, found {value}", line)
     if most is not None and value > most:
@@ -276,16 +264,8 @@ def parse_pipeline(text: str) -> Pipeline:
             name = tokens[1]
             if name in objects:
                 raise FileSyntaxError(f"duplicate object name {name!r}", number)
-            if len(tokens) - 3 > MAX_BODY_DIM:
-                raise FileSyntaxError(
-                    f"genera have {len(tokens) - 3} components, at most {MAX_BODY_DIM} allowed",
-                    number,
-                )
             genera = tuple(_parse_count(t, number, "genus") for t in tokens[3:])
-            if sum(genera) > MAX_TEXT_GENUS:
-                raise FileSyntaxError(
-                    f"genera add up to {sum(genera)}, at most {MAX_TEXT_GENUS} allowed", number
-                )
+            check_genera(genera, FileSyntaxError, number)
             ln, lt = lines.take(expect="lagrangian")
             if len(lt) != 2 or lt[0] != "lagrangian":
                 raise FileSyntaxError("object must be followed by: lagrangian <rows>", ln)
@@ -309,34 +289,23 @@ def parse_pipeline(text: str) -> Pipeline:
             name, src_name, dst_name = tokens[1], tokens[2], tokens[3]
             source = lookup(src_name, number)
             target = lookup(dst_name, number)
-            weight = _parse_int(tokens[5], number, "weight")
+            weight = read_int(tokens[5], "weight", FileSyntaxError, number)
             h1 = _parse_count(tokens[7], number, "h1 dimension", MAX_BODY_DIM)
             h0 = _parse_count(tokens[9], number, "h0 dimension", MAX_BODY_DIM)
-            widths = {
-                "jsrc_h1": (h1, beta1(source.genera)),
-                "jtgt_h1": (h1, beta1(target.genera)),
-                "jsrc_h0": (h0, beta0(source.genera)),
-                "jtgt_h0": (h0, beta0(target.genera)),
-            }
-            matrices = {}
-            for label in _MORPHISM_BLOCKS:
+            shapes = (
+                (h1, beta1(source.genera)),
+                (h1, beta1(target.genera)),
+                (h0, beta0(source.genera)),
+                (h0, beta0(target.genera)),
+            )
+            blocks = []
+            for label, (r, c) in zip(_MORPHISM_BLOCKS, shapes):
                 ln, lt = lines.take(expect=label)
                 if lt != [label]:
                     raise FileSyntaxError(f"expected block label {label!r}", ln)
-                r, c = widths[label]
-                matrices[label] = _read_matrix(lines, r, c, f"a row of {label}")
+                blocks.append(_read_matrix(lines, r, c, f"a row of {label}"))
             with _at_line(number):
-                morphism = CobordismMorphism(
-                    source,
-                    target,
-                    weight,
-                    h1,
-                    h0,
-                    matrices["jsrc_h1"],
-                    matrices["jtgt_h1"],
-                    matrices["jsrc_h0"],
-                    matrices["jtgt_h0"],
-                )
+                morphism = CobordismMorphism(source, target, weight, h1, h0, *blocks)
         elif keyword == "generator":
             if len(tokens) < 5:
                 raise FileSyntaxError(

@@ -21,6 +21,8 @@ files), whitespace separated:
                |  twist_seed=INT | twist_length=INT
     INT       :=  -?DIGITS, at most MAX_NUMBER_DIGITS (1000) digits
 
+Combinations nest at most MAX_NESTING (100) deep.
+
 Example:  composite(handlebody genus=1 weight=1, cap genus=1 weight=1)
 """
 
@@ -41,7 +43,7 @@ from .cobordism import (
     pseudo_cylinder,
     validate,
 )
-from .errors import DimensionMismatchError, GeneratorSpecError, NotSymplecticError
+from .errors import DimensionMismatchError, EvencobError, GeneratorSpecError, NotSymplecticError
 from .linalg import RationalMatrix, Subspace
 from .symplectic import (
     DEFAULT_WALK_LENGTH,
@@ -65,6 +67,36 @@ MAX_NUMBER_DIGITS = 1000
 # not be matched by data lines, so component counts and body dimensions are
 # bounded too
 MAX_BODY_DIM = 256
+# the parser, the builder and the formatter recurse with each level; this
+# keeps them far below Python's recursion limit
+MAX_NESTING = 100
+
+
+# the one set of rules for integers and sizes in generator text and in
+# .ssf/.cbf files: each raises error(message, *where), a file passing its line
+def check_digits(digits: str, what: str, error: type[EvencobError], *where: int | None) -> None:
+    if len(digits) > MAX_NUMBER_DIGITS:
+        raise error(
+            f"{what} has {len(digits)} digits, at most {MAX_NUMBER_DIGITS} allowed", *where
+        )
+
+
+def read_int(token: str, what: str, error: type[EvencobError], *where: int | None) -> int:
+    """The integer a token writes: one optional minus sign, then decimal digits."""
+    digits = token.removeprefix("-")
+    if not digits.isdecimal():
+        raise error(f"{what} must be an integer, found {token!r}", *where)
+    check_digits(digits, what, error, *where)
+    return int(token)
+
+
+def check_genera(genera: tuple[int, ...], error: type[EvencobError], *where: int | None) -> None:
+    if len(genera) > MAX_BODY_DIM:
+        raise error(
+            f"genera have {len(genera)} components, at most {MAX_BODY_DIM} allowed", *where
+        )
+    if sum(genera) > MAX_TEXT_GENUS:
+        raise error(f"genera add up to {sum(genera)}, at most {MAX_TEXT_GENUS} allowed", *where)
 
 
 def _check_twist(name: str, twist: RationalMatrix, surface: SurfaceObject) -> None:
@@ -330,8 +362,8 @@ def build_from_objects(
 
 # -- textual encoding ---------------------------------------------------------
 
-_INT = r"-?\d+"
-_TOKEN_RE = re.compile(rf"\s*(\[[^\]]*\]|[A-Za-z_][A-Za-z_0-9]*|{_INT}|[(),=])")
+# a value token runs to the next delimiter, so read_int judges every value
+_TOKEN_RE = re.compile(r"\s*(\[[^\]]*\]|[(),=]|[^\s(),=\[\]]+)")
 
 
 def _tokenize(text: str) -> list[str]:
@@ -348,31 +380,21 @@ def _tokenize(text: str) -> list[str]:
     return tokens
 
 
-def _parse_int(key: str, token: str) -> int:
-    if not re.fullmatch(_INT, token):
-        raise GeneratorSpecError(f"{key} expects an integer, found {token!r}")
-    digits = len(token.lstrip("-"))
-    if digits > MAX_NUMBER_DIGITS:
-        raise GeneratorSpecError(f"{key} has {digits} digits, at most {MAX_NUMBER_DIGITS} allowed")
-    return int(token)
-
-
 def _parse_int_list(token: str) -> tuple[int, ...]:
     inner = token[1:-1].strip()
     if not inner:
         return ()
     parts = [part.strip() for part in inner.split(",")]
-    if not all(re.fullmatch(_INT, part) for part in parts):
+    if not all(re.fullmatch(r"-?\d+", part) for part in parts):
         raise GeneratorSpecError(f"bad integer list {token!r}")
-    return tuple(_parse_int("genera", part) for part in parts)
+    return tuple(read_int(part, "genera", GeneratorSpecError) for part in parts)
 
 
 class _SpecParser:
     def __init__(self, tokens: list[str]):
         self.tokens = tokens
         self.pos = 0
-        self.genus = 0  # sum of the genera written so far
-        self.components = 0  # and their number
+        self.genera: tuple[int, ...] = ()  # all the genera written so far
 
     def peek(self) -> str | None:
         return self.tokens[self.pos] if self.pos < len(self.tokens) else None
@@ -389,14 +411,18 @@ class _SpecParser:
         if tok != wanted:
             raise GeneratorSpecError(f"expected {wanted!r}, found {tok!r}")
 
-    def node(self) -> GeneratorSpec:
+    def node(self, depth: int = 0) -> GeneratorSpec:
         kind = self.take()
         if kind in COMBO_KINDS:
+            if depth == MAX_NESTING:
+                raise GeneratorSpecError(
+                    f"generator text nests {depth + 1} deep, at most {MAX_NESTING} allowed"
+                )
             self.expect("(")
-            children = [self.node()]
+            children = [self.node(depth + 1)]
             while self.peek() == ",":
                 self.take()
-                children.append(self.node())
+                children.append(self.node(depth + 1))
             self.expect(")")
             return GeneratorSpec(kind, children=tuple(children))
         if kind not in ATOM_KINDS:
@@ -412,26 +438,18 @@ class _SpecParser:
             self.expect("=")
             value = self.take()
             if key == "genus":
-                params["genera"] = (_parse_int("genus", value),)
+                params["genera"] = (read_int(value, "genus", GeneratorSpecError),)
             elif key == "genera":
                 if not value.startswith("["):
                     raise GeneratorSpecError("genera expects a bracketed list like [1,2]")
                 params["genera"] = _parse_int_list(value)
             elif key in ("weight", "twist_seed", "twist_length"):
-                params[key] = _parse_int(key, value)
+                params[key] = read_int(value, key, GeneratorSpecError)
             else:
                 raise GeneratorSpecError(f"unknown generator parameter {key!r}")
         spec = GeneratorSpec(kind, **params)
-        self.genus += sum(spec.genera or ())
-        if self.genus > MAX_TEXT_GENUS:
-            raise GeneratorSpecError(
-                f"genera add up to {self.genus}, at most {MAX_TEXT_GENUS} allowed"
-            )
-        self.components += len(spec.genera or ())
-        if self.components > MAX_BODY_DIM:
-            raise GeneratorSpecError(
-                f"genera have {self.components} components, at most {MAX_BODY_DIM} allowed"
-            )
+        self.genera += spec.genera or ()
+        check_genera(self.genera, GeneratorSpecError)
         if spec.twist_length > MAX_TWIST_LENGTH:
             raise GeneratorSpecError(
                 f"twist_length must be at most {MAX_TWIST_LENGTH}, got {spec.twist_length}"

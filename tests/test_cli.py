@@ -16,7 +16,8 @@ from evencob.campaigns import CheckOutcome
 from evencob.cli import build_parser, main
 from evencob.cobordism import compose
 from evencob.formats import parse_pipeline, serialize_pipeline
-from test_golden import CHECK_CE, CLOSURE_CE, FAULTS
+from evencob.generators import MAX_NESTING
+from test_golden import CHECK_CE, CLOSURE_CE, EXPECTED, FAULTS, RUNS
 
 GENUS_ONE_SSF = """\
 form 2
@@ -775,6 +776,30 @@ def test_longer_generator_integers_are_input_errors(capsys, tmp_path, route, end
     assert (code, out, err) == (2, "", f"error: {prefix}{message}\n")
 
 
+def nested(depth: int) -> str:
+    """A closed plan whose composites nest depth deep."""
+    inner = "handlebody genus=1" + ", twisted_cylinder)" * (depth - 1)
+    return "composite(" * depth + inner + ", cap)"
+
+
+@pytest.mark.parametrize("route, ends", [("gen", ""), ("cbf", "E E ")], ids=["gen", "cbf"])
+def test_nesting_past_the_bound_is_an_input_error(capsys, tmp_path, route, ends):
+    prefix = "" if route == "gen" else f"line {PLAN_LINE}: "
+    code = run_generator_text(tmp_path, route, ends + nested(MAX_NESTING))
+    out, err = capsys.readouterr()
+    if route == "gen":
+        assert (code, err) == (0, "")
+    else:  # parsed; a file then refuses any composite
+        message = "composite is not allowed in pipeline files; declare the pieces"
+        assert (code, out, err) == (2, "", f"error: {prefix}{message} as separate entries\n")
+    # deeper text, closed or not, used to be a RecursionError traceback and exit 1
+    for text in (nested(MAX_NESTING + 1), "composite(" * 1200):
+        code = run_generator_text(tmp_path, route, ends + text)
+        out, err = capsys.readouterr()
+        message = f"generator text nests {MAX_NESTING + 1} deep, at most {MAX_NESTING} allowed"
+        assert (code, out, err) == (2, "", f"error: {prefix}{message}\n")
+
+
 # gluing is checked by the function compose runs; the reader names the entry
 GLUE_ERRORS = {
     "genera": (
@@ -887,3 +912,40 @@ def test_what_gen_writes_the_reader_reads(text, seed):
     assert (code, err.getvalue()) == (0, "")
     pipeline = json.loads(out.getvalue())["results"][0]["pipeline"]
     assert serialize_pipeline(parse_pipeline(pipeline)) == pipeline
+
+
+READ_BACK = ("weight", "beta1", "beta0", "even", "parity_rhs", "terms", "violations")
+
+
+def assert_even_reads_back(capsys, tmp_path, result):
+    """`even --in` on a gen result's pipeline reports what gen reported."""
+    path = tmp_path / "generated.cbf"
+    path.write_text(result["pipeline"])
+    code, report = run_json(capsys, "even", "--in", str(path))
+    assert code == 0
+    (reread,) = report["results"]
+    assert {k: reread[k] for k in READ_BACK} == {k: result[k] for k in READ_BACK}
+
+
+GEN_REPORTS = sorted(run for run in RUNS if run.startswith("gen-") and run.endswith(".json"))
+
+
+@pytest.mark.parametrize("run", GEN_REPORTS)
+def test_golden_gen_pipelines_read_back(capsys, tmp_path, run):
+    (result,) = json.loads(json.loads(EXPECTED.read_text())[run]["stdout"])["results"]
+    assert_even_reads_back(capsys, tmp_path, result)
+
+
+BOUND_TEXTS = {
+    "genus-32": "twisted_cylinder genus=32",
+    "components-256": "pseudo_cylinder genera=[" + ",".join(["0"] * 256) + "]",
+    "nesting-100": nested(MAX_NESTING),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BOUND_TEXTS))
+def test_texts_at_the_bounds_read_back(capsys, tmp_path, case):
+    code, report = run_json(capsys, "gen", "--spec", BOUND_TEXTS[case])
+    assert code == 0
+    (result,) = report["results"]
+    assert_even_reads_back(capsys, tmp_path, result)

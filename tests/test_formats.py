@@ -22,7 +22,7 @@ from evencob.formats import (
     serialize_pipeline,
     serialize_scenario,
 )
-from evencob.generators import disjoint_union, handlebody
+from evencob.generators import disjoint_union, handlebody, parse_generator_spec
 from evencob.linalg import RationalMatrix, Subspace, canonical_basis
 from evencob.sampling import random_even_pair
 from evencob.symplectic import random_lagrangian, standard_surface_space
@@ -313,6 +313,45 @@ def test_weight_tokens_keep_their_value(token, value):
     pipeline = parse_pipeline(text)
     assert pipeline.entries[0].morphism.weight == value
     assert parse_pipeline(serialize_pipeline(pipeline)) == pipeline
+
+
+def _not_an_integer(token: str) -> tuple[str, str]:
+    return token, f"weight must be an integer, found {token!r}"
+
+
+# other-script digits, signs, junk and the digit bound
+INTEGER_TOKENS = {
+    "ascii": ("7", 7),
+    "negative": ("-3", -3),
+    "leading-zeros": ("007", 7),
+    "arabic-indic": ("\u0661\u0662", 12),
+    "arabic-indic-negative": ("-\u0662", -2),
+    "fullwidth": ("\uff19", 9),
+    "1000-digits": ("9" * 1000, int("9" * 1000)),
+    "double-minus": _not_an_integer("--1"),
+    "plus": _not_an_integer("+1"),
+    "underscore": _not_an_integer("1_0"),
+    "superscript": _not_an_integer("\u00b2"),
+    "letters": _not_an_integer("abc"),
+    "1001-digits": ("9" * 1001, "weight has 1001 digits, at most 1000 allowed"),
+    "negative-1001-digits": ("-" + "9" * 1001, "weight has 1001 digits, at most 1000 allowed"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(INTEGER_TOKENS))
+def test_both_grammars_read_an_integer_token_alike(case):
+    """The same value, or the same message after the file's line prefix."""
+    token, expected = INTEGER_TOKENS[case]
+    try:
+        from_text = parse_generator_spec(f"cap genus=1 weight={token}").weight
+    except GeneratorSpecError as exc:
+        from_text = str(exc)
+    try:
+        text = HANDLEBODY_CAP_CBF.replace("weight 1 h1", f"weight {token} h1")
+        from_file = parse_pipeline(text).entries[0].morphism.weight
+    except FileSyntaxError as exc:
+        from_file = str(exc).removeprefix("line 6: ")
+    assert from_text == from_file == expected
 
 
 @pytest.mark.parametrize("params", ["weight=1 weight=3", "genus=1 genera=[1]"])
