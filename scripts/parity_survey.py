@@ -10,16 +10,24 @@ counterexample worth keeping.
 
 import argparse
 from collections import Counter
-from dataclasses import replace
 
 from evencob import campaigns
-from evencob.maslov import maslov_index
-from evencob.sampling import random_triple
 
 
-def _index_and_degeneracy(seed: int, genus: int) -> tuple[int, bool]:
-    triple = random_triple(seed, genus)
-    return maslov_index(triple), triple.space.radical().dim > 0
+def _survey(trials: int, seed: int, genus_max: int) -> tuple[Counter[int], int]:
+    """The index histogram and the number of degenerate forms over the trials
+    that hold, up to the first violation; each triple is sampled once."""
+    parity = campaigns.THEOREMS["parity"]
+    histogram: Counter[int] = Counter()
+    degenerate = 0
+    for trial_seed in range(seed, seed + trials):
+        (triple,) = parity.sample(trial_seed, genus_max)
+        outcome = campaigns._evaluate(parity, (triple,))
+        if not outcome.holds:
+            break
+        histogram[outcome.details["maslov_index"]] += 1
+        degenerate += triple.space.radical().dim > 0
+    return histogram, degenerate
 
 
 def main() -> None:
@@ -29,17 +37,12 @@ def main() -> None:
     parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args()
 
-    survey = replace(campaigns.THEOREMS["parity"], observe=_index_and_degeneracy)
     print(f"{'genus':>5} {'trials':>7} {'agree':>7} {'degenerate':>11}  index histogram")
     for genus in range(1, args.genus_max + 1):
         # fixing genus_max = genus pins the sampled genus range to [1, genus]
-        result = campaigns.run_campaign(survey, args.trials, args.seed + genus * 1_000_000, genus)
-        histogram: Counter[int] = Counter()
-        for (index, _), count in result.tally.items():
-            histogram[index] += count
-        degenerate = sum(count for (_, padded), count in result.tally.items() if padded)
+        histogram, degenerate = _survey(args.trials, args.seed + genus * 1_000_000, genus)
         spread = " ".join(f"{k}:{histogram[k]}" for k in sorted(histogram))
-        agree = sum(result.tally.values())
+        agree = sum(histogram.values())
         print(f"{genus:>5} {args.trials:>7} {agree:>7} {degenerate:>11}  {spread}")
 
 

@@ -1,12 +1,14 @@
 """Randomized theorem campaigns with replayable counterexample files.
 
-Each registry entry knows how to sample a random instance from a trial seed,
-how to evaluate itself on an instance, and how to write the instance as a
-file.  `run_campaign` is the one trial loop, for the `check` theorems and for
-even closure alike.  A campaign that finds a violation serializes the
-instance so the exact failing data can be re-checked standalone: a triple or
-pair theorem writes a scenario (.ssf) for `check --theorem X --in file`, and
-closure writes a two-morphism pipeline (.cbf) for `compose --in file`.
+Each entry of the `THEOREMS` registry, named by its key, is an arity, a
+sampler that draws a random instance from a trial seed, and an evaluator.
+`run_campaign` is the one trial loop, for the `check` theorems and for even
+closure alike: it returns the first violation, or None when every trial
+holds, and the caller derives any count from that.  A violation carries the
+instance serialized, so the exact failing data can be re-checked standalone:
+a triple or pair theorem writes a scenario (.ssf) for
+`check --theorem X --in file`, and closure writes a two-morphism pipeline
+(.cbf) for `compose --in file`.
 
 Per-trial seeds are base seed + trial index, so reports are deterministic and
 order-independent.
@@ -14,8 +16,6 @@ order-independent.
 
 from __future__ import annotations
 
-from collections import Counter
-from collections.abc import Hashable
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Callable
@@ -47,14 +47,6 @@ class Failure:
     kind: str  # "scenario" (.ssf) or "pipeline" (.cbf)
     text: str
     details: dict | None
-
-
-@dataclass(frozen=True)
-class CampaignResult:
-    theorem: str
-    checked: int
-    failure: Failure | None
-    tally: Counter  # labels returned by the theorem's observer, per trial that held
 
 
 def evaluate_parity(triple: LagrangianTriple) -> CheckOutcome:
@@ -122,15 +114,12 @@ def evaluate_closure(m1, m2) -> CheckOutcome:
 
 @dataclass(frozen=True)
 class TheoremCheck:
-    """A registry entry.  An instance is the tuple of `evaluate`'s arguments."""
+    """A registry entry, named by its key in `THEOREMS`.  An instance is the
+    tuple of `evaluate`'s arguments."""
 
-    ident: str
     arity: str  # "triple", "pair" or "morphism-pair"
     sample: Callable[[int, int], tuple]
     evaluate: Callable[..., CheckOutcome]
-    # called with the trial seed and genus cap after each trial that holds;
-    # the campaign counts the labels it returns
-    observe: Callable[[int, int], Hashable] | None = None
 
     def counterexample(self, *instance) -> tuple[str, str]:
         """The instance as a replayable file: its kind and its text."""
@@ -165,25 +154,20 @@ def _sample_even_pair(seed: int, genus_max: int) -> tuple:
     return sampling.random_even_pair(seed, genus_max)
 
 
-def _abstract_closure(seed: int, genus_max: int) -> str:
-    # abstract validated records: outcomes are logged, not asserted
+def abstract_closure(seed: int, genus_max: int) -> str:
+    """Whether the composite of the seed's abstract validated pair is "even"
+    or "odd": the closure report counts these, it does not assert them."""
     a1, a2 = sampling.random_abstract_even_pair(seed, genus_max)
     return "even" if is_even(compose(a1, a2)).is_even else "odd"
 
 
 THEOREMS: dict[str, TheoremCheck] = {
-    "parity": TheoremCheck("parity", "triple", _sample_triple, evaluate_parity),
-    "dim-sum": TheoremCheck("dim-sum", "triple", _sample_triple, evaluate_dim_sum),
-    "annihilator": TheoremCheck("annihilator", "triple", _sample_triple, evaluate_annihilator),
-    "pair-dims": TheoremCheck(
-        "pair-dims", "pair", sampling.random_lagrangian_pair, evaluate_pair_dims
-    ),
-    "ann-identities": TheoremCheck(
-        "ann-identities", "pair", _sample_subspace_pair, evaluate_ann_identities
-    ),
-    "closure": TheoremCheck(
-        "closure", "morphism-pair", _sample_even_pair, evaluate_closure, _abstract_closure
-    ),
+    "parity": TheoremCheck("triple", _sample_triple, evaluate_parity),
+    "dim-sum": TheoremCheck("triple", _sample_triple, evaluate_dim_sum),
+    "annihilator": TheoremCheck("triple", _sample_triple, evaluate_annihilator),
+    "pair-dims": TheoremCheck("pair", sampling.random_lagrangian_pair, evaluate_pair_dims),
+    "ann-identities": TheoremCheck("pair", _sample_subspace_pair, evaluate_ann_identities),
+    "closure": TheoremCheck("morphism-pair", _sample_even_pair, evaluate_closure),
 }
 
 
@@ -196,20 +180,17 @@ def _evaluate(theorem: TheoremCheck, instance: tuple) -> CheckOutcome:
         return CheckOutcome(False, {"post_check": str(exc) or "internal post-check failed"})
 
 
-def run_campaign(theorem: TheoremCheck, trials: int, seed: int, genus_max: int) -> CampaignResult:
-    """Evaluate the theorem on `trials` random instances; stop at a violation."""
-    tally: Counter = Counter()
+def run_campaign(theorem: TheoremCheck, trials: int, seed: int, genus_max: int) -> Failure | None:
+    """Evaluate the theorem on `trials` random instances: the first violation,
+    or None when every trial holds."""
     for trial in range(trials):
         trial_seed = seed + trial
         instance = theorem.sample(trial_seed, genus_max)
         outcome = _evaluate(theorem, instance)
         if not outcome.holds:
             kind, text = theorem.counterexample(*instance)
-            failure = Failure(trial, trial_seed, kind, text, outcome.details)
-            return CampaignResult(theorem.ident, trial + 1, failure, tally)
-        if theorem.observe is not None:
-            tally[theorem.observe(trial_seed, genus_max)] += 1
-    return CampaignResult(theorem.ident, trials, None, tally)
+            return Failure(trial, trial_seed, kind, text, outcome.details)
+    return None
 
 
 def scenario_triples(scenario: Scenario) -> list[tuple[tuple[str, str, str], LagrangianTriple]]:

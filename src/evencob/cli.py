@@ -23,6 +23,7 @@ import functools
 import json
 import os
 import sys
+from collections import Counter
 from pathlib import Path
 
 from . import campaigns
@@ -182,14 +183,13 @@ _SUFFIXES = {"scenario": ".ssf", "pipeline": ".cbf"}
 
 
 def _campaign_status(
-    report: dict, result: campaigns.CampaignResult, out_path: str | None
+    report: dict, theorem: str, failure: campaigns.Failure | None, out_path: str | None
 ) -> tuple[dict, int]:
     """Set a campaign report's status; on a violation write the counterexample file."""
-    failure = result.failure
     if failure is None:
         report["status"] = "holds"
         return report, EXIT_OK
-    out_path = out_path or f"{result.theorem}-counterexample{_SUFFIXES[failure.kind]}"
+    out_path = out_path or f"{theorem}-counterexample{_SUFFIXES[failure.kind]}"
     _write_output(out_path, failure.text)
     report["status"] = "counterexample"
     report["counterexample"] = {
@@ -199,7 +199,7 @@ def _campaign_status(
         "written_to": out_path,
     }
     if failure.details is not None:
-        report["counterexample"]["details"] = _plain(failure.details)
+        report["counterexample"]["details"] = failure.details
     return report, EXIT_COUNTEREXAMPLE
 
 
@@ -217,7 +217,7 @@ def _cmd_check(args: argparse.Namespace) -> tuple[dict, int]:
         scenario = parse_scenario(_read_input(args.input))
         results = campaigns.evaluate_scenario(theorem, scenario)
         report["results"] = [
-            {"instance": label, "holds": out.holds, "details": _plain(out.details)}
+            {"instance": label, "holds": out.holds, "details": out.details}
             for label, out in results
         ]
         if all(out.holds for _, out in results):
@@ -226,9 +226,10 @@ def _cmd_check(args: argparse.Namespace) -> tuple[dict, int]:
         report["status"] = "counterexample"
         return report, EXIT_COUNTEREXAMPLE
 
-    result = campaigns.run_campaign(theorem, args.trials, args.seed, args.genus_max)
-    report["results"] = [{"checked": result.checked, "trials": args.trials}]
-    return _campaign_status(report, result, args.counterexample_out)
+    failure = campaigns.run_campaign(theorem, args.trials, args.seed, args.genus_max)
+    checked = args.trials if failure is None else failure.trial + 1
+    report["results"] = [{"checked": checked, "trials": args.trials}]
+    return _campaign_status(report, args.theorem, failure, args.counterexample_out)
 
 
 def _morphism_summary(m) -> dict:
@@ -294,21 +295,15 @@ def _cmd_closure(args: argparse.Namespace) -> tuple[dict, int]:
     params = {"seed": args.seed, "trials": args.trials, "genus_max": args.genus_max}
     report = _base_report("closure", params)
     theorem = campaigns.THEOREMS["closure"]
-    result = campaigns.run_campaign(theorem, args.trials, args.seed, args.genus_max)
-    abstract = {"even": result.tally["even"], "odd": result.tally["odd"]}
-    report["results"] = [{"pairs_checked": result.checked, "abstract_records": abstract}]
-    return _campaign_status(report, result, args.counterexample_out)
-
-
-def _plain(value):
-    """Make details JSON-friendly (Fractions to strings, tuples to lists)."""
-    if isinstance(value, dict):
-        return {k: _plain(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_plain(v) for v in value]
-    if isinstance(value, bool) or value is None or isinstance(value, (int, str)):
-        return value
-    return str(value)
+    failure = campaigns.run_campaign(theorem, args.trials, args.seed, args.genus_max)
+    held = args.trials if failure is None else failure.trial
+    # one abstract record per trial that held, drawn from that trial's seed
+    seeds = range(args.seed, args.seed + held)
+    records = Counter(campaigns.abstract_closure(s, args.genus_max) for s in seeds)
+    abstract = {"even": records["even"], "odd": records["odd"]}
+    checked = held if failure is None else held + 1
+    report["results"] = [{"pairs_checked": checked, "abstract_records": abstract}]
+    return _campaign_status(report, "closure", failure, args.counterexample_out)
 
 
 def render(report: dict, mode: str) -> str:

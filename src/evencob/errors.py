@@ -1,8 +1,15 @@
 """Exception hierarchy shared across the package.
 
-Every error raised on bad input derives from :class:`EvencobError`, so the
-command line front end can map "your data is wrong" uniformly to exit code 2
-while still letting callers discriminate the failure kind.
+Bad text input and bad command line flags raise :class:`EvencobError` or a
+subclass, so the command line front end maps "your data is wrong" uniformly
+to exit code 2 while callers can still tell the failure kinds apart.  The
+mathematical checks (a form that is not skew, a subspace that is not
+Lagrangian, morphisms that do not glue) raise these subclasses too.  A bad
+argument to a library constructor or function raises ``ValueError`` or
+``TypeError`` instead: a negative genus in ``standard_surface_space`` or
+``SurfaceObject``, a genus below 1 in ``random_lagrangian``, ragged rows, the
+inverse of a singular matrix (``ValueError``), or a float entry in
+``RationalMatrix`` (``TypeError``).
 """
 
 

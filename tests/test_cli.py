@@ -623,18 +623,27 @@ def test_unwritable_counterexample_out_is_input_error(
     assert (code, out, err) == (2, "", f"error: {reason}: {str(path)!r}\n")
 
 
+# the survey's table for --trials 20 --genus-max 2, which fills several bins
+SURVEY_TABLE = """\
+genus  trials   agree  degenerate  index histogram
+    1      20      20           6  -1:16 1:4
+    2      20      20           7  -2:2 -1:3 0:6 1:8 2:1
+"""
+
+
 def test_parity_survey_script_runs():
     root = Path(__file__).resolve().parent.parent
     path = os.pathsep.join([str(root / "src"), os.environ.get("PYTHONPATH", "")])
     script = root / "scripts" / "parity_survey.py"
     done = subprocess.run(
-        [sys.executable, str(script), "--trials", "2", "--genus-max", "1"],
+        [sys.executable, str(script), "--trials", "20", "--genus-max", "2"],
         capture_output=True,
         text=True,
         env=dict(os.environ, PYTHONPATH=path),
         timeout=120,
     )
     assert done.returncode == 0, done.stderr
+    assert done.stdout == SURVEY_TABLE
 
 
 # objects for one-line pipeline files: E empty, T and U genus 1 with different

@@ -66,17 +66,29 @@ def _break_parity(monkeypatch):
     monkeypatch.setitem(campaigns.THEOREMS, "parity", broken)
 
 
-def _odd_closure(monkeypatch):
-    sample = sampling.random_even_pair
+def _odd_closure_from(first_seed: int):
+    """A fault that makes the sampled pair odd from trial seed `first_seed` on."""
 
-    def odd_pair(seed, genus_max):
-        m1, m2 = sample(seed, genus_max)
-        return replace(m1, weight=m1.weight + 1), m2
+    def fault(monkeypatch):
+        sample = sampling.random_even_pair
 
-    monkeypatch.setattr(sampling, "random_even_pair", odd_pair)
+        def odd_pair(seed, genus_max):
+            m1, m2 = sample(seed, genus_max)
+            if seed >= first_seed:
+                m1 = replace(m1, weight=m1.weight + 1)
+            return m1, m2
+
+        monkeypatch.setattr(sampling, "random_even_pair", odd_pair)
+
+    return fault
 
 
-FAULTS = {"parity": _break_parity, "closure": _odd_closure}
+FAULTS = {
+    "parity": _break_parity,
+    "closure": _odd_closure_from(0),
+    # two pairs hold first, so the report counts their abstract records
+    "closure-late": _odd_closure_from(2),
+}
 
 CHECK_CE = ["check", "--theorem", "parity", "--trials", "50", "--seed", "0"]
 CLOSURE_CE = ["closure", "--trials", "4", "--seed", "0"]
@@ -91,6 +103,7 @@ CASES = {
     "check-counterexample-out": (CHECK_CE + ["--counterexample-out", "ce-out.ssf"], "parity"),
     "closure-counterexample": (CLOSURE_CE, "closure"),
     "closure-counterexample-out": (CLOSURE_CE + ["--counterexample-out", "ce-out.cbf"], "closure"),
+    "closure-counterexample-late": (CLOSURE_CE, "closure-late"),
 }
 for t in THEOREMS:
     CASES[f"check-{t}"] = (["check", "--theorem", t, "--trials", "8", "--seed", "3"], None)
