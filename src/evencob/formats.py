@@ -335,6 +335,12 @@ def serialize_pipeline(pipeline: Pipeline) -> str:
     for entry in pipeline.entries:
         m = entry.morphism
         _check_writable([m.weight], f"the weight of entry {entry.name!r}")
+        for what, dim in (("h1", m.h1_dim), ("h0", m.h0_dim)):
+            if dim > MAX_BODY_DIM:
+                raise EvencobError(
+                    f"the {what} dimension of entry {entry.name!r} is {dim}, "
+                    f"at most {MAX_BODY_DIM} allowed"
+                )
         out.append(
             f"morphism {entry.name} {entry.source_name} {entry.target_name} "
             f"weight {m.weight} h1 {m.h1_dim} h0 {m.h0_dim}"

@@ -7,15 +7,17 @@ lattice with exact kernel / image / preimage / cokernel computations.
 Matrices are immutable.  Each row is stored as a tuple of integers over one
 positive denominator, in lowest terms: the gcd of the row's integers and its
 denominator is 1, and a zero row has denominator 1.  That form is unique, so
-structural equality and hashing are exact.  ``rref`` is the only elimination:
-each linear system or containment test is one ``rref`` of an augmented
-matrix.  There is one product loop: ``@`` feeds it the right factor's
-columns, and the private ``_times_transpose`` (A times the transpose of B)
-feeds it B's rows, so no transpose is built.  Both, and every other operation
-here, run on the stored integers.  Elimination makes each row primitive,
-reduces with integer row operations and writes each pivot row as the
-primitive row over its (positive) pivot.  A product puts the right factor
-over one denominator and divides each output row by one gcd.
+structural equality and hashing are exact.  ``rref`` is the only full
+elimination: each linear system is one ``rref`` of an augmented matrix.  A
+row is reduced modulo a subspace by one pass over the subspace's RREF basis
+rows (``_reduce``), with the step ``rref`` itself takes; membership tests,
+sums and intersections start there.  There is one product loop: ``@`` feeds
+it the right factor's columns, and the private ``_times_transpose`` (A times
+the transpose of B) feeds it B's rows, so no transpose is built.  Both, and
+every other operation here, run on the stored integers.  Elimination makes
+each row primitive, reduces with integer row operations and writes each pivot
+row as the primitive row over its (positive) pivot.  A product puts the right
+factor over one denominator and divides each output row by one gcd.
 
 ``Fraction`` values appear only at the boundary: ``row``, ``column``,
 ``entries``, ``[i, j]`` and ``repr`` build them, and the public constructor
@@ -28,9 +30,13 @@ integers over the lcm of its denominators, in lowest terms (``_over_lcm``).
 A Subspace canonicalizes the matrix it is given to its unique RREF row basis,
 so subspace equality is plain structural equality and regression values can
 be frozen verbatim; ``canonical_basis`` is the entry point for vectors from
-outside.  Two subspaces intersect by one elimination (Zassenhaus): the RREF
-of ``[[A, A], [B, 0]]`` holds the RREF basis of the intersection in the right
-halves of its rows that start in the right half.  A preimage is one kernel
+outside.  Two subspaces intersect by Zassenhaus's elimination: the RREF of
+``[[A, A], [B, 0]]`` holds the RREF basis of the intersection in the right
+halves of its rows that start in the right half.  With B the larger operand,
+already in RREF, one pass of its rows clears its pivot columns, and one
+``rref`` of what is left, those columns dropped, finishes the elimination.
+A sum reduces the smaller operand by the larger in the same way, and needs no
+elimination when the larger contains the smaller.  A preimage is one kernel
 too: the null rows of ``[f | B]``, for B whose columns span the target, are
 the pairs (x, y) with f x = -B y, so their x parts span the preimage.
 """
@@ -154,7 +160,7 @@ class RationalMatrix:
 
     @classmethod
     def identity(cls, n: int) -> "RationalMatrix":
-        rows = tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
+        rows = tuple((0,) * i + (1,) + (0,) * (n - 1 - i) for i in range(n))
         return cls._of(rows, (1,) * n, n)
 
     @classmethod
@@ -425,17 +431,16 @@ class Subspace:
         return tuple(self.basis.row(i) for i in range(self.basis.rows))
 
     def contains(self, vector: Iterable) -> bool:
-        v = as_vector(vector)
+        v, _ = _over_common_denominator(vector)
         if len(v) != self.ambient_dim:
             raise DimensionMismatchError(
                 f"vector of length {len(v)} in ambient dimension {self.ambient_dim}"
             )
-        column = RationalMatrix.from_columns([v], rows=len(v))
-        return self.basis.transpose().solve(column) is not None
+        return not any(_reduce([v], self.basis._rows)[0])
 
     def contains_subspace(self, other: "Subspace") -> bool:
         self._check_ambient(other)
-        return self.basis.transpose().solve(other.basis.transpose()) is not None
+        return not any(map(any, _reduce(other.basis._rows, self.basis._rows)))
 
     def _check_ambient(self, other: "Subspace") -> None:
         if self.ambient_dim != other.ambient_dim:
@@ -444,28 +449,91 @@ class Subspace:
             )
 
     def __add__(self, other: "Subspace") -> "Subspace":
-        """Smallest subspace containing both."""
-        self._check_ambient(other)
-        return Subspace(self.basis.vstack(other.basis))
+        """Smallest subspace containing both.
 
-    def intersect(self, other: "Subspace") -> "Subspace":
-        """Largest subspace contained in both, by Zassenhaus's one elimination.
-
-        The rows of ``[[A, A], [B, 0]]`` span the pairs (a + b, a) for a in A
-        and b in B.  The rows of its RREF that start in the right half are the
-        pairs (0, a) with a = -b, so their right halves span A cap B.  Those
-        right halves have their leading ones in increasing columns, with zeros
-        above and below each, so they already are the canonical basis.
+        The smaller operand's rows are reduced by the larger one's basis B.
+        What is left of them is zero at B's pivot columns, so the sum is B
+        when nothing is left and the whole space when the residues fill the
+        other columns.
         """
         self._check_ambient(other)
+        a, b = (self, other) if self.dim <= other.dim else (other, self)
+        residues = [r for r in _reduce(a.basis._rows, b.basis._rows) if any(r)]
+        if not residues:
+            return b
         n = self.ambient_dim
-        a, b = self.basis, other.basis
-        blocks = tuple(r + r for r in a._rows) + tuple(r + (0,) * n for r in b._rows)
-        red, pivots = RationalMatrix._of(blocks, a._dens + b._dens, 2 * n).rref()
+        free = _free_columns(b.basis._rows, n)
+        if _columns(residues, free).rank() == len(free):
+            return Subspace.full(n)
+        return Subspace(b.basis.vstack(_columns(residues, range(n))))
+
+    def intersect(self, other: "Subspace") -> "Subspace":
+        """Largest subspace contained in both, by Zassenhaus's elimination.
+
+        The rows of ``[[A, A], [B, 0]]`` span the pairs (a + b, a) for a in A
+        and b in B.  Its rows that reduce to zero in the left half are the
+        pairs (0, a) with a = -b, so their right halves span A cap B.  B, the
+        larger operand, is already reduced, so one pass of its rows clears
+        B's pivot columns from the doubled rows of A; A lies in B when that
+        leaves every left half zero.  Otherwise one ``rref`` of the rest, with
+        those columns dropped, has the same rows starting in the right half as
+        the RREF of the whole matrix.  Their right halves have their leading
+        ones in increasing columns, with zeros above and below each, so they
+        already are the canonical basis.
+        """
+        self._check_ambient(other)
+        a, b = (self, other) if self.dim <= other.dim else (other, self)
+        n = self.ambient_dim
+        pad = (0,) * n
+        rows = _reduce([r + r for r in a.basis._rows], [r + pad for r in b.basis._rows])
+        if not any(any(r[:n]) for r in rows):
+            return a
+        left = _free_columns(b.basis._rows, n)
+        k = len(left)
+        red, pivots = _columns(rows, left + list(range(n, 2 * n))).rref()
         last = len(pivots)
-        first = next((i for i, p in enumerate(pivots) if p >= n), last)
-        rows = tuple(r[n:] for r in red._rows[first:last])
-        return Subspace._canonical(RationalMatrix._of(rows, red._dens[first:last], n))
+        first = next((i for i, p in enumerate(pivots) if p >= k), last)
+        halves = tuple(r[k:] for r in red._rows[first:last])
+        return Subspace._canonical(RationalMatrix._of(halves, red._dens[first:last], n))
+
+
+def _leading(row: IntRow) -> int:
+    """The column of the first nonzero entry of a nonzero row."""
+    return row.index(next(filter(None, row)))
+
+
+def _free_columns(basis: Sequence[IntRow], n: int) -> list[int]:
+    """The columns of Q^n that are not pivot columns of an RREF basis."""
+    pivots = set(map(_leading, basis))
+    return [j for j in range(n) if j not in pivots]
+
+
+def _reduce(rows: Iterable[Sequence[int]], basis: Sequence[IntRow]) -> list[list[int]]:
+    """Each integer row reduced by the rows of an RREF basis, in one pass.
+
+    For each basis row b with pivot p at which the row is nonzero, the row
+    becomes ``s * row - f * b``, with s and f the entries b[p] > 0 and row[p]
+    divided by their gcd: the step ``rref`` takes.  The basis rows are zero at
+    each other's pivots, so each result is zero at every pivot column of the
+    basis, and is a positive multiple of its row minus an element of the span.
+    """
+    steps = [(_leading(b), b) for b in basis]
+    out = []
+    for row in rows:
+        for p, b in steps:
+            f = row[p]
+            if f:
+                g = gcd(b[p], f)
+                s, t = b[p] // g, f // g
+                row = [s * x - t * y for x, y in zip(row, b)]
+        out.append(row)
+    return out
+
+
+def _columns(rows: Sequence[Sequence[int]], keep: Sequence[int]) -> RationalMatrix:
+    """The integer rows restricted to the columns keep, each row over 1."""
+    picked = tuple(tuple([r[j] for j in keep]) for r in rows)
+    return RationalMatrix._of(picked, (1,) * len(picked), len(keep))
 
 
 def canonical_basis(vectors: Sequence[Iterable], ambient_dim: int) -> Subspace:

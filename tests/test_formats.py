@@ -4,8 +4,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from evencob.cobordism import CobordismMorphism, empty_surface
 from evencob.errors import (
     DimensionMismatchError,
+    EvencobError,
     FileSyntaxError,
     GeneratorSpecError,
     NonSkewFormError,
@@ -433,6 +435,23 @@ def test_body_dimension_past_the_limit_rejected(label):
 def test_body_dimensions_at_the_limit_accepted():
     morphism = parse_pipeline(BODY_ONLY_CBF.format(h1=256, h0=256)).entries[0].morphism
     assert (morphism.h1_dim, morphism.h0_dim) == (256, 256)
+
+
+def _body_only_morphism(h1, h0):
+    e = empty_surface()
+    blocks = (RationalMatrix.zeros(h1, 0),) * 2 + (RationalMatrix.zeros(h0, 0),) * 2
+    return CobordismMorphism(e, e, 0, h1, h0, *blocks)
+
+
+@pytest.mark.parametrize("label", ["h1", "h0"])
+def test_body_dimension_past_the_limit_not_written(label):
+    # the writer refuses what the reader refuses, and what it writes reads back
+    dims = {"h1": 256, "h0": 256, label: 257}
+    with pytest.raises(EvencobError) as exc:
+        serialize_pipeline(pipeline_for_morphism(_body_only_morphism(**dims)))
+    assert str(exc.value) == f"the {label} dimension of entry 'm' is 257, at most 256 allowed"
+    at_limit = pipeline_for_morphism(_body_only_morphism(256, 256))
+    assert parse_pipeline(serialize_pipeline(at_limit)) == at_limit
 
 
 def test_generator_text_limits_name_the_line():

@@ -587,7 +587,8 @@ class TestIntersectOracle:
 
     @given(st.one_of(subspace_pairs(), entry_subspace_pairs()))
     def test_result_is_already_canonical(self, pair):
-        # the Zassenhaus right halves are kept without a second elimination
+        # the right halves that the one rref starts in the right half are kept
+        # as they come out, and a contained operand is returned as it is
         a, b = pair
         meet = a.intersect(b)
         assert meet == Subspace(meet.basis)
@@ -595,6 +596,66 @@ class TestIntersectOracle:
     def test_ambient_mismatch(self):
         with pytest.raises(DimensionMismatchError, match="ambient dimensions differ: 2 vs 3"):
             Subspace.full(2).intersect(Subspace.full(3))
+
+    @pytest.mark.parametrize(
+        "a, b",
+        [
+            # B's RREF rows are (2, 1, 0)/2 and (0, 0, 1): A's row (3, 0, -4)/3
+            # is reduced with s = 2, and the meet is a line
+            (span([(2, 1, 0), (0, 0, 3)], 3), span([(3, 1, 1), (0, 1, 5)], 3)),
+            (span([(2, 1, 0), (0, 0, 3)], 3), span([(4, 2, 7)], 3)),
+            # the first operand is the larger, so the two swap roles
+            (
+                span([(1, 0, 0, 2), (0, 3, 1, 0), (1, 1, 1, 1)], 4),
+                span([(2, 1, 0, 0), (0, 0, 5, 1)], 4),
+            ),
+        ],
+    )
+    def test_explicit_pairs_match_reference(self, a, b):
+        n = a.ambient_dim
+        expected = bench_oracle.intersection(matrix_rows(a.basis), matrix_rows(b.basis), n)
+        assert matrix_rows(a.intersect(b).basis) == matrix_rows(b.intersect(a).basis) == expected
+        assert expected  # each pair meets in at least a line
+
+    def test_contained_operand_is_the_meet(self):
+        big = span([(2, 1, 0, 0), (0, 0, 3, 1), (1, 0, 0, Fraction(1, 7))], 4)
+        small = span([(4, 2, 3, 1)], 4)
+        assert big.contains_subspace(small)
+        assert big.intersect(small) == small.intersect(big) == small
+        assert matrix_rows(small.basis) == bench_oracle.intersection(
+            matrix_rows(big.basis), matrix_rows(small.basis), 4
+        )
+
+
+class TestSumOracle:
+    @given(st.one_of(subspace_pairs(), entry_subspace_pairs()))
+    def test_random_pairs_match_reference(self, pair):
+        a, b = pair
+        expected = oracle_span(matrix_rows(a.basis) + matrix_rows(b.basis), a.ambient_dim)
+        for total in (a + b, b + a):
+            assert matrix_rows(total.basis) == expected
+            assert total == Subspace(total.basis)
+
+    @given(st.one_of(subspace_pairs(), entry_subspace_pairs()))
+    def test_contained_operand_gives_the_other(self, pair):
+        a, b = pair
+        zero, meet = Subspace.zero(a.ambient_dim), a.intersect(b)
+        assert zero + a == a + zero == a
+        assert a + meet == meet + a == a
+
+    def test_complementary_planes_fill_the_space(self):
+        p = span([(1, 2, 0, 0), (0, 1, 3, 0)], 4)
+        q = span([(0, 0, 1, 5), (7, 0, 0, 1)], 4)
+        rows = matrix_rows(p.basis) + matrix_rows(q.basis)
+        assert matrix_rows((p + q).basis) == oracle_span(rows, 4)
+        assert p + q == q + p == Subspace.full(4)
+
+    def test_lines_with_denominators_span_a_plane(self):
+        u = span([(Fraction(1, 2), 0, Fraction(1, 3), 0)], 4)
+        v = span([(0, Fraction(2, 3), 1, Fraction(1, 5))], 4)
+        rows = matrix_rows(u.basis) + matrix_rows(v.basis)
+        assert matrix_rows((u + v).basis) == matrix_rows((v + u).basis) == oracle_span(rows, 4)
+        assert (u + v).dim == 2
 
 
 @st.composite
