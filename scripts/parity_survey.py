@@ -22,7 +22,7 @@ def _survey(trials: int, seed: int, genus_max: int) -> tuple[Counter[int], int]:
     degenerate = 0
     for trial_seed in range(seed, seed + trials):
         (triple,) = parity.sample(trial_seed, genus_max)
-        outcome = campaigns._evaluate(parity, (triple,))
+        outcome = parity.evaluate(triple)
         if not outcome.holds:
             break
         histogram[outcome.details["maslov_index"]] += 1

@@ -166,7 +166,7 @@ def _triple_report(names: tuple[str, str, str], triple: LagrangianTriple) -> dic
         "maslov_index": index,
         "parity": index % 2,
         "parity_prediction": parity_prediction(triple),
-        "annihilator_dim": _form_radical(triple, form).dim,
+        "annihilator_dim": _form_radical(form).dim,
         "dim_sum_parity": [p, q],
     }
 

@@ -171,7 +171,6 @@ def _carry(
     side: str,
     start: SurfaceObject,
     j_start: RationalMatrix,
-    end: SurfaceObject,
     j_end: RationalMatrix,
 ) -> Subspace:
     # preimage under the end inclusion of the image under the start inclusion,
@@ -181,24 +180,22 @@ def _carry(
             f"subspace of ambient {lagrangian.ambient_dim}, {side} surface has "
             f"dimension {start.beta1}"
         )
-    result = _preimage_of_columns(j_end, _times_transpose(j_start, lagrangian.basis))
-    assert end.space.is_lagrangian(result)
-    return result
+    return _preimage_of_columns(j_end, _times_transpose(j_start, lagrangian.basis))
 
 
 def push_forward(m: CobordismMorphism, lagrangian: Subspace) -> Subspace:
     """Carry a source-surface Lagrangian to the target surface through the body.
 
     Preimage under the target inclusion of the image under the source
-    inclusion; Lagrangian in the target space whenever the record validates
-    (asserted).
+    inclusion; Lagrangian in the target space whenever the record validates.
+    `compose` builds a LagrangianTriple from it, which checks that.
     """
-    return _carry(lagrangian, "source", m.source, m.j_src_h1, m.target, m.j_tgt_h1)
+    return _carry(lagrangian, "source", m.source, m.j_src_h1, m.j_tgt_h1)
 
 
 def pull_back(m: CobordismMorphism, lagrangian: Subspace) -> Subspace:
     """Mirror of push_forward with source and target exchanged."""
-    return _carry(lagrangian, "target", m.target, m.j_tgt_h1, m.source, m.j_src_h1)
+    return _carry(lagrangian, "target", m.target, m.j_tgt_h1, m.j_src_h1)
 
 
 def epsilon(m: CobordismMorphism) -> int:
@@ -245,11 +242,6 @@ def _boundary_space(src_genera: tuple[int, ...], tgt_genera: tuple[int, ...]) ->
     return SymplecticSpace(RationalMatrix.block_diag(-src.gram, tgt.gram))
 
 
-def _non_unit_columns(mat: RationalMatrix) -> list[int]:
-    """The indices of the columns that are not standard basis vectors."""
-    return [j for j in range(mat.cols) if [x for x in mat.column(j) if x] != [1]]
-
-
 def validate(m: CobordismMorphism) -> list[str]:
     """Check the realizability invariants; violations are returned, not raised.
 
@@ -262,7 +254,8 @@ def validate(m: CobordismMorphism) -> list[str]:
     issues = [
         f"{name} column {j} is not a standard basis vector"
         for name, mat in (("j_src_h0", m.j_src_h0), ("j_tgt_h0", m.j_tgt_h0))
-        for j in _non_unit_columns(mat)
+        for j in range(mat.cols)
+        if [x for x in mat.column(j) if x] != [1]
     ]
     combined = m.j_src_h1.hstack(m.j_tgt_h1)
     boundary_kernel = kernel(combined)
@@ -322,7 +315,6 @@ def compose(m1: CobordismMorphism, m2: CobordismMorphism) -> CobordismMorphism:
         start = 0 if first else (m1.h0_dim if h0 else m1.h1_dim)
         projected = (q0 if h0 else q1)._column_block(start, start + mat.rows) @ mat
         if h0:
-            assert not _non_unit_columns(projected)
             return projected
         # zero rows in the ker(alpha0) summand: one-sided classes have no
         # connecting image

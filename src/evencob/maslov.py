@@ -72,11 +72,6 @@ class LagrangianTriple:
             table[key] = a + b if op == "+" else a.intersect(b)
         return table[key]
 
-    @cached_property
-    def _meets_with_l3(self) -> Subspace:
-        """(l1 cap l3) + (l2 cap l3): the radical the Maslov form has."""
-        return self._pair("meet", 1, 3) + self._pair("meet", 2, 3)
-
 
 @dataclass(frozen=True)
 class MaslovForm:
@@ -135,8 +130,8 @@ def maslov_form(triple: LagrangianTriple) -> MaslovForm:
     """Gram matrix of <a, b> = psi(a2, b) on (l1 + l2) cap l3.
 
     Well-definedness makes the gram independent of the decomposition choice,
-    and it comes out symmetric; both facts are validated by the MaslovForm
-    constructor and exercised separately in the test campaigns.
+    which the tests check by perturbing the split.  The gram comes out
+    symmetric, which the MaslovForm constructor checks.
 
     With D the domain basis, G the space's gram, B2 l2's basis and Y the l2
     coefficients, the l2 parts are Y^T B2 and the gram is Y^T B2 G D^T.  It
@@ -208,42 +203,37 @@ def maslov_index(triple: LagrangianTriple) -> int:
 def form_annihilator(triple: LagrangianTriple) -> Subspace:
     """Radical of the Maslov form, expressed in ambient coordinates.
 
-    Computed from the gram matrix alone; the result provably equals
-    (l1 cap l3) + (l2 cap l3), which is asserted as a post-check.
+    Computed from the gram matrix alone.  That it equals
+    (l1 cap l3) + (l2 cap l3) is a theorem, which the `annihilator` campaign
+    checks.
     """
-    return _form_radical(triple, maslov_form(triple))
+    return _form_radical(maslov_form(triple))
 
 
-def _form_radical(triple: LagrangianTriple, mf: MaslovForm) -> Subspace:
-    """form_annihilator for a Maslov form already built from the triple."""
-    radical = Subspace(kernel(mf.gram).basis @ mf.domain_basis)
-    assert radical == triple._meets_with_l3
-    return radical
+def _form_radical(mf: MaslovForm) -> Subspace:
+    """form_annihilator for a Maslov form already built."""
+    return Subspace(kernel(mf.gram).basis @ mf.domain_basis)
 
 
-def _parity_formulas(triple: LagrangianTriple) -> tuple[int, int]:
-    """(dim l1 + pairwise intersection dims) mod 2, then the same with sums.
+def _parity_by(triple: LagrangianTriple, op: str) -> int:
+    """(dim l1 + the dims of the pairwise intersections, op "meet", or of the
+    pairwise sums, op "+") mod 2.
 
-    Each form computes its own subspaces, intersections with `intersect` and
-    sums with `+`, so the two stay independent checks of each other.
+    Sums come from `+` and intersections from `intersect`, so the two forms
+    stay independent computations.
     """
     pairs = ((1, 2), (1, 3), (2, 3))
-    dim = triple.l1.dim
-    by_intersections = (dim + sum(triple._pair("meet", i, j).dim for i, j in pairs)) % 2
-    by_sums = (dim + sum(triple._pair("+", i, j).dim for i, j in pairs)) % 2
-    return by_intersections, by_sums
+    return (triple.l1.dim + sum(triple._pair(op, i, j).dim for i, j in pairs)) % 2
 
 
 def parity_prediction(triple: LagrangianTriple) -> int:
     """Predicted parity of the Maslov index from dimension data alone.
 
-    Returns (dim l1 + sum of pairwise intersection dims) mod 2.  The
-    equivalent expression with pairwise sums in place of intersections is
-    computed too and the two are asserted to agree.
+    Returns (dim l1 + sum of pairwise intersection dims) mod 2.  That the
+    index has this parity, and that pairwise sums in place of intersections
+    give the same value, is what the `parity` campaign checks.
     """
-    first, second = _parity_formulas(triple)
-    assert first == second
-    return first
+    return _parity_by(triple, "meet")
 
 
 def dim_sum_parity(triple: LagrangianTriple) -> tuple[int, int]:

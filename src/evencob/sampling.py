@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import random
 
-from .cobordism import CobordismMorphism, SurfaceObject, evened, validate
+from .cobordism import CobordismMorphism, SurfaceObject, evened
 from .generators import GeneratorSpec, _draw_object, random_even_morphism, target_genera
 from .linalg import (
     RationalMatrix,
@@ -252,7 +252,7 @@ def random_abstract_morphism(
         block = projection._column_block(offset, offset + width)
         return block.vstack(RationalMatrix.zeros(extra, width))
 
-    morphism = CobordismMorphism(
+    return CobordismMorphism(
         src,
         tgt,
         rng.randrange(-3, 4),
@@ -263,8 +263,6 @@ def random_abstract_morphism(
         RationalMatrix([[1] * src.beta0], cols=src.beta0),
         RationalMatrix([[1] * tgt.beta0], cols=tgt.beta0),
     )
-    assert not validate(morphism)
-    return morphism
 
 
 def random_abstract_even_pair(

@@ -14,9 +14,10 @@ from hypothesis import strategies as st
 from evencob import campaigns
 from evencob.campaigns import CheckOutcome
 from evencob.cli import build_parser, main
-from evencob.cobordism import compose
+from evencob.cobordism import compose, validate
 from evencob.formats import parse_pipeline, serialize_pipeline
 from evencob.generators import MAX_NESTING
+from evencob.sampling import random_even_pair
 from test_golden import CHECK_CE, CLOSURE_CE, EXPECTED, FAULTS, RUNS
 
 GENUS_ONE_SSF = """\
@@ -363,6 +364,73 @@ def test_counterexample_round_trip(capsys, tmp_path, monkeypatch, name):
         code, replay = run_json(capsys, "check", "--theorem", name, "--in", str(out_path))
         assert (code, replay["status"]) == (1, "counterexample")
         assert [r["holds"] for r in replay["results"]] == [False]
+
+
+# Runs the command in argv[3:] with one statement made false and exits with its
+# code; argv[1] is the -O level the caller asked for, argv[2] names the fault.
+UNDER_FAULT = """
+import sys
+from dataclasses import replace
+from evencob import campaigns, cli, maslov, sampling
+if sys.flags.optimize != int(sys.argv[1]):
+    sys.exit("not running at the requested -O level")
+fault, sample = sys.argv[2], sampling.random_even_pair
+def pair(seed, genus_max):
+    m1, m2 = sample(seed, genus_max)
+    if fault == "odd":
+        return replace(m1, weight=m1.weight + 1), m2
+    return replace(m1, j_src_h0=m1.j_src_h0 + m1.j_src_h0), m2
+if fault == "index":
+    campaigns.maslov_index = lambda triple: maslov.maslov_index(triple) + 1
+else:
+    sampling.random_even_pair = pair
+sys.exit(cli.main(sys.argv[3:]))
+"""
+
+FAULTED_RUNS = {
+    # the index is off by one, so its parity never matches the formula
+    "parity": ("index", ["check", "--theorem", "parity"], "ce.ssf"),
+    # every sampled m1 is odd, so its composite is
+    "closure-odd": ("odd", ["closure"], "ce.cbf"),
+    # an H0 column of m1 is twice a basis vector when m1 has a source: m1 is
+    # not realizable, and compose must not be what notices
+    "closure-unrealizable": ("unrealizable", ["closure"], "ce.cbf"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FAULTED_RUNS))
+def test_false_statement_reported_alike_under_python_O(tmp_path, name):
+    fault, command, out_name = FAULTED_RUNS[name]
+    root = Path(__file__).resolve().parent.parent
+    path = os.pathsep.join([str(root / "src"), os.environ.get("PYTHONPATH", "")])
+    argv = [*command, "--trials", "6", "--seed", "0", "--counterexample-out", out_name]
+    runs = []
+    for level in (0, 1):
+        cwd = tmp_path / f"level{level}"
+        cwd.mkdir()
+        done = subprocess.run(
+            [sys.executable, *["-O"] * level, "-c", UNDER_FAULT, str(level), fault, *argv],
+            cwd=cwd,
+            capture_output=True,
+            text=True,
+            env=dict(os.environ, PYTHONPATH=path),
+            timeout=300,
+        )
+        written = cwd / out_name
+        runs.append((done.returncode, done.stdout, written.exists() and written.read_text()))
+        assert done.stderr == ""
+    assert runs[0][0] == 1 and runs[0][2]
+    assert runs[1] == runs[0]
+
+
+def test_closure_rejects_an_unrealizable_record_without_raising():
+    m1, m2 = random_even_pair(0)
+    assert m1.source.beta0 and m2.target.beta0
+    broken = replace(m1, j_src_h0=m1.j_src_h0 + m1.j_src_h0)
+    assert validate(broken)
+    for pair in ((broken, m2), (m1, replace(m2, j_tgt_h0=m2.j_tgt_h0 + m2.j_tgt_h0))):
+        assert campaigns.evaluate_closure(*pair) == CheckOutcome(False, None)
+    assert campaigns.evaluate_closure(m1, m2).holds
 
 
 class TestExitCodes:

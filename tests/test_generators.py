@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -31,7 +32,7 @@ from evencob.generators import (
     twisted_cylinder,
 )
 from evencob.linalg import RationalMatrix, Subspace, canonical_basis
-from evencob.sampling import random_abstract_morphism, random_even_pair
+from evencob.sampling import random_abstract_even_pair, random_abstract_morphism, random_even_pair
 from evencob.symplectic import random_lagrangian
 from evencob.symplectic import random_symplectic
 from oracles import bench_oracle, oracle_preserves_form
@@ -461,6 +462,33 @@ class TestAbstractRecords:
 
     def test_deterministic(self):
         assert random_abstract_morphism(3) == random_abstract_morphism(3)
+
+    @pytest.mark.parametrize("genus_max", range(1, 5))
+    def test_pairs_validate_through_the_source_path(self, genus_max):
+        # the proof that the sampler's records are realizable: m2 is drawn on
+        # m1's target through `source=`, and 25 seeds draw every genus up to
+        # the cap as well as empty ends
+        drawn = set()
+        for seed in range(25):
+            m1, m2 = random_abstract_even_pair(seed, genus_max)
+            assert m2.source == m1.target
+            assert validate(m1) == validate(m2) == [], seed
+            drawn |= {m1.source.genera, m1.target.genera, m2.target.genera}
+        assert drawn == {()} | {(g,) for g in range(1, genus_max + 1)}
+
+
+def test_evened_is_even_for_both_weight_parities():
+    # the proof that random_even_morphism and the abstract pairs are even:
+    # evenness constrains only the weight parity, which evened fixes
+    built = [m for seed in range(10) for m in random_even_pair(seed)]
+    records = built + [random_abstract_morphism(seed, 3) for seed in range(10)]
+    for m in records:
+        for shift in (0, 1):
+            shifted = replace(m, weight=m.weight + shift)
+            fixed = evened(shifted)
+            assert is_even(fixed).is_even
+            assert fixed.weight - shifted.weight in (0, 1)
+            assert replace(fixed, weight=m.weight) == m
 
 
 def _drawn_by_hand(kind: str, seed: int):

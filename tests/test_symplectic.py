@@ -342,6 +342,15 @@ class TestColumnOperations:
         dense = tuple(RationalMatrix(m) for m in reference_symplectic_generators(g))
         assert symplectic_generators(g) == dense
 
+    @pytest.mark.parametrize("g", range(1, 6))
+    def test_every_generator_preserves_the_form(self, g):
+        # the proof that every walk preserves the form, and so that
+        # random_lagrangian's image of span{e_i} is Lagrangian: a generator
+        # touches at most two handles, so genus 5 shows every pattern, and
+        # products of form-preserving matrices preserve the form
+        for k, a in enumerate(symplectic_generators(g)):
+            assert preserves_standard_form(columns(a)), k
+
     @pytest.mark.parametrize("g", range(1, 5))
     def test_walk_matches_dense_product(self, g):
         for seed in range(50):
