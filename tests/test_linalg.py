@@ -571,17 +571,27 @@ class TestIntersectOracle:
     @given(st.one_of(subspace_pairs(), entry_subspace_pairs()))
     def test_random_pairs_match_reference(self, pair):
         a, b = pair
-        n = a.ambient_dim
-        expected = bench_oracle.intersection(matrix_rows(a.basis), matrix_rows(b.basis), n)
-        meet = a.intersect(b)
-        assert matrix_rows(meet.basis) == expected
+        expected = bench_oracle.intersection(
+            matrix_rows(a.basis), matrix_rows(b.basis), a.ambient_dim
+        )
+        assert matrix_rows(a.intersect(b).basis) == expected
         assert matrix_rows(b.intersect(a).basis) == expected
-        # the right halves that the one rref starts in the right half are kept
-        # as they come out, and a contained operand is returned as it is
-        assert meet == Subspace(meet.basis)
+
+    @given(st.one_of(subspace_pairs(), entry_subspace_pairs()))
+    def test_nested_pairs_match_reference(self, pair):
         # a subspace meets anything containing it in itself
+        a, b = pair
+        n = a.ambient_dim
         for inner, outer in ((a, a + b), (Subspace.zero(n), a), (a, Subspace.full(n))):
             assert inner.intersect(outer) == outer.intersect(inner) == inner
+
+    @given(st.one_of(subspace_pairs(), entry_subspace_pairs()))
+    def test_result_is_already_canonical(self, pair):
+        # the right halves that the one rref starts in the right half are kept
+        # as they come out, and a contained operand is returned as it is
+        a, b = pair
+        meet = a.intersect(b)
+        assert meet == Subspace(meet.basis)
 
     def test_ambient_mismatch(self):
         with pytest.raises(DimensionMismatchError, match="ambient dimensions differ: 2 vs 3"):
