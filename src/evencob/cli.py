@@ -10,10 +10,11 @@ Subcommands:
     closure  --trials N --seed N        even-closure campaign over random pairs
 
 Exit codes: 0 success / property holds, 1 a campaign found a counterexample,
-2 input error.  With --output json the report is a single JSON document with
-a stable key set; identical seeds and flags give byte-identical output.
-Counterexamples are written as complete scenario or pipeline files so they
-re-run standalone.
+2 input error, 3 internal error: any other exception a command raises, shown
+as one ``error: internal error: <Type>: <message>`` line with no traceback.
+With --output json the report is a single JSON document with a stable key
+set; identical seeds and flags give byte-identical output.  Counterexamples
+are written as complete scenario or pipeline files so they re-run standalone.
 """
 
 from __future__ import annotations
@@ -53,6 +54,7 @@ from .maslov import (
 EXIT_OK = 0
 EXIT_COUNTEREXAMPLE = 1
 EXIT_INPUT_ERROR = 2
+EXIT_INTERNAL = 3
 
 SCHEMA_VERSION = 1
 
@@ -344,6 +346,10 @@ def main(argv: list[str] | None = None) -> int:
     except EvencobError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
+    except Exception as exc:
+        message = " ".join(str(exc).splitlines())
+        print(f"error: internal error: {type(exc).__name__}: {message}", file=sys.stderr)
+        return EXIT_INTERNAL
     try:
         print(render(report, args.output))
         sys.stdout.flush()

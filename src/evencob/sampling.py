@@ -18,15 +18,14 @@ from .generators import GeneratorSpec, _draw_object, random_even_morphism, targe
 from .linalg import (
     RationalMatrix,
     Subspace,
+    _times_transpose,
     canonical_basis,
     cokernel,
-    map_subspace,
 )
 from .maslov import LagrangianTriple
 from .symplectic import (
     SymplecticSpace,
-    beta1,
-    random_lagrangian,
+    _lagrangian_rows,
     standard_surface_space,
 )
 
@@ -34,8 +33,15 @@ MAX_COMPONENT_GENUS = 3
 MAX_CHAIN_LENGTH = 5
 
 
-def _random_unimodular(n: int, rng: random.Random) -> RationalMatrix:
+def _random_unimodular(n: int, rng: random.Random) -> tuple[RationalMatrix, RationalMatrix]:
+    """A random unimodular integer matrix and its inverse.
+
+    Each step adds c times row j to row i, a left factor I + c E_ij.  Its
+    inverse I - c E_ij, applied on the right in the same order, subtracts c
+    times column i from column j of the inverse built so far.
+    """
     rows = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+    inverse = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
     for _ in range(n + 3):
         i = rng.randrange(n)
         j = rng.randrange(n)
@@ -43,13 +49,15 @@ def _random_unimodular(n: int, rng: random.Random) -> RationalMatrix:
             continue
         c = rng.choice((-2, -1, 1, 2))
         rows[i] = [a + c * b for a, b in zip(rows[i], rows[j])]
-    return RationalMatrix(rows)
+        for row in inverse:
+            row[j] -= c * row[i]
+    return RationalMatrix(rows), RationalMatrix(inverse)
 
 
 def _random_space(
     rng: random.Random, genus_max: int, pad_choices: tuple[int, ...] = (0, 0, 1, 2)
 ) -> tuple[int, int, SymplecticSpace, RationalMatrix | None]:
-    """Genus, radical dimension, the space, and the coordinate change (or None)."""
+    """Genus, radical dimension, the space, and the inverse coordinate change (or None)."""
     genus = rng.randint(1, genus_max)
     pad = rng.choice(pad_choices)
     std = standard_surface_space((genus,))
@@ -57,27 +65,36 @@ def _random_space(
         return genus, 0, std, None
     n = 2 * genus + pad
     base = RationalMatrix.block_diag(std.gram, RationalMatrix.zeros(pad, pad))
-    change = _random_unimodular(n, rng)
+    change, inverse = _random_unimodular(n, rng)
     space = SymplecticSpace(change.transpose() @ base @ change)
-    return genus, pad, space, change.inverse()
+    return genus, pad, space, inverse
 
 
-def _embed_lagrangian(lag: Subspace, pad: int, inverse_change: RationalMatrix | None) -> Subspace:
-    if pad == 0:
-        return lag
-    # an RREF basis beside an identity block is the RREF basis of the sum
-    padded = Subspace._canonical(RationalMatrix.block_diag(lag.basis, RationalMatrix.identity(pad)))
-    return map_subspace(inverse_change, padded)
+def _int_matrix(rows: list[tuple[int, ...]], n: int) -> RationalMatrix:
+    return RationalMatrix._of(tuple(rows), (1,) * len(rows), n)
 
 
 def _random_lagrangians(
     seed: int, genus_max: int, count: int
 ) -> tuple[SymplecticSpace, list[Subspace]]:
+    """The space and `count` walked Lagrangians, each from one elimination.
+
+    In a padded space the walk's rows, beside the radical's unit rows, are
+    mapped by the inverse coordinate change before the one canonicalization.
+    """
     rng = random.Random(seed)
-    genus, pad, space, inv = _random_space(rng, genus_max)
-    return space, [
-        _embed_lagrangian(random_lagrangian(genus, rng), pad, inv) for _ in range(count)
-    ]
+    genus, pad, space, inverse = _random_space(rng, genus_max)
+    n = space.dim
+    radical = [(0,) * (n - pad + k) + (1,) + (0,) * (pad - 1 - k) for k in range(pad)]
+    lags = []
+    for _ in range(count):
+        rows = _lagrangian_rows(genus, rng)
+        if inverse is None:
+            lags.append(Subspace(_int_matrix(rows, n)))
+        else:
+            padded = _int_matrix([r + (0,) * pad for r in rows] + radical, n)
+            lags.append(Subspace(_times_transpose(padded, inverse)))
+    return space, lags
 
 
 def random_triple(seed: int, genus_max: int) -> LagrangianTriple:
@@ -206,20 +223,6 @@ def random_even_pair(
 # -- abstract records ----------------------------------------------------------
 
 
-def _handle_swap(genera_src: tuple[int, ...], genera_tgt: tuple[int, ...]) -> RationalMatrix:
-    # The boundary form (-psi) + psi becomes the standard one after swapping
-    # e_i <-> f_i inside every source handle; the permutation is an involution.
-    n = beta1(genera_src) + beta1(genera_tgt)
-    src_handles = sum(genera_src)
-    rows = [[0] * n for _ in range(n)]
-    for h in range(src_handles):
-        rows[2 * h][2 * h + 1] = 1
-        rows[2 * h + 1][2 * h] = 1
-    for c in range(2 * src_handles, n):
-        rows[c][c] = 1
-    return RationalMatrix(rows)
-
-
 def random_abstract_morphism(
     seed: int,
     genus_max: int = MAX_COMPONENT_GENUS,
@@ -241,8 +244,13 @@ def random_abstract_morphism(
     total = sum(src.genera) + sum(tgt.genera)
     bsrc, btgt = src.beta1, tgt.beta1
     if total:
-        standard = random_lagrangian(total, rng)
-        boundary_kernel = map_subspace(_handle_swap(src.genera, tgt.genera), standard)
+        # The boundary form (-psi) + psi becomes the standard one after swapping
+        # e_i and f_i, coordinates 2h and 2h + 1, inside every source handle.
+        rows = [
+            tuple([r[k ^ 1 if k < bsrc else k] for k in range(len(r))])
+            for r in _lagrangian_rows(total, rng)
+        ]
+        boundary_kernel = Subspace(_int_matrix(rows, 2 * total))
     else:
         boundary_kernel = Subspace.zero(0)
     dim, projection = cokernel(boundary_kernel.basis.transpose())

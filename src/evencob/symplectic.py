@@ -14,7 +14,7 @@ import weakref
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from operator import mul
+from operator import add, mul, sub
 from typing import Iterable, Sequence
 
 from .errors import DimensionMismatchError, NonSkewFormError
@@ -24,7 +24,6 @@ from .linalg import (
     Subspace,
     _times_transpose,
     as_vector,
-    canonical_basis,
     kernel,
 )
 
@@ -171,36 +170,34 @@ def standard_surface_space(genera: Iterable[int]) -> SymplecticSpace:
 #
 # The generating family below is frozen; its indexing is part of the seed
 # contract.  Matrices act on column vectors (column 2i holds the image of e_i,
-# column 2i+1 that of f_i), so right-multiplying by generator k is one in-place
-# column operation:
+# column 2i+1 that of f_i), so left-multiplying by generator k is one in-place
+# row operation:
 #
-#   index 0 .. g-1     rotation i        col 2i <- col 2i+1,  col 2i+1 <- -col 2i
-#   index g .. 2g-1    e_i -> e_i + f_i  col 2i += col 2i+1
-#   index 2g .. 3g-1   f_i -> f_i + e_i  col 2i+1 += col 2i
-#   index 3g ..        mixing (i, j)     col 2i += col 2j,  col 2j+1 -= col 2i+1
+#   index 0 .. g-1     rotation i        row 2i <- -row 2i+1,  row 2i+1 <- row 2i
+#   index g .. 2g-1    e_i -> e_i + f_i  row 2i+1 += row 2i
+#   index 2g .. 3g-1   f_i -> f_i + e_i  row 2i += row 2i+1
+#   index 3g ..        mixing (i, j)     row 2j += row 2i,  row 2i+1 -= row 2j+1
 #
 # Rotation i sends e_i -> f_i, f_i -> -e_i.  Mixing (i, j) sends e_i -> e_i + e_j,
 # f_j -> f_j - f_i, over the ordered pairs i != j in lexicographic order.
 
 
-def _column_operation(acc: list[list[int]], g: int, k: int) -> None:
-    """Right-multiply the rows `acc` in place by generator k of genus g."""
+def _row_operation(rows: list[list[int]], g: int, k: int) -> None:
+    """Left-multiply the rows in place by generator k of genus g."""
     if k < 3 * g:
         kind, i = divmod(k, g)
         e, f = 2 * i, 2 * i + 1
-        for row in acc:
-            if kind == 0:
-                row[e], row[f] = row[f], -row[e]
-            elif kind == 1:
-                row[e] += row[f]
-            else:
-                row[f] += row[e]
+        if kind == 0:
+            rows[e], rows[f] = [-x for x in rows[f]], rows[e]
+        elif kind == 1:
+            rows[f] = list(map(add, rows[f], rows[e]))
+        else:
+            rows[e] = list(map(add, rows[e], rows[f]))
         return
     i, j = divmod(k - 3 * g, g - 1)
     j += j >= i
-    for row in acc:
-        row[2 * i] += row[2 * j]
-        row[2 * j + 1] -= row[2 * i + 1]
+    rows[2 * j] = list(map(add, rows[2 * j], rows[2 * i]))
+    rows[2 * i + 1] = list(map(sub, rows[2 * i + 1], rows[2 * j + 1]))
 
 
 def _int_identity(n: int) -> list[list[int]]:
@@ -213,7 +210,7 @@ def symplectic_generators(g: int) -> tuple[RationalMatrix, ...]:
         raise ValueError("need at least one handle")
     gens = [_int_identity(2 * g) for _ in range(g * (g + 2))]
     for k, m in enumerate(gens):
-        _column_operation(m, g, k)
+        _row_operation(m, g, k)
     return tuple(RationalMatrix(m) for m in gens)
 
 
@@ -263,15 +260,22 @@ def _standard_inverse(a: RationalMatrix) -> RationalMatrix:
     return RationalMatrix._of(tuple(rows), tuple(dens), a.cols)
 
 
-def _walk(g: int, seed: int | random.Random, length: int) -> list[list[int]]:
-    """The integer rows of the product of `length` draws from the generator family."""
+def _walk(
+    g: int, seed: int | random.Random, length: int, block: list[list[int]]
+) -> list[list[int]]:
+    """P times `block`, for P = G_1 ... G_length the product of `length` draws.
+
+    All draws come first, in order.  They are then applied from the last to
+    the first as row operations on the 2g rows of `block`, which change in
+    place, so only the columns the caller needs are ever formed.
+    """
     if g < 1:
         raise ValueError("need at least one handle")
     rng = seed if isinstance(seed, random.Random) else random.Random(seed)
-    acc = _int_identity(2 * g)
-    for _ in range(length):
-        _column_operation(acc, g, rng.randrange(g * (g + 2)))
-    return acc
+    draws = [rng.randrange(g * (g + 2)) for _ in range(length)]
+    for k in reversed(draws):
+        _row_operation(block, g, k)
+    return block
 
 
 def random_symplectic(
@@ -280,10 +284,20 @@ def random_symplectic(
     """Seed-deterministic product of `length` draws from the generator family.
 
     Draws use random.Random(seed).randrange over the documented generator
-    order, multiplying on the right by a column operation; length 0 gives the
+    order; the product G_1 ... G_length is formed by row operations on the
+    identity, from the last draw to the first, and length 0 gives the
     identity.  The result always satisfies A^T J A = J for the standard form J.
     """
-    return RationalMatrix(_walk(g, seed, length))
+    return RationalMatrix(_walk(g, seed, length, _int_identity(2 * g)))
+
+
+def _lagrangian_rows(
+    g: int, seed: int | random.Random, length: int = DEFAULT_WALK_LENGTH
+) -> list[IntRow]:
+    """Integer rows spanning the walk's image of span{e_1..e_g}: the columns
+    2i of the product, from the walk on the 2g x g block of those unit columns."""
+    block = [[int(r == 2 * i) for i in range(g)] for r in range(2 * g)]
+    return list(zip(*_walk(g, seed, length, block)))
 
 
 def random_lagrangian(
@@ -292,7 +306,8 @@ def random_lagrangian(
     """Image of the standard Lagrangian span{e_1..e_g} under a random walk.
 
     Always Lagrangian in the standard genus-g space; length 0 returns the
-    standard Lagrangian itself.  The walk is the one random_symplectic takes.
+    standard Lagrangian itself.  The walk is the one random_symplectic takes,
+    with the same draws.
     """
-    acc = _walk(g, seed, length)
-    return canonical_basis([[row[2 * i] for row in acc] for i in range(g)], 2 * g)
+    rows = _lagrangian_rows(g, seed, length)
+    return Subspace(RationalMatrix._of(tuple(rows), (1,) * g, 2 * g))

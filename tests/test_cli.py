@@ -472,6 +472,29 @@ class TestExitCodes:
             f"evencob {command[0]}: error: argument --genus-max: must be at most 32, got 33"
         ]
 
+    @pytest.mark.parametrize(
+        "command, sampler, message, shown",
+        [
+            (["check", "--theorem", "parity"], "random_triple", "sampler broke", "sampler broke"),
+            # the closure report's abstract tally runs outside the evaluator
+            (["closure"], "random_abstract_even_pair", "two\nlines", "two lines"),
+        ],
+        ids=["parity", "closure"],
+    )
+    def test_internal_failure_is_exit_3(self, capsys, monkeypatch, command, sampler, message, shown):
+        # an exception that is not an EvencobError is a bug: not a
+        # counterexample (1) and not bad input (2), and no traceback
+        from evencob import sampling
+
+        def broken(*args):
+            raise RuntimeError(message)
+
+        monkeypatch.setattr(sampling, sampler, broken)
+        code = main([*command, "--trials", "1"])
+        out, err = capsys.readouterr()
+        assert (code, out) == (3, "")
+        assert err == f"error: internal error: RuntimeError: {shown}\n"
+
     @pytest.mark.parametrize("command", [["check", "--theorem", "parity"], ["closure"]])
     def test_genus_cap_at_text_bound_runs(self, capsys, command):
         code, report = run_json(capsys, *command, "--genus-max", "32", "--trials", "1")

@@ -31,7 +31,7 @@ from evencob.generators import (
     random_even_morphism,
     twisted_cylinder,
 )
-from evencob.linalg import RationalMatrix, Subspace, canonical_basis
+from evencob.linalg import RationalMatrix, Subspace, canonical_basis, map_subspace
 from evencob.sampling import random_abstract_even_pair, random_abstract_morphism, random_even_pair
 from evencob.symplectic import random_lagrangian
 from evencob.symplectic import random_symplectic
@@ -475,6 +475,50 @@ class TestAbstractRecords:
             assert validate(m1) == validate(m2) == [], seed
             drawn |= {m1.source.genera, m1.target.genera, m2.target.genera}
         assert drawn == {()} | {(g,) for g in range(1, genus_max + 1)}
+
+
+def _handle_swap(src_handles: int, n: int) -> RationalMatrix:
+    """The permutation matrix swapping e_h and f_h in the first src_handles handles."""
+    rows = [[0] * n for _ in range(n)]
+    for h in range(src_handles):
+        rows[2 * h][2 * h + 1] = rows[2 * h + 1][2 * h] = 1
+    for c in range(2 * src_handles, n):
+        rows[c][c] = 1
+    return RationalMatrix(rows)
+
+
+@pytest.mark.parametrize("genus_max", range(1, 5))
+def test_abstract_boundary_kernel_is_the_swapped_walk(monkeypatch, genus_max):
+    # the boundary kernel is the walked standard Lagrangian with e_h and f_h
+    # swapped in every source handle, drawn with one elimination
+    from evencob import sampling
+
+    walk, cokernel, seen = sampling._lagrangian_rows, sampling.cokernel, {}
+
+    def rows(g, rng, *args):
+        seen["rng"] = random.Random()
+        seen["rng"].setstate(rng.getstate())
+        return walk(g, rng, *args)
+
+    def capture(f):
+        seen["kernel"] = f.transpose()
+        return cokernel(f)
+
+    monkeypatch.setattr(sampling, "_lagrangian_rows", rows)
+    monkeypatch.setattr(sampling, "cokernel", capture)
+    ends = set()
+    for seed in range(200):
+        seen.clear()
+        m = random_abstract_morphism(seed, genus_max)
+        src, total = sum(m.source.genera), sum(m.source.genera) + sum(m.target.genera)
+        ends.add((src > 0, total > src))
+        if total == 0:
+            assert "rng" not in seen and seen["kernel"] == Subspace.zero(0).basis
+            continue
+        standard = random_lagrangian(total, seen["rng"])
+        expected = map_subspace(_handle_swap(src, 2 * total), standard)
+        assert seen["kernel"] == expected.basis, seed
+    assert ends == {(False, False), (False, True), (True, False), (True, True)}
 
 
 def test_evened_is_even_for_both_weight_parities():

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from evencob.errors import DimensionMismatchError, NonSkewFormError
 from evencob.linalg import RationalMatrix, Subspace, canonical_basis, map_subspace
-from evencob.sampling import _random_space, random_subspace_pair
+from evencob.sampling import _random_space, _random_unimodular, random_subspace_pair
 from evencob.symplectic import (
     DEFAULT_WALK_LENGTH,
     SymplecticSpace,
@@ -576,29 +576,43 @@ class TestIsotropyOnNumerators:
             assert space._is_isotropic(sub) == _product_vanishes(space, sub)
 
 
-def test_embedded_lagrangian_basis_is_already_canonical(monkeypatch):
-    # an RREF basis beside an identity block is kept without an elimination
+def test_sampled_lagrangians_are_the_mapped_padded_walk(monkeypatch):
+    # each Lagrangian is drawn with one elimination, and is what the walk's
+    # canonical basis gave beside the radical's identity block, mapped by the
+    # inverse of the drawn coordinate change
     from evencob import sampling
 
-    padded = []
+    draw_space, draw_change, seen = sampling._random_space, sampling._random_unimodular, {}
 
-    def capture(f, sub):
-        padded.append(sub)
-        return map_subspace(f, sub)
+    def unimodular(n, rng):
+        pair = draw_change(n, rng)
+        seen["change"] = pair[0]
+        return pair
 
-    monkeypatch.setattr(sampling, "map_subspace", capture)
+    def padded_space(rng, genus_max):
+        seen["space"] = draw_space(rng, genus_max, pad_choices=(1, 2, 3))
+        seen["rng"] = random.Random()
+        seen["rng"].setstate(rng.getstate())
+        return seen["space"]
+
+    monkeypatch.setattr(sampling, "_random_unimodular", unimodular)
+    monkeypatch.setattr(sampling, "_random_space", padded_space)
     for seed in range(40):
-        rng = random.Random(seed)
-        genus, pad, space, inverse_change = _random_space(rng, 3, pad_choices=(1, 2, 3))
-        lag = random_lagrangian(genus, rng)
-        embedded = sampling._embed_lagrangian(lag, pad, inverse_change)
-        sub = padded[-1]
-        assert sub == Subspace(sub.basis)
-        assert sub.basis == Subspace(sub.basis).basis
-        assert sub == canonical_basis([r + (0,) * pad for r in lag.basis_rows()], sub.ambient_dim) + (
-            canonical_basis([[int(c == 2 * genus + k) for c in range(sub.ambient_dim)]
-                             for k in range(pad)], sub.ambient_dim)
-        )
-        assert embedded == map_subspace(inverse_change, sub)
-        assert space.is_lagrangian(embedded)
-    assert len(padded) == 40
+        space, lags = sampling._random_lagrangians(seed, 3, 3)
+        genus, pad, drawn, _ = seen["space"]
+        assert drawn is space and pad in (1, 2, 3)
+        inverse = seen["change"].inverse()
+        for lag in lags:
+            walked = random_lagrangian(genus, seen["rng"])
+            padded = Subspace(RationalMatrix.block_diag(walked.basis, RationalMatrix.identity(pad)))
+            assert lag == map_subspace(inverse, padded), seed
+            assert space.is_lagrangian(lag), seed
+
+
+@pytest.mark.parametrize("n", range(2, 11))
+def test_unimodular_change_comes_with_its_inverse(n):
+    # the inverse is built from the reversed steps, with no elimination
+    for seed in range(100):
+        change, inverse = _random_unimodular(n, random.Random(seed))
+        assert inverse == change.inverse(), seed
+        assert change @ inverse == RationalMatrix.identity(n), seed
