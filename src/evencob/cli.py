@@ -10,8 +10,9 @@ Subcommands:
     closure  --trials N --seed N        even-closure campaign over random pairs
 
 Exit codes: 0 success / property holds, 1 a campaign found a counterexample,
-2 input error, 3 internal error: any other exception a command raises, shown
-as one ``error: internal error: <Type>: <message>`` line with no traceback.
+2 input error, 3 internal error: any other exception a command raises, and an
+EvencobError from a sampled campaign, which reads nothing but flags; shown as
+one ``error: internal error: <Type>: <message>`` line with no traceback.
 With --output json the report is a single JSON document with a stable key
 set; identical seeds and flags give byte-identical output.  Counterexamples
 are written as complete scenario or pipeline files so they re-run standalone.
@@ -20,6 +21,7 @@ are written as complete scenario or pipeline files so they re-run standalone.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import os
@@ -129,6 +131,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+class _LibraryBug(Exception):
+    """Carries an EvencobError from a step that reads nothing but flags."""
+
+
+@contextlib.contextmanager
+def _flags_only():
+    try:
+        yield
+    except EvencobError as exc:
+        raise _LibraryBug() from exc
+
+
 def _read_input(path: str) -> str:
     """The text of an input file; an unreadable or non-UTF-8 file is bad input."""
     try:
@@ -228,7 +242,8 @@ def _cmd_check(args: argparse.Namespace) -> tuple[dict, int]:
         report["status"] = "counterexample"
         return report, EXIT_COUNTEREXAMPLE
 
-    failure = campaigns.run_campaign(theorem, args.trials, args.seed, args.genus_max)
+    with _flags_only():
+        failure = campaigns.run_campaign(theorem, args.trials, args.seed, args.genus_max)
     checked = args.trials if failure is None else failure.trial + 1
     report["results"] = [{"checked": checked, "trials": args.trials}]
     return _campaign_status(report, args.theorem, failure, args.counterexample_out)
@@ -297,11 +312,12 @@ def _cmd_closure(args: argparse.Namespace) -> tuple[dict, int]:
     params = {"seed": args.seed, "trials": args.trials, "genus_max": args.genus_max}
     report = _base_report("closure", params)
     theorem = campaigns.THEOREMS["closure"]
-    failure = campaigns.run_campaign(theorem, args.trials, args.seed, args.genus_max)
-    held = args.trials if failure is None else failure.trial
-    # one abstract record per trial that held, drawn from that trial's seed
-    seeds = range(args.seed, args.seed + held)
-    records = Counter(campaigns.abstract_closure(s, args.genus_max) for s in seeds)
+    with _flags_only():
+        failure = campaigns.run_campaign(theorem, args.trials, args.seed, args.genus_max)
+        held = args.trials if failure is None else failure.trial
+        # one abstract record per trial that held, drawn from that trial's seed
+        seeds = range(args.seed, args.seed + held)
+        records = Counter(campaigns.abstract_closure(s, args.genus_max) for s in seeds)
     abstract = {"even": records["even"], "odd": records["odd"]}
     checked = held if failure is None else held + 1
     report["results"] = [{"pairs_checked": checked, "abstract_records": abstract}]
@@ -347,8 +363,9 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
     except Exception as exc:
-        message = " ".join(str(exc).splitlines())
-        print(f"error: internal error: {type(exc).__name__}: {message}", file=sys.stderr)
+        bug = exc.__cause__ if isinstance(exc, _LibraryBug) else exc
+        message = " ".join(str(bug).splitlines())
+        print(f"error: internal error: {type(bug).__name__}: {message}", file=sys.stderr)
         return EXIT_INTERNAL
     try:
         print(render(report, args.output))

@@ -48,7 +48,7 @@ from .linalg import (
     kernel,
 )
 from .maslov import LagrangianTriple, maslov_index
-from .symplectic import SymplecticSpace, beta0, beta1, standard_surface_space, validated_genera
+from .symplectic import SymplecticSpace, _standard_inverse, _standard_space, beta0, beta1, validated_genera
 
 
 @dataclass(frozen=True)
@@ -73,7 +73,7 @@ class SurfaceObject:
 
     @property
     def space(self) -> SymplecticSpace:
-        return standard_surface_space(self.genera)
+        return _standard_space(self.genera)
 
     @property
     def beta0(self) -> int:
@@ -146,8 +146,16 @@ def pseudo_cylinder(
     surface: SurfaceObject, target_lagrangian: Subspace, weight: int
 ) -> CobordismMorphism:
     """A cylinder whose two ends may carry different Lagrangians."""
-    target = SurfaceObject(surface.genera, target_lagrangian)
-    return replace(identity(surface), target=target, weight=weight)
+    return _cylinder(surface, SurfaceObject(surface.genera, target_lagrangian), weight)
+
+
+def _cylinder(
+    source: SurfaceObject, target: SurfaceObject, weight: int, twist: RationalMatrix | None = None
+) -> CobordismMorphism:
+    # the pseudo-cylinder between two objects of the same genera; with a twist A
+    # that preserves the form, the mapping cylinder, whose target map is -J A^T J
+    m = replace(identity(source), target=target, weight=weight)
+    return m if twist is None else replace(m, j_tgt_h1=_standard_inverse(twist))
 
 
 def is_pseudo_cylinder(m: CobordismMorphism) -> bool:
@@ -163,7 +171,7 @@ def inverse_pseudo_cylinder(m: CobordismMorphism) -> CobordismMorphism:
     """The two-sided inverse: ends swapped, weight negated."""
     if not is_pseudo_cylinder(m):
         raise NotAPseudoCylinderError("only pseudo-cylinders are invertible")
-    return pseudo_cylinder(m.target, m.source.lagrangian, -m.weight)
+    return _cylinder(m.target, m.source, -m.weight)
 
 
 def _carry(
@@ -237,8 +245,8 @@ def evened(m: CobordismMorphism) -> CobordismMorphism:
 @lru_cache(maxsize=None)
 def _boundary_space(src_genera: tuple[int, ...], tgt_genera: tuple[int, ...]) -> SymplecticSpace:
     # Orientation convention: the source surface enters with reversed sign.
-    src = standard_surface_space(src_genera)
-    tgt = standard_surface_space(tgt_genera)
+    src = _standard_space(src_genera)
+    tgt = _standard_space(tgt_genera)
     return SymplecticSpace(RationalMatrix.block_diag(-src.gram, tgt.gram))
 
 

@@ -2,11 +2,14 @@
 
 Handlebodies, twisted cylinders, caps and disjoint unions carry boundary
 kernels that are Lagrangian by design, so every record built here passes
-validate().  GeneratorSpec is a small build plan for composites of these
-pieces.  random_even_morphism executes a plan: for each atom it draws from
-the seed what the plan leaves open, in a fixed per-kind order, and builds the
-atom with build_from_objects exactly as a pipeline file's generator line is
-built; then it fixes the weight parity so the result is even.
+validate().  The public constructors test a caller's Lagrangians and twist;
+build_from_objects tests neither the objects it is given nor the walk's
+twist again, and shares each kind's record body with them.  GeneratorSpec is
+a small build plan for composites of these pieces.  random_even_morphism
+executes a plan: for each atom it draws from the seed what the plan leaves
+open, in a fixed per-kind order, and builds the atom with build_from_objects
+exactly as a pipeline file's generator line is built; then it fixes the
+weight parity so the result is even.
 
 Textual encoding of a GeneratorSpec (consumed by the CLI and by pipeline
 files), whitespace separated:
@@ -35,17 +38,16 @@ from dataclasses import dataclass, replace
 from .cobordism import (
     CobordismMorphism,
     SurfaceObject,
+    _cylinder,
     compose,
     empty_surface,
     evened,
     identity,
-    pseudo_cylinder,
 )
 from .errors import DimensionMismatchError, EvencobError, GeneratorSpecError, NotSymplecticError
 from .linalg import RationalMatrix, Subspace
 from .symplectic import (
     DEFAULT_WALK_LENGTH,
-    _standard_inverse,
     preserves_standard_form,
     random_lagrangian,
     random_symplectic,
@@ -108,12 +110,22 @@ def _check_twist(name: str, twist: RationalMatrix, surface: SurfaceObject) -> No
         raise NotSymplecticError(f"{name} does not preserve the surface form")
 
 
-def _cores(genus: int) -> RationalMatrix:
-    # H1 of the genus-g handlebody: e_i maps to the i-th core, f_i bounds
-    return RationalMatrix(
-        tuple(tuple(1 if c == 2 * i else 0 for c in range(2 * genus)) for i in range(genus)),
-        cols=2 * genus,
-    )
+def _cores(genus: int, twist: RationalMatrix | None = None) -> RationalMatrix:
+    # H1 of the genus-g handlebody: e_i maps to the i-th core and f_i bounds, so
+    # row i is unit row 2i; a twist A moves the surface first
+    cores = RationalMatrix._of_ints(RationalMatrix.identity(2 * genus)._rows[::2], 2 * genus)
+    return cores if twist is None else cores @ twist
+
+
+def _one_sided(
+    source: SurfaceObject, target: SurfaceObject, weight: int, cores: RationalMatrix
+) -> CobordismMorphism:
+    # a handlebody (empty source) or a cap (empty target): one body component,
+    # whose H1 is spanned by the cores the nonempty end includes onto
+    empty = (RationalMatrix.zeros(cores.rows, 0), RationalMatrix.zeros(1, 0))
+    full = (cores, RationalMatrix.identity(1))
+    (src_h1, src_h0), (tgt_h1, tgt_h0) = (empty, full) if source.is_empty else (full, empty)
+    return CobordismMorphism(source, target, weight, cores.rows, 1, src_h1, tgt_h1, src_h0, tgt_h0)
 
 
 def twisted_cylinder(
@@ -130,8 +142,7 @@ def twisted_cylinder(
     is checked, the inverse is -J A^T J, with no elimination.
     """
     _check_twist("twist", twist, surface)
-    base = pseudo_cylinder(surface, target_lagrangian, weight)
-    return replace(base, j_tgt_h1=_standard_inverse(twist))
+    return _cylinder(surface, SurfaceObject(surface.genera, target_lagrangian), weight, twist)
 
 
 def handlebody(genus: int, target_lagrangian: Subspace, weight: int) -> CobordismMorphism:
@@ -141,17 +152,7 @@ def handlebody(genus: int, target_lagrangian: Subspace, weight: int) -> Cobordis
     f_i bounds, so the boundary kernel is span{f_1..f_g}.
     """
     target = SurfaceObject((genus,), target_lagrangian)
-    return CobordismMorphism(
-        empty_surface(),
-        target,
-        weight,
-        genus,
-        1,
-        RationalMatrix.zeros(genus, 0),
-        _cores(genus),
-        RationalMatrix.zeros(1, 0),
-        RationalMatrix.identity(1),
-    )
+    return _one_sided(empty_surface(), target, weight, _cores(genus))
 
 
 def cap(
@@ -166,21 +167,9 @@ def cap(
     kernel moves to A^{-1} span{f_1..f_g}; with none it is span{f_1..f_g}.
     """
     source = SurfaceObject((genus,), source_lagrangian)
-    cores = _cores(genus)
     if pre_twist is not None:
         _check_twist("pre_twist", pre_twist, source)
-        cores = cores @ pre_twist
-    return CobordismMorphism(
-        source,
-        empty_surface(),
-        weight,
-        genus,
-        1,
-        cores,
-        RationalMatrix.zeros(genus, 0),
-        RationalMatrix.identity(1),
-        RationalMatrix.zeros(1, 0),
-    )
+    return _one_sided(source, empty_surface(), weight, _cores(genus, pre_twist))
 
 
 def _union_object(a: SurfaceObject, b: SurfaceObject) -> SurfaceObject:
@@ -301,7 +290,11 @@ def build_from_objects(
     spec: GeneratorSpec, source: SurfaceObject, target: SurfaceObject
 ) -> CobordismMorphism:
     """Build one atom between given objects, for generator lines and seeded
-    plans alike; the one place an atom's preconditions are checked.
+    plans alike; the one place an atom's fit to its ends is checked.
+
+    The records are built from the given objects, whose Lagrangians were
+    tested when they were built, and a twist comes from the walk, so neither
+    is tested again.
 
     An unset weight is 0; an unset twist_seed gives a cap no pre-twist and a
     twisted cylinder the seed random.Random(0).getrandbits(32).  Only atomic
@@ -330,29 +323,24 @@ def build_from_objects(
     if spec.kind in ("pseudo_cylinder", "twisted_cylinder") and source.genera != target.genera:
         raise GeneratorSpecError(f"{spec.kind} needs equal genera on both ends")
     if spec.kind == "pseudo_cylinder":
-        return pseudo_cylinder(source, target.lagrangian, weight)
+        return _cylinder(source, target, weight)
     if spec.kind == "twisted_cylinder":
         total = sum(source.genera)
         seed = random.Random(0).getrandbits(32) if spec.twist_seed is None else spec.twist_seed
-        twist = RationalMatrix.identity(0)
-        if total:
-            twist = random_symplectic(total, seed, spec.twist_length)
-        return twisted_cylinder(source, twist, target.lagrangian, weight)
-    if spec.kind == "handlebody":
-        if not source.is_empty:
-            raise GeneratorSpecError("handlebody needs the empty surface as source")
-        if len(target.genera) != 1:
-            raise GeneratorSpecError("handlebody needs a single-component target")
-        return handlebody(target.genera[0], target.lagrangian, weight)
-    # a cap, the last atomic kind
-    if not target.is_empty:
-        raise GeneratorSpecError("cap needs the empty surface as target")
-    if len(source.genera) != 1:
-        raise GeneratorSpecError("cap needs a single-component source")
-    pre = None
-    if spec.twist_seed is not None and source.genera[0] >= 1:
-        pre = random_symplectic(source.genera[0], spec.twist_seed, spec.twist_length)
-    return cap(source.genera[0], source.lagrangian, weight, pre)
+        # at genus 0 there is nothing to twist
+        twist = random_symplectic(total, seed, spec.twist_length) if total else None
+        return _cylinder(source, target, weight, twist)
+    # a handlebody or a cap: the end its genus is declared on has one
+    # component, and the other end is empty
+    other, end = ("source", source) if spec.kind == "handlebody" else ("target", target)
+    if not end.is_empty:
+        raise GeneratorSpecError(f"{spec.kind} needs the empty surface as {other}")
+    if len(obj.genera) != 1:
+        raise GeneratorSpecError(f"{spec.kind} needs a single-component {role}")
+    genus, pre = obj.genera[0], None
+    if spec.kind == "cap" and spec.twist_seed is not None and genus >= 1:
+        pre = random_symplectic(genus, spec.twist_seed, spec.twist_length)
+    return _one_sided(source, target, weight, _cores(genus, pre))
 
 
 # -- textual encoding ---------------------------------------------------------

@@ -156,16 +156,20 @@ class RationalMatrix:
         """A matrix on (integer row, denominator) pairs this module built in lowest terms."""
         return cls._of(tuple(r for r, _ in pairs), tuple(d for _, d in pairs), cols)
 
+    @classmethod
+    def _of_ints(cls, rows: Sequence[IntRow], cols: int) -> "RationalMatrix":
+        """A matrix on integer rows, each `cols` long, over the denominator 1."""
+        return cls._of(tuple(rows), (1,) * len(rows), cols)
+
     # -- construction helpers -------------------------------------------------
 
     @classmethod
     def identity(cls, n: int) -> "RationalMatrix":
-        rows = tuple((0,) * i + (1,) + (0,) * (n - 1 - i) for i in range(n))
-        return cls._of(rows, (1,) * n, n)
+        return cls._of_ints([(0,) * i + (1,) + (0,) * (n - 1 - i) for i in range(n)], n)
 
     @classmethod
     def zeros(cls, nrows: int, ncols: int) -> "RationalMatrix":
-        return cls._of(((0,) * ncols,) * nrows, (1,) * nrows, ncols)
+        return cls._of_ints(((0,) * ncols,) * nrows, ncols)
 
     @classmethod
     def from_columns(cls, columns: Sequence[Iterable], *, rows: int | None = None) -> "RationalMatrix":
@@ -532,8 +536,7 @@ def _reduce(rows: Iterable[Sequence[int]], basis: Sequence[IntRow]) -> list[list
 
 def _columns(rows: Sequence[Sequence[int]], keep: Sequence[int]) -> RationalMatrix:
     """The integer rows restricted to the columns keep, each row over 1."""
-    picked = tuple(tuple([r[j] for j in keep]) for r in rows)
-    return RationalMatrix._of(picked, (1,) * len(picked), len(keep))
+    return RationalMatrix._of_ints([tuple([r[j] for j in keep]) for r in rows], len(keep))
 
 
 def canonical_basis(vectors: Sequence[Iterable], ambient_dim: int) -> Subspace:

@@ -70,10 +70,6 @@ def _random_space(
     return genus, pad, space, inverse
 
 
-def _int_matrix(rows: list[tuple[int, ...]], n: int) -> RationalMatrix:
-    return RationalMatrix._of(tuple(rows), (1,) * len(rows), n)
-
-
 def _random_lagrangians(
     seed: int, genus_max: int, count: int
 ) -> tuple[SymplecticSpace, list[Subspace]]:
@@ -90,9 +86,9 @@ def _random_lagrangians(
     for _ in range(count):
         rows = _lagrangian_rows(genus, rng)
         if inverse is None:
-            lags.append(Subspace(_int_matrix(rows, n)))
+            lags.append(Subspace(RationalMatrix._of_ints(rows, n)))
         else:
-            padded = _int_matrix([r + (0,) * pad for r in rows] + radical, n)
+            padded = RationalMatrix._of_ints([r + (0,) * pad for r in rows] + radical, n)
             lags.append(Subspace(_times_transpose(padded, inverse)))
     return space, lags
 
@@ -250,7 +246,7 @@ def random_abstract_morphism(
             tuple([r[k ^ 1 if k < bsrc else k] for k in range(len(r))])
             for r in _lagrangian_rows(total, rng)
         ]
-        boundary_kernel = Subspace(_int_matrix(rows, 2 * total))
+        boundary_kernel = Subspace(RationalMatrix._of_ints(rows, 2 * total))
     else:
         boundary_kernel = Subspace.zero(0)
     dim, projection = cokernel(boundary_kernel.basis.transpose())

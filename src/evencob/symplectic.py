@@ -10,7 +10,6 @@ Lagrangians used throughout the test campaigns.
 from __future__ import annotations
 
 import random
-import weakref
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
@@ -83,11 +82,6 @@ class SymplecticSpace:
         return self._radical
 
     @cached_property
-    def _lagrangians(self) -> weakref.WeakSet:
-        # subspaces already found Lagrangian here; an entry dies with its subspace
-        return weakref.WeakSet()
-
-    @cached_property
     def _gram_rows(self) -> list[IntRow]:
         # the gram's integer rows over one positive denominator
         return self.gram._over_one_denominator()[0]
@@ -121,18 +115,11 @@ class SymplecticSpace:
         and at dim L = (dim V + dim R) / 2 this forces L cap R = R.  The
         dimension count runs first because it is the cheaper of the two.
 
-        A True answer is remembered per space, weakly, so a subspace that is
-        checked again (or an equal one: subspaces compare structurally) skips
-        the test.  A False answer is never remembered.
+        Nothing is remembered: each Lagrangian is tested once, where it enters
+        (a SurfaceObject, a LagrangianTriple, a record's boundary kernel).
         """
         self._check_ambient(sub)
-        known = self._lagrangians
-        if sub in known:
-            return True
-        if 2 * sub.dim != self.dim + self._radical.dim or not self._is_isotropic(sub):
-            return False
-        known.add(sub)
-        return True
+        return 2 * sub.dim == self.dim + self._radical.dim and self._is_isotropic(sub)
 
 
 def beta0(genera: Sequence[int]) -> int:
@@ -309,5 +296,4 @@ def random_lagrangian(
     standard Lagrangian itself.  The walk is the one random_symplectic takes,
     with the same draws.
     """
-    rows = _lagrangian_rows(g, seed, length)
-    return Subspace(RationalMatrix._of(tuple(rows), (1,) * g, 2 * g))
+    return Subspace(RationalMatrix._of_ints(_lagrangian_rows(g, seed, length), 2 * g))

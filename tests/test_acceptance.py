@@ -10,8 +10,15 @@ import random
 from fractions import Fraction
 
 from evencob.cli import main
-from evencob.cobordism import SurfaceObject, compose, identity, is_even, push_forward
-from evencob.generators import cap, handlebody, pseudo_cylinder
+from evencob.cobordism import (
+    SurfaceObject,
+    compose,
+    identity,
+    is_even,
+    pseudo_cylinder,
+    push_forward,
+)
+from evencob.generators import cap, handlebody
 from evencob.linalg import RationalMatrix, canonical_basis
 from evencob.maslov import decompose, dim_sum_parity, form_annihilator
 from evencob.sampling import random_even_chain, random_even_pair, random_subspace_pair

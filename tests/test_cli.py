@@ -15,6 +15,7 @@ from evencob import campaigns
 from evencob.campaigns import CheckOutcome
 from evencob.cli import build_parser, main
 from evencob.cobordism import compose, validate
+from evencob.errors import InvalidTripleError
 from evencob.formats import parse_pipeline, serialize_pipeline
 from evencob.generators import MAX_NESTING
 from evencob.sampling import random_even_pair
@@ -473,27 +474,34 @@ class TestExitCodes:
         ]
 
     @pytest.mark.parametrize(
-        "command, sampler, message, shown",
+        "command, sampler, error, message, shown",
         [
-            (["check", "--theorem", "parity"], "random_triple", "sampler broke", "sampler broke"),
+            (["check", "--theorem", "parity"], "random_triple", RuntimeError, "sampler broke",
+             "sampler broke"),
             # the closure report's abstract tally runs outside the evaluator
-            (["closure"], "random_abstract_even_pair", "two\nlines", "two lines"),
+            (["closure"], "random_abstract_even_pair", RuntimeError, "two\nlines", "two lines"),
+            # a campaign reads nothing but flags, so even an EvencobError is a bug
+            (["check", "--theorem", "parity"], "random_triple", InvalidTripleError, "not one",
+             "not one"),
+            (["closure"], "random_abstract_even_pair", InvalidTripleError, "not one", "not one"),
         ],
-        ids=["parity", "closure"],
+        ids=["parity", "closure", "parity-library-error", "closure-library-error"],
     )
-    def test_internal_failure_is_exit_3(self, capsys, monkeypatch, command, sampler, message, shown):
-        # an exception that is not an EvencobError is a bug: not a
-        # counterexample (1) and not bad input (2), and no traceback
+    def test_internal_failure_is_exit_3(
+        self, capsys, monkeypatch, command, sampler, error, message, shown
+    ):
+        # a bug is not a counterexample (1) and not bad input (2), and it
+        # shows no traceback
         from evencob import sampling
 
         def broken(*args):
-            raise RuntimeError(message)
+            raise error(message)
 
         monkeypatch.setattr(sampling, sampler, broken)
         code = main([*command, "--trials", "1"])
         out, err = capsys.readouterr()
         assert (code, out) == (3, "")
-        assert err == f"error: internal error: RuntimeError: {shown}\n"
+        assert err == f"error: internal error: {error.__name__}: {shown}\n"
 
     @pytest.mark.parametrize("command", [["check", "--theorem", "parity"], ["closure"]])
     def test_genus_cap_at_text_bound_runs(self, capsys, command):

@@ -18,6 +18,7 @@ from evencob.cobordism import (
     push_forward,
     validate,
 )
+from evencob import generators
 from evencob.errors import DimensionMismatchError, GeneratorSpecError, NotSymplecticError
 from evencob.generators import (
     GeneratorSpec,
@@ -33,8 +34,7 @@ from evencob.generators import (
 )
 from evencob.linalg import RationalMatrix, Subspace, canonical_basis, map_subspace
 from evencob.sampling import random_abstract_even_pair, random_abstract_morphism, random_even_pair
-from evencob.symplectic import random_lagrangian
-from evencob.symplectic import random_symplectic
+from evencob.symplectic import SymplecticSpace, random_lagrangian, random_symplectic
 from oracles import bench_oracle, oracle_preserves_form
 
 SPAN_E = canonical_basis([(1, 0)], 2)
@@ -562,7 +562,75 @@ def test_atoms_draw_in_the_documented_order(kind):
         assert random_even_morphism(spec, seed) == evened(_drawn_by_hand(kind, seed))
 
 
+GENUS_TWO = SurfaceObject((2,), random_lagrangian(2, 1))
+GENUS_TWO_OTHER = SurfaceObject((2,), random_lagrangian(2, 2))
+
+
+@pytest.fixture
+def check_calls(monkeypatch):
+    """The names of the Lagrangian and twist tests run while the fixture is live."""
+    calls = []
+
+    def counted(name, test):
+        def wrapper(*args):
+            calls.append(name)
+            return test(*args)
+
+        return wrapper
+
+    monkeypatch.setattr(
+        SymplecticSpace, "is_lagrangian", counted("is_lagrangian", SymplecticSpace.is_lagrangian)
+    )
+    monkeypatch.setattr(
+        generators,
+        "preserves_standard_form",
+        counted("preserves_standard_form", generators.preserves_standard_form),
+    )
+    return calls
+
+
 class TestBuildFromObjects:
+    @pytest.mark.parametrize(
+        "text, source, target",
+        [
+            ("identity", GENUS_TWO, GENUS_TWO),
+            ("pseudo_cylinder weight=1", GENUS_TWO, GENUS_TWO_OTHER),
+            ("twisted_cylinder", GENUS_TWO, GENUS_TWO_OTHER),
+            ("twisted_cylinder twist_seed=7", GENUS_TWO, GENUS_TWO_OTHER),
+            ("handlebody weight=1", empty_surface(), GENUS_TWO),
+            ("cap", GENUS_TWO, empty_surface()),
+            ("cap twist_seed=7", GENUS_TWO, empty_surface()),
+        ],
+        ids=[
+            "identity",
+            "pseudo_cylinder",
+            "twisted_cylinder",
+            "twisted_cylinder-seeded",
+            "handlebody",
+            "cap",
+            "cap-seeded",
+        ],
+    )
+    def test_given_objects_and_walk_twists_are_not_tested_again(
+        self, check_calls, text, source, target
+    ):
+        # the objects' Lagrangians were tested when they were built, and the
+        # walk preserves the form by construction
+        m = build_from_objects(parse_generator_spec(text), source, target)
+        assert check_calls == []
+        assert (m.source, m.target) == (source, target)
+
+    def test_public_constructors_test_what_they_are_passed(self, check_calls):
+        # and the counters see both tests, so the empty counts above are not vacuous
+        twist = random_symplectic(2, 7)
+        for build in (
+            lambda: twisted_cylinder(GENUS_TWO, twist, GENUS_TWO_OTHER.lagrangian, 0),
+            lambda: cap(2, GENUS_TWO.lagrangian, 0, twist),
+        ):
+            check_calls.clear()
+            build()
+            assert set(check_calls) == {"is_lagrangian", "preserves_standard_form"}
+
     def test_handlebody_from_declared_target(self):
         spec = parse_generator_spec("handlebody weight=1")
         m = build_from_objects(spec, empty_surface(), TORUS_E)

@@ -1,4 +1,3 @@
-import gc
 import random
 from fractions import Fraction
 
@@ -159,79 +158,6 @@ class TestLagrangianOracle:
         drawn = [d for d in (_draw_family(family, seed) for seed in range(40)) if d]
         assert len(drawn) >= 10
         assert any(space.radical().dim for space, _, _ in drawn)
-
-
-class TestLagrangianMemo:
-    """True answers are kept per space, weakly; False answers are not kept."""
-
-    @staticmethod
-    def fresh_genus_two():
-        return SymplecticSpace(standard_surface_space((2,)).gram)
-
-    def test_false_is_never_stored(self):
-        space = self.fresh_genus_two()
-        short = canonical_basis([(1, 0, 0, 0)], 4)
-        not_isotropic = canonical_basis([(1, 0, 0, 0), (0, 1, 0, 0)], 4)
-        for sub in (short, not_isotropic, Subspace.full(4), Subspace.zero(4)):
-            assert not space.is_lagrangian(sub)
-            assert not space.is_lagrangian(sub)
-        assert len(space._lagrangians) == 0
-
-    def test_equal_distinct_subspace_hits(self, monkeypatch):
-        space = self.fresh_genus_two()
-        lag = canonical_basis([(1, 0, 0, 0), (0, 0, 1, 0)], 4)
-        assert space.is_lagrangian(lag)
-        copy = Subspace(RationalMatrix([[2, 0, 0, 0], [1, 0, 1, 0]]))
-        assert copy == lag and copy is not lag
-
-        def no_products(*args):
-            raise AssertionError("a remembered subspace was tested again")
-
-        monkeypatch.setattr(RationalMatrix, "__matmul__", no_products)
-        assert space.is_lagrangian(copy)
-        assert space.is_lagrangian(lag)
-
-    def test_ambient_mismatch_raises_with_memo_populated(self):
-        lag = canonical_basis([(1, 0)], 2)
-        assert GENUS_ONE.is_lagrangian(lag)
-        assert lag in GENUS_ONE._lagrangians
-        with pytest.raises(
-            DimensionMismatchError, match="subspace of ambient 3 in a space of dimension 2"
-        ):
-            GENUS_ONE.is_lagrangian(Subspace.full(3))
-        with pytest.raises(
-            DimensionMismatchError, match="subspace of ambient 2 in a space of dimension 4"
-        ):
-            standard_surface_space((2,)).is_lagrangian(lag)
-
-    def test_fresh_space_starts_empty(self):
-        lag = canonical_basis([(1, 0, 0, 0), (0, 0, 1, 0)], 4)
-        shared = standard_surface_space((2,))
-        assert shared.is_lagrangian(lag) and lag in shared._lagrangians
-        space = self.fresh_genus_two()
-        assert space == shared and space is not shared
-        assert len(space._lagrangians) == 0
-        assert space.is_lagrangian(lag)
-        assert list(space._lagrangians) == [lag]
-
-    def test_entries_die_with_their_subspaces(self):
-        space = self.fresh_genus_two()
-        for seed in range(5):
-            assert space.is_lagrangian(random_lagrangian(2, seed))
-        gc.collect()
-        assert len(space._lagrangians) == 0
-
-    @pytest.mark.parametrize("family", LAGRANGIAN_FAMILIES)
-    def test_agrees_with_reference_with_memo_populated(self, family):
-        drawn = [d for d in (_draw_family(family, seed) for seed in range(40)) if d]
-        for space, sub, _ in drawn:
-            space.is_lagrangian(sub)
-        for space, sub, expected in drawn:
-            again = Subspace(sub.basis.vstack(sub.basis))
-            answers = {space.is_lagrangian(sub), space.is_lagrangian(again)}
-            assert answers == {oracle_is_lagrangian(matrix_rows(space.gram), matrix_rows(sub.basis))}
-            assert expected is None or answers == {expected}
-            assert (sub in space._lagrangians) == (answers == {True})
 
 
 class TestStandardSpace:
