@@ -11,8 +11,10 @@ Subcommands:
 
 Exit codes: 0 success / property holds, 1 a campaign found a counterexample,
 2 input error, 3 internal error: any other exception a command raises, and an
-EvencobError from a sampled campaign, which reads nothing but flags; shown as
-one ``error: internal error: <Type>: <message>`` line with no traceback.
+EvencobError raised once the input is accepted (a sampled campaign reads
+nothing but flags; ``maslov`` and ``compose`` once their file is parsed and
+validated); shown as one ``error: internal error: <Type>: <message>`` line
+with no traceback.
 With --output json the report is a single JSON document with a stable key
 set; identical seeds and flags give byte-identical output.  Counterexamples
 are written as complete scenario or pipeline files so they re-run standalone.
@@ -132,11 +134,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 class _LibraryBug(Exception):
-    """Carries an EvencobError from a step that reads nothing but flags."""
+    """Carries an EvencobError from a step that runs on accepted input."""
 
 
 @contextlib.contextmanager
-def _flags_only():
+def _on_accepted_input():
+    # flags and files are read and validated before this block, so an
+    # EvencobError raised inside it is a library bug, not bad input
     try:
         yield
     except EvencobError as exc:
@@ -191,7 +195,8 @@ def _cmd_maslov(args: argparse.Namespace) -> tuple[dict, int]:
     scenario = parse_scenario(_read_input(args.input))
     triples = campaigns.scenario_triples(scenario)
     report = _base_report("maslov", {"input": args.input})
-    report["results"] = [_triple_report(names, triple) for names, triple in triples]
+    with _on_accepted_input():
+        report["results"] = [_triple_report(names, triple) for names, triple in triples]
     return report, EXIT_OK
 
 
@@ -242,7 +247,7 @@ def _cmd_check(args: argparse.Namespace) -> tuple[dict, int]:
         report["status"] = "counterexample"
         return report, EXIT_COUNTEREXAMPLE
 
-    with _flags_only():
+    with _on_accepted_input():
         failure = campaigns.run_campaign(theorem, args.trials, args.seed, args.genus_max)
     checked = args.trials if failure is None else failure.trial + 1
     report["results"] = [{"checked": checked, "trials": args.trials}]
@@ -272,14 +277,15 @@ def _cmd_compose(args: argparse.Namespace) -> tuple[dict, int]:
             raise EvencobError(
                 f"line {entry.line}: entry {entry.name!r} is not realizable: {violations[0]}"
             )
-    composite = pipeline.entries[0].morphism
-    for entry in pipeline.entries[1:]:
-        composite = compose(composite, entry.morphism)
+    with _on_accepted_input():
+        composite = pipeline.entries[0].morphism
+        for entry in pipeline.entries[1:]:
+            composite = compose(composite, entry.morphism)
+        summary = _morphism_summary(composite)
+        summary["source"] = pipeline.entries[0].source_name
+        summary["target"] = pipeline.entries[-1].target_name
+        summary["pushforward_dim"] = push_forward(composite, composite.source.lagrangian).dim
     report = _base_report("compose", {"input": args.input})
-    summary = _morphism_summary(composite)
-    summary["source"] = pipeline.entries[0].source_name
-    summary["target"] = pipeline.entries[-1].target_name
-    summary["pushforward_dim"] = push_forward(composite, composite.source.lagrangian).dim
     report["results"] = [summary]
     return report, EXIT_OK
 
@@ -312,7 +318,7 @@ def _cmd_closure(args: argparse.Namespace) -> tuple[dict, int]:
     params = {"seed": args.seed, "trials": args.trials, "genus_max": args.genus_max}
     report = _base_report("closure", params)
     theorem = campaigns.THEOREMS["closure"]
-    with _flags_only():
+    with _on_accepted_input():
         failure = campaigns.run_campaign(theorem, args.trials, args.seed, args.genus_max)
         held = args.trials if failure is None else failure.trial
         # one abstract record per trial that held, drawn from that trial's seed

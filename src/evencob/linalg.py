@@ -8,8 +8,10 @@ Matrices are immutable.  Each row is stored as a tuple of integers over one
 positive denominator, in lowest terms: the gcd of the row's integers and its
 denominator is 1, and a zero row has denominator 1.  That form is unique, so
 structural equality and hashing are exact.  ``rref`` is the only full
-elimination: each linear system is one ``rref`` of an augmented matrix.  A
-row is reduced modulo a subspace by one pass over the subspace's RREF basis
+elimination: each linear system is one ``rref`` of an augmented matrix, and
+a kernel is one ``rref`` of the matrix with its columns reversed, whose null
+rows, read back in the original order, already are the kernel's RREF basis.
+A row is reduced modulo a subspace by one pass over the subspace's RREF basis
 rows (``_reduce``), with the step ``rref`` itself takes; membership tests,
 sums and intersections start there.  There is one product loop: ``@`` feeds
 it the right factor's columns, and the private ``_times_transpose`` (A times
@@ -36,9 +38,12 @@ halves of its rows that start in the right half.  With B the larger operand,
 already in RREF, one pass of its rows clears its pivot columns, and one
 ``rref`` of what is left, those columns dropped, finishes the elimination.
 A sum reduces the smaller operand by the larger in the same way, and needs no
-elimination when the larger contains the smaller.  A preimage is one kernel
-too: the null rows of ``[f | B]``, for B whose columns span the target, are
-the pairs (x, y) with f x = -B y, so their x parts span the preimage.
+elimination when the larger contains the smaller.  A preimage is one
+elimination and the canonicalization of its result: the null rows of
+``[f | B]``, for B whose columns span the target, are the pairs (x, y) with
+f x = -B y, so their x parts span the preimage.  With the columns reversed
+the x parts would come out canonical, but the elimination would pivot on the
+dense B block first, which is no faster.
 """
 
 from __future__ import annotations
@@ -154,7 +159,8 @@ class RationalMatrix:
     @classmethod
     def _of_pairs(cls, pairs: Sequence[tuple[IntRow, int]], cols: int) -> "RationalMatrix":
         """A matrix on (integer row, denominator) pairs this module built in lowest terms."""
-        return cls._of(tuple(r for r, _ in pairs), tuple(d for _, d in pairs), cols)
+        rows, dens = zip(*pairs) if pairs else ((), ())
+        return cls._of(rows, dens, cols)
 
     @classmethod
     def _of_ints(cls, rows: Sequence[IntRow], cols: int) -> "RationalMatrix":
@@ -581,8 +587,18 @@ def _times_transpose(a: RationalMatrix, b: RationalMatrix) -> RationalMatrix:
 
 
 def kernel(f: RationalMatrix) -> Subspace:
-    """{x : f @ x = 0} in canonical form; dimension cols - rank."""
-    return Subspace(RationalMatrix._of_pairs(_null_rows(*f.rref()), f.cols))
+    """{x : f @ x = 0} in canonical form; dimension cols - rank.
+
+    One elimination: f is reduced with its columns reversed.  In reversed
+    order each null row is zero after its free column, so read back in the
+    original order it has its leading one at its free column, zeros at every
+    other free column, and its other entries at pivot columns to the right.
+    Taken from the last free column to the first, the null rows are the RREF
+    basis of the kernel.
+    """
+    flipped = RationalMatrix._of(tuple([r[::-1] for r in f._rows]), f._dens, f.cols)
+    rows = [(r[::-1], d) for r, d in reversed(_null_rows(*flipped.rref()))]
+    return Subspace._canonical(RationalMatrix._of_pairs(rows, f.cols))
 
 
 def image(f: RationalMatrix) -> Subspace:

@@ -12,6 +12,7 @@ exposes the dimension-parity quantities the index obeys.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
@@ -28,6 +29,7 @@ from .linalg import (
     RationalMatrix,
     Subspace,
     Vector,
+    _reduced,
     _times_transpose,
     as_vector,
     kernel,
@@ -94,19 +96,6 @@ class MaslovForm:
         return self.domain_basis.rows
 
 
-def _l2_coefficients(l1: Subspace, l2: Subspace, a: RationalMatrix) -> RationalMatrix:
-    """The coefficients on l2's basis rows of the decompose splits of the rows of `a`.
-
-    One solve for all rows, one column per row: the l2 part of row j is
-    column j of the result, transposed, times l2's basis.
-    """
-    coeffs = l1.basis.vstack(l2.basis).transpose().solve(a.transpose())
-    if coeffs is None:
-        raise DecompositionError("vector is not in the sum of the two subspaces")
-    k = l1.dim  # coefficient rows k onward weigh the rows of l2's basis
-    return RationalMatrix._of(coeffs._rows[k:], coeffs._dens[k:], coeffs.cols)
-
-
 def decompose(l1: Subspace, l2: Subspace, a: Iterable) -> tuple[Vector, Vector]:
     """Split a = a1 + a2 with a1 in l1 and a2 in l2.
 
@@ -121,8 +110,13 @@ def decompose(l1: Subspace, l2: Subspace, a: Iterable) -> tuple[Vector, Vector]:
         raise DimensionMismatchError(
             f"vector of length {len(v)} in ambient dimension {l1.ambient_dim}"
         )
-    coeffs = _l2_coefficients(l1, l2, RationalMatrix([v], cols=len(v)))
-    a2 = (coeffs.transpose() @ l2.basis).row(0)
+    system = l1.basis.vstack(l2.basis).transpose()
+    coeffs = system.solve(RationalMatrix.from_columns([v], rows=len(v)))
+    if coeffs is None:
+        raise DecompositionError("vector is not in the sum of the two subspaces")
+    k = l1.dim  # coefficient rows k onward weigh the rows of l2's basis
+    weights = RationalMatrix._of(coeffs._rows[k:], coeffs._dens[k:], 1)
+    a2 = (weights.transpose() @ l2.basis).row(0)
     return tuple([x - y for x, y in zip(v, a2)]), a2
 
 
@@ -133,15 +127,28 @@ def maslov_form(triple: LagrangianTriple) -> MaslovForm:
     which the tests check by perturbing the split.  The gram comes out
     symmetric, which the MaslovForm constructor checks.
 
-    With D the domain basis, G the space's gram, B2 l2's basis and Y the l2
-    coefficients, the l2 parts are Y^T B2 and the gram is Y^T B2 G D^T.  It
-    is computed as its transpose D G^T B2^T Y, which needs no transpose of Y
-    and equals it because the gram is symmetric, as the constructor checks.
+    One elimination splits the sum (Zassenhaus): the RREF of
+    ``[[B1, 0], [B2, B2]]``, for the bases B1 of l1 and B2 of l2, spans the
+    pairs (a1 + a2, a2).  Its rows s_i | y_i that start in the left half have
+    left halves s_i that are the RREF basis of l1 + l2, and right halves y_i
+    in l2 with s_i - y_i in l1.  A domain row d is the combination of the s_i
+    with the coefficients d[pivot_i], so its l2 part is the same combination
+    of the y_i.  With C those coefficients, D the domain basis and G the
+    space's gram, the gram is C Y G D^T.
     """
     l1, l2, l3 = triple.lagrangians()
-    d = triple._pair("+", 1, 2).intersect(l3).basis
-    y = _l2_coefficients(l1, l2, d)
-    gram = _times_transpose(_times_transpose(d, triple.space.gram), l2.basis) @ y
+    n = triple.space.dim
+    pad = (0,) * n
+    rows = tuple([r + pad for r in l1.basis._rows] + [r + r for r in l2.basis._rows])
+    red, pivots = RationalMatrix._of(rows, l1.basis._dens + l2.basis._dens, 2 * n).rref()
+    k = bisect_left(pivots, n)  # the rows that start in the left half
+    split = RationalMatrix._of(red._rows[:k], red._dens[:k], 2 * n)
+    total, y = split._column_block(0, n), split._column_block(n, 2 * n)
+    d = Subspace._canonical(total).intersect(l3).basis
+    c = RationalMatrix._of_pairs(
+        [_reduced([r[p] for p in pivots[:k]], e) for r, e in zip(d._rows, d._dens)], k
+    )
+    gram = _times_transpose(c @ y @ triple.space.gram, d)
     return MaslovForm(d, gram)
 
 

@@ -10,6 +10,9 @@ from evencob.sampling import random_triple
 sys.path.insert(0, str(Path(__file__).parent))
 
 settings.register_profile("suite", deadline=None, max_examples=60)
+# CI runs the linalg and maslov property tests again under this profile: the
+# kernel and the Maslov form's sum skip canonicalization on the strength of them
+settings.register_profile("thorough", deadline=None, max_examples=600)
 settings.load_profile("suite")
 
 CORPUS_SIZE = 1000

@@ -18,6 +18,7 @@ from evencob.cobordism import compose, validate
 from evencob.errors import InvalidTripleError
 from evencob.formats import parse_pipeline, serialize_pipeline
 from evencob.generators import MAX_NESTING
+from evencob.linalg import RationalMatrix, Subspace
 from evencob.sampling import random_even_pair
 from test_golden import CHECK_CE, CLOSURE_CE, EXPECTED, FAULTS, RUNS
 
@@ -502,6 +503,30 @@ class TestExitCodes:
         out, err = capsys.readouterr()
         assert (code, out) == (3, "")
         assert err == f"error: internal error: {error.__name__}: {shown}\n"
+
+    def test_library_error_after_a_pipeline_is_accepted_is_exit_3(
+        self, capsys, monkeypatch, pipeline_file
+    ):
+        # every record validates, so a carry that is not Lagrangian, which
+        # compose's LagrangianTriple catches, can only come from a bug
+        from evencob import cobordism
+
+        monkeypatch.setattr(cobordism, "pull_back", lambda m, lag: Subspace.zero(m.source.beta1))
+        code = main(["compose", "--in", pipeline_file])
+        out, err = capsys.readouterr()
+        assert (code, out) == (3, "")
+        assert err == "error: internal error: InvalidTripleError: l3 is not Lagrangian\n"
+
+    def test_library_error_after_a_scenario_is_accepted_is_exit_3(
+        self, capsys, monkeypatch, triple_file
+    ):
+        # the triples are validated, so a gram that is not symmetric, which
+        # MaslovForm catches, can only come from a bug
+        monkeypatch.setattr(RationalMatrix, "is_symmetric", lambda self: False)
+        code = main(["maslov", "--in", triple_file])
+        out, err = capsys.readouterr()
+        assert (code, out) == (3, "")
+        assert err == "error: internal error: NotSymmetricError: Maslov form gram must be symmetric\n"
 
     @pytest.mark.parametrize("command", [["check", "--theorem", "parity"], ["closure"]])
     def test_genus_cap_at_text_bound_runs(self, capsys, command):

@@ -711,6 +711,69 @@ class TestPreimageOracle:
             preimage(RationalMatrix.zeros(2, 2), Subspace.full(3))
 
 
+class TestKernelOracle:
+    """The kernel is the canonical basis of the null space, as it comes out of its
+    one elimination: no second pass makes it so."""
+
+    @staticmethod
+    def check(f):
+        k = kernel(f)
+        expected = oracle_span(bench_oracle.nullspace(matrix_rows(f), f.cols), f.cols)
+        assert matrix_rows(k.basis) == expected
+        assert reference_rref_violation(k.basis) is None
+        assert k == Subspace(k.basis)  # the stored rows are in lowest terms
+
+    @given(
+        st.one_of(
+            matrices(),
+            matrices(max_rows=6, max_cols=7),
+            st.tuples(st.integers(0, 5), st.integers(0, 6)).flatmap(
+                lambda shape: entry_matrices(*shape)
+            ),
+        )
+    )
+    def test_matches_reference(self, f):
+        self.check(f)
+
+    @given(st.one_of(matrices(), matrices(max_rows=6, max_cols=7)))
+    def test_runs_one_elimination(self, f):
+        calls = []
+        rref = RationalMatrix.rref
+
+        def counted(m):
+            calls.append(m.cols)
+            return rref(m)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(RationalMatrix, "rref", counted)
+            kernel(f)
+        assert calls == [f.cols]
+
+    @pytest.mark.parametrize(
+        "f",
+        [
+            RationalMatrix((), cols=0),
+            RationalMatrix((), cols=4),
+            RationalMatrix([[], [], []], cols=0),
+            RationalMatrix.zeros(2, 3),
+            RationalMatrix.identity(3),
+            RationalMatrix([[2, 1, 0], [0, 3, 1], [1, 0, 5]]),
+            RationalMatrix([[1, 2, 0, 3], [0, 0, 1, 4]]),
+            RationalMatrix([[1, 0], [0, 1], [1, 1]]),
+            RationalMatrix([["1/2", "1/3", "1/5"], ["2/7", 0, "-1/9"]]),
+            RationalMatrix([["1/2", "1/3", "1/5", 0], ["1", "2/3", "2/5", 0]]),
+            RationalMatrix([[0, 0, "3/4", 1], [0, 0, 0, "-2/3"]]),
+        ],
+        ids=[
+            "0x0", "no-rows", "no-columns", "zero", "identity", "full-rank",
+            "full-row-rank", "full-column-rank", "rational", "dependent-rationals",
+            "leading-zero-columns",
+        ],
+    )
+    def test_edge_cases(self, f):
+        self.check(f)
+
+
 class TestTrustedConstructor:
     """Rows the library builds itself skip coercion (`TestCanonicalRows` checks
     they are canonical on every route); the public constructor still coerces."""

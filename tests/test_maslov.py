@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from evencob import cli
+from evencob import cli, cobordism
 from evencob.errors import (
     DecompositionError,
     DimensionMismatchError,
@@ -25,7 +25,7 @@ from evencob.maslov import (
     parity_prediction,
     signature,
 )
-from evencob.sampling import random_triple
+from evencob.sampling import random_abstract_even_pair, random_even_pair, random_triple
 from evencob.symplectic import standard_surface_space
 from oracles import (
     bench_oracle,
@@ -197,6 +197,67 @@ class TestMaslovForm:
         lagrangians = (matrix_rows(lag.basis) for lag in triple.lagrangians())
         expected = oracle_maslov_gram(matrix_rows(triple.space.gram), *lagrangians)
         assert matrix_rows(maslov_form(triple).gram) == expected
+
+
+def _compose_triples(sampler, seeds, genus_max=3):
+    """The (push, middle, pull) triples `compose` builds for its Maslov corrections
+    when it glues the pairs the sampler draws."""
+    pairs = [sampler(seed, genus_max) for seed in seeds]
+    triples = []
+
+    def recorded(triple):
+        triples.append(triple)
+        return maslov_index(triple)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cobordism, "maslov_index", recorded)
+        for m1, m2 in pairs:
+            cobordism.compose(m1, m2)
+    assert len(triples) == len(pairs)
+    return triples
+
+
+class TestMaslovFormOnComposeTriples:
+    @pytest.mark.parametrize(
+        "sampler", [random_even_pair, random_abstract_even_pair], ids=["built", "abstract"]
+    )
+    def test_gram_matches_reference(self, sampler):
+        forms = 0
+        for t in _compose_triples(sampler, range(150)):
+            lagrangians = [matrix_rows(lag.basis) for lag in t.lagrangians()]
+            n = t.space.dim
+            mf = maslov_form(t)
+            domain = bench_oracle.intersection(lagrangians[0] + lagrangians[1], lagrangians[2], n)
+            assert matrix_rows(mf.domain_basis) == domain
+            assert matrix_rows(mf.gram) == oracle_maslov_gram(matrix_rows(t.space.gram), *lagrangians)
+            forms += mf.dim > 0
+        assert forms >= 100  # most gluings carry a form that is not empty
+
+    def test_runs_no_solve_and_no_sum(self, monkeypatch):
+        # the sum l1 + l2 and the l2 parts come out of one elimination
+        triples = _compose_triples(random_even_pair, range(20)) + [
+            random_triple(seed, 4) for seed in range(20)
+        ]
+        calls = Counter()
+
+        def counted(name, method):
+            def wrapper(*args):
+                calls[name] += 1
+                return method(*args)
+
+            return wrapper
+
+        monkeypatch.setattr(RationalMatrix, "solve", counted("solve", RationalMatrix.solve))
+        monkeypatch.setattr(Subspace, "__add__", counted("+", Subspace.__add__))
+        monkeypatch.setattr(RationalMatrix, "rref", counted("rref", RationalMatrix.rref))
+        per_form = []
+        for t in triples:
+            before = calls["rref"]
+            maslov_form(t)
+            per_form.append(calls["rref"] - before)
+        assert calls["solve"] == calls["+"] == 0
+        # the Zassenhaus elimination, and at most one more inside `intersect`
+        assert set(per_form) <= {1, 2} and 1 in per_form and 2 in per_form
 
 
 class TestSignature:
@@ -399,13 +460,13 @@ def _triples_of_distinct_lagrangians(count, genus_max=3):
 
 class TestLatticeComputedOnce:
     @pytest.mark.parametrize(
-        "command",
-        [["maslov"], ["check", "--theorem", "annihilator"]],
+        "command, sums_12",
+        [(["maslov"], 1), (["check", "--theorem", "annihilator"], 0)],
         ids=["maslov", "annihilator"],
     )
     @pytest.mark.parametrize("which", range(3))
     def test_no_sum_or_intersection_is_computed_twice(
-        self, command, which, tmp_path, monkeypatch, capsys
+        self, command, sums_12, which, tmp_path, monkeypatch, capsys
     ):
         t = _triples_of_distinct_lagrangians(3)[which]
         path = tmp_path / "triple.ssf"
@@ -428,7 +489,9 @@ class TestLatticeComputedOnce:
         # two lattice elements the query needs are built from equal operands
         assert calls and max(calls.values()) == 1, [k[0] for k, n in calls.items() if n > 1]
         assert calls["meet", t.l1, t.l3] == calls["meet", t.l2, t.l3] == 1
-        assert calls["+", t.l1, t.l2] == 1
+        # the Maslov form splits l1 + l2 with its own elimination, so only
+        # `dim_sum_parity`, which the maslov report runs, asks for the sum
+        assert calls["+", t.l1, t.l2] == sums_12
         # the pairwise sums are the parity formula's second form, which only
         # the parity campaign computes
         assert calls["+", t.l1, t.l3] == calls["+", t.l2, t.l3] == 0
