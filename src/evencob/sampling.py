@@ -6,25 +6,24 @@ order-independent and replayable.
 
 Degenerate ambient forms are produced by padding a standard surface form with
 a radical block and shearing the whole space by a random unimodular integer
-matrix, so the degeneracy is not axis-aligned.
+matrix C, so the degeneracy is not axis-aligned.  C is kept as its steps, each
+an elementary row operation: the gram C^T (J + 0) C is built from them by
+congruence and each padded Lagrangian row is unsheared by them, on integers,
+with no matrix product.
 """
 
 from __future__ import annotations
 
 import random
+from typing import Sequence
 
 from .cobordism import CobordismMorphism, SurfaceObject, evened
 from .generators import GeneratorSpec, _draw_object, random_even_morphism, target_genera
-from .linalg import (
-    RationalMatrix,
-    Subspace,
-    _times_transpose,
-    canonical_basis,
-    cokernel,
-)
+from .linalg import RationalMatrix, Subspace, canonical_basis, cokernel
 from .maslov import LagrangianTriple
 from .symplectic import (
     SymplecticSpace,
+    _int_standard_gram,
     _lagrangian_rows,
     standard_surface_space,
 )
@@ -33,41 +32,56 @@ MAX_COMPONENT_GENUS = 3
 MAX_CHAIN_LENGTH = 5
 
 
-def _random_unimodular(n: int, rng: random.Random) -> tuple[RationalMatrix, RationalMatrix]:
-    """A random unimodular integer matrix and its inverse.
+Step = tuple[int, int, int]
 
-    Each step adds c times row j to row i, a left factor I + c E_ij.  Its
-    inverse I - c E_ij, applied on the right in the same order, subtracts c
-    times column i from column j of the inverse built so far.
+
+def _random_shear(n: int, rng: random.Random) -> list[Step]:
+    """The steps (i, j, c) of a random unimodular integer matrix C = E_k ... E_1.
+
+    Step E = I + c E_ij adds c times row j to row i; a draw with i = j is no
+    step.  No matrix is formed: the gram and the Lagrangians apply the steps.
     """
-    rows = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-    inverse = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+    steps = []
     for _ in range(n + 3):
         i = rng.randrange(n)
         j = rng.randrange(n)
         if i == j:
             continue
-        c = rng.choice((-2, -1, 1, 2))
-        rows[i] = [a + c * b for a, b in zip(rows[i], rows[j])]
-        for row in inverse:
-            row[j] -= c * row[i]
-    return RationalMatrix(rows), RationalMatrix(inverse)
+        steps.append((i, j, rng.choice((-2, -1, 1, 2))))
+    return steps
 
 
 def _random_space(
     rng: random.Random, genus_max: int, pad_choices: tuple[int, ...] = (0, 0, 1, 2)
-) -> tuple[int, int, SymplecticSpace, RationalMatrix | None]:
-    """Genus, radical dimension, the space, and the inverse coordinate change (or None)."""
+) -> tuple[int, int, SymplecticSpace, list[Step]]:
+    """Genus, radical dimension, the space, and the steps of its shear (none unpadded).
+
+    A padded space has the gram C^T (J + 0) C, for J the standard form and 0
+    the radical block, built by congruence on integers: for each step, from
+    the last to the first, column j += c column i, then row j += c row i.
+    """
     genus = rng.randint(1, genus_max)
     pad = rng.choice(pad_choices)
-    std = standard_surface_space((genus,))
     if pad == 0:
-        return genus, 0, std, None
+        return genus, 0, standard_surface_space((genus,)), []
     n = 2 * genus + pad
-    base = RationalMatrix.block_diag(std.gram, RationalMatrix.zeros(pad, pad))
-    change, inverse = _random_unimodular(n, rng)
-    space = SymplecticSpace(change.transpose() @ base @ change)
-    return genus, pad, space, inverse
+    gram = [row + [0] * pad for row in _int_standard_gram(genus)]
+    gram += [[0] * n for _ in range(pad)]
+    steps = _random_shear(n, rng)
+    for i, j, c in reversed(steps):
+        for row in gram:
+            row[j] += c * row[i]
+        gram[j] = [a + c * b for a, b in zip(gram[j], gram[i])]
+    space = SymplecticSpace(RationalMatrix._of_ints([tuple(r) for r in gram], n))
+    return genus, pad, space, steps
+
+
+def _unsheared(v: Sequence, steps: Sequence[Step]) -> tuple:
+    """C^-1 v for the shear C with these steps: v[i] -= c v[j], last step first."""
+    v = list(v)
+    for i, j, c in reversed(steps):
+        v[i] -= c * v[j]
+    return tuple(v)
 
 
 def _random_lagrangians(
@@ -76,20 +90,18 @@ def _random_lagrangians(
     """The space and `count` walked Lagrangians, each from one elimination.
 
     In a padded space the walk's rows, beside the radical's unit rows, are
-    mapped by the inverse coordinate change before the one canonicalization.
+    unsheared (mapped by C^-1) before the one canonicalization.
     """
     rng = random.Random(seed)
-    genus, pad, space, inverse = _random_space(rng, genus_max)
+    genus, pad, space, steps = _random_space(rng, genus_max)
     n = space.dim
     radical = [(0,) * (n - pad + k) + (1,) + (0,) * (pad - 1 - k) for k in range(pad)]
     lags = []
     for _ in range(count):
-        rows = _lagrangian_rows(genus, rng)
-        if inverse is None:
-            lags.append(Subspace(RationalMatrix._of_ints(rows, n)))
-        else:
-            padded = RationalMatrix._of_ints([r + (0,) * pad for r in rows] + radical, n)
-            lags.append(Subspace(_times_transpose(padded, inverse)))
+        rows = [r + (0,) * pad for r in _lagrangian_rows(genus, rng)] + radical
+        if steps:
+            rows = [_unsheared(r, steps) for r in rows]
+        lags.append(Subspace(RationalMatrix._of_ints(rows, n)))
     return space, lags
 
 
@@ -264,8 +276,8 @@ def random_abstract_morphism(
         1,
         columns(0, bsrc),
         columns(bsrc, btgt),
-        RationalMatrix([[1] * src.beta0], cols=src.beta0),
-        RationalMatrix([[1] * tgt.beta0], cols=tgt.beta0),
+        RationalMatrix._of_ints([(1,) * src.beta0], src.beta0),
+        RationalMatrix._of_ints([(1,) * tgt.beta0], tgt.beta0),
     )
 
 

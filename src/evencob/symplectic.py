@@ -1,7 +1,8 @@
 """Skew-symmetric bilinear forms, annihilators, and Lagrangian subspaces.
 
 Degenerate forms are first-class: nothing here assumes the Gram matrix is
-invertible, and the radical is simply the annihilator of the whole space.
+invertible, and the radical is simply the annihilator of the whole space,
+which for a skew Gram matrix G is ker G.
 The module also provides the standard intersection form of a disjoint union
 of closed surfaces and seed-deterministic random symplectic matrices and
 Lagrangians used throughout the test campaigns.
@@ -75,10 +76,11 @@ class SymplecticSpace:
 
     @cached_property
     def _radical(self) -> Subspace:
-        return self.annihilator(Subspace.full(self.dim))
+        # Ann(V) = ker G^T, and G^T = -G has the kernel of G
+        return kernel(self.gram)
 
     def radical(self) -> Subspace:
-        """The degenerate directions: the annihilator of the whole space."""
+        """The degenerate directions: the annihilator of the whole space, ker G."""
         return self._radical
 
     @cached_property
@@ -141,7 +143,8 @@ def validated_genera(genera: Iterable[int]) -> tuple[int, ...]:
 
 @lru_cache(maxsize=None)
 def _standard_space(genera: tuple[int, ...]) -> SymplecticSpace:
-    return SymplecticSpace(RationalMatrix(_int_standard_gram(sum(genera)), cols=beta1(genera)))
+    rows = [tuple(r) for r in _int_standard_gram(sum(genera))]
+    return SymplecticSpace(RationalMatrix._of_ints(rows, beta1(genera)))
 
 
 def standard_surface_space(genera: Iterable[int]) -> SymplecticSpace:
@@ -198,7 +201,7 @@ def symplectic_generators(g: int) -> tuple[RationalMatrix, ...]:
     gens = [_int_identity(2 * g) for _ in range(g * (g + 2))]
     for k, m in enumerate(gens):
         _row_operation(m, g, k)
-    return tuple(RationalMatrix(m) for m in gens)
+    return tuple(RationalMatrix._of_ints([tuple(r) for r in m], 2 * g) for m in gens)
 
 
 def _int_standard_gram(g: int) -> list[list[int]]:
@@ -275,7 +278,8 @@ def random_symplectic(
     identity, from the last draw to the first, and length 0 gives the
     identity.  The result always satisfies A^T J A = J for the standard form J.
     """
-    return RationalMatrix(_walk(g, seed, length, _int_identity(2 * g)))
+    rows = _walk(g, seed, length, _int_identity(2 * g))
+    return RationalMatrix._of_ints([tuple(r) for r in rows], 2 * g)
 
 
 def _lagrangian_rows(

@@ -10,8 +10,10 @@ from evencob.sampling import random_triple
 sys.path.insert(0, str(Path(__file__).parent))
 
 settings.register_profile("suite", deadline=None, max_examples=60)
-# CI runs the linalg and maslov property tests again under this profile: the
-# kernel and the Maslov form's sum skip canonicalization on the strength of them
+# CI runs the linalg, symplectic and maslov property tests again under this
+# profile: the kernel and the Maslov form's sum skip canonicalization on the
+# strength of them, and the radical is taken as ker G on the strength of the
+# symplectic ones
 settings.register_profile("thorough", deadline=None, max_examples=600)
 settings.load_profile("suite")
 

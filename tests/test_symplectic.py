@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from evencob.errors import DimensionMismatchError, NonSkewFormError
 from evencob.linalg import RationalMatrix, Subspace, canonical_basis, map_subspace
-from evencob.sampling import _random_space, _random_unimodular, random_subspace_pair
+from evencob.sampling import _random_shear, _random_space, _unsheared, random_subspace_pair
 from evencob.symplectic import (
     DEFAULT_WALK_LENGTH,
     SymplecticSpace,
@@ -89,16 +89,31 @@ class TestLagrangianPredicate:
             space.annihilator(Subspace.full(2))
 
 
+def _shear_matrix(n: int, steps) -> RationalMatrix:
+    """C = E_k ... E_1 for the shear steps (i, j, c), each E = I + c E_ij, as
+    products of elementary matrices built with the public constructor."""
+
+    def elementary(i, j, c):
+        return RationalMatrix(
+            [[int(r == s) + (c if (r, s) == (i, j) else 0) for s in range(n)] for r in range(n)]
+        )
+
+    change = RationalMatrix([[int(r == s) for s in range(n)] for r in range(n)])
+    for step in steps:
+        change = elementary(*step) @ change
+    return change
+
+
 def _draw_family(family: str, seed: int):
     """A space from `_random_space`, a subspace of the named family and the
     answer where the family decides it; None when the space has no such subspace.
 
     The subspace is built in the padded coordinates, where the form is the
     standard one on the first 2g coordinates and zero on the last pad ones, and
-    then carried into the drawn space.
+    then carried into the drawn space by the inverse of the dense shear.
     """
     rng = random.Random(seed)
-    genus, pad, space, inverse_change = _random_space(rng, 3, pad_choices=(0, 1, 1, 2))
+    genus, pad, space, steps = _random_space(rng, 3, pad_choices=(0, 1, 1, 2))
     n = space.dim
 
     def unit(c):
@@ -133,7 +148,9 @@ def _draw_family(family: str, seed: int):
     else:
         rows = [small_vector() for _ in range(rng.randint(0, n + 1))]
     sub = canonical_basis(rows, n)
-    return space, sub if inverse_change is None else map_subspace(inverse_change, sub), expected
+    if steps:
+        sub = map_subspace(_shear_matrix(n, steps).inverse(), sub)
+    return space, sub, expected
 
 
 LAGRANGIAN_FAMILIES = ("lagrangian", "isotropic-short", "radical-swapped", "non-isotropic", "random")
@@ -394,6 +411,11 @@ class TestAnnihilatorIdentitiesHypothesis:
         assert space.annihilator(a.intersect(b)) == space.annihilator(a) + space.annihilator(b)
 
     @given(skew_space_with_pair())
+    def test_radical_is_the_annihilator_of_the_whole_space(self, data):
+        space, _, _ = data
+        assert space.radical() == space.annihilator(Subspace.full(space.dim))
+
+    @given(skew_space_with_pair())
     def test_double_annihilator_contains(self, data):
         space, a, _ = data
         assert space.annihilator(space.annihilator(a)).contains_subspace(a)
@@ -505,15 +527,14 @@ class TestIsotropyOnNumerators:
 def test_sampled_lagrangians_are_the_mapped_padded_walk(monkeypatch):
     # each Lagrangian is drawn with one elimination, and is what the walk's
     # canonical basis gave beside the radical's identity block, mapped by the
-    # inverse of the drawn coordinate change
+    # inverse of the dense shear built from the drawn steps
     from evencob import sampling
 
-    draw_space, draw_change, seen = sampling._random_space, sampling._random_unimodular, {}
+    draw_space, draw_shear, seen = sampling._random_space, sampling._random_shear, {}
 
-    def unimodular(n, rng):
-        pair = draw_change(n, rng)
-        seen["change"] = pair[0]
-        return pair
+    def shear(n, rng):
+        seen["steps"] = draw_shear(n, rng)
+        return seen["steps"]
 
     def padded_space(rng, genus_max):
         seen["space"] = draw_space(rng, genus_max, pad_choices=(1, 2, 3))
@@ -521,13 +542,13 @@ def test_sampled_lagrangians_are_the_mapped_padded_walk(monkeypatch):
         seen["rng"].setstate(rng.getstate())
         return seen["space"]
 
-    monkeypatch.setattr(sampling, "_random_unimodular", unimodular)
+    monkeypatch.setattr(sampling, "_random_shear", shear)
     monkeypatch.setattr(sampling, "_random_space", padded_space)
     for seed in range(40):
         space, lags = sampling._random_lagrangians(seed, 3, 3)
-        genus, pad, drawn, _ = seen["space"]
-        assert drawn is space and pad in (1, 2, 3)
-        inverse = seen["change"].inverse()
+        genus, pad, drawn, steps = seen["space"]
+        assert drawn is space and pad in (1, 2, 3) and steps is seen["steps"]
+        inverse = _shear_matrix(space.dim, steps).inverse()
         for lag in lags:
             walked = random_lagrangian(genus, seen["rng"])
             padded = Subspace(RationalMatrix.block_diag(walked.basis, RationalMatrix.identity(pad)))
@@ -537,8 +558,31 @@ def test_sampled_lagrangians_are_the_mapped_padded_walk(monkeypatch):
 
 @pytest.mark.parametrize("n", range(2, 11))
 def test_unimodular_change_comes_with_its_inverse(n):
-    # the inverse is built from the reversed steps, with no elimination
+    # the change C, formed from its steps as public-constructor products, is
+    # unimodular, and unshearing a row by the reversed steps maps it by
+    # C.inverse(), which an elimination solves
     for seed in range(100):
-        change, inverse = _random_unimodular(n, random.Random(seed))
-        assert inverse == change.inverse(), seed
+        rng = random.Random(seed)
+        steps = _random_shear(n, rng)
+        assert all(i != j and c in (-2, -1, 1, 2) for i, j, c in steps), seed
+        change = _shear_matrix(n, steps)
+        inverse = change.inverse()
         assert change @ inverse == RationalMatrix.identity(n), seed
+        rows = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(3)]
+        rows += [[int(r == s) for s in range(n)] for r in range(n)]
+        mapped = (inverse @ RationalMatrix.from_columns(rows)).transpose()
+        assert RationalMatrix([_unsheared(r, steps) for r in rows]) == mapped, seed
+
+
+@pytest.mark.parametrize("genus_max", range(1, 5))
+def test_sampled_gram_is_the_dense_congruence(genus_max):
+    # the gram built by congruence on integer rows is C^T (J + 0) C, with C
+    # and both products formed densely through the public constructor
+    for seed in range(100):
+        genus, pad, space, steps = _random_space(random.Random(seed), genus_max, pad_choices=(1, 2))
+        change = _shear_matrix(space.dim, steps)
+        base = RationalMatrix.block_diag(
+            standard_surface_space((genus,)).gram, RationalMatrix.zeros(pad, pad)
+        )
+        assert space.gram == change.transpose() @ base @ change, seed
+        assert space.radical().dim == pad, seed
