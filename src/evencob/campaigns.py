@@ -202,22 +202,25 @@ def scenario_triples(scenario: Scenario) -> list[tuple[tuple[str, str, str], Lag
     ]
 
 
-def evaluate_scenario(theorem: TheoremCheck, scenario: Scenario) -> list[tuple[str, CheckOutcome]]:
-    """Evaluate the theorem on the data in a scenario file.
+def scenario_instances(theorem: TheoremCheck, scenario: Scenario) -> list[tuple[str, tuple]]:
+    """The theorem's instances in a scenario file, each with its label.
 
-    Triple theorems run on each triple query; pair theorems run on every
-    unordered pair of named subspaces, in name order, leaving out the pairs
-    the theorem skips.
+    Triple theorems take each triple query, validated once by
+    `scenario_triples`; pair theorems take every unordered pair of named
+    subspaces, in name order.
     """
     if theorem.arity == "triple":
-        return [
-            (" ".join(names), theorem.evaluate(triple))
-            for names, triple in scenario_triples(scenario)
-        ]
-    results = []
-    for first, second in combinations(sorted(scenario.named_subspaces), 2):
-        subs = scenario.named_subspaces[first], scenario.named_subspaces[second]
-        outcome = theorem.evaluate(scenario.space, *subs)
-        if "skipped" not in outcome.details:
-            results.append((f"{first} {second}", outcome))
-    return results
+        return [(" ".join(names), (triple,)) for names, triple in scenario_triples(scenario)]
+    named = scenario.named_subspaces
+    return [
+        (f"{first} {second}", (scenario.space, named[first], named[second]))
+        for first, second in combinations(sorted(named), 2)
+    ]
+
+
+def evaluate_scenario(
+    theorem: TheoremCheck, instances: list[tuple[str, tuple]]
+) -> list[tuple[str, CheckOutcome]]:
+    """Evaluate the theorem on each labelled instance, leaving out the ones it skips."""
+    outcomes = [(label, theorem.evaluate(*instance)) for label, instance in instances]
+    return [(label, out) for label, out in outcomes if "skipped" not in out.details]

@@ -9,12 +9,12 @@ Subcommands:
     gen      --spec TEXT --seed N       build a random even morphism
     closure  --trials N --seed N        even-closure campaign over random pairs
 
-Exit codes: 0 success / property holds, 1 a campaign found a counterexample,
-2 input error, 3 internal error: any other exception a command raises, and an
-EvencobError raised once the input is accepted (a sampled campaign reads
-nothing but flags; ``maslov`` and ``compose`` once their file is parsed and
-validated); shown as one ``error: internal error: <Type>: <message>`` line
-with no traceback.
+Each command reads its flags and files, parses and validates them (``gen``
+also builds and writes its pipeline), then runs on the accepted input.  Exit
+codes: 0 success / property holds, 1 a campaign found a counterexample, 2 an
+EvencobError while reading or an OutputError (a file the run cannot write),
+3 any other exception, shown as one ``error: internal error: <Type>:
+<message>`` line with no traceback.
 With --output json the report is a single JSON document with a stable key
 set; identical seeds and flags give byte-identical output.  Counterexamples
 are written as complete scenario or pipeline files so they re-run standalone.
@@ -23,7 +23,6 @@ are written as complete scenario or pipeline files so they re-run standalone.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import functools
 import json
 import os
@@ -33,8 +32,9 @@ from pathlib import Path
 
 from . import campaigns
 from .cobordism import compose, is_even, push_forward, validate
-from .errors import EvencobError
+from .errors import EvencobError, OutputError
 from .formats import (
+    Pipeline,
     parse_pipeline,
     parse_scenario,
     pipeline_for_morphism,
@@ -133,20 +133,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-class _LibraryBug(Exception):
-    """Carries an EvencobError from a step that runs on accepted input."""
-
-
-@contextlib.contextmanager
-def _on_accepted_input():
-    # flags and files are read and validated before this block, so an
-    # EvencobError raised inside it is a library bug, not bad input
-    try:
-        yield
-    except EvencobError as exc:
-        raise _LibraryBug() from exc
-
-
 def _read_input(path: str) -> str:
     """The text of an input file; an unreadable or non-UTF-8 file is bad input."""
     try:
@@ -162,7 +148,7 @@ def _write_output(path: str, text: str) -> None:
     try:
         Path(path).write_text(text)
     except OSError as exc:
-        raise EvencobError(str(exc)) from None
+        raise OutputError(str(exc)) from None
 
 
 def _base_report(command: str, params: dict) -> dict:
@@ -191,12 +177,13 @@ def _triple_report(names: tuple[str, str, str], triple: LagrangianTriple) -> dic
     }
 
 
-def _cmd_maslov(args: argparse.Namespace) -> tuple[dict, int]:
-    scenario = parse_scenario(_read_input(args.input))
-    triples = campaigns.scenario_triples(scenario)
+def _read_maslov(args: argparse.Namespace) -> list:
+    return campaigns.scenario_triples(parse_scenario(_read_input(args.input)))
+
+
+def _run_maslov(args: argparse.Namespace, triples: list) -> tuple[dict, int]:
     report = _base_report("maslov", {"input": args.input})
-    with _on_accepted_input():
-        report["results"] = [_triple_report(names, triple) for names, triple in triples]
+    report["results"] = [_triple_report(names, triple) for names, triple in triples]
     return report, EXIT_OK
 
 
@@ -224,7 +211,15 @@ def _campaign_status(
     return report, EXIT_COUNTEREXAMPLE
 
 
-def _cmd_check(args: argparse.Namespace) -> tuple[dict, int]:
+def _read_check(args: argparse.Namespace) -> list | None:
+    """The theorem's instances in the scenario file; a sampled campaign reads only flags."""
+    if args.input is None:
+        return None
+    scenario = parse_scenario(_read_input(args.input))
+    return campaigns.scenario_instances(campaigns.THEOREMS[args.theorem], scenario)
+
+
+def _run_check(args: argparse.Namespace, instances: list | None) -> tuple[dict, int]:
     params = {
         "theorem": args.theorem,
         "seed": args.seed,
@@ -234,21 +229,17 @@ def _cmd_check(args: argparse.Namespace) -> tuple[dict, int]:
     }
     report = _base_report("check", params)
     theorem = campaigns.THEOREMS[args.theorem]
-    if args.input is not None:
-        scenario = parse_scenario(_read_input(args.input))
-        results = campaigns.evaluate_scenario(theorem, scenario)
+    if instances is not None:
+        results = campaigns.evaluate_scenario(theorem, instances)
         report["results"] = [
             {"instance": label, "holds": out.holds, "details": out.details}
             for label, out in results
         ]
-        if all(out.holds for _, out in results):
-            report["status"] = "holds"
-            return report, EXIT_OK
-        report["status"] = "counterexample"
-        return report, EXIT_COUNTEREXAMPLE
+        holds = all(out.holds for _, out in results)
+        report["status"] = "holds" if holds else "counterexample"
+        return report, EXIT_OK if holds else EXIT_COUNTEREXAMPLE
 
-    with _on_accepted_input():
-        failure = campaigns.run_campaign(theorem, args.trials, args.seed, args.genus_max)
+    failure = campaigns.run_campaign(theorem, args.trials, args.seed, args.genus_max)
     checked = args.trials if failure is None else failure.trial + 1
     report["results"] = [{"checked": checked, "trials": args.trials}]
     return _campaign_status(report, args.theorem, failure, args.counterexample_out)
@@ -267,63 +258,67 @@ def _morphism_summary(m) -> dict:
     }
 
 
-def _cmd_compose(args: argparse.Namespace) -> tuple[dict, int]:
-    pipeline = parse_pipeline(_read_input(args.input))
+def _read_pipeline(args: argparse.Namespace) -> Pipeline:
+    return parse_pipeline(_read_input(args.input))
+
+
+def _read_compose(args: argparse.Namespace) -> Pipeline:
+    pipeline = _read_pipeline(args)
     if not pipeline.entries:
         raise EvencobError("pipeline has no morphisms to compose")
     for entry in pipeline.entries:
-        violations = validate(entry.morphism)
-        if violations:
+        if violations := validate(entry.morphism):
             raise EvencobError(
                 f"line {entry.line}: entry {entry.name!r} is not realizable: {violations[0]}"
             )
-    with _on_accepted_input():
-        composite = pipeline.entries[0].morphism
-        for entry in pipeline.entries[1:]:
-            composite = compose(composite, entry.morphism)
-        summary = _morphism_summary(composite)
-        summary["source"] = pipeline.entries[0].source_name
-        summary["target"] = pipeline.entries[-1].target_name
-        summary["pushforward_dim"] = push_forward(composite, composite.source.lagrangian).dim
+    return pipeline
+
+
+def _run_compose(args: argparse.Namespace, pipeline: Pipeline) -> tuple[dict, int]:
+    composite = functools.reduce(compose, (entry.morphism for entry in pipeline.entries))
+    summary = _morphism_summary(composite)
+    summary["source"] = pipeline.entries[0].source_name
+    summary["target"] = pipeline.entries[-1].target_name
+    summary["pushforward_dim"] = push_forward(composite, composite.source.lagrangian).dim
     report = _base_report("compose", {"input": args.input})
     report["results"] = [summary]
     return report, EXIT_OK
 
 
-def _cmd_even(args: argparse.Namespace) -> tuple[dict, int]:
-    pipeline = parse_pipeline(_read_input(args.input))
+def _run_even(args: argparse.Namespace, pipeline: Pipeline) -> tuple[dict, int]:
     report = _base_report("even", {"input": args.input})
-    results = []
-    for entry in pipeline.entries:
-        summary = _morphism_summary(entry.morphism)
-        summary["name"] = entry.name
-        results.append(summary)
-    report["results"] = results
+    report["results"] = [
+        {**_morphism_summary(entry.morphism), "name": entry.name} for entry in pipeline.entries
+    ]
     return report, EXIT_OK
 
 
-def _cmd_gen(args: argparse.Namespace) -> tuple[dict, int]:
+def _read_gen(args: argparse.Namespace) -> tuple:
     spec = parse_generator_spec(args.spec)
     morphism = random_even_morphism(spec, args.seed)
+    return spec, morphism, serialize_pipeline(pipeline_for_morphism(morphism))
+
+
+def _run_gen(args: argparse.Namespace, built: tuple) -> tuple[dict, int]:
+    spec, morphism, text = built
     report = _base_report("gen", {"spec": format_generator_spec(spec), "seed": args.seed})
     summary = _morphism_summary(morphism)
     summary["source_genera"] = list(morphism.source.genera)
     summary["target_genera"] = list(morphism.target.genera)
-    summary["pipeline"] = serialize_pipeline(pipeline_for_morphism(morphism))
+    summary["pipeline"] = text
     report["results"] = [summary]
     return report, EXIT_OK
 
 
-def _cmd_closure(args: argparse.Namespace) -> tuple[dict, int]:
+def _run_closure(args: argparse.Namespace, _: None) -> tuple[dict, int]:
     params = {"seed": args.seed, "trials": args.trials, "genus_max": args.genus_max}
     report = _base_report("closure", params)
     theorem = campaigns.THEOREMS["closure"]
-    with _on_accepted_input():
-        failure = campaigns.run_campaign(theorem, args.trials, args.seed, args.genus_max)
-        held = args.trials if failure is None else failure.trial
-        # one abstract record per trial that held, drawn from that trial's seed
-        seeds = range(args.seed, args.seed + held)
-        records = Counter(campaigns.abstract_closure(s, args.genus_max) for s in seeds)
+    failure = campaigns.run_campaign(theorem, args.trials, args.seed, args.genus_max)
+    held = args.trials if failure is None else failure.trial
+    # one abstract record per trial that held, drawn from that trial's seed
+    seeds = range(args.seed, args.seed + held)
+    records = Counter(campaigns.abstract_closure(s, args.genus_max) for s in seeds)
     abstract = {"even": records["even"], "odd": records["odd"]}
     checked = held if failure is None else held + 1
     report["results"] = [{"pairs_checked": checked, "abstract_records": abstract}]
@@ -347,13 +342,14 @@ def render(report: dict, mode: str) -> str:
     return "\n".join(lines)
 
 
+# command -> (read, run): run(args, read(args)) is the report and the exit code
 _COMMANDS = {
-    "maslov": _cmd_maslov,
-    "check": _cmd_check,
-    "compose": _cmd_compose,
-    "even": _cmd_even,
-    "gen": _cmd_gen,
-    "closure": _cmd_closure,
+    "maslov": (_read_maslov, _run_maslov),
+    "check": (_read_check, _run_check),
+    "compose": (_read_compose, _run_compose),
+    "even": (_read_pipeline, _run_even),
+    "gen": (_read_gen, _run_gen),
+    "closure": (lambda args: None, _run_closure),  # a sampled campaign reads only flags
 }
 
 
@@ -363,15 +359,18 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_INPUT_ERROR
+    read, run = _COMMANDS[args.command]
+    reading = True
     try:
-        report, code = _COMMANDS[args.command](args)
-    except EvencobError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT_ERROR
+        accepted = read(args)
+        reading = False
+        report, code = run(args, accepted)
     except Exception as exc:
-        bug = exc.__cause__ if isinstance(exc, _LibraryBug) else exc
-        message = " ".join(str(bug).splitlines())
-        print(f"error: internal error: {type(bug).__name__}: {message}", file=sys.stderr)
+        if isinstance(exc, OutputError) or (reading and isinstance(exc, EvencobError)):
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_INPUT_ERROR
+        message = " ".join(str(exc).splitlines())
+        print(f"error: internal error: {type(exc).__name__}: {message}", file=sys.stderr)
         return EXIT_INTERNAL
     try:
         print(render(report, args.output))

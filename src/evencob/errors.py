@@ -1,10 +1,13 @@
 """Exception hierarchy shared across the package.
 
 Bad text input and bad command line flags raise :class:`EvencobError` or a
-subclass, so the command line front end maps "your data is wrong" uniformly
-to exit code 2 while callers can still tell the failure kinds apart.  The
-mathematical checks (a form that is not skew, a subspace that is not
-Lagrangian, morphisms that do not glue) raise these subclasses too.  A bad
+subclass, so callers can tell the failure kinds apart.  The mathematical
+checks (a form that is not skew, a subspace that is not Lagrangian, morphisms
+that do not glue) raise these subclasses too.  The command line front end
+reads and validates its input first: an `EvencobError` there is bad input
+(exit 2).  Once the input is accepted, any exception is an internal error
+(exit 3), except :class:`OutputError`, a file the run was asked to write
+that cannot be written, such as a ``--counterexample-out`` path.  A bad
 argument to a library constructor or function raises ``ValueError`` or
 ``TypeError`` instead: a negative genus in ``standard_surface_space`` or
 ``SurfaceObject``, a genus below 1 in ``random_lagrangian``, ragged rows, the
@@ -63,6 +66,10 @@ class NotSymplecticError(EvencobError):
 
 class GeneratorSpecError(EvencobError):
     """A generator build plan is malformed or internally inconsistent."""
+
+
+class OutputError(EvencobError):
+    """A file the run was asked to write cannot be written."""
 
 
 class ParseError(EvencobError):

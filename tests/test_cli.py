@@ -15,7 +15,7 @@ from evencob import campaigns
 from evencob.campaigns import CheckOutcome
 from evencob.cli import build_parser, main
 from evencob.cobordism import compose, validate
-from evencob.errors import InvalidTripleError
+from evencob.errors import DimensionMismatchError, InvalidTripleError
 from evencob.formats import parse_pipeline, serialize_pipeline
 from evencob.generators import MAX_NESTING
 from evencob.linalg import RationalMatrix, Subspace
@@ -527,6 +527,30 @@ class TestExitCodes:
         out, err = capsys.readouterr()
         assert (code, out) == (3, "")
         assert err == "error: internal error: NotSymmetricError: Maslov form gram must be symmetric\n"
+
+    def test_library_error_in_a_scenario_check_is_exit_3(self, capsys, monkeypatch, triple_file):
+        # the theorem's triples are validated while reading, so the Maslov
+        # index that fails on them is a bug
+        monkeypatch.setattr(RationalMatrix, "is_symmetric", lambda self: False)
+        code = main(["check", "--theorem", "parity", "--in", triple_file])
+        out, err = capsys.readouterr()
+        assert (code, out) == (3, "")
+        assert err == "error: internal error: NotSymmetricError: Maslov form gram must be symmetric\n"
+
+    def test_library_error_in_an_evenness_report_is_exit_3(
+        self, capsys, monkeypatch, pipeline_file
+    ):
+        # a pipeline that reads is accepted, so is_even failing on it is a bug
+        from evencob import cobordism
+
+        def broken(m):
+            raise DimensionMismatchError("epsilon broke")
+
+        monkeypatch.setattr(cobordism, "epsilon", broken)
+        code = main(["even", "--in", pipeline_file])
+        out, err = capsys.readouterr()
+        assert (code, out) == (3, "")
+        assert err == "error: internal error: DimensionMismatchError: epsilon broke\n"
 
     @pytest.mark.parametrize("command", [["check", "--theorem", "parity"], ["closure"]])
     def test_genus_cap_at_text_bound_runs(self, capsys, command):

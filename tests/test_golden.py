@@ -108,6 +108,8 @@ CASES = {
 for t in THEOREMS:
     CASES[f"check-{t}"] = (["check", "--theorem", t, "--trials", "8", "--seed", "3"], None)
     CASES[f"check-in-{t}"] = (["check", "--theorem", t, "--in", "genus1.ssf"], None)
+for t in ("parity", "dim-sum", "annihilator"):
+    CASES[f"check-in-not-lagrangian-{t}"] = (["check", "--theorem", t, "--in", "bad.ssf"], None)
 for t in ("pair-dims", "ann-identities"):
     CASES[f"check-in-plane-{t}"] = (["check", "--theorem", t, "--in", "plane.ssf"], None)
 for kind, spec in GEN_SPECS.items():
