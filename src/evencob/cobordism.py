@@ -22,6 +22,11 @@ coming from either side.  The composite weight is
 
 with the Maslov correction evaluated in the middle surface.
 
+Gluing along the empty surface is the monoidal product, disjoint union: the
+Maslov correction lives in a 0-dimensional space and both cokernel
+projections are identities, so the composite is the block sum of the two
+bodies with weight w(m1) + w(m2), and compose builds it as such.
+
 Record equality on CobordismMorphism is structural (same presentation), which
 is what file round-trips need; two presentations of the same glued manifold
 can differ by a basis choice, so tests compare invariants instead.
@@ -259,11 +264,13 @@ def validate(m: CobordismMorphism) -> list[str]:
     (-psi_source) + psi_target, the necessary condition from duality that
     makes push_forward and pull_back produce Lagrangians.
     """
+    # on the stored integers: a column is a unit vector iff its one nonzero
+    # entry is its row's denominator
     issues = [
         f"{name} column {j} is not a standard basis vector"
         for name, mat in (("j_src_h0", m.j_src_h0), ("j_tgt_h0", m.j_tgt_h0))
         for j in range(mat.cols)
-        if [x for x in mat.column(j) if x] != [1]
+        if [r[j] == d for r, d in zip(mat._rows, mat._dens) if r[j]] != [True]
     ]
     combined = m.j_src_h1.hstack(m.j_tgt_h1)
     boundary_kernel = kernel(combined)
@@ -291,14 +298,36 @@ def check_composable(m1: CobordismMorphism, m2: CobordismMorphism) -> None:
         )
 
 
+def _block_sum(
+    m1: CobordismMorphism, m2: CobordismMorphism, source: SurfaceObject, target: SurfaceObject
+) -> CobordismMorphism:
+    """The two bodies side by side, between the given objects: weights add,
+    all maps block-sum."""
+    bd = RationalMatrix.block_diag
+    return CobordismMorphism(
+        source,
+        target,
+        m1.weight + m2.weight,
+        m1.h1_dim + m2.h1_dim,
+        m1.h0_dim + m2.h0_dim,
+        bd(m1.j_src_h1, m2.j_src_h1),
+        bd(m1.j_tgt_h1, m2.j_tgt_h1),
+        bd(m1.j_src_h0, m2.j_src_h0),
+        bd(m1.j_tgt_h0, m2.j_tgt_h0),
+    )
+
+
 def compose(m1: CobordismMorphism, m2: CobordismMorphism) -> CobordismMorphism:
     """Glue m1 and m2 along the middle surface (m1 first, then m2).
 
     The middle objects must agree structurally, as check_composable decides;
-    pipeline files are checked the same way when they are read.
+    pipeline files are checked the same way when they are read.  Along the
+    empty surface the composite is the block sum of the two bodies.
     """
     check_composable(m1, m2)
     middle = m1.target
+    if middle.is_empty:
+        return _block_sum(m1, m2, m1.source, m2.target)
 
     correction = maslov_index(
         LagrangianTriple(

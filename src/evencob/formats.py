@@ -23,13 +23,14 @@ Rationals are written p/q or as bare integers; no floating point is accepted
 anywhere.  Serializing and re-parsing yields structurally identical values.
 
 The readers are the trust boundary for numbers.  Each token is matched once
-against the rational pattern, `generators.check_digits` bounds its digit
-counts, and `int()` reads its numerator and denominator, which are divided by
-their gcd.  A line of tokens becomes one integer row over the lcm of its
-denominators, the row form `linalg` stores, so matrices and subspaces are
-built from the text with no `Fraction` in between.  Other integers and the
-genera are read and bounded as generator text reads them, by
-`generators.read_int` and `generators.check_genera`.
+against the rational pattern, which takes ASCII digits only,
+`generators.check_digits` bounds its digit counts, and `int()` reads its
+numerator and denominator, which are divided by their gcd.  A line of tokens
+becomes one integer row over the lcm of its denominators, the row form
+`linalg` stores, so matrices and subspaces are built from the text with no
+`Fraction` in between.  Other integers and the genera are read and bounded
+as generator text reads them, by `generators.read_int` and
+`generators.check_genera`.
 
 An error raised while a statement is checked keeps its class and gets
 `line N: ` in front.  Consecutive pipeline entries must glue, as
@@ -60,7 +61,8 @@ from .generators import (
 from .linalg import IntRow, RationalMatrix, Subspace, _over_lcm
 from .symplectic import SymplecticSpace, beta0, beta1
 
-_RATIONAL_RE = re.compile(r"^[+-]?\d+(/[1-9]\d*)?$")
+# ASCII digits only: \d and int() also take other scripts' decimal digits
+_RATIONAL_RE = re.compile(r"^[+-]?[0-9]+(/[1-9][0-9]*)?$")
 
 
 def _read_ratio(token: str, line: int | None) -> tuple[int, int]:

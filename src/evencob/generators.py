@@ -22,7 +22,7 @@ files), whitespace separated:
                |  handlebody | cap
     keys      :=  genus=INT | genera=[INT,INT,...] | weight=INT
                |  twist_seed=INT | twist_length=INT
-    INT       :=  -?DIGITS, at most MAX_NUMBER_DIGITS (1000) digits
+    INT       :=  -?DIGITS, ASCII 0-9, at most MAX_NUMBER_DIGITS (1000) digits
 
 Combinations nest at most MAX_NESTING (100) deep.
 
@@ -38,6 +38,7 @@ from dataclasses import dataclass, replace
 from .cobordism import (
     CobordismMorphism,
     SurfaceObject,
+    _block_sum,
     _cylinder,
     compose,
     empty_surface,
@@ -82,9 +83,9 @@ def check_digits(digits: str, what: str, error: type[EvencobError], *where: int 
 
 
 def read_int(token: str, what: str, error: type[EvencobError], *where: int | None) -> int:
-    """The integer a token writes: one optional minus sign, then decimal digits."""
+    """The integer a token writes: one optional minus sign, then ASCII digits."""
     digits = token.removeprefix("-")
-    if not digits.isdecimal():
+    if not (digits.isascii() and digits.isdecimal()):
         raise error(f"{what} must be an integer, found {token!r}", *where)
     check_digits(digits, what, error, *where)
     return int(token)
@@ -180,18 +181,8 @@ def _union_object(a: SurfaceObject, b: SurfaceObject) -> SurfaceObject:
 
 def disjoint_union(m1: CobordismMorphism, m2: CobordismMorphism) -> CobordismMorphism:
     """Place two cobordisms side by side; weights add, all maps block-sum."""
-    bd = RationalMatrix.block_diag
-    return CobordismMorphism(
-        _union_object(m1.source, m2.source),
-        _union_object(m1.target, m2.target),
-        m1.weight + m2.weight,
-        m1.h1_dim + m2.h1_dim,
-        m1.h0_dim + m2.h0_dim,
-        bd(m1.j_src_h1, m2.j_src_h1),
-        bd(m1.j_tgt_h1, m2.j_tgt_h1),
-        bd(m1.j_src_h0, m2.j_src_h0),
-        bd(m1.j_tgt_h0, m2.j_tgt_h0),
-    )
+    source = _union_object(m1.source, m2.source)
+    return _block_sum(m1, m2, source, _union_object(m1.target, m2.target))
 
 
 @dataclass(frozen=True)
@@ -368,7 +359,7 @@ def _parse_int_list(token: str) -> tuple[int, ...]:
     if not inner:
         return ()
     parts = [part.strip() for part in inner.split(",")]
-    if not all(re.fullmatch(r"-?\d+", part) for part in parts):
+    if not all(re.fullmatch(r"-?[0-9]+", part) for part in parts):
         raise GeneratorSpecError(f"bad integer list {token!r}")
     return tuple(read_int(part, "genera", GeneratorSpecError) for part in parts)
 

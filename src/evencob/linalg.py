@@ -11,6 +11,8 @@ structural equality and hashing are exact.  ``rref`` is the only full
 elimination: each linear system is one ``rref`` of an augmented matrix, and
 a kernel is one ``rref`` of the matrix with its columns reversed, whose null
 rows, read back in the original order, already are the kernel's RREF basis.
+``rank`` reads nothing but the pivot count, so it runs only the forward pass
+of the same elimination loop: rows below each pivot, no back-substitution.
 A row is reduced modulo a subspace by one pass over the subspace's RREF basis
 rows (``_reduce``), with the step ``rref`` itself takes; membership tests,
 sums and intersections start there.  There is one product loop: ``@`` feeds
@@ -327,15 +329,15 @@ class RationalMatrix:
 
     # -- elimination ----------------------------------------------------------
 
-    def rref(self) -> tuple["RationalMatrix", tuple[int, ...]]:
-        """Reduced row-echelon form and the tuple of pivot columns.
+    def _eliminate(self, reduced: bool) -> tuple[list[list[int]], list[int]]:
+        """The one elimination loop, on the stored integers: rows and pivots.
 
-        Fraction-free Gauss-Jordan on the stored integers: each row is made
-        primitive (scaling a row leaves the RREF unchanged), eliminated with
-        ``p * row - f * pivot_row`` (p and f divided by their gcd first) and
-        divided by the gcd of its entries.
-        Each pivot row ends primitive, so over its pivot, with the sign made
-        positive, it is already in lowest terms.
+        Each row is made primitive (scaling a row leaves the RREF unchanged),
+        eliminated with ``p * row - f * pivot_row`` (p and f divided by their
+        gcd first) and divided by the gcd of its entries.  Only the rows below
+        each pivot are cleared unless ``reduced``: that forward pass is the
+        echelon form, with the same pivots, and the rows above are left as
+        they are.
         """
         m = [_primitive(row) for row in self._rows]
         nrows, ncols = len(m), self._ncols
@@ -354,7 +356,7 @@ class RationalMatrix:
             m[r], m[pr] = m[pr], m[r]
             prow = m[r]
             p = prow[c]
-            for i in range(nrows):
+            for i in range(0 if reduced else r + 1, nrows):
                 f = m[i][c]
                 if i != r and f:
                     g = gcd(p, f)
@@ -362,15 +364,27 @@ class RationalMatrix:
                     m[i] = _primitive([s * a - t * b for a, b in zip(m[i], prow)])
             pivots.append(c)
             r += 1
+        return m, pivots
+
+    def rref(self) -> tuple["RationalMatrix", tuple[int, ...]]:
+        """Reduced row-echelon form and the tuple of pivot columns.
+
+        Fraction-free Gauss-Jordan: the elimination loop, clearing each pivot
+        column above and below.  Each pivot row ends primitive, so over its
+        pivot, with the sign made positive, it is already in lowest terms.
+        """
+        m, pivots = self._eliminate(reduced=True)
+        ncols = self._ncols
         pairs = [
             (tuple(row), row[c]) if row[c] > 0 else (tuple([-x for x in row]), -row[c])
             for row, c in zip(m, pivots)
         ]
-        pairs += [((0,) * ncols, 1)] * (nrows - r)
+        pairs += [((0,) * ncols, 1)] * (len(m) - len(pivots))
         return RationalMatrix._of_pairs(pairs, ncols), tuple(pivots)
 
     def rank(self) -> int:
-        return len(self.rref()[1])
+        """The pivot count of the forward pass: no back-substitution, no normalization."""
+        return len(self._eliminate(reduced=False)[1])
 
     def solve(self, rhs: "RationalMatrix") -> "RationalMatrix | None":
         """The solution X of ``self @ X = rhs``, one column per column of rhs.

@@ -19,7 +19,7 @@ from typing import Sequence
 
 from .cobordism import CobordismMorphism, SurfaceObject, evened
 from .generators import GeneratorSpec, _draw_object, random_even_morphism, target_genera
-from .linalg import RationalMatrix, Subspace, canonical_basis, cokernel
+from .linalg import RationalMatrix, Subspace, _leading, _null_rows, canonical_basis
 from .maslov import LagrangianTriple
 from .symplectic import (
     SymplecticSpace,
@@ -261,7 +261,11 @@ def random_abstract_morphism(
         boundary_kernel = Subspace(RationalMatrix._of_ints(rows, 2 * total))
     else:
         boundary_kernel = Subspace.zero(0)
-    dim, projection = cokernel(boundary_kernel.basis.transpose())
+    # the projection onto Q^2total / kernel, read off the kernel's RREF basis
+    # as the cokernel of its transpose would read it
+    basis = boundary_kernel.basis
+    pairs = _null_rows(basis, tuple(map(_leading, basis._rows)))
+    dim, projection = len(pairs), RationalMatrix._of_pairs(pairs, basis.cols)
     extra = rng.randrange(2)  # body classes not touching the boundary
 
     def columns(offset: int, width: int) -> RationalMatrix:

@@ -223,7 +223,7 @@ def reference_random_symplectic(g: int, seed: int, length: int) -> RationalMatri
     return acc
 
 
-_REFERENCE_RATIONAL_RE = re.compile(r"^[+-]?\d+(/[1-9]\d*)?$")
+_REFERENCE_RATIONAL_RE = re.compile(r"^[+-]?[0-9]+(/[1-9][0-9]*)?$")
 
 
 def reference_parse_rational(token: str, line: int | None = None) -> Fraction:

@@ -578,6 +578,16 @@ class TestExitCodes:
             "error: line 1: genus must be an integer, found '\u00b2'\n",
         ),
         (
+            ["maslov", "--in"],
+            "form 2\n0 \u0661\n-1 0\n",
+            "error: line 2: not a rational (p/q or integer): '\u0661'\n",
+        ),
+        (
+            ["gen", "--spec", "handlebody genus=\u0661"],
+            None,
+            "error: genus must be an integer, found '\u0661'\n",
+        ),
+        (
             ["gen", "--spec", "handlebody genus=-1"],
             None,
             "error: genera must be non-negative, got (-1,)\n",
@@ -653,6 +663,8 @@ class TestExitCodes:
         "maslov-form",
         "compose-genus",
         "even-genus",
+        "maslov-other-digit",
+        "gen-other-digit",
         "gen-handlebody",
         "gen-pseudo-cylinder",
         "gen-twisted-cylinder",

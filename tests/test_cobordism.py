@@ -31,6 +31,7 @@ from evencob.generators import (
     ATOM_KINDS,
     GeneratorSpec,
     cap,
+    disjoint_union,
     handlebody,
     random_even_morphism,
     twisted_cylinder,
@@ -420,6 +421,31 @@ class TestCompose:
         for seed in range(20):
             m1, m2 = random_even_pair(seed)
             assert validate(compose(m1, m2)) == []
+
+    @pytest.mark.parametrize(
+        "sampler", [random_even_pair, random_abstract_even_pair], ids=["built", "abstract"]
+    )
+    def test_gluing_along_the_empty_surface_is_disjoint_union(self, sampler):
+        pairs = [sampler(seed, 3) for seed in range(200)]
+        along_empty = [(m1, m2) for m1, m2 in pairs if m1.target.is_empty]
+        assert len(along_empty) >= 10
+        for m1, m2 in along_empty:
+            assert compose(m1, m2) == disjoint_union(m1, m2)
+
+    def test_fixtures_glued_along_the_empty_surface_are_disjoint_unions(self):
+        closed = compose(handlebody(1, SPAN_E, 1), cap(1, SPAN_E, 1))
+        fixtures = [
+            (cap(1, SPAN_E, 1, ROT), handlebody(2, standard_lagrangian(2), 0)),
+            (closed, handlebody(1, SPAN_F, -1)),
+            (cap(2, standard_lagrangian(2), 3), closed),
+            (closed, closed),
+            (identity(empty_surface()), identity(empty_surface())),
+        ]
+        for m1, m2 in fixtures:
+            glued = compose(m1, m2)
+            assert glued == disjoint_union(m1, m2)
+            assert glued.weight == m1.weight + m2.weight
+            assert validate(glued) == []
 
 
 def reversed_morphism(m):

@@ -274,7 +274,15 @@ def test_parse_rational_accepts_only_exact_tokens():
             parse_rational(bad)
 
 
-@pytest.mark.parametrize("token", ["--2", "\u00b2", "-", "+2", "2_0", "2.0"])
+@pytest.mark.parametrize("token", ["\u0661", "-\u0661", "\u0661/2", "1/\u0662", "\uff19"])
+def test_rationals_take_ascii_digits_only(token):
+    # other scripts' decimal digits would otherwise read "0 \u0661" as "0 1"
+    with pytest.raises(FileSyntaxError) as exc:
+        parse_scenario(f"form 2\n0 {token}\n-1 0\n")
+    assert str(exc.value) == f"line 2: not a rational (p/q or integer): {token!r}"
+
+
+@pytest.mark.parametrize("token", ["--2", "\u00b2", "-", "+2", "2_0", "2.0", "\u0662"])
 @pytest.mark.parametrize(
     "template",
     ["form {}\n", "object E genera {}\nlagrangian 0\n", "object E genera\nlagrangian {}\n"],
@@ -289,7 +297,7 @@ def test_malformed_counts_are_syntax_errors(template, token):
     assert f"must be an integer, found {token!r}" in str(exc.value)
 
 
-@pytest.mark.parametrize("token", ["2", "02", "\u0662"])
+@pytest.mark.parametrize("token", ["2", "02"])
 def test_count_tokens_keep_their_value(token):
     assert parse_scenario(f"form {token}\n0 1\n-1 0\n").space.dim == 2
     text = f"object T genera {token}\nlagrangian 2\n1 0 0 0\n0 0 1 0\n"
@@ -301,7 +309,7 @@ def test_negative_count_is_rejected():
         parse_scenario("form -3\n")
 
 
-@pytest.mark.parametrize("token", ["1_0", "+1", "--1", "-", "1.0", "\u00b2"])
+@pytest.mark.parametrize("token", ["1_0", "+1", "--1", "-", "1.0", "\u00b2", "-\u0662"])
 def test_malformed_weights_are_syntax_errors(token):
     text = HANDLEBODY_CAP_CBF.replace("weight 1 h1", f"weight {token} h1")
     with pytest.raises(FileSyntaxError) as exc:
@@ -309,7 +317,7 @@ def test_malformed_weights_are_syntax_errors(token):
     assert str(exc.value) == f"line 6: weight must be an integer, found {token!r}"
 
 
-@pytest.mark.parametrize("token, value", [("1", 1), ("-3", -3), ("0", 0), ("07", 7), ("-\u0662", -2)])
+@pytest.mark.parametrize("token, value", [("1", 1), ("-3", -3), ("0", 0), ("07", 7)])
 def test_weight_tokens_keep_their_value(token, value):
     text = HANDLEBODY_CAP_CBF.replace("weight 1 h1", f"weight {token} h1")
     pipeline = parse_pipeline(text)
@@ -321,14 +329,14 @@ def _not_an_integer(token: str) -> tuple[str, str]:
     return token, f"weight must be an integer, found {token!r}"
 
 
-# other-script digits, signs, junk and the digit bound
+# ASCII digits, other-script digits (rejected), signs, junk and the digit bound
 INTEGER_TOKENS = {
     "ascii": ("7", 7),
     "negative": ("-3", -3),
     "leading-zeros": ("007", 7),
-    "arabic-indic": ("\u0661\u0662", 12),
-    "arabic-indic-negative": ("-\u0662", -2),
-    "fullwidth": ("\uff19", 9),
+    "arabic-indic": _not_an_integer("\u0661\u0662"),
+    "arabic-indic-negative": _not_an_integer("-\u0662"),
+    "fullwidth": _not_an_integer("\uff19"),
     "1000-digits": ("9" * 1000, int("9" * 1000)),
     "double-minus": _not_an_integer("--1"),
     "plus": _not_an_integer("+1"),
@@ -507,7 +515,7 @@ def test_numbers_at_the_digit_limit_accepted():
     assert parse_pipeline(text).entries[0].morphism.weight == -int(limit)
 
 
-# decimal digits in four scripts: the pattern, int() and Fraction() read them all
+# decimal digits in four scripts: int() and Fraction() read them all, a file only ASCII
 _DIGITS = "0123456789٠١٢٩０１９०१९"
 
 
@@ -559,13 +567,11 @@ def test_parse_rational_fixtures_match_the_fraction_reader(token):
 
 @st.composite
 def _spelled(draw, x: Fraction) -> str:
-    """One way a file may write x: not in lowest terms, padded, signed, other scripts."""
+    """One way a file may write x: not in lowest terms, padded, signed."""
     k = draw(st.integers(1, 4))
     num, den = abs(x.numerator) * k, x.denominator * k
     sign = "-" if x < 0 else draw(st.sampled_from(["", "+", "-"] if x == 0 else ["", "+"]))
     numerator = "0" * draw(st.integers(0, 2)) + str(num)
-    if draw(st.booleans()):
-        numerator = numerator.translate(str.maketrans("0123456789", "٠١٢٣٤٥٦٧٨٩"))
     if den == 1 and draw(st.booleans()):
         return sign + numerator
     return f"{sign}{numerator}/{den}"

@@ -44,6 +44,8 @@ FIXTURES = {
     "generator W V V twisted_cylinder twist_seed=8 twist_length=5\n"
     "morphism KK V E weight 1 h1 2 h0 2\njsrc_h1\n1 0 0 0\n0 0 1 0\njtgt_h1\n"
     "jsrc_h0\n1 0\n0 1\njtgt_h0\n",
+    # a form entry written with an Arabic-Indic digit, which the readers refuse
+    "other-digit.ssf": "form 2\n0 \u0661\n-1 0\n",
 }
 
 GEN_SPECS = {
@@ -115,6 +117,8 @@ for t in ("pair-dims", "ann-identities"):
 for kind, spec in GEN_SPECS.items():
     for seed in ("0", "5"):
         CASES[f"gen-{kind}-seed{seed}"] = (["gen", "--spec", spec, "--seed", seed], None)
+CASES["maslov-other-digit"] = (["maslov", "--in", "other-digit.ssf"], None)
+CASES["spec-other-digit"] = (["gen", "--spec", "handlebody genus=\u0661"], None)
 CASES["compose-chain"] = (["compose", "--in", "chain.cbf"], None)
 CASES["even-chain"] = (["even", "--in", "chain.cbf"], None)
 

@@ -314,6 +314,7 @@ class TestRrefOracle:
         red, pivots = m.rref()
         assert (matrix_rows(red), list(pivots)) == oracle_rref(matrix_rows(m), m.cols)
         assert all(type(x) is Fraction for x in red.entries)
+        assert m.rank() == len(pivots)
 
     @given(rref_matrices())
     def test_matches_reference(self, m):
@@ -327,6 +328,18 @@ class TestRrefOracle:
     def test_zero_and_duplicate_rows(self):
         row = [Fraction(1, 3), Fraction(2, 5), 2**64 + 1]
         self.check(RationalMatrix([[0, 0, 0], row, [0, 0, 0], row]))
+
+    @given(rref_matrices(), st.data())
+    def test_rank_counts_the_pivots_of_rref(self, m, data):
+        # rank runs only the forward pass: a zero column, at a drawn position,
+        # must not be taken for a pivot, nor a row left dependent on the pivot
+        # row just above it
+        at = data.draw(st.integers(0, m.cols))
+        rows = [list(m.row(i)) for i in range(m.rows)]
+        padded = RationalMatrix([r[:at] + [0] + r[at:] for r in rows], cols=m.cols + 1)
+        doubled = RationalMatrix([r for r in rows for _ in range(2)], cols=m.cols)
+        for x in (padded, doubled):
+            assert x.rank() == len(x.rref()[1])
 
 
 class TestSubspaceConstructor:
