@@ -45,6 +45,7 @@ from .generators import (
     format_generator_spec,
     parse_generator_spec,
     random_even_morphism,
+    read_int,
 )
 from .maslov import (
     LagrangianTriple,
@@ -63,16 +64,17 @@ EXIT_INTERNAL = 3
 SCHEMA_VERSION = 1
 
 
-def _bounded_int(minimum: int, maximum: int | None = None):
-    """An argparse type: an integer no smaller than `minimum` and, if given,
-    no larger than `maximum`."""
+def _bounded_int(minimum: int | None = None, maximum: int | None = None):
+    """An argparse type: an integer written as in generator text (one optional
+    minus, then at most 1000 ASCII digits), no smaller than `minimum` and no
+    larger than `maximum`, each if given."""
 
     def parse(text: str) -> int:
         try:
-            value = int(text)
-        except ValueError:
+            value = read_int(text, "an integer flag", EvencobError)
+        except EvencobError:
             raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-        if value < minimum:
+        if minimum is not None and value < minimum:
             raise argparse.ArgumentTypeError(f"must be at least {minimum}, got {value}")
         if maximum is not None and value > maximum:
             raise argparse.ArgumentTypeError(f"must be at most {maximum}, got {value}")
@@ -94,7 +96,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--output", choices=("text", "json"), default="text")
 
     def campaign(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--seed", type=_bounded_int(), default=0)
         p.add_argument("--trials", type=_bounded_int(0), default=100)
         # the bound generator text has: one trial at a far larger cap need not finish
         p.add_argument("--genus-max", type=_bounded_int(1, MAX_TEXT_GENUS), default=3)
@@ -122,7 +124,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gen", help="build a seeded random even morphism from a plan")
     p.add_argument("--spec", required=True, metavar="TEXT")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_bounded_int(), default=0)
     common(p)
 
     p = sub.add_parser("closure", help="compose random even pairs and check evenness")

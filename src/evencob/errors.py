@@ -12,7 +12,9 @@ argument to a library constructor or function raises ``ValueError`` or
 ``TypeError`` instead: a negative genus in ``standard_surface_space`` or
 ``SurfaceObject``, a genus below 1 in ``random_lagrangian``, ragged rows, the
 inverse of a singular matrix (``ValueError``), or a float entry in
-``RationalMatrix`` (``TypeError``).
+``RationalMatrix`` and a genus that is not an ``int`` (a float, a string, a
+bool) in ``standard_surface_space``, ``SurfaceObject`` or ``GeneratorSpec``
+(``TypeError``).
 """
 
 

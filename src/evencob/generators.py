@@ -49,6 +49,7 @@ from .errors import DimensionMismatchError, EvencobError, GeneratorSpecError, No
 from .linalg import RationalMatrix, Subspace
 from .symplectic import (
     DEFAULT_WALK_LENGTH,
+    _int_genera,
     preserves_standard_form,
     random_lagrangian,
     random_symplectic,
@@ -213,7 +214,7 @@ class GeneratorSpec:
         else:
             raise GeneratorSpecError(f"unknown generator kind {self.kind!r}")
         if self.genera is not None:
-            genera = tuple(int(g) for g in self.genera)
+            genera = _int_genera(self.genera)
             if any(g < 0 for g in genera):
                 raise GeneratorSpecError(f"genera must be non-negative, got {genera}")
             object.__setattr__(self, "genera", genera)

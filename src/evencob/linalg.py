@@ -46,12 +46,23 @@ elimination and the canonicalization of its result: the null rows of
 f x = -B y, so their x parts span the preimage.  With the columns reversed
 the x parts would come out canonical, but the elimination would pivot on the
 dense B block first, which is no faster.
+
+The identity map and the whole space are recognized from what is stored and
+cost no arithmetic.  ``RationalMatrix.identity(n)`` is built once per size and
+shared; ``_is_identity`` compares with it.  ``@`` returns the other factor when
+one factor is the identity, and ``_times_transpose`` returns A, or B's
+transpose, when the other factor is.  The preimage of a column span under the
+identity is the span itself, one canonicalization.  When the larger operand of
+an intersection or a sum is the whole space, the intersection is the smaller
+operand and the sum the larger: the values the reduction by the identity basis
+reaches.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from itertools import chain
 from math import gcd, lcm
 from operator import mul
@@ -172,7 +183,9 @@ class RationalMatrix:
     # -- construction helpers -------------------------------------------------
 
     @classmethod
+    @cache
     def identity(cls, n: int) -> "RationalMatrix":
+        """The n x n identity, built once per size and shared: matrices are immutable."""
         return cls._of_ints([(0,) * i + (1,) + (0,) * (n - 1 - i) for i in range(n)], n)
 
     @classmethod
@@ -234,6 +247,9 @@ class RationalMatrix:
     def __hash__(self) -> int:
         return hash((self._rows, self._dens, self._ncols))
 
+    def _is_identity(self) -> bool:
+        return len(self._rows) == self._ncols and self == RationalMatrix.identity(self._ncols)
+
     def __repr__(self) -> str:
         body = "; ".join(" ".join(map(str, self.row(i))) for i in range(self.rows))
         return f"RationalMatrix({self.rows}x{self.cols}: {body})"
@@ -277,6 +293,10 @@ class RationalMatrix:
             raise DimensionMismatchError(
                 f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}"
             )
+        if self._is_identity():
+            return other
+        if other._is_identity():
+            return self
         scaled, e = other._over_one_denominator()
         return self._product(list(zip(*scaled)) or [()] * other._ncols, e)
 
@@ -482,6 +502,8 @@ class Subspace:
         """
         self._check_ambient(other)
         a, b = (self, other) if self.dim <= other.dim else (other, self)
+        if b.dim == b.ambient_dim:
+            return b
         residues = [r for r in _reduce(a.basis._rows, b.basis._rows) if any(r)]
         if not residues:
             return b
@@ -507,6 +529,8 @@ class Subspace:
         """
         self._check_ambient(other)
         a, b = (self, other) if self.dim <= other.dim else (other, self)
+        if b.dim == b.ambient_dim:
+            return a
         n = self.ambient_dim
         pad = (0,) * n
         rows = _reduce([r + r for r in a.basis._rows], [r + pad for r in b.basis._rows])
@@ -596,6 +620,10 @@ def _times_transpose(a: RationalMatrix, b: RationalMatrix) -> RationalMatrix:
         raise DimensionMismatchError(
             f"cannot multiply {a.rows}x{a.cols} by the transpose of {b.rows}x{b.cols}"
         )
+    if b._is_identity():
+        return a
+    if a._is_identity():
+        return b.transpose()
     scaled, e = b._over_one_denominator()
     return a._product(scaled, e)
 
@@ -624,8 +652,13 @@ def _preimage_of_columns(f: RationalMatrix, span: RationalMatrix) -> Subspace:
     """{x : f @ x lies in the column span of `span`}, from one elimination.
 
     The null rows of ``[f | span]`` are the pairs (x, y) with f x = -span y,
-    so their first ``f.cols`` coordinates span the preimage.
+    so their first ``f.cols`` coordinates span the preimage.  Under the
+    identity the preimage is the column span itself.
     """
+    if span.rows != f.rows:
+        raise DimensionMismatchError(f"columns of length {span.rows} for a map into {f.rows}")
+    if f._is_identity():
+        return Subspace(span.transpose())
     n = f.cols
     rows = [_reduced(r[:n], d) for r, d in _null_rows(*f.hstack(span).rref())]
     return Subspace(RationalMatrix._of_pairs(rows, n))

@@ -134,7 +134,9 @@ def maslov_form(triple: LagrangianTriple) -> MaslovForm:
     in l2 with s_i - y_i in l1.  A domain row d is the combination of the s_i
     with the coefficients d[pivot_i], so its l2 part is the same combination
     of the y_i.  With C those coefficients, D the domain basis and G the
-    space's gram, the gram is C Y G D^T.
+    space's gram, the gram is C Y G D^T.  When every left-half column is a
+    pivot, l1 + l2 is the whole space: the domain is l3 itself, C is D, and
+    neither the sum's basis nor the intersection is built.
     """
     l1, l2, l3 = triple.lagrangians()
     n = triple.space.dim
@@ -143,11 +145,16 @@ def maslov_form(triple: LagrangianTriple) -> MaslovForm:
     red, pivots = RationalMatrix._of(rows, l1.basis._dens + l2.basis._dens, 2 * n).rref()
     k = bisect_left(pivots, n)  # the rows that start in the left half
     split = RationalMatrix._of(red._rows[:k], red._dens[:k], 2 * n)
-    total, y = split._column_block(0, n), split._column_block(n, 2 * n)
-    d = Subspace._canonical(total).intersect(l3).basis
-    c = RationalMatrix._of_pairs(
-        [_reduced([r[p] for p in pivots[:k]], e) for r, e in zip(d._rows, d._dens)], k
-    )
+    y = split._column_block(n, 2 * n)
+    if k == n:
+        # l1 + l2 is the whole space: the domain is l3, and each of its rows
+        # is its own coefficient vector
+        d = c = l3.basis
+    else:
+        d = Subspace._canonical(split._column_block(0, n)).intersect(l3).basis
+        c = RationalMatrix._of_pairs(
+            [_reduced([r[p] for p in pivots[:k]], e) for r, e in zip(d._rows, d._dens)], k
+        )
     gram = _times_transpose(c @ y @ triple.space.gram, d)
     return MaslovForm(d, gram)
 

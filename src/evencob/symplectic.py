@@ -134,8 +134,18 @@ def beta1(genera: Sequence[int]) -> int:
     return 2 * sum(genera)
 
 
+def _int_genera(genera: Iterable[int]) -> tuple[int, ...]:
+    """The genera as a tuple; a genus that is not an int raises TypeError, as a
+    float matrix entry does: nothing is truncated or read from text here."""
+    out = tuple(genera)
+    for g in out:
+        if type(g) is not int:
+            raise TypeError(f"a genus must be an int, got {g!r} ({type(g).__name__})")
+    return out
+
+
 def validated_genera(genera: Iterable[int]) -> tuple[int, ...]:
-    out = tuple(int(g) for g in genera)
+    out = _int_genera(genera)
     if any(g < 0 for g in out):
         raise ValueError(f"genera must be non-negative, got {out}")
     return out

@@ -475,6 +475,39 @@ class TestExitCodes:
         ]
 
     @pytest.mark.parametrize(
+        "argv",
+        [
+            ["check", "--theorem", "parity", "--seed", "0", "--trials"],
+            ["closure", "--seed", "0", "--trials"],
+            ["check", "--theorem", "parity", "--trials", "1", "--genus-max"],
+            ["closure", "--trials", "1", "--seed"],
+            ["check", "--theorem", "parity", "--trials", "1", "--seed"],
+            ["gen", "--spec", "handlebody genus=1", "--seed"],
+        ],
+        ids=["check-trials", "closure-trials", "check-genus-max", "closure-seed", "check-seed",
+             "gen-seed"],
+    )
+    @pytest.mark.parametrize(
+        "text",
+        # other scripts' digits, underscores, a plus sign, surrounding space
+        # and 1001 digits: int() reads all but the last
+        ["١_0", "٣", "२", "1_0", "+3", " 5", "5 ", "-", "3-", "1" * 1001],
+        ids=["arabic-indic-underscore", "arabic-indic", "devanagari", "underscore", "plus",
+             "leading-space", "trailing-space", "minus-only", "trailing-minus", "1001-digits"],
+    )
+    def test_integer_flag_reads_ascii_digits_only(self, capsys, argv, text):
+        code = main(argv + [text])
+        out, err = capsys.readouterr()
+        assert (code, out) == (2, "")
+        errors = [line for line in err.splitlines() if "error:" in line]
+        assert errors == [f"evencob {argv[0]}: error: argument {argv[-1]}: invalid int value: {text!r}"]
+
+    @pytest.mark.parametrize("seed", ["-3", "007", "9" * 1000])
+    def test_integer_flag_reads_a_minus_and_up_to_1000_digits(self, seed):
+        args = build_parser().parse_args(["gen", "--spec", "handlebody genus=1", "--seed", seed])
+        assert args.seed == int(seed)
+
+    @pytest.mark.parametrize(
         "command, sampler, error, message, shown",
         [
             (["check", "--theorem", "parity"], "random_triple", RuntimeError, "sampler broke",

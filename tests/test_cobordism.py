@@ -78,6 +78,10 @@ class TestSurfaceObject:
     def test_betti_numbers(self):
         assert TORUS_E.beta0 == 1 and TORUS_E.beta1 == 2
 
+    def test_genus_that_is_not_an_int_is_refused(self):
+        with pytest.raises(TypeError, match=r"a genus must be an int, got 1.9 \(float\)"):
+            SurfaceObject((1.9,), SPAN_E)
+
 
 class TestIdentity:
     def test_torus(self):

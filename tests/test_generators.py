@@ -301,6 +301,22 @@ class TestGeneratorSpecText:
         with pytest.raises(GeneratorSpecError, match="genera must be non-negative"):
             parse_generator_spec(text)
 
+    def test_negative_genus_in_a_spec_keeps_its_error(self):
+        with pytest.raises(GeneratorSpecError, match=r"genera must be non-negative, got \(1, -2\)"):
+            GeneratorSpec("handlebody", genera=[1, -2])
+
+    @pytest.mark.parametrize(
+        "genera", [(2.5,), (1.0,), ("\u0661",), ("2",), (False,)],
+        ids=["float", "integral-float", "arabic-indic-text", "text", "bool"],
+    )
+    def test_genus_that_is_not_an_int_is_refused(self, genera):
+        # int() would truncate 2.5 to 2 and read the Arabic-Indic one as 1
+        with pytest.raises(TypeError, match="a genus must be an int, got"):
+            GeneratorSpec("handlebody", genera=genera)
+
+    def test_genera_become_a_tuple(self):
+        assert GeneratorSpec("handlebody", genera=[2]).genera == (2,)
+
     @pytest.mark.parametrize(
         "text",
         [

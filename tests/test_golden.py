@@ -119,6 +119,12 @@ for kind, spec in GEN_SPECS.items():
         CASES[f"gen-{kind}-seed{seed}"] = (["gen", "--spec", spec, "--seed", seed], None)
 CASES["maslov-other-digit"] = (["maslov", "--in", "other-digit.ssf"], None)
 CASES["spec-other-digit"] = (["gen", "--spec", "handlebody genus=\u0661"], None)
+# a flag is read by the same rule as text: int() would take these as 10 and 3
+CASES["flag-trials-other-digit"] = (
+    ["check", "--theorem", "parity", "--trials", "\u0661_0", "--seed", "0"],
+    None,
+)
+CASES["flag-seed-other-digit"] = (["gen", "--spec", "handlebody genus=1", "--seed", "\u0663"], None)
 CASES["compose-chain"] = (["compose", "--in", "chain.cbf"], None)
 CASES["even-chain"] = (["even", "--in", "chain.cbf"], None)
 

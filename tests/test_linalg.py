@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from evencob import linalg
 from evencob.errors import DimensionMismatchError
 from evencob.linalg import (
     RationalMatrix,
@@ -895,3 +896,164 @@ class TestCanonicalRows:
         expected = RationalMatrix([[-2, 1, 0], ["-3/2", 0, 1]])
         assert cokernel(RationalMatrix([[2], [4], [3]])) == (2, expected)
         assert RationalMatrix([[2, 4, 3]]).solve(RationalMatrix([[4]])) == RationalMatrix([[2], [0], [0]])
+
+
+def identities(n):
+    """The shared n x n identity, and one built entry by entry from written
+    fractions: both are recognized as the identity."""
+    built = RationalMatrix([["2/2" if i == j else "0/3" for j in range(n)] for i in range(n)], cols=n)
+    return RationalMatrix.identity(n), built
+
+
+@st.composite
+def identity_cases(draw):
+    """An identity of size n (0 included) and a matrix with n columns, of 0 to 5 rows."""
+    n = draw(st.integers(0, 5))
+    eye = draw(st.sampled_from(identities(n)))
+    return eye, draw(entry_matrices(draw(st.integers(0, 5)), n))
+
+
+@st.composite
+def full_rank_spans(draw, n):
+    """The whole of Q^n, spanned by a triangular matrix with a nonzero diagonal,
+    its rows shuffled, plus dependent rows."""
+    diagonal = st.sampled_from([1, -2, Fraction(3, 5)])
+    rows = [
+        [draw(rref_entries) if j > i else draw(diagonal) if j == i else 0 for j in range(n)]
+        for i in range(n)
+    ]
+    if rows:
+        rows += [list(r) for r in draw(st.lists(st.sampled_from(rows), max_size=2))]
+    return Subspace(RationalMatrix(draw(st.permutations(rows)), cols=n))
+
+
+class TestIdentityAndWholeSpace:
+    """The identity map and the whole space give the values the general code
+    computes, without running it."""
+
+    def test_identity_is_built_once_per_size(self):
+        for n in (0, 1, 4):
+            assert RationalMatrix.identity(n) is RationalMatrix.identity(n)
+        assert all(eye._is_identity() for n in range(5) for eye in identities(n))
+        not_identities = [
+            RationalMatrix.zeros(2, 2),
+            RationalMatrix([[1, 0], [0, 2]]),
+            RationalMatrix([[0, 1], [1, 0]]),
+            RationalMatrix([[1, 0, 0], [0, 1, 0]]),
+            RationalMatrix([[1, 0], [0, 1], [0, 0]]),
+            RationalMatrix([[1, Fraction(1, 2)], [0, 1]]),
+        ]
+        assert not any(m._is_identity() for m in not_identities)
+
+    @given(identity_cases())
+    def test_identity_factor_of_a_product(self, case):
+        eye, m = case
+        rows = matrix_rows(m)
+        # m is k x n: it is the right factor of I_k and the left factor of I_n
+        left = RationalMatrix.identity(m.rows)
+        assert matrix_rows(left @ m) == oracle_product(matrix_rows(left), rows, m.cols) == rows
+        assert matrix_rows(m @ eye) == oracle_product(rows, matrix_rows(eye), eye.cols) == rows
+        assert left @ m == m @ eye == m
+
+    @given(identity_cases())
+    def test_identity_factor_of_a_product_with_a_transpose(self, case):
+        eye, m = case
+        # m is k x n: m I^T = m, and I (m^T) = m^T
+        as_right = _times_transpose(m, eye)
+        assert matrix_rows(as_right) == [bench_oracle.apply(matrix_rows(eye), r) for r in matrix_rows(m)]
+        assert as_right == m
+        left = RationalMatrix.identity(m.cols)
+        as_left = _times_transpose(left, m)
+        assert matrix_rows(as_left) == [bench_oracle.apply(matrix_rows(m), r) for r in matrix_rows(left)]
+        assert as_left == m.transpose()
+        assert (as_left.rows, as_left.cols) == (m.cols, m.rows)
+
+    @pytest.mark.parametrize("shape", [(0, 0), (0, 3), (3, 0), (2, 3)])
+    def test_identity_factor_in_empty_shapes(self, shape):
+        rows, cols = shape
+        m = RationalMatrix([[Fraction(i - j, j + 1) for j in range(cols)] for i in range(rows)], cols=cols)
+        for eye in identities(cols):
+            assert m @ eye == m == _times_transpose(m, eye)
+            assert _times_transpose(eye, m) == m.transpose()
+        for eye in identities(rows):
+            assert eye @ m == m
+        with pytest.raises(DimensionMismatchError, match=f"cannot multiply {rows}x{cols} by"):
+            m @ RationalMatrix.identity(cols + 1)
+        with pytest.raises(DimensionMismatchError, match="by the transpose of"):
+            _times_transpose(RationalMatrix.identity(cols + 1), m)
+
+    @given(st.integers(0, 5), st.data())
+    def test_preimage_under_the_identity(self, n, data):
+        eye = data.draw(st.sampled_from(identities(n)))
+        span = data.draw(entry_matrices(n, data.draw(st.integers(0, 5))))
+        target = Subspace(span.transpose())
+        expected = bench_oracle.preimage(matrix_rows(eye), matrix_rows(target.basis), n)
+        assert matrix_rows(_preimage_of_columns(eye, span).basis) == expected
+        assert preimage(eye, target) == target
+
+    def test_preimage_shape_mismatch(self):
+        for f in (RationalMatrix.identity(2), RationalMatrix([[1, 2], [3, 4]])):
+            with pytest.raises(DimensionMismatchError, match="columns of length 3 for a map into 2"):
+                _preimage_of_columns(f, RationalMatrix.zeros(3, 1))
+
+    @given(st.integers(0, 5), st.data())
+    def test_meet_and_sum_with_the_whole_space(self, n, data):
+        a = data.draw(st.one_of(subspaces(ambient=n), full_rank_spans(n)))
+        whole = data.draw(st.one_of(st.just(Subspace.full(n)), full_rank_spans(n)))
+        rows_a, rows_whole = matrix_rows(a.basis), matrix_rows(whole.basis)
+        meet = bench_oracle.intersection(rows_a, rows_whole, n)
+        assert matrix_rows(a.intersect(whole).basis) == matrix_rows(whole.intersect(a).basis) == meet
+        assert a.intersect(whole) == whole.intersect(a) == a
+        total = oracle_span(rows_a + rows_whole, n)
+        assert matrix_rows((a + whole).basis) == matrix_rows((whole + a).basis) == total
+        assert a + whole == whole + a == Subspace.full(n)
+
+
+class TestIdentityAndWholeSpaceCostNothing:
+    """Counts of the work the identity and the whole space skip."""
+
+    @staticmethod
+    def counting(patch, owner, name):
+        calls = []
+        method = getattr(owner, name)
+
+        def counted(*args):
+            calls.append(args)
+            return method(*args)
+
+        patch.setattr(owner, name, counted)
+        return calls
+
+    @pytest.mark.parametrize("n", [0, 1, 3])
+    def test_identity_factor_runs_no_product_loop(self, n):
+        m = RationalMatrix([[Fraction(i + 1, j + 2) for j in range(n)] for i in range(2)], cols=n)
+        with pytest.MonkeyPatch.context() as patch:
+            calls = self.counting(patch, RationalMatrix, "_product")
+            for eye in identities(n):
+                m @ eye
+                _times_transpose(m, eye)
+                _times_transpose(eye, m)
+            for eye in identities(2):
+                eye @ m
+            assert calls == []
+            m @ m.transpose()
+            assert len(calls) == 1
+
+    def test_preimage_under_the_identity_runs_one_elimination(self):
+        span = RationalMatrix([[1, 2], [Fraction(1, 3), 0], [0, 5]])
+        for eye in identities(3):
+            with pytest.MonkeyPatch.context() as patch:
+                calls = self.counting(patch, RationalMatrix, "rref")
+                _preimage_of_columns(eye, span)
+            assert len(calls) == 1
+
+    @pytest.mark.parametrize("n", [2, 4])
+    def test_whole_space_meets_and_sums_without_reduction(self, n):
+        a = span([[Fraction(1, j + 1) for j in range(n)]], n)
+        whole = Subspace.full(n)
+        with pytest.MonkeyPatch.context() as patch:
+            reductions = self.counting(patch, linalg, "_reduce")
+            eliminations = self.counting(patch, RationalMatrix, "rref")
+            assert a.intersect(whole) is a and whole.intersect(a) is a
+            assert a + whole is whole and whole + a is whole
+        assert reductions == eliminations == []

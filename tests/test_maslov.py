@@ -260,6 +260,32 @@ class TestMaslovFormOnComposeTriples:
         # the Zassenhaus elimination, and at most one more inside `intersect`
         assert set(per_form) <= {1, 2} and 1 in per_form and 2 in per_form
 
+    def test_whole_sum_runs_no_intersection(self, monkeypatch):
+        # when l1 + l2 is the whole space the domain is l3, read off without
+        # building the sum or meeting it with l3
+        triples = _compose_triples(random_even_pair, range(20)) + [
+            random_triple(seed, 4) for seed in range(40)
+        ] + [TRIPLE_EF, LagrangianTriple(GENUS_ONE, SPAN_E, SPAN_E, SPAN_F)]
+        meets = []
+        intersect = Subspace.intersect
+
+        def counted(a, b):
+            meets.append((a, b))
+            return intersect(a, b)
+
+        monkeypatch.setattr(Subspace, "intersect", counted)
+        whole = {True: 0, False: 0}
+        for t in triples:
+            n = t.space.dim
+            is_whole = bench_oracle.rank(matrix_rows(t.l1.basis) + matrix_rows(t.l2.basis), n) == n
+            meets.clear()
+            mf = maslov_form(t)
+            assert len(meets) == (0 if is_whole else 1)
+            if is_whole:
+                assert mf.domain_basis == t.l3.basis
+            whole[is_whole] += 1
+        assert whole[True] and whole[False]
+
 
 class TestSignature:
     def test_negative_definite(self):

@@ -32,6 +32,27 @@ SPAN_E = canonical_basis([(1, 0)], 2)
 SPAN_F = canonical_basis([(0, 1)], 2)
 
 
+# a genus that is not an int is refused, as a float matrix entry is, instead
+# of being truncated or read from text by int()
+NOT_INT_GENERA = [(1.9,), (2.5,), ("\u0661",), ("1",), (True,), (1, Fraction(2))]
+NOT_INT_IDS = ["float", "half", "arabic-indic-text", "text", "bool", "fraction"]
+
+
+class TestStandardSurfaceSpace:
+    @pytest.mark.parametrize("genera", NOT_INT_GENERA, ids=NOT_INT_IDS)
+    def test_genus_that_is_not_an_int_is_refused(self, genera):
+        with pytest.raises(TypeError, match="a genus must be an int, got"):
+            standard_surface_space(genera)
+
+    def test_negative_genus_is_a_value_error(self):
+        with pytest.raises(ValueError, match="genera must be non-negative"):
+            standard_surface_space((1, -1))
+
+    def test_any_iterable_of_ints(self):
+        assert standard_surface_space([1, 2]) == standard_surface_space((1, 2))
+        assert standard_surface_space((1, 2)).dim == 6
+
+
 class TestEvaluate:
     def test_standard_pairing(self):
         assert GENUS_ONE.evaluate((1, 0), (0, 1)) == 1
