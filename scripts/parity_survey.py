@@ -12,6 +12,8 @@ import argparse
 from collections import Counter
 
 from evencob import campaigns
+from evencob.cli import _bounded_int
+from evencob.generators import MAX_TEXT_GENUS
 
 
 def _survey(trials: int, seed: int, genus_max: int) -> tuple[Counter[int], int]:
@@ -32,9 +34,10 @@ def _survey(trials: int, seed: int, genus_max: int) -> tuple[Counter[int], int]:
 
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--trials", type=int, default=200, help="triples per genus")
-    parser.add_argument("--genus-max", type=int, default=4)
-    parser.add_argument("--seed", type=int, default=0)
+    # the bounds and the integer rule of `evencob check`
+    parser.add_argument("--trials", type=_bounded_int(0), default=200, help="triples per genus")
+    parser.add_argument("--genus-max", type=_bounded_int(1, MAX_TEXT_GENUS), default=4)
+    parser.add_argument("--seed", type=_bounded_int(), default=0)
     args = parser.parse_args()
 
     print(f"{'genus':>5} {'trials':>7} {'agree':>7} {'degenerate':>11}  index histogram")

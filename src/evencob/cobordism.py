@@ -187,12 +187,15 @@ def _carry(
     j_end: RationalMatrix,
 ) -> Subspace:
     # preimage under the end inclusion of the image under the start inclusion,
-    # with that image given by the columns of j_start @ basis^T
+    # with that image given by the columns of j_start @ basis^T; through a
+    # cylinder, both inclusions the identity, that is the Lagrangian itself
     if lagrangian.ambient_dim != start.beta1:
         raise DimensionMismatchError(
             f"subspace of ambient {lagrangian.ambient_dim}, {side} surface has "
             f"dimension {start.beta1}"
         )
+    if j_start._is_identity() and j_end._is_identity():
+        return lagrangian
     return _preimage_of_columns(j_end, _times_transpose(j_start, lagrangian.basis))
 
 

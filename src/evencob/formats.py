@@ -66,7 +66,21 @@ _RATIONAL_RE = re.compile(r"^[+-]?[0-9]+(/[1-9][0-9]*)?$")
 
 
 def _read_ratio(token: str, line: int | None) -> tuple[int, int]:
-    """The token as (numerator, positive denominator) in lowest terms."""
+    """The token as (numerator, positive denominator) in lowest terms.
+
+    An integer, one optional minus and at most MAX_NUMBER_DIGITS ASCII digits,
+    is read by ``int`` alone; every other token, accepted or not, goes to the
+    pattern, so the values and the error messages do not depend on which way
+    a token took.
+    """
+    digits = token[1:] if token[:1] == "-" else token
+    if digits.isascii() and digits.isdigit() and len(digits) <= MAX_NUMBER_DIGITS:
+        return int(token), 1
+    return _match_ratio(token, line)
+
+
+def _match_ratio(token: str, line: int | None) -> tuple[int, int]:
+    """`_read_ratio` by the pattern and the digit bounds, for any token."""
     if not _RATIONAL_RE.match(token):
         raise FileSyntaxError(f"not a rational (p/q or integer): {token!r}", line)
     numerator, _, denominator = token.lstrip("+-").partition("/")

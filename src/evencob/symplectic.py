@@ -2,7 +2,11 @@
 
 Degenerate forms are first-class: nothing here assumes the Gram matrix is
 invertible, and the radical is simply the annihilator of the whole space,
-which for a skew Gram matrix G is ker G.
+which for a skew Gram matrix G is ker G.  The Lagrangian test reads only the
+radical's size, n - rank G, from one forward elimination per space; ker G is
+built only when the radical itself is asked for.  A gram with one nonzero
+entry per row, as the surface forms and the boundary form (-psi) + psi are,
+is applied to a vector as a signed gather, O(n) instead of n dot products.
 The module also provides the standard intersection form of a disjoint union
 of closed surfaces and seed-deterministic random symplectic matrices and
 Lagrangians used throughout the test campaigns.
@@ -84,9 +88,26 @@ class SymplecticSpace:
         return self._radical
 
     @cached_property
+    def _radical_dim(self) -> int:
+        # dim ker G = n - rank G: the forward pass only, no kernel basis
+        return self.dim - self.gram.rank()
+
+    @cached_property
     def _gram_rows(self) -> list[IntRow]:
         # the gram's integer rows over one positive denominator
         return self.gram._over_one_denominator()[0]
+
+    @cached_property
+    def _pairing(self) -> list[tuple[int, int]] | None:
+        # (column, value) of each integer gram row's one nonzero entry, or
+        # None when some row has no nonzero entry or more than one
+        pairing = []
+        for g in self._gram_rows:
+            nonzero = [(c, v) for c, v in enumerate(g) if v]
+            if len(nonzero) != 1:
+                return None
+            pairing += nonzero
+        return pairing
 
     def _is_isotropic(self, sub: Subspace) -> bool:
         """True iff B G B^T = 0 for the basis B, decided on numerators.
@@ -95,11 +116,18 @@ class SymplecticSpace:
         zero, and B G B^T is skew, so the entries below its diagonal decide:
         b_i . (G b_j) for i > j, with the integer rows b.  No gcd, no
         ``Fraction`` and no transpose; the test stops at the first nonzero.
+        When every gram row has one nonzero entry v at column c, G b is the
+        signed gather ``v * b[c]`` per row, O(n) per basis row; any other
+        gram takes n dot products of length n.
         """
         rows = sub.basis._rows
         gram = self._gram_rows
+        pairing = self._pairing
         for j, b in enumerate(rows[:-1]):
-            image = [sum(map(mul, g, b)) for g in gram]
+            if pairing is None:
+                image = [sum(map(mul, g, b)) for g in gram]
+            else:
+                image = [v * b[c] for c, v in pairing]
             for c in rows[j + 1 :]:
                 if sum(map(mul, image, c)):
                     return False
@@ -108,20 +136,22 @@ class SymplecticSpace:
     def is_lagrangian(self, sub: Subspace) -> bool:
         """True iff the subspace equals its own annihilator.
 
-        A rank test, with R the radical (cached per space): L = Ann(L) iff
+        A rank test, with R the radical: L = Ann(L) iff
         2 dim L = dim V + dim R and L is isotropic, B G B^T = 0 for the basis
         B.  Ann(L) has dimension dim V - dim L + dim(L cap R) and contains L
         when L is isotropic, so the two sides agree once R lies in L.  That
         needs no third test: an isotropic L maps to an isotropic subspace of
         the nondegenerate V/R, so dim L - dim(L cap R) <= (dim V - dim R) / 2,
         and at dim L = (dim V + dim R) / 2 this forces L cap R = R.  The
-        dimension count runs first because it is the cheaper of the two.
+        dimension count runs first because it is the cheaper of the two.  It
+        reads dim R = dim V - rank G, one forward elimination cached per
+        space, so no kernel of G is built here.
 
         Nothing is remembered: each Lagrangian is tested once, where it enters
         (a SurfaceObject, a LagrangianTriple, a record's boundary kernel).
         """
         self._check_ambient(sub)
-        return 2 * sub.dim == self.dim + self._radical.dim and self._is_isotropic(sub)
+        return 2 * sub.dim == self.dim + self._radical_dim and self._is_isotropic(sub)
 
 
 def beta0(genera: Sequence[int]) -> int:

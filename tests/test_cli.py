@@ -17,7 +17,7 @@ from evencob.cli import build_parser, main
 from evencob.cobordism import compose, validate
 from evencob.errors import DimensionMismatchError, InvalidTripleError
 from evencob.formats import parse_pipeline, serialize_pipeline
-from evencob.generators import MAX_NESTING
+from evencob.generators import MAX_NESTING, MAX_TEXT_GENUS
 from evencob.linalg import RationalMatrix, Subspace
 from evencob.sampling import random_even_pair
 from test_golden import CHECK_CE, CLOSURE_CE, EXPECTED, FAULTS, RUNS
@@ -824,19 +824,57 @@ genus  trials   agree  degenerate  index histogram
 """
 
 
-def test_parity_survey_script_runs():
+def _run_parity_survey(*flags: str) -> subprocess.CompletedProcess:
     root = Path(__file__).resolve().parent.parent
     path = os.pathsep.join([str(root / "src"), os.environ.get("PYTHONPATH", "")])
     script = root / "scripts" / "parity_survey.py"
-    done = subprocess.run(
-        [sys.executable, str(script), "--trials", "20", "--genus-max", "2"],
+    return subprocess.run(
+        [sys.executable, str(script), *flags],
         capture_output=True,
         text=True,
         env=dict(os.environ, PYTHONPATH=path),
         timeout=120,
     )
+
+
+def test_parity_survey_script_runs():
+    done = _run_parity_survey("--trials", "20", "--genus-max", "2")
     assert done.returncode == 0, done.stderr
     assert done.stdout == SURVEY_TABLE
+
+
+# the survey reads its flags as `check` does: ASCII integers, trials >= 0 and
+# 1 <= genus-max <= MAX_TEXT_GENUS; each bad value is argparse's exit 2
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--trials", "\u0662", "--genus-max", "1"], "argument --trials: invalid int value: '\u0662'"),
+        (["--trials", "1", "--genus-max", "\u0661"], "argument --genus-max: invalid int value: '\u0661'"),
+        (["--trials", "1", "--genus-max", "1", "--seed", "\u0663"], "argument --seed: invalid int value: '\u0663'"),
+        (["--trials", "1_0", "--genus-max", "1"], "argument --trials: invalid int value: '1_0'"),
+        (["--trials", "-3", "--genus-max", "1"], "argument --trials: must be at least 0, got -3"),
+        (["--trials", "1", "--genus-max", "0"], "argument --genus-max: must be at least 1, got 0"),
+        (
+            ["--trials", "1", "--genus-max", "100000"],
+            f"argument --genus-max: must be at most {MAX_TEXT_GENUS}, got 100000",
+        ),
+    ],
+    ids=["arabic-trials", "arabic-genus", "arabic-seed", "underscore", "negative-trials",
+         "genus-zero", "genus-too-large"],
+)
+def test_parity_survey_refuses_bad_flags(flags, message):
+    done = _run_parity_survey(*flags)
+    assert done.returncode == 2
+    assert done.stdout == ""
+    assert done.stderr.splitlines()[-1] == f"parity_survey.py: error: {message}"
+
+
+def test_parity_survey_accepts_the_bounds():
+    # no trials, up to the largest genus, from a negative seed
+    done = _run_parity_survey("--trials", "0", "--genus-max", str(MAX_TEXT_GENUS), "--seed", "-5")
+    assert done.returncode == 0, done.stderr
+    rows = [line.split() for line in done.stdout.splitlines()[1:]]
+    assert rows == [[str(g), "0", "0", "0"] for g in range(1, MAX_TEXT_GENUS + 1)]
 
 
 # objects for one-line pipeline files: E empty, T and U genus 1 with different

@@ -6,6 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from evencob import linalg
+from evencob.cobordism import SurfaceObject, empty_surface, identity, pull_back, push_forward
 from evencob.errors import DimensionMismatchError
 from evencob.linalg import (
     RationalMatrix,
@@ -1057,3 +1058,22 @@ class TestIdentityAndWholeSpaceCostNothing:
             assert a.intersect(whole) is a and whole.intersect(a) is a
             assert a + whole is whole and whole + a is whole
         assert reductions == eliminations == []
+
+    def test_carry_through_a_cylinder_is_the_lagrangian_itself(self):
+        # both inclusions of identity(surface) are the identity, so carrying
+        # through it returns the subspace given, with no elimination
+        from evencob.symplectic import random_lagrangian
+
+        cases = [(empty_surface(), Subspace.zero(0))]
+        for genera, seed in (((1,), 0), ((2,), 3), ((1, 1), 5)):
+            surface = SurfaceObject(genera, random_lagrangian(sum(genera), seed))
+            cases.append((surface, surface.lagrangian))
+            cases.append((surface, random_lagrangian(sum(genera), seed + 1)))
+        cylinders = [(identity(surface), lag) for surface, lag in cases]
+        with pytest.MonkeyPatch.context() as patch:
+            eliminations = self.counting(patch, RationalMatrix, "rref")
+            for m, lag in cylinders:
+                assert push_forward(m, lag) is lag and pull_back(m, lag) is lag
+                with pytest.raises(DimensionMismatchError, match="surface has dimension"):
+                    push_forward(m, Subspace.zero(lag.ambient_dim + 1))
+        assert eliminations == []

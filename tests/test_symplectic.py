@@ -5,9 +5,17 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
+from evencob import symplectic
+from evencob.cobordism import _boundary_space
 from evencob.errors import DimensionMismatchError, NonSkewFormError
 from evencob.linalg import RationalMatrix, Subspace, canonical_basis, map_subspace
-from evencob.sampling import _random_shear, _random_space, _unsheared, random_subspace_pair
+from evencob.sampling import (
+    _random_shear,
+    _random_space,
+    _unsheared,
+    random_subspace,
+    random_subspace_pair,
+)
 from evencob.symplectic import (
     DEFAULT_WALK_LENGTH,
     SymplecticSpace,
@@ -607,3 +615,143 @@ def test_sampled_gram_is_the_dense_congruence(genus_max):
         )
         assert space.gram == change.transpose() @ base @ change, seed
         assert space.radical().dim == pad, seed
+
+
+# -- checks at the cost of what they read --------------------------------------
+
+
+def _dense_verdict(space: SymplecticSpace, sub: Subspace) -> bool:
+    """The isotropy verdict of the dense loop: a fresh space on the same gram
+    with the signed gather switched off."""
+    dense = SymplecticSpace(space.gram)
+    dense.__dict__["_pairing"] = None
+    return dense._is_isotropic(sub)
+
+
+def _scaled_space(genera, scale) -> SymplecticSpace:
+    gram = standard_surface_space(genera).gram
+    rows = [[scale * x for x in gram.row(i)] for i in range(gram.rows)]
+    return SymplecticSpace(RationalMatrix(rows, cols=gram.cols))
+
+
+def _one_nonzero_per_row(gram: RationalMatrix) -> bool:
+    return all(sum(1 for x in gram.row(i) if x) == 1 for i in range(gram.rows))
+
+
+genera_lists = st.lists(st.integers(0, 3), min_size=1, max_size=3).map(tuple)
+
+
+@st.composite
+def signed_permutation_cases(draw):
+    """A space whose gram has one nonzero entry per row (a standard form, a
+    boundary form (-psi) + psi, 2J or J/3), a Lagrangian of it, a random span
+    and the Lagrangian with a random vector in place of one row."""
+    genera = draw(genera_lists)
+    kind = draw(st.sampled_from(["standard", "boundary", "2J", "J/3"]))
+    seed = draw(st.integers(0, 2**32))
+    rng = random.Random(seed)
+    g = sum(genera)
+    lagrangian = list(random_lagrangian(g, rng).basis_rows()) if g else []
+    if kind == "boundary":
+        other = draw(genera_lists)
+        space = _boundary_space(genera, other)
+        h = sum(other)
+        tail = list(random_lagrangian(h, rng).basis_rows()) if h else []
+        lagrangian = [r + (0,) * (2 * h) for r in lagrangian]
+        lagrangian += [(0,) * (2 * g) + r for r in tail]
+    else:
+        space = _scaled_space(genera, {"standard": 1, "2J": 2, "J/3": Fraction(1, 3)}[kind])
+    n = space.dim
+
+    def small_vector():
+        return tuple(Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(n))
+
+    swapped = list(lagrangian)
+    if swapped:
+        swapped[rng.randrange(len(swapped))] = small_vector()
+    spans = [lagrangian, [small_vector() for _ in range(rng.randint(0, n))], swapped]
+    return space, [canonical_basis(rows, n) for rows in spans]
+
+
+class TestSignedGather:
+    """The gather of a one-nonzero-per-row gram decides isotropy as the dense loop does."""
+
+    @given(signed_permutation_cases())
+    def test_gather_matches_the_dense_loop(self, case):
+        space, subs = case
+        assert space._pairing is not None
+        for sub in subs:
+            verdict = space._is_isotropic(sub)
+            assert verdict == _dense_verdict(space, sub) == _product_vanishes(space, sub)
+        assert space._is_isotropic(subs[0])
+
+    def test_both_verdicts_take_the_gather(self):
+        answers = {True: 0, False: 0}
+        for genera in ((1,), (2,), (1, 2), (0, 3)):
+            for space in (
+                standard_surface_space(genera),
+                _boundary_space(genera, (1,)),
+                _scaled_space(genera, 2),
+                _scaled_space(genera, Fraction(1, 3)),
+            ):
+                assert space._pairing is not None
+                for seed in range(8):
+                    sub = random_subspace(space, random.Random(seed))
+                    answer = space._is_isotropic(sub)
+                    assert answer == _dense_verdict(space, sub) == _product_vanishes(space, sub)
+                    answers[answer] += 1
+        assert min(answers.values()) >= 20
+
+    @given(skew_space_with_pair())
+    def test_only_one_nonzero_per_row_takes_the_gather(self, data):
+        space, _, _ = data
+        assert (space._pairing is not None) == _one_nonzero_per_row(space.gram)
+
+    @pytest.mark.parametrize("pad", [1, 2])
+    def test_sheared_degenerate_forms_keep_the_dense_loop(self, pad):
+        for seed in range(40):
+            _, _, space, _ = _random_space(random.Random(seed), 3, pad_choices=(pad,))
+            assert space._pairing is None, seed
+        zero = SymplecticSpace(RationalMatrix.zeros(2, 2))
+        padded = RationalMatrix.block_diag(GENUS_ONE.gram, RationalMatrix.zeros(pad, pad))
+        padded = SymplecticSpace(padded)
+        assert zero._pairing is None and padded._pairing is None
+
+
+class TestRadicalSizeAsRank:
+    """The dimension count reads n - rank G; no kernel of G is built for it."""
+
+    @given(st.sampled_from((1, 2)), st.integers(0, 2**32))
+    def test_lagrangian_iff_its_own_annihilator(self, pad, seed):
+        rng = random.Random(seed)
+        genus, _, space, steps = _random_space(rng, 3, pad_choices=(pad,))
+        n = space.dim
+        inverse = _shear_matrix(n, steps).inverse()
+        rows = [r + (0,) * pad for r in random_lagrangian(genus, rng).basis_rows()]
+        rows += [tuple(int(c == 2 * genus + k) for c in range(n)) for k in range(pad)]
+        lagrangian = map_subspace(inverse, canonical_basis(rows, n))
+        short = map_subspace(inverse, canonical_basis(rows[1:], n))
+        extra = random_subspace(space, rng)
+        assert space._radical_dim == pad
+        assert space.is_lagrangian(lagrangian)
+        for sub in (lagrangian, short, extra, lagrangian + extra, short + extra):
+            assert space.is_lagrangian(sub) == (sub == space.annihilator(sub))
+
+    def test_fresh_degenerate_space_runs_no_kernel_and_no_rref(self, monkeypatch):
+        spaces = [
+            (
+                SymplecticSpace(RationalMatrix([[0, 1, 0], [-1, 0, 0], [0, 0, 0]])),
+                [canonical_basis([(1, 0, 0), (0, 0, 1)], 3), canonical_basis([(1, 0, 0)], 3)],
+            )
+        ]
+        for seed in range(5):
+            space, a, b = random_subspace_pair(seed, 3, contain_radical=True)
+            spaces.append((SymplecticSpace(space.gram), [a, b]))
+        calls = []
+        kernel, rref = symplectic.kernel, RationalMatrix.rref
+        monkeypatch.setattr(symplectic, "kernel", lambda f: calls.append("kernel") or kernel(f))
+        monkeypatch.setattr(RationalMatrix, "rref", lambda m: calls.append("rref") or rref(m))
+        answers = [space.is_lagrangian(sub) for space, subs in spaces for sub in subs]
+        assert calls == []
+        assert answers[:2] == [True, False]
+        assert not any(space.__dict__.get("_radical") for space, _ in spaces)
