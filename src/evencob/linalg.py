@@ -34,18 +34,23 @@ integers over the lcm of its denominators, in lowest terms (``_over_lcm``).
 A Subspace canonicalizes the matrix it is given to its unique RREF row basis,
 so subspace equality is plain structural equality and regression values can
 be frozen verbatim; ``canonical_basis`` is the entry point for vectors from
-outside.  Two subspaces intersect by Zassenhaus's elimination: the RREF of
-``[[A, A], [B, 0]]`` holds the RREF basis of the intersection in the right
-halves of its rows that start in the right half.  With B the larger operand,
-already in RREF, one pass of its rows clears its pivot columns, and one
-``rref`` of what is left, those columns dropped, finishes the elimination.
-A sum reduces the smaller operand by the larger in the same way, and needs no
-elimination when the larger contains the smaller.  A preimage is one
-elimination and the canonicalization of its result: the null rows of
-``[f | B]``, for B whose columns span the target, are the pairs (x, y) with
-f x = -B y, so their x parts span the preimage.  With the columns reversed
-the x parts would come out canonical, but the elimination would pivot on the
-dense B block first, which is no faster.
+outside.  Two subspaces intersect by Zassenhaus's elimination: the rows of
+``[[A, A], [B, 0]]`` that reduce to zero in the left half carry a basis of
+the intersection in their right halves.  With B the larger operand, already
+in RREF, one pass of its rows clears its pivot columns, and the forward pass
+alone finishes the elimination on what is left, those columns dropped: its
+echelon rows that start in the right half span the intersection.  A
+transverse pair has none and builds nothing more; otherwise only those
+dim(A cap B) rows are canonicalized.  A sum reduces the smaller operand by
+the larger in the same way, and needs no elimination when the larger contains
+the smaller.  A preimage is one ``kernel``, of ``[f | B]`` for B whose
+columns span the target: its rows are pairs (x, y) with f x = -B y, and those
+that lead in the x part, cut to it, already are the canonical basis of the
+preimage.  The column-reversed elimination pivots on the B block first,
+but it replaces an elimination in the original order plus a second ``rref``
+of the x parts: on the 233 preimages not under the identity recorded from
+``closure --trials 60 --genus-max 3 --seed 7000`` and one corpus chain, it
+takes 19 ms where the two took 22 ms (2 vCPUs, Python 3.11).
 
 The identity map and the whole space are recognized from what is stored and
 cost no arithmetic.  ``RationalMatrix.identity(n)`` is built once per size and
@@ -60,6 +65,7 @@ reaches.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
@@ -521,11 +527,12 @@ class Subspace:
         pairs (0, a) with a = -b, so their right halves span A cap B.  B, the
         larger operand, is already reduced, so one pass of its rows clears
         B's pivot columns from the doubled rows of A; A lies in B when that
-        leaves every left half zero.  Otherwise one ``rref`` of the rest, with
-        those columns dropped, has the same rows starting in the right half as
-        the RREF of the whole matrix.  Their right halves have their leading
-        ones in increasing columns, with zeros above and below each, so they
-        already are the canonical basis.
+        leaves every left half zero.  Otherwise the forward pass alone runs on
+        the rest, with those columns dropped.  In its echelon form the rows
+        whose pivots lie in the right half have zero left halves, and they
+        span the rows of the whole matrix that do, so their right halves span
+        A cap B.  A transverse pair has none of them and needs no more work;
+        otherwise only those dim(A cap B) rows are canonicalized.
         """
         self._check_ambient(other)
         a, b = (self, other) if self.dim <= other.dim else (other, self)
@@ -538,11 +545,12 @@ class Subspace:
             return a
         left = _free_columns(b.basis._rows, n)
         k = len(left)
-        red, pivots = _columns(rows, left + list(range(n, 2 * n))).rref()
-        last = len(pivots)
-        first = next((i for i, p in enumerate(pivots) if p >= k), last)
-        halves = tuple(r[k:] for r in red._rows[first:last])
-        return Subspace._canonical(RationalMatrix._of(halves, red._dens[first:last], n))
+        echelon, pivots = _columns(rows, left + list(range(n, 2 * n)))._eliminate(reduced=False)
+        first = bisect_left(pivots, k)
+        if first == len(pivots):
+            return Subspace.zero(n)
+        halves = [tuple(r[k:]) for r in echelon[first : len(pivots)]]
+        return Subspace(RationalMatrix._of_ints(halves, n))
 
 
 def _leading(row: IntRow) -> int:
@@ -651,17 +659,21 @@ def image(f: RationalMatrix) -> Subspace:
 def _preimage_of_columns(f: RationalMatrix, span: RationalMatrix) -> Subspace:
     """{x : f @ x lies in the column span of `span`}, from one elimination.
 
-    The null rows of ``[f | span]`` are the pairs (x, y) with f x = -span y,
-    so their first ``f.cols`` coordinates span the preimage.  Under the
-    identity the preimage is the column span itself.
+    The kernel of ``[f | span]`` holds the pairs (x, y) with f x = -span y,
+    so its x parts span the preimage.  Its RREF rows that lead in the first
+    ``f.cols`` columns, cut to those columns, have their leading ones in
+    increasing columns and zeros at each other's, so they already are the
+    preimage's canonical basis; the rows that lead in the span block have a
+    zero x part.  Under the identity the preimage is the column span itself.
     """
     if span.rows != f.rows:
         raise DimensionMismatchError(f"columns of length {span.rows} for a map into {f.rows}")
     if f._is_identity():
         return Subspace(span.transpose())
     n = f.cols
-    rows = [_reduced(r[:n], d) for r, d in _null_rows(*f.hstack(span).rref())]
-    return Subspace(RationalMatrix._of_pairs(rows, n))
+    null = kernel(f.hstack(span)).basis
+    rows = [_reduced(r[:n], d) for r, d in zip(null._rows, null._dens) if any(r[:n])]
+    return Subspace._canonical(RationalMatrix._of_pairs(rows, n))
 
 
 def preimage(f: RationalMatrix, target: Subspace) -> Subspace:

@@ -134,9 +134,11 @@ def maslov_form(triple: LagrangianTriple) -> MaslovForm:
     in l2 with s_i - y_i in l1.  A domain row d is the combination of the s_i
     with the coefficients d[pivot_i], so its l2 part is the same combination
     of the y_i.  With C those coefficients, D the domain basis and G the
-    space's gram, the gram is C Y G D^T.  When every left-half column is a
-    pivot, l1 + l2 is the whole space: the domain is l3 itself, C is D, and
-    neither the sum's basis nor the intersection is built.
+    space's gram, the gram is C Y G D^T = (C Y) (D G^T)^T.  The rows G d of
+    D G^T come from the space's ``_images``, a signed gather on the surface
+    and boundary forms, so C Y is the one matrix product.  When every
+    left-half column is a pivot, l1 + l2 is the whole space: the domain is l3
+    itself, C is D, and neither the sum's basis nor the intersection is built.
     """
     l1, l2, l3 = triple.lagrangians()
     n = triple.space.dim
@@ -155,7 +157,7 @@ def maslov_form(triple: LagrangianTriple) -> MaslovForm:
         c = RationalMatrix._of_pairs(
             [_reduced([r[p] for p in pivots[:k]], e) for r, e in zip(d._rows, d._dens)], k
         )
-    gram = _times_transpose(c @ y @ triple.space.gram, d)
+    gram = _times_transpose(c @ y, triple.space._images(d))
     return MaslovForm(d, gram)
 
 

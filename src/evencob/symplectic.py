@@ -6,7 +6,9 @@ which for a skew Gram matrix G is ker G.  The Lagrangian test reads only the
 radical's size, n - rank G, from one forward elimination per space; ker G is
 built only when the radical itself is asked for.  A gram with one nonzero
 entry per row, as the surface forms and the boundary form (-psi) + psi are,
-is applied to a vector as a signed gather, O(n) instead of n dot products.
+is applied to a vector as a signed gather, O(n) instead of n dot products:
+in the isotropy test, and in the Maslov form, which takes G d for each row d
+of its domain basis from ``_images``.
 The module also provides the standard intersection form of a disjoint union
 of closed surfaces and seed-deterministic random symplectic matrices and
 Lagrangians used throughout the test campaigns.
@@ -18,14 +20,16 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
+from math import lcm
 from operator import add, mul, sub
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .errors import DimensionMismatchError, NonSkewFormError
 from .linalg import (
     IntRow,
     RationalMatrix,
     Subspace,
+    _reduced,
     _times_transpose,
     as_vector,
     kernel,
@@ -133,6 +137,23 @@ class SymplecticSpace:
                     return False
         return True
 
+    def _images(self, basis: RationalMatrix) -> RationalMatrix:
+        """B G^T, whose row i is G b_i for the row b_i of the basis B.
+
+        When every gram row has one nonzero entry v at column c, G b is the
+        signed gather ``v * b[c]`` per row over the gram's common denominator,
+        O(n) per row; any other gram takes the dense product.
+        """
+        pairing = self._pairing
+        if pairing is None:
+            return _times_transpose(basis, self.gram)
+        e = lcm(*self.gram._dens)
+        pairs = [
+            _reduced([v * b[c] for c, v in pairing], d * e)
+            for b, d in zip(basis._rows, basis._dens)
+        ]
+        return RationalMatrix._of_pairs(pairs, self.dim)
+
     def is_lagrangian(self, sub: Subspace) -> bool:
         """True iff the subspace equals its own annihilator.
 
@@ -211,23 +232,37 @@ def standard_surface_space(genera: Iterable[int]) -> SymplecticSpace:
 # Rotation i sends e_i -> f_i, f_i -> -e_i.  Mixing (i, j) sends e_i -> e_i + e_j,
 # f_j -> f_j - f_i, over the ordered pairs i != j in lexicographic order.
 
+#: One step of a row operation: (target, source, op); see ``_row_operations``.
+RowStep = tuple[int, int, Callable[[int, int], int] | None]
 
-def _row_operation(rows: list[list[int]], g: int, k: int) -> None:
-    """Left-multiply the rows in place by generator k of genus g."""
-    if k < 3 * g:
-        kind, i = divmod(k, g)
-        e, f = 2 * i, 2 * i + 1
-        if kind == 0:
-            rows[e], rows[f] = [-x for x in rows[f]], rows[e]
-        elif kind == 1:
-            rows[f] = list(map(add, rows[f], rows[e]))
+
+@lru_cache(maxsize=None)
+def _row_operations(g: int) -> tuple[tuple[RowStep, ...], ...]:
+    """The row operation of each generator of genus g, in the documented order.
+
+    Each is a sequence of steps (target, source, op): ``op`` add or sub sets
+    row target to op(row target, row source), and None is the rotation, row
+    target <- -row source and row source <- row target.
+    """
+    table = [((2 * i, 2 * i + 1, None),) for i in range(g)]
+    table += [((2 * i + 1, 2 * i, add),) for i in range(g)]
+    table += [((2 * i, 2 * i + 1, add),) for i in range(g)]
+    table += [
+        ((2 * j, 2 * i, add), (2 * i + 1, 2 * j + 1, sub))
+        for i in range(g)
+        for j in range(g)
+        if j != i
+    ]
+    return tuple(table)
+
+
+def _row_operation(rows: list[list[int]], steps: Sequence[RowStep]) -> None:
+    """Left-multiply the rows in place by the generator whose steps these are."""
+    for t, s, op in steps:
+        if op is None:
+            rows[t], rows[s] = [-x for x in rows[s]], rows[t]
         else:
-            rows[e] = list(map(add, rows[e], rows[f]))
-        return
-    i, j = divmod(k - 3 * g, g - 1)
-    j += j >= i
-    rows[2 * j] = list(map(add, rows[2 * j], rows[2 * i]))
-    rows[2 * i + 1] = list(map(sub, rows[2 * i + 1], rows[2 * j + 1]))
+            rows[t] = list(map(op, rows[t], rows[s]))
 
 
 def _int_identity(n: int) -> list[list[int]]:
@@ -238,9 +273,11 @@ def symplectic_generators(g: int) -> tuple[RationalMatrix, ...]:
     """The frozen integral generating family for genus g, in documented order."""
     if g < 1:
         raise ValueError("need at least one handle")
-    gens = [_int_identity(2 * g) for _ in range(g * (g + 2))]
-    for k, m in enumerate(gens):
-        _row_operation(m, g, k)
+    gens = []
+    for steps in _row_operations(g):
+        m = _int_identity(2 * g)
+        _row_operation(m, steps)
+        gens.append(m)
     return tuple(RationalMatrix._of_ints([tuple(r) for r in m], 2 * g) for m in gens)
 
 
@@ -302,9 +339,10 @@ def _walk(
     if g < 1:
         raise ValueError("need at least one handle")
     rng = seed if isinstance(seed, random.Random) else random.Random(seed)
-    draws = [rng.randrange(g * (g + 2)) for _ in range(length)]
-    for k in reversed(draws):
-        _row_operation(block, g, k)
+    operations = _row_operations(g)
+    draws = [operations[rng.randrange(len(operations))] for _ in range(length)]
+    for steps in reversed(draws):
+        _row_operation(block, steps)
     return block
 
 

@@ -11,10 +11,11 @@ sys.path.insert(0, str(Path(__file__).parent))
 
 settings.register_profile("suite", deadline=None, max_examples=60)
 # CI runs the linalg, symplectic, maslov and formats property tests again
-# under this profile: the kernel and the Maslov form's sum skip
-# canonicalization on the strength of them, the radical is taken as ker G and
-# its size as n - rank G on the strength of the symplectic ones, and integer
-# tokens skip the file reader's pattern on the strength of the formats ones
+# under this profile: the kernel, the preimage and the Maslov form's sum skip
+# canonicalization on the strength of them, the radical is taken as ker G, its
+# size as n - rank G and a surface form applied as a gather on the strength of
+# the symplectic ones, and integer tokens skip the file reader's pattern on
+# the strength of the formats ones
 settings.register_profile("thorough", deadline=None, max_examples=600)
 settings.load_profile("suite")
 

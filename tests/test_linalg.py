@@ -1048,6 +1048,25 @@ class TestIdentityAndWholeSpaceCostNothing:
                 _preimage_of_columns(eye, span)
             assert len(calls) == 1
 
+    def test_preimage_runs_one_elimination(self):
+        # the kernel of [f | span] is one elimination, and its rows that lead
+        # in f's columns, cut to them, are the preimage's canonical basis
+        rng = random.Random(7)
+        cases = []
+        for rows, cols, width in ((3, 4, 2), (4, 3, 1), (2, 5, 0), (3, 3, 3), (4, 4, 2)):
+            f = RationalMatrix([[rng.randint(-2, 2) for _ in range(cols)] for _ in range(rows)])
+            entries = [[Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(width)] for _ in range(rows)]
+            span = RationalMatrix(entries, cols=width)
+            cases.append((f, span))
+        for f, span in cases:
+            expected = bench_oracle.preimage(matrix_rows(f), matrix_rows(span.transpose()), f.cols)
+            with pytest.MonkeyPatch.context() as patch:
+                calls = self.counting(patch, RationalMatrix, "rref")
+                result = _preimage_of_columns(f, span)
+            assert len(calls) == 1
+            assert matrix_rows(result.basis) == oracle_span(expected, f.cols)
+            assert reference_rref_violation(result.basis) is None
+
     @pytest.mark.parametrize("n", [2, 4])
     def test_whole_space_meets_and_sums_without_reduction(self, n):
         a = span([[Fraction(1, j + 1) for j in range(n)]], n)
@@ -1077,3 +1096,52 @@ class TestIdentityAndWholeSpaceCostNothing:
                 with pytest.raises(DimensionMismatchError, match="surface has dimension"):
                     push_forward(m, Subspace.zero(lag.ambient_dim + 1))
         assert eliminations == []
+
+
+class TestIntersectionFromTheForwardPass:
+    """`intersect` runs the forward pass only, and canonicalizes nothing but the meet."""
+
+    counting = staticmethod(TestIdentityAndWholeSpaceCostNothing.counting)
+
+    @staticmethod
+    def pairs(seeds, contain_radical):
+        from evencob.sampling import random_subspace_pair
+
+        for seed in seeds:
+            space, a, b = random_subspace_pair(seed, 3, contain_radical=contain_radical)
+            if not a.contains_subspace(b) and not b.contains_subspace(a):
+                yield space, a, b
+
+    def test_transverse_pair_runs_no_rref(self):
+        from evencob.symplectic import random_lagrangian
+
+        cases = [(span([(1, 0)], 2), span([(0, 1)], 2))]
+        for g in (1, 2, 3):
+            cases += [(random_lagrangian(g, seed), random_lagrangian(g, seed + 1)) for seed in range(6)]
+        cases += [(a, b) for _, a, b in self.pairs(range(40), contain_radical=False)]
+        transverse = []
+        for a, b in cases:
+            n = a.ambient_dim
+            meet = bench_oracle.intersection(matrix_rows(a.basis), matrix_rows(b.basis), n)
+            if a.dim and b.dim and not meet:
+                transverse.append((a, b))
+        assert len(transverse) >= 15
+        with pytest.MonkeyPatch.context() as patch:
+            eliminations = self.counting(patch, RationalMatrix, "rref")
+            meets = [a.intersect(b) for a, b in transverse]
+        assert eliminations == []
+        assert all(m == Subspace.zero(a.ambient_dim) for m, (a, _) in zip(meets, transverse))
+
+    def test_meet_that_is_the_radical_runs_one_rref_on_its_own_rows(self):
+        cases = []
+        for space, a, b in self.pairs(range(100), contain_radical=True):
+            radical = space.radical()
+            if radical.dim and a.intersect(b) == radical:
+                cases.append((a, b, radical))
+        assert len(cases) >= 8
+        for a, b, radical in cases:
+            with pytest.MonkeyPatch.context() as patch:
+                eliminations = self.counting(patch, RationalMatrix, "rref")
+                meet = a.intersect(b)
+            assert meet == radical
+            assert [m.rows for (m,) in eliminations] == [radical.dim]

@@ -260,6 +260,27 @@ class TestMaslovFormOnComposeTriples:
         # the Zassenhaus elimination, and at most one more inside `intersect`
         assert set(per_form) <= {1, 2} and 1 in per_form and 2 in per_form
 
+    def test_one_product_per_form(self, monkeypatch):
+        # C Y is the one product; the space's gram reaches the domain basis
+        # through SymplecticSpace._images, a gather on surface forms
+        triples = _compose_triples(random_even_pair, range(20)) + [
+            random_triple(seed, 4) for seed in range(40)
+        ]
+        calls = Counter()
+        matmul = RationalMatrix.__matmul__
+
+        def counted(a, b):
+            calls["@"] += 1
+            return matmul(a, b)
+
+        monkeypatch.setattr(RationalMatrix, "__matmul__", counted)
+        per_form = Counter()
+        for t in triples:
+            before = calls["@"]
+            maslov_form(t)
+            per_form[t.space._pairing is None, calls["@"] - before] += 1
+        assert set(per_form) == {(False, 1), (True, 1)}
+
     def test_whole_sum_runs_no_intersection(self, monkeypatch):
         # when l1 + l2 is the whole space the domain is l3, read off without
         # building the sum or meeting it with l3

@@ -8,7 +8,13 @@ from hypothesis import strategies as st
 from evencob import symplectic
 from evencob.cobordism import _boundary_space
 from evencob.errors import DimensionMismatchError, NonSkewFormError
-from evencob.linalg import RationalMatrix, Subspace, canonical_basis, map_subspace
+from evencob.linalg import (
+    RationalMatrix,
+    Subspace,
+    _times_transpose,
+    canonical_basis,
+    map_subspace,
+)
 from evencob.sampling import (
     _random_shear,
     _random_space,
@@ -701,6 +707,49 @@ class TestSignedGather:
                     assert answer == _dense_verdict(space, sub) == _product_vanishes(space, sub)
                     answers[answer] += 1
         assert min(answers.values()) >= 20
+
+    @given(signed_permutation_cases())
+    def test_gathered_images_are_the_dense_product(self, case):
+        space, subs = case
+        for sub in subs:
+            assert space._images(sub.basis) == _times_transpose(sub.basis, space.gram)
+
+    def test_images_take_the_gather_on_every_kind_of_signed_permutation(self, monkeypatch):
+        spaces = []
+        for genera in ((1,), (2,), (1, 2), (0, 3)):
+            spaces += [
+                standard_surface_space(genera),
+                _boundary_space(genera, (1,)),
+                _scaled_space(genera, 2),
+                _scaled_space(genera, Fraction(1, 3)),
+            ]
+        cases = [
+            (space, random_subspace(space, random.Random(seed)).basis)
+            for space in spaces
+            for seed in range(4)
+        ]
+        expected = [_times_transpose(basis, space.gram) for space, basis in cases]
+        dense = []
+        monkeypatch.setattr(
+            symplectic, "_times_transpose", lambda a, b: dense.append(b) or _times_transpose(a, b)
+        )
+        assert [space._images(basis) for space, basis in cases] == expected
+        assert dense == []
+
+    @pytest.mark.parametrize("pad", [1, 2])
+    def test_images_on_sheared_degenerate_forms_take_the_dense_product(self, pad, monkeypatch):
+        cases = []
+        for seed in range(10):
+            rng = random.Random(seed)
+            _, _, space, _ = _random_space(rng, 3, pad_choices=(pad,))
+            cases.append((space, random_subspace(space, rng).basis))
+        dense = []
+        monkeypatch.setattr(
+            symplectic, "_times_transpose", lambda a, b: dense.append(b) or _times_transpose(a, b)
+        )
+        for space, basis in cases:
+            assert space._images(basis) == _times_transpose(basis, space.gram)
+        assert dense == [space.gram for space, _ in cases]
 
     @given(skew_space_with_pair())
     def test_only_one_nonzero_per_row_takes_the_gather(self, data):
