@@ -14,10 +14,19 @@ The output holds two blocks in the layout of the committed BENCH_*.json
 files: ``workloads``, each pair's seed, the side that went first and both
 final JSON lines; and ``summary``, per workload and end-to-end metric, each
 side's median and quartiles (statistics.quantiles, method 'inclusive') and in
-how many pairs the change reads better, plus the failed operations and
-whether every run passed its checks.  A metric's better direction is read from
-the change checkout's BENCHMARK.json.  The file is rewritten after every pair,
-so an interrupted run leaves the pairs it finished.  Standard library only.
+how many pairs the change reads better, and its verdict; plus the failed
+operations and whether every run passed its checks.  A metric's better
+direction is read from the change checkout's BENCHMARK.json.
+
+The verdict follows one rule.  A metric is "better" when the change reads
+better in at least nine of every ten pairs (ties count for neither side) and
+its median is better than the parent's by more than the parent's
+interquartile range; it is "worse" by the same rule with the sides exchanged,
+and "within noise" otherwise.  A claimed gain is met when its verdict is
+"better".
+
+The file is rewritten after every pair, so an interrupted run leaves the
+pairs it finished.  Standard library only.
 """
 
 from __future__ import annotations
@@ -59,6 +68,21 @@ def spread(values: list[float]) -> dict[str, float]:
     return {"median": statistics.median(values), "q1": q1, "q3": q3}
 
 
+def verdict(parent: list[float], change: list[float], direction: str) -> str:
+    """"better", "worse" or "within noise", by the rule in the module docstring."""
+    sign = 1 if direction == "higher" else -1
+    diffs = [sign * (c - p) for p, c in zip(parent, change)]
+    gap = sign * (statistics.median(change) - statistics.median(parent))
+    quartiles = spread(parent)
+    noise = quartiles["q3"] - quartiles["q1"]
+    # at least nine in ten: 10 * wins >= 9 * pairs
+    if 10 * sum(d > 0 for d in diffs) >= 9 * len(diffs) and gap > noise:
+        return "better"
+    if 10 * sum(d < 0 for d in diffs) >= 9 * len(diffs) and -gap > noise:
+        return "worse"
+    return "within noise"
+
+
 def summarize(pairs: list[dict], better: dict[str, str]) -> dict:
     """The summary block of one workload's pairs."""
     out: dict = {}
@@ -68,6 +92,7 @@ def summarize(pairs: list[dict], better: dict[str, str]) -> dict:
         wins = sum(sign * (c - p) > 0 for p, c in zip(values["parent"], values["change"]))
         out[name] = {side: spread(values[side]) for side in SIDES}
         out[name]["change_better_pairs"] = f"{wins} of {len(pairs)}"
+        out[name]["verdict"] = verdict(values["parent"], values["change"], direction)
     out["failed"] = {side: sum(p[side]["failed"] for p in pairs) for side in SIDES}
     out["correct"] = all(p[side]["correct"] for p in pairs for side in SIDES)
     return out

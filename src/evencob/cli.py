@@ -42,6 +42,7 @@ from .formats import (
 )
 from .generators import (
     MAX_TEXT_GENUS,
+    check_text_work,
     format_generator_spec,
     parse_generator_spec,
     random_even_morphism,
@@ -297,6 +298,7 @@ def _run_even(args: argparse.Namespace, pipeline: Pipeline) -> tuple[dict, int]:
 
 def _read_gen(args: argparse.Namespace) -> tuple:
     spec = parse_generator_spec(args.spec)
+    check_text_work(spec)
     morphism = random_even_morphism(spec, args.seed)
     return spec, morphism, serialize_pipeline(pipeline_for_morphism(morphism))
 

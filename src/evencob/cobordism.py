@@ -27,6 +27,28 @@ Maslov correction lives in a 0-dimensional space and both cokernel
 projections are identities, so the composite is the block sum of the two
 bodies with weight w(m1) + w(m2), and compose builds it as such.
 
+An end map that is square and preserves the standard form, A^T J A = J, is
+invertible with the inverse -J A^T J, a signed permutation of A's transposed
+rows (``_end_inverse``).  The form test is exact on the stored integers, and a
+record runs it at most once per end: the inverses are cached properties, not
+fields, so equality, hashing and ``replace`` do not see them.  Through such
+an end three eliminations become products; a square end that fails the test,
+and every rectangular end, keeps the elimination.
+
+- A carry into an end A is the preimage under A of the columns of
+  j_start L^T, which is A^-1 j_start L^T: one product and one
+  canonicalization instead of the kernel of [A | j_start L^T].
+- Gluing with J1 = m1.j_tgt_h1 invertible: the cokernel of [J1; -J2], for
+  J2 = m2.j_src_h1, is read off the RREF of its transpose [J1^T | -J2^T],
+  which is [I | -J1^-T J2^T] with pivots in the first block.  Its null rows,
+  one per non-pivot column, are the rows of q1 = [J2 J1^-1 | I].  So
+  d1 = h1(m2), the composite's j_src_h1 is (J2 J1^-1) m1.j_src_h1 and its
+  j_tgt_h1 is m2.j_tgt_h1, each with the k0 zero rows below.
+- In ``validate``, with T = j_tgt_h1 invertible, the kernel of [A | T] for
+  A = j_src_h1 is {(x, -T^-1 A x)}, whose RREF basis is [I | (-T^-1 A)^T]
+  with its leading ones in the first block; the Lagrangian test runs on it
+  as on any other kernel.
+
 Record equality on CobordismMorphism is structural (same presentation), which
 is what file round-trips need; two presentations of the same glued manifold
 can differ by a basis choice, so tests compare invariants instead.
@@ -35,7 +57,7 @@ can differ by a basis choice, so tests compare invariants instead.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from .errors import (
     DimensionMismatchError,
@@ -53,7 +75,15 @@ from .linalg import (
     kernel,
 )
 from .maslov import LagrangianTriple, maslov_index
-from .symplectic import SymplecticSpace, _standard_inverse, _standard_space, beta0, beta1, validated_genera
+from .symplectic import (
+    SymplecticSpace,
+    _standard_inverse,
+    _standard_space,
+    beta0,
+    beta1,
+    preserves_standard_form,
+    validated_genera,
+)
 
 
 @dataclass(frozen=True)
@@ -129,6 +159,26 @@ class CobordismMorphism:
                     f"{name} is {mat.rows}x{mat.cols}, expected {rows}x{cols}"
                 )
 
+    @cached_property
+    def _source_inverse(self) -> RationalMatrix | None:
+        return _end_inverse(self.j_src_h1)
+
+    @cached_property
+    def _target_inverse(self) -> RationalMatrix | None:
+        return _end_inverse(self.j_tgt_h1)
+
+
+def _end_inverse(j: RationalMatrix) -> RationalMatrix | None:
+    """j^-1 when j is square and preserves the standard form, else None."""
+    if j.rows != j.cols:
+        return None
+    if j._is_identity():
+        return j
+    rows, e = j._over_one_denominator()
+    if not preserves_standard_form(list(zip(*rows)), e):
+        return None
+    return _standard_inverse(j)
+
 
 @dataclass(frozen=True)
 class EvennessReport:
@@ -185,10 +235,12 @@ def _carry(
     start: SurfaceObject,
     j_start: RationalMatrix,
     j_end: RationalMatrix,
+    end_inverse: RationalMatrix | None,
 ) -> Subspace:
     # preimage under the end inclusion of the image under the start inclusion,
     # with that image given by the columns of j_start @ basis^T; through a
-    # cylinder, both inclusions the identity, that is the Lagrangian itself
+    # cylinder, both inclusions the identity, that is the Lagrangian itself,
+    # and through an invertible end it is the image under its inverse
     if lagrangian.ambient_dim != start.beta1:
         raise DimensionMismatchError(
             f"subspace of ambient {lagrangian.ambient_dim}, {side} surface has "
@@ -196,6 +248,8 @@ def _carry(
         )
     if j_start._is_identity() and j_end._is_identity():
         return lagrangian
+    if end_inverse is not None:
+        return Subspace(_times_transpose(lagrangian.basis, end_inverse @ j_start))
     return _preimage_of_columns(j_end, _times_transpose(j_start, lagrangian.basis))
 
 
@@ -206,12 +260,12 @@ def push_forward(m: CobordismMorphism, lagrangian: Subspace) -> Subspace:
     inclusion; Lagrangian in the target space whenever the record validates.
     `compose` builds a LagrangianTriple from it, which checks that.
     """
-    return _carry(lagrangian, "source", m.source, m.j_src_h1, m.j_tgt_h1)
+    return _carry(lagrangian, "source", m.source, m.j_src_h1, m.j_tgt_h1, m._target_inverse)
 
 
 def pull_back(m: CobordismMorphism, lagrangian: Subspace) -> Subspace:
     """Mirror of push_forward with source and target exchanged."""
-    return _carry(lagrangian, "target", m.target, m.j_tgt_h1, m.j_src_h1)
+    return _carry(lagrangian, "target", m.target, m.j_tgt_h1, m.j_src_h1, m._source_inverse)
 
 
 def epsilon(m: CobordismMorphism) -> int:
@@ -258,6 +312,16 @@ def _boundary_space(src_genera: tuple[int, ...], tgt_genera: tuple[int, ...]) ->
     return SymplecticSpace(RationalMatrix.block_diag(-src.gram, tgt.gram))
 
 
+def _boundary_kernel(m: CobordismMorphism) -> Subspace:
+    # the kernel of [A | T], A and T the H1 end maps; with T invertible it is
+    # {(x, -T^-1 A x)}, whose basis [I | (-T^-1 A)^T] is already in RREF
+    t_inverse = m._target_inverse
+    if t_inverse is None:
+        return kernel(m.j_src_h1.hstack(m.j_tgt_h1))
+    tail = (-(t_inverse @ m.j_src_h1)).transpose()
+    return Subspace._canonical(RationalMatrix.identity(m.source.beta1).hstack(tail))
+
+
 def validate(m: CobordismMorphism) -> list[str]:
     """Check the realizability invariants; violations are returned, not raised.
 
@@ -275,8 +339,7 @@ def validate(m: CobordismMorphism) -> list[str]:
         for j in range(mat.cols)
         if [r[j] == d for r, d in zip(mat._rows, mat._dens) if r[j]] != [True]
     ]
-    combined = m.j_src_h1.hstack(m.j_tgt_h1)
-    boundary_kernel = kernel(combined)
+    boundary_kernel = _boundary_kernel(m)
     space = _boundary_space(m.source.genera, m.target.genera)
     if not space.is_lagrangian(boundary_kernel):
         half = (m.source.beta1 + m.target.beta1) // 2
@@ -342,23 +405,31 @@ def compose(m1: CobordismMorphism, m2: CobordismMorphism) -> CobordismMorphism:
     )
     weight = m1.weight + m2.weight - correction
 
-    alpha1 = m1.j_tgt_h1.vstack(-m2.j_src_h1)
     alpha0 = m1.j_tgt_h0.vstack(-m2.j_src_h0)
-    d1, q1 = cokernel(alpha1)
     d0, q0 = cokernel(alpha0)
     k0 = alpha0.cols - alpha0.rows + d0
 
-    def through(mat: RationalMatrix, first: bool, h0: bool) -> RationalMatrix:
+    def through(q: RationalMatrix, start: int, mat: RationalMatrix) -> RationalMatrix:
         # embed in the two bodies' direct sum, then project to the cokernel:
         # the other body's rows are zero, so only this body's columns of the
         # projection act
-        start = 0 if first else (m1.h0_dim if h0 else m1.h1_dim)
-        projected = (q0 if h0 else q1)._column_block(start, start + mat.rows) @ mat
-        if h0:
-            return projected
+        return q._column_block(start, start + mat.rows) @ mat
+
+    j1_inverse = m1._target_inverse
+    if j1_inverse is None:
+        d1, q1 = cokernel(m1.j_tgt_h1.vstack(-m2.j_src_h1))
+        j_src_h1 = through(q1, 0, m1.j_src_h1)
+        j_tgt_h1 = through(q1, m1.h1_dim, m2.j_tgt_h1)
+    else:
+        # q1 = [J2 J1^-1 | I]
+        d1 = m2.h1_dim
+        j_src_h1 = (m2.j_src_h1 @ j1_inverse) @ m1.j_src_h1
+        j_tgt_h1 = m2.j_tgt_h1
+
+    def padded(mat: RationalMatrix) -> RationalMatrix:
         # zero rows in the ker(alpha0) summand: one-sided classes have no
         # connecting image
-        return projected.vstack(RationalMatrix.zeros(k0, mat.cols))
+        return mat.vstack(RationalMatrix.zeros(k0, mat.cols))
 
     return CobordismMorphism(
         m1.source,
@@ -366,8 +437,8 @@ def compose(m1: CobordismMorphism, m2: CobordismMorphism) -> CobordismMorphism:
         weight,
         d1 + k0,
         d0,
-        through(m1.j_src_h1, first=True, h0=False),
-        through(m2.j_tgt_h1, first=False, h0=False),
-        through(m1.j_src_h0, first=True, h0=True),
-        through(m2.j_tgt_h0, first=False, h0=True),
+        padded(j_src_h1),
+        padded(j_tgt_h1),
+        through(q0, 0, m1.j_src_h0),
+        through(q0, m1.h0_dim, m2.j_tgt_h0),
     )

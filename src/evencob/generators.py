@@ -24,7 +24,8 @@ files), whitespace separated:
                |  twist_seed=INT | twist_length=INT
     INT       :=  -?DIGITS, ASCII 0-9, at most MAX_NUMBER_DIGITS (1000) digits
 
-Combinations nest at most MAX_NESTING (100) deep.
+Combinations nest at most MAX_NESTING (100) deep.  ``gen`` also bounds the
+work a text asks for before it builds anything (``check_text_work``).
 
 Example:  composite(handlebody genus=1 weight=1, cap genus=1 weight=1)
 """
@@ -72,6 +73,13 @@ MAX_BODY_DIM = 256
 # the parser, the builder and the formatter recurse with each level; this
 # keeps them far below Python's recursion limit
 MAX_NESTING = 100
+# none of these bounds the number of atoms or the digits a chain's walks add,
+# so gen also bounds text_work's estimate.  This is the estimate of a chain of
+# 39 genus-32 twisted cylinders with the default walks, the longest such chain
+# allowed, which built in 3.6 s (2 vCPUs, Python 3.11); 80 genus-3 cylinders
+# with 1000-step walks, estimated at 29 million, took 12 s before the written
+# pipeline was refused for its digits
+MAX_TEXT_WORK = 2**24
 
 
 # the one set of rules for integers and sizes in generator text and in
@@ -430,6 +438,42 @@ class _SpecParser:
                 f"twist_length must be at most {MAX_TWIST_LENGTH}, got {spec.twist_length}"
             )
         return spec
+
+
+def _atoms(spec: GeneratorSpec):
+    if spec.kind in ATOM_KINDS:
+        yield spec
+    for child in spec.children:
+        yield from _atoms(child)
+
+
+def text_work(spec: GeneratorSpec) -> int:
+    """An estimate of the work of building a plan, read from the plan alone.
+
+    G is the sum of all the genera the plan writes, which bounds the genus of
+    every surface it builds.  Each gluing handles matrices of side 2G, whose
+    numbers grow with the walks taken before it, so the atom at position k
+    costs G^2 (DEFAULT_WALK_LENGTH + the walk steps of atoms 1..k): atoms times
+    G^2, scaled by the walk lengths and, as the numbers grow along a chain,
+    by its length.
+    """
+    atoms = list(_atoms(spec))
+    genus = sum(sum(atom.genera or ()) for atom in atoms)
+    steps = work = 0
+    for atom in atoms:
+        steps += atom.twist_length
+        work += DEFAULT_WALK_LENGTH + steps
+    return genus * genus * work
+
+
+def check_text_work(spec: GeneratorSpec) -> None:
+    """Raise unless the plan's text_work is at most MAX_TEXT_WORK."""
+    work = text_work(spec)
+    if work > MAX_TEXT_WORK:
+        raise GeneratorSpecError(
+            f"generator text asks for about {work} units of work, at most "
+            f"{MAX_TEXT_WORK} allowed: use fewer atoms, lower genera or shorter walks"
+        )
 
 
 def parse_generator_spec(text: str) -> GeneratorSpec:

@@ -99,3 +99,64 @@ def test_result_line_refuses_what_is_not_a_run_result(stdout, message):
 def test_result_line_is_the_last_line():
     line = bench_pairs.result_line(result(123.0, 1.0, 17.0))
     assert line["metrics"]["ops_per_s"]["value"] == 123.0
+
+
+def ten_pairs(parent_ops, change_ops):
+    return [
+        pair(result(p, 2.0, 17.0), result(c, 2.0, 17.0), seed=j, first=("parent", "change")[j % 2])
+        for j, (p, c) in enumerate(zip(parent_ops, change_ops))
+    ]
+
+
+PARENT_OPS = [100.0, 101.0, 99.0, 100.5, 99.5, 100.0, 102.0, 98.0, 100.0, 101.0]
+
+
+def test_verdict_better_needs_nine_wins_and_a_gap_past_the_parent_spread():
+    # parent quartiles 99.625 and 100.875: a gap of 1.25
+    change = [p + 5.0 for p in PARENT_OPS]
+    change[3] = PARENT_OPS[3] - 1.0  # nine wins of ten
+    summary = bench_pairs.summarize(ten_pairs(PARENT_OPS, change), BETTER)
+    assert summary["ops_per_s"]["parent"]["q1"] == 99.625
+    assert summary["ops_per_s"]["parent"]["q3"] == 100.875
+    assert summary["ops_per_s"]["change_better_pairs"] == "9 of 10"
+    assert summary["ops_per_s"]["verdict"] == "better"
+    # equal latencies everywhere: no wins, a gap of zero
+    assert summary["latency_p50_ms"]["verdict"] == "within noise"
+
+
+def test_verdict_eight_wins_are_not_enough():
+    change = [p + 5.0 for p in PARENT_OPS]
+    change[3] = change[4] = 90.0
+    summary = bench_pairs.summarize(ten_pairs(PARENT_OPS, change), BETTER)
+    assert summary["ops_per_s"]["change_better_pairs"] == "8 of 10"
+    assert summary["ops_per_s"]["verdict"] == "within noise"
+
+
+def test_verdict_ten_small_wins_inside_the_parent_spread_are_noise():
+    change = [p + 1.0 for p in PARENT_OPS]  # a median gap of 1.0 < 1.25
+    summary = bench_pairs.summarize(ten_pairs(PARENT_OPS, change), BETTER)
+    assert summary["ops_per_s"]["change_better_pairs"] == "10 of 10"
+    assert summary["ops_per_s"]["verdict"] == "within noise"
+
+
+def test_verdict_worse_by_the_same_rule_and_ties_count_for_neither():
+    change = [p - 5.0 for p in PARENT_OPS]
+    change[0] = PARENT_OPS[0]  # a tie: nine losses of ten still
+    summary = bench_pairs.summarize(ten_pairs(PARENT_OPS, change), BETTER)
+    assert summary["ops_per_s"]["change_better_pairs"] == "0 of 10"
+    assert summary["ops_per_s"]["verdict"] == "worse"
+    change[1] = PARENT_OPS[1]  # two ties: eight losses
+    summary = bench_pairs.summarize(ten_pairs(PARENT_OPS, change), BETTER)
+    assert summary["ops_per_s"]["verdict"] == "within noise"
+
+
+def test_verdict_reads_the_metric_direction():
+    # lower is better for latency: a change that halves it is better
+    pairs = [
+        pair(result(100.0, p50, 17.0), result(100.0, p50 / 2, 17.0))
+        for p50 in (2.0, 2.1, 1.9, 2.0, 2.05, 1.95, 2.0, 2.0, 2.1, 1.9)
+    ]
+    summary = bench_pairs.summarize(pairs, BETTER)
+    assert summary["latency_p50_ms"]["verdict"] == "better"
+    assert summary["latency_tail_ms"]["verdict"] == "better"
+    assert summary["ops_per_s"]["verdict"] == "within noise"

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import replace
 from pathlib import Path
@@ -17,10 +18,16 @@ from evencob.cli import build_parser, main
 from evencob.cobordism import compose, validate
 from evencob.errors import DimensionMismatchError, InvalidTripleError
 from evencob.formats import parse_pipeline, serialize_pipeline
-from evencob.generators import MAX_NESTING, MAX_TEXT_GENUS
+from evencob.generators import (
+    MAX_NESTING,
+    MAX_TEXT_GENUS,
+    MAX_TEXT_WORK,
+    parse_generator_spec,
+    text_work,
+)
 from evencob.linalg import RationalMatrix, Subspace
 from evencob.sampling import random_even_pair
-from test_golden import CHECK_CE, CLOSURE_CE, EXPECTED, FAULTS, RUNS
+from test_golden import CHECK_CE, CLOSURE_CE, EXPECTED, FAULTS, GEN_SPECS, OVER_BUDGET, RUNS
 
 GENUS_ONE_SSF = """\
 form 2
@@ -1092,6 +1099,52 @@ def test_numbers_the_reader_refuses_are_not_written(capsys, case):
     out, err = capsys.readouterr()
     message = f"error: {what} has more than 1000 digits, at most 1000 allowed\n"
     assert (code, out, err) == (2, "", message)
+
+
+def twisted_chain(genus: int, atoms: int, walk: int | None = None) -> str:
+    """A composite of twisted cylinders on a connected genus-g surface."""
+    length = "" if walk is None else f" twist_length={walk}"
+    rest = f", twisted_cylinder{length}" * (atoms - 1)
+    return f"composite(twisted_cylinder genus={genus}{length}{rest})"
+
+
+OVER_THE_BUDGET = {
+    # this ran 108 s and exited 0
+    "genus-32-160-atoms": OVER_BUDGET,
+    # this ran 12 s before its pipeline was refused for its digits
+    "genus-3-80-long-walks": twisted_chain(3, 80, 1000),
+    # the shortest genus-32 chain past the budget
+    "genus-32-40-atoms": twisted_chain(32, 40),
+}
+
+
+@pytest.mark.parametrize("case", sorted(OVER_THE_BUDGET))
+def test_texts_past_the_work_budget_are_refused_before_the_build(capsys, case):
+    start = time.perf_counter()
+    code = main(["gen", "--spec", OVER_THE_BUDGET[case]])
+    elapsed = time.perf_counter() - start
+    out, err = capsys.readouterr()
+    assert (code, out) == (2, "")
+    assert err.startswith("error: generator text asks for about ") and err.count("\n") == 1
+    assert err.endswith(f"at most {MAX_TEXT_WORK} allowed: use fewer atoms, lower genera or shorter walks\n")
+    assert elapsed < 1
+
+
+# every text the suite gives gen is inside the budget
+WITHIN_THE_BUDGET = {
+    **{f"unwritable-{name}": text for name, (text, _) in UNWRITABLE.items()},
+    **{f"golden-{name}": text for name, text in GEN_SPECS.items()},
+    "nesting-100": nested(MAX_NESTING),
+    "genus-32-walk-1000": "twisted_cylinder genus=32 twist_length=1000",
+    "genus-32-39-atoms": twisted_chain(32, 39),
+    "genus-1-80-long-walks": twisted_chain(1, 80, 1000),
+    "genus-2-80-long-walks": twisted_chain(2, 80, 1000),
+}
+
+
+@pytest.mark.parametrize("case", sorted(WITHIN_THE_BUDGET))
+def test_texts_within_the_work_budget(case):
+    assert text_work(parse_generator_spec(WITHIN_THE_BUDGET[case])) <= MAX_TEXT_WORK
 
 
 def test_a_written_weight_of_1000_digits_reads_back(capsys, tmp_path):

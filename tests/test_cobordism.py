@@ -1,12 +1,17 @@
 import random
-from dataclasses import replace
+from collections import Counter
+from dataclasses import fields, replace
+from fractions import Fraction
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from evencob import cobordism
 from evencob.cobordism import (
     CobordismMorphism,
+    _boundary_kernel,
+    _end_inverse,
     SurfaceObject,
     compose,
     empty_surface,
@@ -36,14 +41,22 @@ from evencob.generators import (
     random_even_morphism,
     twisted_cylinder,
 )
-from evencob.linalg import RationalMatrix, Subspace, canonical_basis
+from evencob.linalg import (
+    RationalMatrix,
+    Subspace,
+    _preimage_of_columns,
+    _times_transpose,
+    canonical_basis,
+    cokernel,
+    kernel,
+)
 from evencob.sampling import (
     random_abstract_even_pair,
     random_abstract_morphism,
     random_even_chain,
     random_even_pair,
 )
-from evencob.symplectic import random_lagrangian
+from evencob.symplectic import preserves_standard_form, random_lagrangian, random_symplectic
 from oracles import bench_oracle, matrix_rows, oracle_image, reference_is_pseudo_cylinder
 
 SPAN_E = canonical_basis([(1, 0)], 2)
@@ -587,3 +600,173 @@ def test_weight_associativity_sample():
         right = compose(m1, compose(m2, m3))
         assert left.weight == right.weight, seed
         assert (left.h1_dim, left.h0_dim) == (right.h1_dim, right.h0_dim)
+
+
+def carried_by_elimination(m, lagrangian, forward):
+    """push_forward (or pull_back) as the preimage of the carried columns."""
+    j_start, j_end = (m.j_src_h1, m.j_tgt_h1) if forward else (m.j_tgt_h1, m.j_src_h1)
+    return _preimage_of_columns(j_end, _times_transpose(j_start, lagrangian.basis))
+
+
+def glued_h1_by_elimination(m1, m2):
+    """d1 and the two H1 maps of the composite, from the cokernel of [J1; -J2]
+    and its projection, before the k0 zero rows."""
+    d1, q1 = cokernel(m1.j_tgt_h1.vstack(-m2.j_src_h1))
+    n = m1.h1_dim
+    return d1, q1._column_block(0, n) @ m1.j_src_h1, q1._column_block(n, q1.cols) @ m2.j_tgt_h1
+
+
+def assert_fast_paths_agree(m1, m2):
+    """Each product through an invertible end equals the elimination it
+    replaces, on both pieces and on their composite."""
+    glued = compose(m1, m2)
+    for m in (m1, m2, glued):
+        src, tgt = m.source.lagrangian, m.target.lagrangian
+        assert push_forward(m, src) == carried_by_elimination(m, src, forward=True)
+        assert pull_back(m, tgt) == carried_by_elimination(m, tgt, forward=False)
+        assert _boundary_kernel(m) == kernel(m.j_src_h1.hstack(m.j_tgt_h1))
+    if not m1.target.is_empty:
+        d1, j_src, j_tgt = glued_h1_by_elimination(m1, m2)
+        k0 = glued.h1_dim - d1
+        assert glued.j_src_h1 == j_src.vstack(RationalMatrix.zeros(k0, j_src.cols))
+        assert glued.j_tgt_h1 == j_tgt.vstack(RationalMatrix.zeros(k0, j_tgt.cols))
+    return glued
+
+
+def is_fast(m):
+    """The record's target end has an inverse and is not the identity."""
+    return m._target_inverse is not None and not m.j_tgt_h1._is_identity()
+
+
+def twisted(genera, twist, seed):
+    """A twisted cylinder between drawn Lagrangians on a connected surface."""
+    rng = random.Random(seed)
+    g = sum(genera)
+    source = SurfaceObject(genera, random_lagrangian(g, rng))
+    return twisted_cylinder(source, twist, random_lagrangian(g, rng), 0)
+
+
+# diag(2, 1/2) on the first handle preserves the form with rational entries
+RATIONAL_TWIST = RationalMatrix(
+    [[2, 0, 0, 0], [0, Fraction(1, 2), 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]
+)
+
+
+def rescaled_cylinder(obj):
+    """A cylinder whose body basis is scaled by 2: both end maps are 2I, square
+    and invertible but not symplectic, and the record validates."""
+    n, n0 = obj.beta1, obj.beta0
+    two = RationalMatrix([[2 * int(i == j) for j in range(n)] for i in range(n)])
+    eye0 = RationalMatrix.identity(n0)
+    return CobordismMorphism(obj, obj, 0, n, n0, two, two, eye0, eye0)
+
+
+@pytest.fixture
+def form_tests(monkeypatch):
+    """The denominators of the form tests cobordism runs, one per test."""
+    calls = []
+
+    def counted(columns, den=1):
+        calls.append(den)
+        return preserves_standard_form(columns, den)
+
+    monkeypatch.setattr(cobordism, "preserves_standard_form", counted)
+    return calls
+
+
+class TestInvertibleEnds:
+    """Carries, H1 gluing and validate's boundary kernel through an end that
+    is square and preserves the form take products; every other end takes
+    the elimination.  Each fast path is compared with the elimination it
+    replaces."""
+
+    @given(
+        seed=st.integers(0, 2**32),
+        genus_max=st.sampled_from([3, 4]),
+        sampler=st.sampled_from([random_even_pair, random_abstract_even_pair]),
+    )
+    def test_sampled_pairs(self, seed, genus_max, sampler):
+        assert_fast_paths_agree(*sampler(seed, genus_max))
+
+    def test_sampled_pairs_take_every_path(self):
+        kinds = Counter()
+        for seed in range(120):
+            m1, m2 = random_even_pair(seed, 4)
+            assert_fast_paths_agree(m1, m2)
+            j = m1.j_tgt_h1
+            if j.rows != j.cols:
+                kinds["rectangular"] += 1
+            elif m1._target_inverse is None:
+                kinds["square, no inverse"] += 1
+            else:
+                kinds["identity" if j._is_identity() else "inverse"] += 1
+        assert set(kinds) == {"rectangular", "square, no inverse", "identity", "inverse"}
+
+    def test_genus_eight_twisted_chain(self):
+        spec = GeneratorSpec("twisted_cylinder")
+        m = random_even_morphism(GeneratorSpec("twisted_cylinder", genera=(8,)), 0)
+        for seed in range(1, 8):
+            step = random_even_morphism(spec, seed, source=m.target)
+            assert is_fast(m)
+            m = assert_fast_paths_agree(m, step)
+        assert validate(m) == [] and m.h1_dim == 16
+
+    def test_rational_symplectic_end(self):
+        m = twisted((2,), RATIONAL_TWIST, 3)
+        half = Fraction(1, 2)
+        assert m.j_tgt_h1 == RationalMatrix(
+            [[half, 0, 0, 0], [0, 2, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]
+        )
+        assert m._target_inverse == RATIONAL_TWIST
+        after = twisted_cylinder(m.target, random_symplectic(2, 5), random_lagrangian(2, 9), 1)
+        for m2 in (after, cap(2, m.target.lagrangian, 0), identity(m.target)):
+            assert validate(assert_fast_paths_agree(m, m2)) == []
+        assert_fast_paths_agree(handlebody(2, m.source.lagrangian, 0), m)
+
+    def test_square_end_that_is_not_symplectic_takes_the_elimination(self, form_tests):
+        m = rescaled_cylinder(SurfaceObject((2,), random_lagrangian(2, 4)))
+        assert validate(m) == []
+        assert m._target_inverse is None and m._source_inverse is None
+        assert len(form_tests) == 2
+        after = twisted_cylinder(m.target, random_symplectic(2, 6), random_lagrangian(2, 7), 0)
+        for m2 in (after, identity(m.target)):
+            assert validate(assert_fast_paths_agree(m, m2)) == []
+        assert_fast_paths_agree(handlebody(2, m.source.lagrangian, 0), m)
+
+    def test_rectangular_ends_are_not_tested(self, monkeypatch):
+        monkeypatch.setattr(cobordism, "preserves_standard_form", None)
+        m = handlebody(2, random_lagrangian(2, 1), 0)
+        assert m._target_inverse is None and m._source_inverse is None
+        assert _end_inverse(RationalMatrix.zeros(2, 4)) is None
+
+    @given(g=st.integers(1, 4), seed=st.integers(0, 2**32))
+    def test_inverse_of_a_symplectic_end(self, g, seed):
+        a = random_symplectic(g, seed)
+        inverse = _end_inverse(a)
+        assert inverse @ a == a @ inverse == RationalMatrix.identity(2 * g)
+        assert _end_inverse(a + a) is None  # invertible, but 2A scales the form by 4
+
+    def test_identity_end_is_its_own_inverse(self, monkeypatch):
+        monkeypatch.setattr(cobordism, "preserves_standard_form", None)
+        eye = RationalMatrix.identity(4)
+        assert _end_inverse(eye) is eye
+
+    def test_each_end_is_tested_once_per_record(self, form_tests):
+        m1 = twisted((2,), random_symplectic(2, 1), 0)
+        m2 = twisted_cylinder(m1.target, random_symplectic(2, 2), random_lagrangian(2, 3), 0)
+        assert validate(m1) == [] and len(form_tests) == 1  # the source end is the identity
+        compose(m1, m2)  # m1's target end again, and m2's source end, the identity
+        validate(m1)
+        push_forward(m1, m1.source.lagrangian)
+        assert len(form_tests) == 1
+        validate(replace(m1))  # a copy is a new record
+        assert len(form_tests) == 2
+
+    def test_equality_hash_and_replace_ignore_the_cache(self):
+        m = twisted((2,), random_symplectic(2, 1), 0)
+        fresh = replace(m)
+        assert validate(m) == []
+        assert "_target_inverse" in vars(m) and "_target_inverse" not in vars(fresh)
+        assert m == fresh and hash(m) == hash(fresh)
+        assert "_target_inverse" not in vars(replace(m, weight=1))
+        assert not any(f.name.startswith("_") for f in fields(m))

@@ -21,19 +21,27 @@ from evencob.cobordism import (
 from evencob import generators
 from evencob.errors import DimensionMismatchError, GeneratorSpecError, NotSymplecticError
 from evencob.generators import (
+    MAX_TEXT_WORK,
     GeneratorSpec,
     build_from_objects,
     cap,
+    check_text_work,
     disjoint_union,
     format_generator_spec,
     handlebody,
     parse_generator_spec,
     _union_object,
     random_even_morphism,
+    text_work,
     twisted_cylinder,
 )
 from evencob.linalg import RationalMatrix, Subspace, canonical_basis, kernel, map_subspace
-from evencob.sampling import random_abstract_even_pair, random_abstract_morphism, random_even_pair
+from evencob.sampling import (
+    random_abstract_even_pair,
+    random_abstract_morphism,
+    random_even_pair,
+    random_shape,
+)
 from evencob.symplectic import SymplecticSpace, random_lagrangian, random_symplectic
 from oracles import bench_oracle, oracle_preserves_form
 
@@ -433,6 +441,35 @@ class TestGeneratorSpecText:
     def test_combo_needs_children(self):
         with pytest.raises(GeneratorSpecError):
             GeneratorSpec("composite", children=(GeneratorSpec("cap", genera=(1,)),))
+
+
+class TestTextWork:
+    @pytest.mark.parametrize(
+        "text, work",
+        [
+            # G = 2: one atom of 20 steps costs 4 * (20 + 20)
+            ("twisted_cylinder genus=2", 160),
+            # G = 1, walks of 20, 100 and 20 steps: (20 + 20) + (20 + 120) + (20 + 140)
+            ("composite(handlebody genus=1, twisted_cylinder twist_length=100, cap)", 340),
+            # the genera of both handlebodies count, 2 + 3
+            ("disjoint_union(handlebody genus=2, handlebody genus=3)", 25 * (40 + 60)),
+            ("pseudo_cylinder genera=[0,0,0]", 0),
+        ],
+    )
+    def test_the_estimate(self, text, work):
+        assert text_work(parse_generator_spec(text)) == work
+
+    def test_sampled_plans_are_within_the_budget(self):
+        rng = random.Random(5)
+        for genus_max in (1, 2, 3, 4):
+            for _ in range(500):
+                assert text_work(random_shape(rng, None, genus_max)) <= MAX_TEXT_WORK
+
+    def test_refusal_is_a_spec_error(self):
+        check_text_work(parse_generator_spec("twisted_cylinder genus=32 twist_length=1000"))
+        chain = "composite(twisted_cylinder genus=32" + ", twisted_cylinder" * 39 + ")"
+        with pytest.raises(GeneratorSpecError, match="asks for about 17612800 units of work"):
+            check_text_work(parse_generator_spec(chain))
 
 
 class TestRandomEvenMorphism:

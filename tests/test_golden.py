@@ -125,6 +125,9 @@ CASES["flag-trials-other-digit"] = (
     None,
 )
 CASES["flag-seed-other-digit"] = (["gen", "--spec", "handlebody genus=1", "--seed", "\u0663"], None)
+# 160 genus-32 twisted cylinders: refused before anything is built
+OVER_BUDGET = "composite(twisted_cylinder genus=32" + ", twisted_cylinder" * 159 + ")"
+CASES["spec-over-budget"] = (["gen", "--spec", OVER_BUDGET], None)
 CASES["compose-chain"] = (["compose", "--in", "chain.cbf"], None)
 CASES["even-chain"] = (["even", "--in", "chain.cbf"], None)
 
