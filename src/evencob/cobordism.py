@@ -29,11 +29,11 @@ bodies with weight w(m1) + w(m2), and compose builds it as such.
 
 An end map that is square and preserves the standard form, A^T J A = J, is
 invertible with the inverse -J A^T J, a signed permutation of A's transposed
-rows (``_end_inverse``).  The form test is exact on the stored integers, and a
-record runs it at most once per end: the inverses are cached properties, not
-fields, so equality, hashing and ``replace`` do not see them.  Through such
-an end three eliminations become products; a square end that fails the test,
-and every rectangular end, keeps the elimination.
+rows (``symplectic._symplectic_inverse``).  The form test is exact on the
+stored integers, and a record runs it at most once per end: the inverses are
+cached properties, not fields, so equality, hashing and ``replace`` do not
+see them.  Through such an end three eliminations become products; a square
+end that fails the test, and every rectangular end, keeps the elimination.
 
 - A carry into an end A is the preimage under A of the columns of
   j_start L^T, which is A^-1 j_start L^T: one product and one
@@ -79,9 +79,9 @@ from .symplectic import (
     SymplecticSpace,
     _standard_inverse,
     _standard_space,
+    _symplectic_inverse,
     beta0,
     beta1,
-    preserves_standard_form,
     validated_genera,
 )
 
@@ -161,23 +161,11 @@ class CobordismMorphism:
 
     @cached_property
     def _source_inverse(self) -> RationalMatrix | None:
-        return _end_inverse(self.j_src_h1)
+        return _symplectic_inverse(self.j_src_h1)
 
     @cached_property
     def _target_inverse(self) -> RationalMatrix | None:
-        return _end_inverse(self.j_tgt_h1)
-
-
-def _end_inverse(j: RationalMatrix) -> RationalMatrix | None:
-    """j^-1 when j is square and preserves the standard form, else None."""
-    if j.rows != j.cols:
-        return None
-    if j._is_identity():
-        return j
-    rows, e = j._over_one_denominator()
-    if not preserves_standard_form(list(zip(*rows)), e):
-        return None
-    return _standard_inverse(j)
+        return _symplectic_inverse(self.j_tgt_h1)
 
 
 @dataclass(frozen=True)

@@ -22,15 +22,15 @@ Pipeline files (.cbf) describe surface objects and cobordism morphisms:
 Rationals are written p/q or as bare integers; no floating point is accepted
 anywhere.  Serializing and re-parsing yields structurally identical values.
 
-The readers are the trust boundary for numbers.  Each token is matched once
-against the rational pattern, which takes ASCII digits only,
-`generators.check_digits` bounds its digit counts, and `int()` reads its
-numerator and denominator, which are divided by their gcd.  A line of tokens
-becomes one integer row over the lcm of its denominators, the row form
-`linalg` stores, so matrices and subspaces are built from the text with no
-`Fraction` in between.  Other integers and the genera are read and bounded
-as generator text reads them, by `generators.read_int` and
-`generators.check_genera`.
+The readers are the trust boundary for numbers.  Each token is read once, by
+`_read_ratio`: it takes an optional sign and ASCII digits only, with `/` and a
+denominator that does not start with 0, `generators.check_digits` bounds its
+digit counts, and `int()` reads its numerator and denominator, which are
+divided by their gcd.  A line of tokens becomes one integer row over the lcm
+of its denominators, the row form `linalg` stores, so matrices and subspaces
+are built from the text with no `Fraction` in between.  Other integers and
+the genera are read and bounded as generator text reads them, by
+`generators.read_int` and `generators.check_genera`.
 
 An error raised while a statement is checked keeps its class and gets
 `line N: ` in front.  Consecutive pipeline entries must glue, as
@@ -40,7 +40,6 @@ weight, numerator or denominator with more digits than the readers accept.
 
 from __future__ import annotations
 
-import re
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -61,30 +60,25 @@ from .generators import (
 from .linalg import IntRow, RationalMatrix, Subspace, _over_lcm
 from .symplectic import SymplecticSpace, beta0, beta1
 
-# ASCII digits only: \d and int() also take other scripts' decimal digits
-_RATIONAL_RE = re.compile(r"^[+-]?[0-9]+(/[1-9][0-9]*)?$")
+
+def _is_digits(text: str) -> bool:
+    # ASCII digits only: str.isdigit and int() also take other scripts' digits
+    return text.isascii() and text.isdigit()
 
 
 def _read_ratio(token: str, line: int | None) -> tuple[int, int]:
     """The token as (numerator, positive denominator) in lowest terms.
 
-    An integer, one optional minus and at most MAX_NUMBER_DIGITS ASCII digits,
-    is read by ``int`` alone; every other token, accepted or not, goes to the
-    pattern, so the values and the error messages do not depend on which way
-    a token took.
+    A token is one optional sign, ASCII digits, and optionally ``/`` and
+    ASCII digits that do not start with 0, and it may end in one newline;
+    the digit bounds count that newline with the digits before it.
     """
-    digits = token[1:] if token[:1] == "-" else token
-    if digits.isascii() and digits.isdigit() and len(digits) <= MAX_NUMBER_DIGITS:
-        return int(token), 1
-    return _match_ratio(token, line)
-
-
-def _match_ratio(token: str, line: int | None) -> tuple[int, int]:
-    """`_read_ratio` by the pattern and the digit bounds, for any token."""
-    if not _RATIONAL_RE.match(token):
+    unsigned = token[1:] if token[:1] in ("+", "-") else token
+    numerator, slash, denominator = unsigned.partition("/")
+    last = (denominator if slash else numerator).removesuffix("\n")
+    if not (_is_digits(last) and (not slash or _is_digits(numerator) and last[0] != "0")):
         raise FileSyntaxError(f"not a rational (p/q or integer): {token!r}", line)
-    numerator, _, denominator = token.lstrip("+-").partition("/")
-    if not denominator:
+    if not slash:
         check_digits(numerator, "an integer", FileSyntaxError, line)
         return int(token), 1
     check_digits(numerator, "a numerator", FileSyntaxError, line)

@@ -51,7 +51,7 @@ from .linalg import RationalMatrix, Subspace
 from .symplectic import (
     DEFAULT_WALK_LENGTH,
     _int_genera,
-    preserves_standard_form,
+    _symplectic_inverse,
     random_lagrangian,
     random_symplectic,
 )
@@ -111,12 +111,11 @@ def check_genera(genera: tuple[int, ...], error: type[EvencobError], *where: int
 
 def _check_twist(name: str, twist: RationalMatrix, surface: SurfaceObject) -> None:
     """Raise unless the twist is square of the surface's size and preserves
-    its form, the standard J: with twist = A / e for integer A, A^T J A = e^2 J."""
+    its form, the standard J, as ``_symplectic_inverse`` decides."""
     n = surface.beta1
     if twist.rows != n or twist.cols != n:
         raise DimensionMismatchError(f"{name} is {twist.rows}x{twist.cols}, surface needs {n}x{n}")
-    rows, e = twist._over_one_denominator()
-    if not preserves_standard_form(list(zip(*rows)), e):
+    if _symplectic_inverse(twist) is None:
         raise NotSymplecticError(f"{name} does not preserve the surface form")
 
 
@@ -450,13 +449,17 @@ def _atoms(spec: GeneratorSpec):
 def text_work(spec: GeneratorSpec) -> int:
     """An estimate of the work of building a plan, read from the plan alone.
 
-    G is the sum of all the genera the plan writes, which bounds the genus of
-    every surface it builds.  Each gluing handles matrices of side 2G, whose
+    A disjoint union's children are built apart and then block-summed, so its
+    estimate is the sum of theirs.  For an atom or a composite, G is the sum
+    of all the genera written inside it, which bounds the genus of every
+    surface it builds.  Each gluing handles matrices of side 2G, whose
     numbers grow with the walks taken before it, so the atom at position k
     costs G^2 (DEFAULT_WALK_LENGTH + the walk steps of atoms 1..k): atoms times
     G^2, scaled by the walk lengths and, as the numbers grow along a chain,
     by its length.
     """
+    if spec.kind == "disjoint_union":
+        return sum(map(text_work, spec.children))
     atoms = list(_atoms(spec))
     genus = sum(sum(atom.genera or ()) for atom in atoms)
     steps = work = 0

@@ -56,9 +56,8 @@ The identity map and the whole space are recognized from what is stored and
 cost no arithmetic.  ``RationalMatrix.identity(n)`` is built once per size and
 shared; ``_is_identity`` compares with it.  ``@`` returns the other factor when
 one factor is the identity, and ``_times_transpose`` returns A, or B's
-transpose, when the other factor is.  The preimage of a column span under the
-identity is the span itself, one canonicalization.  When the larger operand of
-an intersection or a sum is the whole space, the intersection is the smaller
+transpose, when the other factor is.  When the larger operand of an
+intersection or a sum is the whole space, the intersection is the smaller
 operand and the sum the larger: the values the reduction by the identity basis
 reaches.
 """
@@ -664,12 +663,10 @@ def _preimage_of_columns(f: RationalMatrix, span: RationalMatrix) -> Subspace:
     ``f.cols`` columns, cut to those columns, have their leading ones in
     increasing columns and zeros at each other's, so they already are the
     preimage's canonical basis; the rows that lead in the span block have a
-    zero x part.  Under the identity the preimage is the column span itself.
+    zero x part.
     """
     if span.rows != f.rows:
         raise DimensionMismatchError(f"columns of length {span.rows} for a map into {f.rows}")
-    if f._is_identity():
-        return Subspace(span.transpose())
     n = f.cols
     null = kernel(f.hstack(span)).basis
     rows = [_reduced(r[:n], d) for r, d in zip(null._rows, null._dens) if any(r[:n])]

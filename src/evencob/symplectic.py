@@ -4,11 +4,14 @@ Degenerate forms are first-class: nothing here assumes the Gram matrix is
 invertible, and the radical is simply the annihilator of the whole space,
 which for a skew Gram matrix G is ker G.  The Lagrangian test reads only the
 radical's size, n - rank G, from one forward elimination per space; ker G is
-built only when the radical itself is asked for.  A gram with one nonzero
-entry per row, as the surface forms and the boundary form (-psi) + psi are,
-is applied to a vector as a signed gather, O(n) instead of n dot products:
-in the isotropy test, and in the Maslov form, which takes G d for each row d
-of its domain basis from ``_images``.
+built only when the radical itself is asked for.  The gram reaches a vector
+in one place, ``_apply``: a gram with one nonzero entry per row, as the
+surface forms and the boundary form (-psi) + psi are, is applied as a signed
+gather, O(n) instead of n dot products.  The isotropy test, the annihilator
+and the Maslov form, which takes G d for each row d of its domain basis from
+``_images``, all go through it.  One certificate, ``_symplectic_inverse``,
+decides whether a matrix preserves the standard form, for a cobordism
+record's end maps and a generator's twist alike.
 The module also provides the standard intersection form of a disjoint union
 of closed surfaces and seed-deterministic random symplectic matrices and
 Lagrangians used throughout the test campaigns.
@@ -30,7 +33,6 @@ from .linalg import (
     RationalMatrix,
     Subspace,
     _reduced,
-    _times_transpose,
     as_vector,
     kernel,
 )
@@ -80,7 +82,7 @@ class SymplecticSpace:
     def annihilator(self, sub: Subspace) -> Subspace:
         """All vectors pairing to zero with every element of the subspace."""
         self._check_ambient(sub)
-        return kernel(_times_transpose(sub.basis, self.gram))
+        return kernel(self._images(sub.basis))
 
     @cached_property
     def _radical(self) -> Subspace:
@@ -113,6 +115,15 @@ class SymplecticSpace:
             pairing += nonzero
         return pairing
 
+    def _apply(self, b: IntRow) -> list[int]:
+        """G b for an integer row b, as integers over the gram's denominator:
+        the signed gather ``v * b[c]`` when each gram row has one nonzero
+        entry v at column c, else n dot products of length n."""
+        pairing = self._pairing
+        if pairing is None:
+            return [sum(map(mul, g, b)) for g in self._gram_rows]
+        return [v * b[c] for c, v in pairing]
+
     def _is_isotropic(self, sub: Subspace) -> bool:
         """True iff B G B^T = 0 for the basis B, decided on numerators.
 
@@ -120,38 +131,19 @@ class SymplecticSpace:
         zero, and B G B^T is skew, so the entries below its diagonal decide:
         b_i . (G b_j) for i > j, with the integer rows b.  No gcd, no
         ``Fraction`` and no transpose; the test stops at the first nonzero.
-        When every gram row has one nonzero entry v at column c, G b is the
-        signed gather ``v * b[c]`` per row, O(n) per basis row; any other
-        gram takes n dot products of length n.
         """
         rows = sub.basis._rows
-        gram = self._gram_rows
-        pairing = self._pairing
         for j, b in enumerate(rows[:-1]):
-            if pairing is None:
-                image = [sum(map(mul, g, b)) for g in gram]
-            else:
-                image = [v * b[c] for c, v in pairing]
+            image = self._apply(b)
             for c in rows[j + 1 :]:
                 if sum(map(mul, image, c)):
                     return False
         return True
 
     def _images(self, basis: RationalMatrix) -> RationalMatrix:
-        """B G^T, whose row i is G b_i for the row b_i of the basis B.
-
-        When every gram row has one nonzero entry v at column c, G b is the
-        signed gather ``v * b[c]`` per row over the gram's common denominator,
-        O(n) per row; any other gram takes the dense product.
-        """
-        pairing = self._pairing
-        if pairing is None:
-            return _times_transpose(basis, self.gram)
+        """B G^T, whose row i is G b_i for the row b_i of the basis B."""
         e = lcm(*self.gram._dens)
-        pairs = [
-            _reduced([v * b[c] for c, v in pairing], d * e)
-            for b, d in zip(basis._rows, basis._dens)
-        ]
+        pairs = [_reduced(self._apply(b), d * e) for b, d in zip(basis._rows, basis._dens)]
         return RationalMatrix._of_pairs(pairs, self.dim)
 
     def is_lagrangian(self, sub: Subspace) -> bool:
@@ -325,6 +317,19 @@ def _standard_inverse(a: RationalMatrix) -> RationalMatrix:
         rows += [_turned(cols._rows[e + 1]), _turned([-x for x in cols._rows[e]])]
         dens += [cols._dens[e + 1], cols._dens[e]]
     return RationalMatrix._of(tuple(rows), tuple(dens), a.cols)
+
+
+def _symplectic_inverse(a: RationalMatrix) -> RationalMatrix | None:
+    """A^-1 = -J A^T J when A is square and preserves the standard form, else
+    None; the identity is its own inverse, with no form test."""
+    if a.rows != a.cols:
+        return None
+    if a._is_identity():
+        return a
+    rows, e = a._over_one_denominator()
+    if not preserves_standard_form(list(zip(*rows)), e):
+        return None
+    return _standard_inverse(a)
 
 
 def _walk(

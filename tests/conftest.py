@@ -14,9 +14,9 @@ settings.register_profile("suite", deadline=None, max_examples=60)
 # under this profile: the kernel, the preimage and the Maslov form's sum skip
 # canonicalization on the strength of them, the radical is taken as ker G, its
 # size as n - rank G and a surface form applied as a gather on the strength of
-# the symplectic ones, integer tokens skip the file reader's pattern on the
-# strength of the formats ones, and carries, gluings and validate take
-# products through invertible ends on the strength of the cobordism ones
+# the symplectic ones, file tokens are read without a pattern on the strength
+# of the formats ones, and carries, gluings and validate take products through
+# certified symplectic inverses on the strength of the cobordism ones
 settings.register_profile("thorough", deadline=None, max_examples=600)
 settings.load_profile("suite")
 

@@ -10,6 +10,8 @@ l1 (+) l2 (+) l3.  Every test whose expected value is a mathematical object
 a preimage, a solution, an inverse, a membership, a split, a Lagrangian test or
 a Maslov gram) computes it there, so a fault in evencob cannot pass on both
 sides of a comparison.  `matrix_rows` reads a matrix's entries into that form.
+`bench_checks` is the benchmark's report checks, `bench/checks.py`, loaded on
+this oracle.
 
 The ``oracle_*`` adapters below are the glue: they take ``Fraction`` rows and
 call only `bench_oracle` and ``Fraction`` arithmetic.  A linear system, an
@@ -37,8 +39,10 @@ from __future__ import annotations
 import importlib.util
 import random
 import re
+import sys
 from fractions import Fraction
 from pathlib import Path
+from unittest import mock
 
 from evencob.cobordism import CobordismMorphism
 from evencob.errors import FileSyntaxError
@@ -47,7 +51,8 @@ from evencob.linalg import RationalMatrix
 
 _ZERO = Fraction(0)
 
-BENCH_ORACLE = Path(__file__).resolve().parent.parent / "bench" / "oracle.py"
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+BENCH_ORACLE = BENCH / "oracle.py"
 
 
 def _load_bench_oracle():
@@ -58,6 +63,19 @@ def _load_bench_oracle():
 
 
 bench_oracle = _load_bench_oracle()
+
+
+def _load_bench_checks():
+    # `checks` imports `oracle` as a top-level module, so the oracle loaded
+    # above is handed to it under that name while it loads
+    spec = importlib.util.spec_from_file_location("bench_checks", BENCH / "checks.py")
+    module = importlib.util.module_from_spec(spec)
+    with mock.patch.dict(sys.modules, {"oracle": bench_oracle}):
+        spec.loader.exec_module(module)
+    return module
+
+
+bench_checks = _load_bench_checks()
 
 Rows = list[list[Fraction]]
 

@@ -5,13 +5,15 @@ here in-process through `evencob.cli.main` from the repo root (the file-replay
 argvs name corpus files relative to it), and the sha256 of its exit code,
 stdout and stderr is compared with `tests/golden/bench_ops.json`.  The digests
 were recorded before refactors that must not change any output, so a match
-means the benchmark sees the same results.  `bench/` is only imported, never
-modified.  One more case runs every operation in a single `python -O`
-interpreter: stripping the `assert` statements must change no output on these
-valid inputs.
+means the benchmark sees the same results.  The same stdout then goes through
+the benchmark's own report checks, `bench/checks.py::check`, which must find
+no problem in any operation.  `bench/` is only imported, never modified.  One
+more case runs every operation in a single `python -O` interpreter: stripping
+the `assert` statements must change no output on these valid inputs.
 """
 
 import contextlib
+import functools
 import hashlib
 import importlib.util
 import io
@@ -24,6 +26,7 @@ from pathlib import Path
 import pytest
 
 from evencob.cli import main
+from oracles import bench_checks
 
 ROOT = Path(__file__).resolve().parent.parent
 EXPECTED = Path(__file__).parent / "golden" / "bench_ops.json"
@@ -39,13 +42,29 @@ def _workloads():
 WORKLOADS = _workloads()
 
 
-def digest(argv: list[str]) -> str:
-    """sha256 over the JSON of [exit code, stdout, stderr] of one CLI run."""
+def run(argv: list[str]) -> list:
+    """[exit code, stdout, stderr] of one CLI run."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(list(argv))
-    payload = json.dumps([code, out.getvalue(), err.getvalue()])
-    return hashlib.sha256(payload.encode()).hexdigest()
+    return [code, out.getvalue(), err.getvalue()]
+
+
+def digest_of(output: list) -> str:
+    """sha256 over the JSON of one run's [exit code, stdout, stderr]."""
+    return hashlib.sha256(json.dumps(output).encode()).hexdigest()
+
+
+def digest(argv: list[str]) -> str:
+    return digest_of(run(argv))
+
+
+@functools.cache
+def outputs(workload: str) -> list[list]:
+    """Each operation of the workload run once, from the repo root: the
+    file-replay argvs name corpus files relative to it."""
+    with contextlib.chdir(ROOT):
+        return [run(argv) for argv in WORKLOADS.operations(workload)]
 
 
 @pytest.fixture(scope="module")
@@ -58,13 +77,24 @@ def test_every_workload_is_recorded(expected):
 
 
 @pytest.mark.parametrize("workload", WORKLOADS.WORKLOADS)
-def test_operations_are_byte_identical(workload, expected, monkeypatch):
-    monkeypatch.chdir(ROOT)
+def test_operations_are_byte_identical(workload, expected):
     recorded = expected[workload]
-    ops = WORKLOADS.operations(workload)
-    assert [r["argv"] for r in recorded] == ops
-    changed = [" ".join(r["argv"]) for r in recorded if digest(r["argv"]) != r["sha256"]]
+    assert [r["argv"] for r in recorded] == WORKLOADS.operations(workload)
+    changed = [
+        " ".join(r["argv"])
+        for r, output in zip(recorded, outputs(workload))
+        if digest_of(output) != r["sha256"]
+    ]
     assert changed == []
+
+
+@pytest.mark.parametrize("workload", WORKLOADS.WORKLOADS)
+def test_reports_pass_the_benchmark_checks(workload):
+    ops = WORKLOADS.operations(workload)
+    reports = [stdout for _, stdout, _ in outputs(workload)]
+    verdicts = bench_checks.check(workload, ops, reports, ROOT)
+    assert len(verdicts) == len(ops)
+    assert {" ".join(argv): p for argv, p in zip(ops, verdicts) if p} == {}
 
 
 # Prints {workload: [digest of each operation]} computed with this module's digest.

@@ -1139,6 +1139,11 @@ WITHIN_THE_BUDGET = {
     "genus-32-39-atoms": twisted_chain(32, 39),
     "genus-1-80-long-walks": twisted_chain(1, 80, 1000),
     "genus-2-80-long-walks": twisted_chain(2, 80, 1000),
+    # a union's children are charged apart: a long genus-1 chain beside a
+    # genus-8 handlebody is charged at genus 1 and genus 8, not at genus 9
+    "union-of-a-long-chain-and-a-handlebody": "disjoint_union(composite(handlebody genus=1"
+    + ", twisted_cylinder twist_length=1000" * 20
+    + "), handlebody genus=8)",
 }
 
 

@@ -7,11 +7,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from evencob import cobordism
+from evencob import cobordism, symplectic
 from evencob.cobordism import (
     CobordismMorphism,
     _boundary_kernel,
-    _end_inverse,
     SurfaceObject,
     compose,
     empty_surface,
@@ -56,7 +55,12 @@ from evencob.sampling import (
     random_even_chain,
     random_even_pair,
 )
-from evencob.symplectic import preserves_standard_form, random_lagrangian, random_symplectic
+from evencob.symplectic import (
+    _symplectic_inverse,
+    preserves_standard_form,
+    random_lagrangian,
+    random_symplectic,
+)
 from oracles import bench_oracle, matrix_rows, oracle_image, reference_is_pseudo_cylinder
 
 SPAN_E = canonical_basis([(1, 0)], 2)
@@ -663,14 +667,28 @@ def rescaled_cylinder(obj):
 
 @pytest.fixture
 def form_tests(monkeypatch):
-    """The denominators of the form tests cobordism runs, one per test."""
+    """The denominators of the form tests the certificate runs, one per test."""
     calls = []
 
     def counted(columns, den=1):
         calls.append(den)
         return preserves_standard_form(columns, den)
 
-    monkeypatch.setattr(cobordism, "preserves_standard_form", counted)
+    monkeypatch.setattr(symplectic, "preserves_standard_form", counted)
+    return calls
+
+
+@pytest.fixture
+def end_certificates(monkeypatch):
+    """The end maps a record certifies, one per call; a twist check does not
+    reach cobordism's reference to the certificate."""
+    calls = []
+
+    def counted(a):
+        calls.append(a)
+        return _symplectic_inverse(a)
+
+    monkeypatch.setattr(cobordism, "_symplectic_inverse", counted)
     return calls
 
 
@@ -734,33 +752,36 @@ class TestInvertibleEnds:
         assert_fast_paths_agree(handlebody(2, m.source.lagrangian, 0), m)
 
     def test_rectangular_ends_are_not_tested(self, monkeypatch):
-        monkeypatch.setattr(cobordism, "preserves_standard_form", None)
+        monkeypatch.setattr(symplectic, "preserves_standard_form", None)
         m = handlebody(2, random_lagrangian(2, 1), 0)
         assert m._target_inverse is None and m._source_inverse is None
-        assert _end_inverse(RationalMatrix.zeros(2, 4)) is None
+        assert _symplectic_inverse(RationalMatrix.zeros(2, 4)) is None
 
     @given(g=st.integers(1, 4), seed=st.integers(0, 2**32))
     def test_inverse_of_a_symplectic_end(self, g, seed):
         a = random_symplectic(g, seed)
-        inverse = _end_inverse(a)
+        inverse = _symplectic_inverse(a)
         assert inverse @ a == a @ inverse == RationalMatrix.identity(2 * g)
-        assert _end_inverse(a + a) is None  # invertible, but 2A scales the form by 4
+        assert _symplectic_inverse(a + a) is None  # invertible, but 2A scales the form by 4
 
     def test_identity_end_is_its_own_inverse(self, monkeypatch):
-        monkeypatch.setattr(cobordism, "preserves_standard_form", None)
+        monkeypatch.setattr(symplectic, "preserves_standard_form", None)
         eye = RationalMatrix.identity(4)
-        assert _end_inverse(eye) is eye
+        assert _symplectic_inverse(eye) is eye
 
-    def test_each_end_is_tested_once_per_record(self, form_tests):
+    def test_each_end_is_tested_once_per_record(self, end_certificates, form_tests):
         m1 = twisted((2,), random_symplectic(2, 1), 0)
         m2 = twisted_cylinder(m1.target, random_symplectic(2, 2), random_lagrangian(2, 3), 0)
-        assert validate(m1) == [] and len(form_tests) == 1  # the source end is the identity
+        assert end_certificates == [] and len(form_tests) == 2  # the two twist checks
+        assert validate(m1) == [] and end_certificates == [m1.j_tgt_h1]
         compose(m1, m2)  # m1's target end again, and m2's source end, the identity
         validate(m1)
         push_forward(m1, m1.source.lagrangian)
-        assert len(form_tests) == 1
+        assert end_certificates == [m1.j_tgt_h1, m2.j_src_h1]
+        assert len(form_tests) == 3  # the identity needs no form test
         validate(replace(m1))  # a copy is a new record
-        assert len(form_tests) == 2
+        assert end_certificates == [m1.j_tgt_h1, m2.j_src_h1, m1.j_tgt_h1]
+        assert len(form_tests) == 4
 
     def test_equality_hash_and_replace_ignore_the_cache(self):
         m = twisted((2,), random_symplectic(2, 1), 0)

@@ -5,7 +5,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from evencob.cobordism import CobordismMorphism, empty_surface
-from evencob import formats
 from evencob.errors import (
     DimensionMismatchError,
     EvencobError,
@@ -566,29 +565,23 @@ def test_parse_rational_fixtures_match_the_fraction_reader(token):
     assert _read_outcome(parse_rational, token) == _read_outcome(reference_parse_rational, token)
 
 
-# (token, read by int alone): an optional minus and 1 to 1000 ASCII digits
-# skips the pattern, every other token is read by it
+# integers with and without a sign, at and past the digit limit, and the
+# near misses around them
 _LONG = "7" * MAX_NUMBER_DIGITS
-READ_PATHS = [
-    ("0", True), ("007", True), ("-0", True), ("+5", False), ("-", False), ("--2", False),
-    ("5-", False), ("٣", False), ("1_0", False), ("3/0", False), ("3/06", False),
-    ("-4/6", False), (_LONG, True), ("-" + _LONG, True), (_LONG + "7", False),
-    ("-" + _LONG + "7", False),
+SIGNED_INTEGER_TOKENS = [
+    "0", "007", "-0", "+5", "-", "--2", "5-", "٣", "1_0", "3/0", "3/06", "-4/6",
+    _LONG, "-" + _LONG, _LONG + "7", "-" + _LONG + "7",
 ]
 
 
 @pytest.mark.parametrize(
-    "token, by_int", READ_PATHS, ids=[t if len(t) < 10 else f"{t[0]}...{len(t)}" for t, _ in READ_PATHS]
+    "token",
+    SIGNED_INTEGER_TOKENS,
+    ids=[t if len(t) < 10 else f"{t[0]}...{len(t)}" for t in SIGNED_INTEGER_TOKENS],
 )
-def test_integer_tokens_skip_the_pattern_with_the_same_outcome(monkeypatch, token, by_int):
-    match = formats._match_ratio
-    patterned = []
-    monkeypatch.setattr(
-        formats, "_match_ratio", lambda t, line: patterned.append(t) or match(t, line)
-    )
-    outcome = _read_outcome(formats._read_ratio, token)
-    assert patterned == ([] if by_int else [token])
-    assert outcome == _read_outcome(match, token)
+def test_integer_tokens_match_the_fraction_reader(token):
+    outcome = _read_outcome(parse_rational, token)
+    assert outcome == _read_outcome(reference_parse_rational, token)
     assert outcome[0] == "value" or outcome[0] is FileSyntaxError
 
 
@@ -599,8 +592,8 @@ def test_integer_tokens_skip_the_pattern_with_the_same_outcome(monkeypatch, toke
         st.text(alphabet="-+/0123456789٣_ ", max_size=8),
     )
 )
-def test_read_ratio_matches_the_pattern_reader(token):
-    assert _read_outcome(formats._read_ratio, token) == _read_outcome(formats._match_ratio, token)
+def test_short_tokens_match_the_fraction_reader(token):
+    assert _read_outcome(parse_rational, token) == _read_outcome(reference_parse_rational, token)
 
 
 @st.composite

@@ -18,7 +18,7 @@ from evencob.cobordism import (
     push_forward,
     validate,
 )
-from evencob import generators
+from evencob import symplectic
 from evencob.errors import DimensionMismatchError, GeneratorSpecError, NotSymplecticError
 from evencob.generators import (
     MAX_TEXT_WORK,
@@ -451,8 +451,8 @@ class TestTextWork:
             ("twisted_cylinder genus=2", 160),
             # G = 1, walks of 20, 100 and 20 steps: (20 + 20) + (20 + 120) + (20 + 140)
             ("composite(handlebody genus=1, twisted_cylinder twist_length=100, cap)", 340),
-            # the genera of both handlebodies count, 2 + 3
-            ("disjoint_union(handlebody genus=2, handlebody genus=3)", 25 * (40 + 60)),
+            # a union's children are built apart: 4 * (20 + 20) + 9 * (20 + 20)
+            ("disjoint_union(handlebody genus=2, handlebody genus=3)", 4 * 40 + 9 * 40),
             ("pseudo_cylinder genera=[0,0,0]", 0),
         ],
     )
@@ -464,6 +464,13 @@ class TestTextWork:
         for genus_max in (1, 2, 3, 4):
             for _ in range(500):
                 assert text_work(random_shape(rng, None, genus_max)) <= MAX_TEXT_WORK
+
+    @given(st.integers(0, 2**32), st.integers(1, 4))
+    def test_a_union_costs_what_its_children_cost(self, seed, genus_max):
+        rng = random.Random(seed)
+        a, b = random_shape(rng, None, genus_max), random_shape(rng, None, genus_max)
+        union = GeneratorSpec("disjoint_union", children=(a, b))
+        assert text_work(union) == text_work(a) + text_work(b)
 
     def test_refusal_is_a_spec_error(self):
         check_text_work(parse_generator_spec("twisted_cylinder genus=32 twist_length=1000"))
@@ -634,9 +641,9 @@ def check_calls(monkeypatch):
         SymplecticSpace, "is_lagrangian", counted("is_lagrangian", SymplecticSpace.is_lagrangian)
     )
     monkeypatch.setattr(
-        generators,
+        symplectic,
         "preserves_standard_form",
-        counted("preserves_standard_form", generators.preserves_standard_form),
+        counted("preserves_standard_form", symplectic.preserves_standard_form),
     )
     return calls
 

@@ -7,36 +7,19 @@ from Kashiwara's index there, the weight parity with its own evenness
 right-hand side, and `validate` of the composite with the empty list.  Here it
 runs on sampled pairs, built and abstract, and on gluings along disconnected
 surfaces, where ker(alpha0) is not zero.  `bench/` is only loaded, never
-modified; `checks` imports `oracle` as a top-level module, so the oracle the
-suite already loaded is handed to it under that name while it loads.
+modified: `checks` is `oracles.bench_checks`.
 """
 
-import importlib.util
-import sys
 from dataclasses import replace
-from pathlib import Path
-from unittest import mock
 
 import pytest
 
 from evencob.cobordism import compose, evened
 from evencob.sampling import random_abstract_even_pair, random_even_pair
-from oracles import bench_oracle
+from oracles import bench_checks as checks
 from test_cobordism import bent_cylinder, reversed_morphism, sphere_tube
 
-ROOT = Path(__file__).resolve().parent.parent
 SEEDS = range(150)
-
-
-def _checks():
-    spec = importlib.util.spec_from_file_location("bench_checks", ROOT / "bench" / "checks.py")
-    module = importlib.util.module_from_spec(spec)
-    with mock.patch.dict(sys.modules, {"oracle": bench_oracle}):
-        spec.loader.exec_module(module)
-    return module
-
-
-checks = _checks()
 
 
 def problems(m1, m2):

@@ -644,6 +644,26 @@ def _one_nonzero_per_row(gram: RationalMatrix) -> bool:
     return all(sum(1 for x in gram.row(i) if x) == 1 for i in range(gram.rows))
 
 
+class _CountedRows(list):
+    """Gram rows that count the dense applications reading them."""
+
+    reads = 0
+
+    def __iter__(self):
+        self.reads += 1
+        return super().__iter__()
+
+
+def _counted_gram_rows(monkeypatch, space: SymplecticSpace) -> _CountedRows:
+    """Replace the space's cached gram rows by counted ones for this test: the
+    gather branch of ``_apply`` never reads them, the dense branch once per
+    applied row."""
+    space._pairing  # decided from the real rows first
+    rows = _CountedRows(space.gram._over_one_denominator()[0])
+    monkeypatch.setitem(space.__dict__, "_gram_rows", rows)
+    return rows
+
+
 genera_lists = st.lists(st.integers(0, 3), min_size=1, max_size=3).map(tuple)
 
 
@@ -729,12 +749,9 @@ class TestSignedGather:
             for seed in range(4)
         ]
         expected = [_times_transpose(basis, space.gram) for space, basis in cases]
-        dense = []
-        monkeypatch.setattr(
-            symplectic, "_times_transpose", lambda a, b: dense.append(b) or _times_transpose(a, b)
-        )
+        reads = [_counted_gram_rows(monkeypatch, space) for space, _ in cases]
         assert [space._images(basis) for space, basis in cases] == expected
-        assert dense == []
+        assert [rows.reads for rows in reads] == [0] * len(cases)
 
     @pytest.mark.parametrize("pad", [1, 2])
     def test_images_on_sheared_degenerate_forms_take_the_dense_product(self, pad, monkeypatch):
@@ -743,13 +760,10 @@ class TestSignedGather:
             rng = random.Random(seed)
             _, _, space, _ = _random_space(rng, 3, pad_choices=(pad,))
             cases.append((space, random_subspace(space, rng).basis))
-        dense = []
-        monkeypatch.setattr(
-            symplectic, "_times_transpose", lambda a, b: dense.append(b) or _times_transpose(a, b)
-        )
         for space, basis in cases:
+            rows = _counted_gram_rows(monkeypatch, space)
             assert space._images(basis) == _times_transpose(basis, space.gram)
-        assert dense == [space.gram for space, _ in cases]
+            assert rows.reads == basis.rows  # one dense application per basis row
 
     @given(skew_space_with_pair())
     def test_only_one_nonzero_per_row_takes_the_gather(self, data):
