@@ -68,19 +68,23 @@ def spread(values: list[float]) -> dict[str, float]:
     return {"median": statistics.median(values), "q1": q1, "q3": q3}
 
 
-def verdict(parent: list[float], change: list[float], direction: str) -> str:
-    """"better", "worse" or "within noise", by the rule in the module docstring."""
+def compare(parent: list[float], change: list[float], direction: str) -> dict[str, str]:
+    """In how many pairs the change reads better, and the verdict, "better",
+    "worse" or "within noise", by the rule in the module docstring."""
     sign = 1 if direction == "higher" else -1
     diffs = [sign * (c - p) for p, c in zip(parent, change)]
+    wins, losses = sum(d > 0 for d in diffs), sum(d < 0 for d in diffs)
     gap = sign * (statistics.median(change) - statistics.median(parent))
     quartiles = spread(parent)
     noise = quartiles["q3"] - quartiles["q1"]
     # at least nine in ten: 10 * wins >= 9 * pairs
-    if 10 * sum(d > 0 for d in diffs) >= 9 * len(diffs) and gap > noise:
-        return "better"
-    if 10 * sum(d < 0 for d in diffs) >= 9 * len(diffs) and -gap > noise:
-        return "worse"
-    return "within noise"
+    if 10 * wins >= 9 * len(diffs) and gap > noise:
+        verdict = "better"
+    elif 10 * losses >= 9 * len(diffs) and -gap > noise:
+        verdict = "worse"
+    else:
+        verdict = "within noise"
+    return {"change_better_pairs": f"{wins} of {len(diffs)}", "verdict": verdict}
 
 
 def summarize(pairs: list[dict], better: dict[str, str]) -> dict:
@@ -88,11 +92,8 @@ def summarize(pairs: list[dict], better: dict[str, str]) -> dict:
     out: dict = {}
     for name, direction in better.items():
         values = {side: [p[side]["metrics"][name]["value"] for p in pairs] for side in SIDES}
-        sign = 1 if direction == "higher" else -1
-        wins = sum(sign * (c - p) > 0 for p, c in zip(values["parent"], values["change"]))
         out[name] = {side: spread(values[side]) for side in SIDES}
-        out[name]["change_better_pairs"] = f"{wins} of {len(pairs)}"
-        out[name]["verdict"] = verdict(values["parent"], values["change"], direction)
+        out[name].update(compare(values["parent"], values["change"], direction))
     out["failed"] = {side: sum(p[side]["failed"] for p in pairs) for side in SIDES}
     out["correct"] = all(p[side]["correct"] for p in pairs for side in SIDES)
     return out

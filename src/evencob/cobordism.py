@@ -28,26 +28,18 @@ projections are identities, so the composite is the block sum of the two
 bodies with weight w(m1) + w(m2), and compose builds it as such.
 
 An end map that is square and preserves the standard form, A^T J A = J, is
-invertible with the inverse -J A^T J, a signed permutation of A's transposed
-rows (``symplectic._symplectic_inverse``).  The form test is exact on the
-stored integers, and a record runs it at most once per end: the inverses are
-cached properties, not fields, so equality, hashing and ``replace`` do not
-see them.  Through such an end three eliminations become products; a square
-end that fails the test, and every rectangular end, keeps the elimination.
+invertible with the inverse -J A^T J (``symplectic._symplectic_inverse``).
+When the target end T is one, the record's boundary relation ker[A | T], for
+A = j_src_h1 and T = j_tgt_h1, is the graph of the transfer F = T^-1 A, the
+cached ``_forward``; ``_backward`` = A^-1 T mirrors it through an invertible
+source end.  Each is computed at most once per record, with one exact form
+test, and is not a field, so equality, hashing and ``replace`` do not see it.
+Every other end keeps the elimination.  Through an invertible end:
 
-- A carry into an end A is the preimage under A of the columns of
-  j_start L^T, which is A^-1 j_start L^T: one product and one
-  canonicalization instead of the kernel of [A | j_start L^T].
-- Gluing with J1 = m1.j_tgt_h1 invertible: the cokernel of [J1; -J2], for
-  J2 = m2.j_src_h1, is read off the RREF of its transpose [J1^T | -J2^T],
-  which is [I | -J1^-T J2^T] with pivots in the first block.  Its null rows,
-  one per non-pivot column, are the rows of q1 = [J2 J1^-1 | I].  So
-  d1 = h1(m2), the composite's j_src_h1 is (J2 J1^-1) m1.j_src_h1 and its
-  j_tgt_h1 is m2.j_tgt_h1, each with the k0 zero rows below.
-- In ``validate``, with T = j_tgt_h1 invertible, the kernel of [A | T] for
-  A = j_src_h1 is {(x, -T^-1 A x)}, whose RREF basis is [I | (-T^-1 A)^T]
-  with its leading ones in the first block; the Lagrangian test runs on it
-  as on any other kernel.
+- a carry is the image under the transfer, ``map_subspace(F, L)``;
+- ``validate``'s boundary kernel is {(x, -F x)}, the RREF basis [I | (-F)^T];
+- gluing, the cokernel of [J1; -J2] projects by [J2 J1^-1 | I], so the
+  composite's H1 maps are J2 F1 and m2.j_tgt_h1, above the k0 zero rows.
 
 Record equality on CobordismMorphism is structural (same presentation), which
 is what file round-trips need; two presentations of the same glued manifold
@@ -73,6 +65,7 @@ from .linalg import (
     _times_transpose,
     cokernel,
     kernel,
+    map_subspace,
 )
 from .maslov import LagrangianTriple, maslov_index
 from .symplectic import (
@@ -160,12 +153,18 @@ class CobordismMorphism:
                 )
 
     @cached_property
-    def _source_inverse(self) -> RationalMatrix | None:
-        return _symplectic_inverse(self.j_src_h1)
+    def _forward(self) -> RationalMatrix | None:
+        return _transfer(self.j_src_h1, self.j_tgt_h1)
 
     @cached_property
-    def _target_inverse(self) -> RationalMatrix | None:
-        return _symplectic_inverse(self.j_tgt_h1)
+    def _backward(self) -> RationalMatrix | None:
+        return _transfer(self.j_tgt_h1, self.j_src_h1)
+
+
+def _transfer(start: RationalMatrix, end: RationalMatrix) -> RationalMatrix | None:
+    # end^-1 start when the end map preserves the standard form, else None
+    inverse = _symplectic_inverse(end)
+    return None if inverse is None else inverse @ start
 
 
 @dataclass(frozen=True)
@@ -223,21 +222,18 @@ def _carry(
     start: SurfaceObject,
     j_start: RationalMatrix,
     j_end: RationalMatrix,
-    end_inverse: RationalMatrix | None,
+    transfer: RationalMatrix | None,
 ) -> Subspace:
     # preimage under the end inclusion of the image under the start inclusion,
-    # with that image given by the columns of j_start @ basis^T; through a
-    # cylinder, both inclusions the identity, that is the Lagrangian itself,
-    # and through an invertible end it is the image under its inverse
+    # with that image given by the columns of j_start @ basis^T; through an
+    # invertible end it is the image under the transfer
     if lagrangian.ambient_dim != start.beta1:
         raise DimensionMismatchError(
             f"subspace of ambient {lagrangian.ambient_dim}, {side} surface has "
             f"dimension {start.beta1}"
         )
-    if j_start._is_identity() and j_end._is_identity():
-        return lagrangian
-    if end_inverse is not None:
-        return Subspace(_times_transpose(lagrangian.basis, end_inverse @ j_start))
+    if transfer is not None:
+        return map_subspace(transfer, lagrangian)
     return _preimage_of_columns(j_end, _times_transpose(j_start, lagrangian.basis))
 
 
@@ -248,12 +244,12 @@ def push_forward(m: CobordismMorphism, lagrangian: Subspace) -> Subspace:
     inclusion; Lagrangian in the target space whenever the record validates.
     `compose` builds a LagrangianTriple from it, which checks that.
     """
-    return _carry(lagrangian, "source", m.source, m.j_src_h1, m.j_tgt_h1, m._target_inverse)
+    return _carry(lagrangian, "source", m.source, m.j_src_h1, m.j_tgt_h1, m._forward)
 
 
 def pull_back(m: CobordismMorphism, lagrangian: Subspace) -> Subspace:
     """Mirror of push_forward with source and target exchanged."""
-    return _carry(lagrangian, "target", m.target, m.j_tgt_h1, m.j_src_h1, m._source_inverse)
+    return _carry(lagrangian, "target", m.target, m.j_tgt_h1, m.j_src_h1, m._backward)
 
 
 def epsilon(m: CobordismMorphism) -> int:
@@ -302,11 +298,11 @@ def _boundary_space(src_genera: tuple[int, ...], tgt_genera: tuple[int, ...]) ->
 
 def _boundary_kernel(m: CobordismMorphism) -> Subspace:
     # the kernel of [A | T], A and T the H1 end maps; with T invertible it is
-    # {(x, -T^-1 A x)}, whose basis [I | (-T^-1 A)^T] is already in RREF
-    t_inverse = m._target_inverse
-    if t_inverse is None:
+    # the graph {(x, -F x)}, whose basis [I | (-F)^T] is already in RREF
+    forward = m._forward
+    if forward is None:
         return kernel(m.j_src_h1.hstack(m.j_tgt_h1))
-    tail = (-(t_inverse @ m.j_src_h1)).transpose()
+    tail = (-forward).transpose()
     return Subspace._canonical(RationalMatrix.identity(m.source.beta1).hstack(tail))
 
 
@@ -403,15 +399,15 @@ def compose(m1: CobordismMorphism, m2: CobordismMorphism) -> CobordismMorphism:
         # projection act
         return q._column_block(start, start + mat.rows) @ mat
 
-    j1_inverse = m1._target_inverse
-    if j1_inverse is None:
+    forward = m1._forward
+    if forward is None:
         d1, q1 = cokernel(m1.j_tgt_h1.vstack(-m2.j_src_h1))
         j_src_h1 = through(q1, 0, m1.j_src_h1)
         j_tgt_h1 = through(q1, m1.h1_dim, m2.j_tgt_h1)
     else:
-        # q1 = [J2 J1^-1 | I]
+        # q1 = [J2 J1^-1 | I], so the source map is J2 F1
         d1 = m2.h1_dim
-        j_src_h1 = (m2.j_src_h1 @ j1_inverse) @ m1.j_src_h1
+        j_src_h1 = m2.j_src_h1 @ forward
         j_tgt_h1 = m2.j_tgt_h1
 
     def padded(mat: RationalMatrix) -> RationalMatrix:

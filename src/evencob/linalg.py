@@ -55,8 +55,9 @@ takes 19 ms where the two took 22 ms (2 vCPUs, Python 3.11).
 The identity map and the whole space are recognized from what is stored and
 cost no arithmetic.  ``RationalMatrix.identity(n)`` is built once per size and
 shared; ``_is_identity`` compares with it.  ``@`` returns the other factor when
-one factor is the identity, and ``_times_transpose`` returns A, or B's
-transpose, when the other factor is.  When the larger operand of an
+one factor is the identity, ``_times_transpose`` returns A, or B's
+transpose, when the other factor is, and ``map_subspace`` returns the
+subspace it is given under the identity.  When the larger operand of an
 intersection or a sum is the whole space, the intersection is the smaller
 operand and the sum the larger: the values the reduction by the identity basis
 reaches.
@@ -318,15 +319,18 @@ class RationalMatrix:
         return RationalMatrix._of_pairs([_reduced(c, den) for c in columns], len(self._rows))
 
     def is_symmetric(self) -> bool:
-        # entries (i, j) and (j, i) agree iff rows[i][j] / dens[i] = rows[j][i] / dens[j]
-        if self.rows != self._ncols:
-            return False
+        return self.rows == self._ncols and self._mirror_mismatch(1) is None
+
+    def _mirror_mismatch(self, sign: int) -> tuple[int, int] | None:
+        """The first (i, j), i <= j, in row-major order of a square matrix with
+        entry (i, j) != sign * entry (j, i), or None: on the stored integers,
+        rows[i][j] / dens[i] against sign * rows[j][i] / dens[j]."""
         rows, dens = self._rows, self._dens
-        return all(
-            rows[i][j] * dens[j] == rows[j][i] * dens[i]
-            for i in range(len(rows))
-            for j in range(i + 1, len(rows))
-        )
+        for i, (row, den) in enumerate(zip(rows, dens)):
+            for j in range(i, len(rows)):
+                if row[j] * dens[j] != sign * rows[j][i] * den:
+                    return i, j
+        return None
 
     # -- stacking -------------------------------------------------------------
 
@@ -695,9 +699,11 @@ def cokernel(f: RationalMatrix) -> tuple[int, RationalMatrix]:
 
 
 def map_subspace(f: RationalMatrix, sub: Subspace) -> Subspace:
-    """Image of a subspace under a linear map."""
+    """Image of a subspace under a linear map; under the identity, the subspace."""
     if sub.ambient_dim != f.cols:
         raise DimensionMismatchError(
             f"subspace lives in dimension {sub.ambient_dim}, map expects {f.cols}"
         )
+    if f._is_identity():
+        return sub
     return Subspace(_times_transpose(sub.basis, f))

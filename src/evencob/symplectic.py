@@ -53,12 +53,10 @@ class SymplecticSpace:
         g = self.gram
         if g.rows != g.cols:
             raise NonSkewFormError(f"gram matrix is {g.rows}x{g.cols}, not square")
-        # entry (i, j) is -entry (j, i) iff rows[i][j] / dens[i] = -rows[j][i] / dens[j]
-        rows, dens = g._rows, g._dens
-        for i, (row, den) in enumerate(zip(rows, dens)):
-            for j in range(i, len(rows)):
-                if row[j] * dens[j] != -rows[j][i] * den:
-                    raise NonSkewFormError(f"gram[{i}][{j}] != -gram[{j}][{i}]")
+        mismatch = g._mirror_mismatch(-1)
+        if mismatch is not None:
+            i, j = mismatch
+            raise NonSkewFormError(f"gram[{i}][{j}] != -gram[{j}][{i}]")
 
     @property
     def dim(self) -> int:

@@ -11,7 +11,8 @@ a preimage, a solution, an inverse, a membership, a split, a Lagrangian test or
 a Maslov gram) computes it there, so a fault in evencob cannot pass on both
 sides of a comparison.  `matrix_rows` reads a matrix's entries into that form.
 `bench_checks` is the benchmark's report checks, `bench/checks.py`, loaded on
-this oracle.
+this oracle.  `load_file` is the suite's one loader for a file outside the
+package: these two and the tests' `bench/` and `scripts/` modules.
 
 The ``oracle_*`` adapters below are the glue: they take ``Fraction`` rows and
 call only `bench_oracle` and ``Fraction`` arithmetic.  A linear system, an
@@ -36,6 +37,7 @@ mathematical object, so no independent formula could stand in for it:
 
 from __future__ import annotations
 
+import contextlib
 import importlib.util
 import random
 import re
@@ -55,27 +57,21 @@ BENCH = Path(__file__).resolve().parent.parent / "bench"
 BENCH_ORACLE = BENCH / "oracle.py"
 
 
-def _load_bench_oracle():
-    spec = importlib.util.spec_from_file_location("bench_oracle", BENCH_ORACLE)
+def load_file(name: str, path: Path, modules: dict | None = None):
+    """The module `name` executed from the file at `path`.  Given `modules`,
+    they stand in sys.modules while it runs, and sys.modules is restored
+    after."""
+    spec = importlib.util.spec_from_file_location(name, path)
     module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
-bench_oracle = _load_bench_oracle()
-
-
-def _load_bench_checks():
-    # `checks` imports `oracle` as a top-level module, so the oracle loaded
-    # above is handed to it under that name while it loads
-    spec = importlib.util.spec_from_file_location("bench_checks", BENCH / "checks.py")
-    module = importlib.util.module_from_spec(spec)
-    with mock.patch.dict(sys.modules, {"oracle": bench_oracle}):
+    with mock.patch.dict(sys.modules, modules) if modules else contextlib.nullcontext():
         spec.loader.exec_module(module)
     return module
 
 
-bench_checks = _load_bench_checks()
+bench_oracle = load_file("bench_oracle", BENCH_ORACLE)
+# `checks` imports `oracle` as a top-level module, so the oracle loaded above
+# is handed to it under that name while it loads
+bench_checks = load_file("bench_checks", BENCH / "checks.py", {"oracle": bench_oracle})
 
 Rows = list[list[Fraction]]
 

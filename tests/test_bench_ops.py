@@ -15,7 +15,6 @@ the `assert` statements must change no output on these valid inputs.
 import contextlib
 import functools
 import hashlib
-import importlib.util
 import io
 import json
 import os
@@ -26,20 +25,13 @@ from pathlib import Path
 import pytest
 
 from evencob.cli import main
-from oracles import bench_checks
+from oracles import BENCH, bench_checks, load_file
 
 ROOT = Path(__file__).resolve().parent.parent
 EXPECTED = Path(__file__).parent / "golden" / "bench_ops.json"
 
 
-def _workloads():
-    spec = importlib.util.spec_from_file_location("bench_workloads", ROOT / "bench" / "workloads.py")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
-WORKLOADS = _workloads()
+WORKLOADS = load_file("bench_workloads", BENCH / "workloads.py")
 
 
 def run(argv: list[str]) -> list:

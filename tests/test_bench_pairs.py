@@ -1,22 +1,14 @@
 """The pair summarizer of scripts/bench_pairs.py, fed canned result lines."""
 
-import importlib.util
 import json
 from pathlib import Path
 
 import pytest
 
+from oracles import load_file
+
 ROOT = Path(__file__).resolve().parent.parent
-
-
-def _load_script():
-    spec = importlib.util.spec_from_file_location("bench_pairs", ROOT / "scripts" / "bench_pairs.py")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
-bench_pairs = _load_script()
+bench_pairs = load_file("bench_pairs", ROOT / "scripts" / "bench_pairs.py")
 BETTER = bench_pairs.directions(json.loads((ROOT / "BENCHMARK.json").read_text()))
 
 

@@ -639,7 +639,7 @@ def assert_fast_paths_agree(m1, m2):
 
 def is_fast(m):
     """The record's target end has an inverse and is not the identity."""
-    return m._target_inverse is not None and not m.j_tgt_h1._is_identity()
+    return m._forward is not None and not m.j_tgt_h1._is_identity()
 
 
 def twisted(genera, twist, seed):
@@ -714,7 +714,7 @@ class TestInvertibleEnds:
             j = m1.j_tgt_h1
             if j.rows != j.cols:
                 kinds["rectangular"] += 1
-            elif m1._target_inverse is None:
+            elif m1._forward is None:
                 kinds["square, no inverse"] += 1
             else:
                 kinds["identity" if j._is_identity() else "inverse"] += 1
@@ -735,7 +735,7 @@ class TestInvertibleEnds:
         assert m.j_tgt_h1 == RationalMatrix(
             [[half, 0, 0, 0], [0, 2, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]
         )
-        assert m._target_inverse == RATIONAL_TWIST
+        assert m._forward == RATIONAL_TWIST  # the source end is the identity
         after = twisted_cylinder(m.target, random_symplectic(2, 5), random_lagrangian(2, 9), 1)
         for m2 in (after, cap(2, m.target.lagrangian, 0), identity(m.target)):
             assert validate(assert_fast_paths_agree(m, m2)) == []
@@ -744,7 +744,7 @@ class TestInvertibleEnds:
     def test_square_end_that_is_not_symplectic_takes_the_elimination(self, form_tests):
         m = rescaled_cylinder(SurfaceObject((2,), random_lagrangian(2, 4)))
         assert validate(m) == []
-        assert m._target_inverse is None and m._source_inverse is None
+        assert m._forward is None and m._backward is None
         assert len(form_tests) == 2
         after = twisted_cylinder(m.target, random_symplectic(2, 6), random_lagrangian(2, 7), 0)
         for m2 in (after, identity(m.target)):
@@ -754,7 +754,7 @@ class TestInvertibleEnds:
     def test_rectangular_ends_are_not_tested(self, monkeypatch):
         monkeypatch.setattr(symplectic, "preserves_standard_form", None)
         m = handlebody(2, random_lagrangian(2, 1), 0)
-        assert m._target_inverse is None and m._source_inverse is None
+        assert m._forward is None and m._backward is None
         assert _symplectic_inverse(RationalMatrix.zeros(2, 4)) is None
 
     @given(g=st.integers(1, 4), seed=st.integers(0, 2**32))
@@ -783,11 +783,63 @@ class TestInvertibleEnds:
         assert end_certificates == [m1.j_tgt_h1, m2.j_src_h1, m1.j_tgt_h1]
         assert len(form_tests) == 4
 
+    def test_each_transfer_is_computed_once_per_record(self, monkeypatch):
+        calls = []
+        transfer = cobordism._transfer
+
+        def counted(start, end):
+            calls.append((start, end))
+            return transfer(start, end)
+
+        monkeypatch.setattr(cobordism, "_transfer", counted)
+        m1 = twisted((2,), random_symplectic(2, 1), 0)
+        m2 = twisted_cylinder(m1.target, random_symplectic(2, 2), random_lagrangian(2, 3), 0)
+        for _ in range(2):
+            validate(m1)
+            push_forward(m1, m1.source.lagrangian)
+            pull_back(m1, m1.target.lagrangian)
+            compose(m1, m2)  # m1's forward transfer again, and m2's backward one
+        assert calls == [
+            (m1.j_src_h1, m1.j_tgt_h1),
+            (m1.j_tgt_h1, m1.j_src_h1),
+            (m2.j_tgt_h1, m2.j_src_h1),
+        ]
+
+    def test_a_cached_transfer_carries_with_no_product(self, monkeypatch):
+        m = twisted((2,), random_symplectic(2, 1), 0)
+        src, tgt = m.source.lagrangian, m.target.lagrangian
+        carried = push_forward(m, src), pull_back(m, tgt)  # fills both caches
+        assert carried == (carried_by_elimination(m, src, True), carried_by_elimination(m, tgt, False))
+        products = []
+        matmul = RationalMatrix.__matmul__
+
+        def counted(a, b):
+            products.append((a, b))
+            return matmul(a, b)
+
+        monkeypatch.setattr(RationalMatrix, "__matmul__", counted)
+        assert (push_forward(m, src), pull_back(m, tgt)) == carried
+        assert products == []
+
+    def test_glued_source_map_is_the_product_through_the_inverse(self):
+        checked = 0
+        for seed in range(60):
+            for sampler in (random_even_pair, random_abstract_even_pair):
+                m1, m2 = sampler(seed, 4)
+                if m1.target.is_empty or m1._forward is None:
+                    continue
+                expected = (m2.j_src_h1 @ m1.j_tgt_h1.inverse()) @ m1.j_src_h1
+                glued = compose(m1, m2)
+                k0 = glued.h1_dim - m2.h1_dim
+                assert glued.j_src_h1 == expected.vstack(RationalMatrix.zeros(k0, expected.cols))
+                checked += 1
+        assert checked >= 10
+
     def test_equality_hash_and_replace_ignore_the_cache(self):
         m = twisted((2,), random_symplectic(2, 1), 0)
         fresh = replace(m)
         assert validate(m) == []
-        assert "_target_inverse" in vars(m) and "_target_inverse" not in vars(fresh)
+        assert "_forward" in vars(m) and "_forward" not in vars(fresh)
         assert m == fresh and hash(m) == hash(fresh)
-        assert "_target_inverse" not in vars(replace(m, weight=1))
+        assert "_forward" not in vars(replace(m, weight=1))
         assert not any(f.name.startswith("_") for f in fields(m))

@@ -1040,6 +1040,19 @@ class TestIdentityAndWholeSpaceCostNothing:
             m @ m.transpose()
             assert len(calls) == 1
 
+    @pytest.mark.parametrize("n", [0, 1, 4])
+    def test_image_under_the_identity_is_the_subspace(self, n):
+        rng = random.Random(n)
+        drawn = [[Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(n)] for _ in range(2)]
+        for eye in identities(n):
+            for sub in (Subspace.zero(n), Subspace.full(n), span(drawn, n)):
+                expected = oracle_image(matrix_rows(eye), matrix_rows(sub.basis), n)
+                with pytest.MonkeyPatch.context() as patch:
+                    eliminations = self.counting(patch, RationalMatrix, "rref")
+                    assert map_subspace(eye, sub) is sub
+                assert eliminations == []
+                assert matrix_rows(sub.basis) == expected
+
     def test_preimage_under_the_identity_runs_one_elimination(self):
         span = RationalMatrix([[1, 2], [Fraction(1, 3), 0], [0, 5]])
         for eye in identities(3):

@@ -7,22 +7,12 @@ installing the tracer) and resolves each entry the way the tracer does.
 """
 
 import importlib
-import importlib.util
-from pathlib import Path
 
 import pytest
 
-TRACING = Path(__file__).resolve().parent.parent / "bench" / "tracing.py"
+from oracles import BENCH, load_file
 
-
-def _traced():
-    spec = importlib.util.spec_from_file_location("bench_tracing", TRACING)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module.TRACED
-
-
-TRACED = _traced()
+TRACED = load_file("bench_tracing", BENCH / "tracing.py").TRACED
 
 
 def test_traced_table_is_not_empty():
