@@ -308,10 +308,10 @@ class RationalMatrix:
 
     def apply(self, vector: Iterable) -> Vector:
         """Matrix times column vector."""
-        v = as_vector(vector)
+        v, d = _over_common_denominator(vector)
         if len(v) != self._ncols:
             raise DimensionMismatchError(f"vector of length {len(v)} for a {self.rows}x{self.cols} matrix")
-        return (self @ RationalMatrix.from_columns([v], rows=self._ncols)).column(0)
+        return self._product([v], d).column(0)
 
     def transpose(self) -> "RationalMatrix":
         scaled, den = self._over_one_denominator()

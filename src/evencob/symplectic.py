@@ -69,7 +69,7 @@ class SymplecticSpace:
             raise DimensionMismatchError(
                 f"vectors of lengths {len(vx)}, {len(vy)} in dimension {self.dim}"
             )
-        return (RationalMatrix([vx], cols=self.dim) @ self.gram).apply(vy)[0]
+        return sum(map(mul, vx, self.gram.apply(vy)), Fraction(0))
 
     def _check_ambient(self, sub: Subspace) -> None:
         if sub.ambient_dim != self.dim:

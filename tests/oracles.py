@@ -13,6 +13,9 @@ sides of a comparison.  `matrix_rows` reads a matrix's entries into that form.
 `bench_checks` is the benchmark's report checks, `bench/checks.py`, loaded on
 this oracle.  `load_file` is the suite's one loader for a file outside the
 package: these two and the tests' `bench/` and `scripts/` modules.
+`calls_to` is the suite's one call recorder: every call count a test
+asserts reads the list it returns.  The CI steps under ``python -O`` import
+this module, where pytest does not rewrite asserts, so it holds none.
 
 The ``oracle_*`` adapters below are the glue: they take ``Fraction`` rows and
 call only `bench_oracle` and ``Fraction`` arithmetic.  A linear system, an
@@ -66,6 +69,26 @@ def load_file(name: str, path: Path, modules: dict | None = None):
     with mock.patch.dict(sys.modules, modules) if modules else contextlib.nullcontext():
         spec.loader.exec_module(module)
     return module
+
+
+def calls_to(patch, owner, name: str) -> list[tuple]:
+    """The positional arguments of each call to ``owner.name``, in call order.
+
+    `patch` is a ``pytest.MonkeyPatch``: the fixture, or
+    ``pytest.MonkeyPatch.context()`` inside a hypothesis test.  It wraps
+    ``owner.name`` so that each call appends its arguments (a method's start
+    with ``self``) to the list returned, then returns what the original
+    returns or raises; undoing `patch` restores the original.
+    """
+    calls = []
+    original = getattr(owner, name)
+
+    def recorded(*args):
+        calls.append(args)
+        return original(*args)
+
+    patch.setattr(owner, name, recorded)
+    return calls
 
 
 bench_oracle = load_file("bench_oracle", BENCH_ORACLE)

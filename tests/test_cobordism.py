@@ -55,13 +55,8 @@ from evencob.sampling import (
     random_even_chain,
     random_even_pair,
 )
-from evencob.symplectic import (
-    _symplectic_inverse,
-    preserves_standard_form,
-    random_lagrangian,
-    random_symplectic,
-)
-from oracles import bench_oracle, matrix_rows, oracle_image, reference_is_pseudo_cylinder
+from evencob.symplectic import _symplectic_inverse, random_lagrangian, random_symplectic
+from oracles import bench_oracle, calls_to, matrix_rows, oracle_image, reference_is_pseudo_cylinder
 
 SPAN_E = canonical_basis([(1, 0)], 2)
 SPAN_F = canonical_basis([(0, 1)], 2)
@@ -667,29 +662,15 @@ def rescaled_cylinder(obj):
 
 @pytest.fixture
 def form_tests(monkeypatch):
-    """The denominators of the form tests the certificate runs, one per test."""
-    calls = []
-
-    def counted(columns, den=1):
-        calls.append(den)
-        return preserves_standard_form(columns, den)
-
-    monkeypatch.setattr(symplectic, "preserves_standard_form", counted)
-    return calls
+    """The form tests the certificate runs, one (columns, den) per test."""
+    return calls_to(monkeypatch, symplectic, "preserves_standard_form")
 
 
 @pytest.fixture
 def end_certificates(monkeypatch):
-    """The end maps a record certifies, one per call; a twist check does not
-    reach cobordism's reference to the certificate."""
-    calls = []
-
-    def counted(a):
-        calls.append(a)
-        return _symplectic_inverse(a)
-
-    monkeypatch.setattr(cobordism, "_symplectic_inverse", counted)
-    return calls
+    """The end maps a record certifies, one (map,) per call; a twist check
+    does not reach cobordism's reference to the certificate."""
+    return calls_to(monkeypatch, cobordism, "_symplectic_inverse")
 
 
 class TestInvertibleEnds:
@@ -773,25 +754,18 @@ class TestInvertibleEnds:
         m1 = twisted((2,), random_symplectic(2, 1), 0)
         m2 = twisted_cylinder(m1.target, random_symplectic(2, 2), random_lagrangian(2, 3), 0)
         assert end_certificates == [] and len(form_tests) == 2  # the two twist checks
-        assert validate(m1) == [] and end_certificates == [m1.j_tgt_h1]
+        assert validate(m1) == [] and end_certificates == [(m1.j_tgt_h1,)]
         compose(m1, m2)  # m1's target end again, and m2's source end, the identity
         validate(m1)
         push_forward(m1, m1.source.lagrangian)
-        assert end_certificates == [m1.j_tgt_h1, m2.j_src_h1]
+        assert end_certificates == [(m1.j_tgt_h1,), (m2.j_src_h1,)]
         assert len(form_tests) == 3  # the identity needs no form test
         validate(replace(m1))  # a copy is a new record
-        assert end_certificates == [m1.j_tgt_h1, m2.j_src_h1, m1.j_tgt_h1]
+        assert end_certificates == [(m1.j_tgt_h1,), (m2.j_src_h1,), (m1.j_tgt_h1,)]
         assert len(form_tests) == 4
 
     def test_each_transfer_is_computed_once_per_record(self, monkeypatch):
-        calls = []
-        transfer = cobordism._transfer
-
-        def counted(start, end):
-            calls.append((start, end))
-            return transfer(start, end)
-
-        monkeypatch.setattr(cobordism, "_transfer", counted)
+        calls = calls_to(monkeypatch, cobordism, "_transfer")
         m1 = twisted((2,), random_symplectic(2, 1), 0)
         m2 = twisted_cylinder(m1.target, random_symplectic(2, 2), random_lagrangian(2, 3), 0)
         for _ in range(2):
@@ -810,14 +784,7 @@ class TestInvertibleEnds:
         src, tgt = m.source.lagrangian, m.target.lagrangian
         carried = push_forward(m, src), pull_back(m, tgt)  # fills both caches
         assert carried == (carried_by_elimination(m, src, True), carried_by_elimination(m, tgt, False))
-        products = []
-        matmul = RationalMatrix.__matmul__
-
-        def counted(a, b):
-            products.append((a, b))
-            return matmul(a, b)
-
-        monkeypatch.setattr(RationalMatrix, "__matmul__", counted)
+        products = calls_to(monkeypatch, RationalMatrix, "__matmul__")
         assert (push_forward(m, src), pull_back(m, tgt)) == carried
         assert products == []
 

@@ -22,6 +22,7 @@ from evencob.linalg import (
 )
 from oracles import (
     bench_oracle,
+    calls_to,
     combination,
     matrix_rows,
     oracle_contains,
@@ -752,17 +753,10 @@ class TestKernelOracle:
 
     @given(st.one_of(matrices(), matrices(max_rows=6, max_cols=7)))
     def test_runs_one_elimination(self, f):
-        calls = []
-        rref = RationalMatrix.rref
-
-        def counted(m):
-            calls.append(m.cols)
-            return rref(m)
-
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(RationalMatrix, "rref", counted)
+            calls = calls_to(patch, RationalMatrix, "rref")
             kernel(f)
-        assert calls == [f.cols]
+        assert [m.cols for (m,) in calls] == [f.cols]
 
     @pytest.mark.parametrize(
         "f",
@@ -1013,23 +1007,11 @@ class TestIdentityAndWholeSpace:
 class TestIdentityAndWholeSpaceCostNothing:
     """Counts of the work the identity and the whole space skip."""
 
-    @staticmethod
-    def counting(patch, owner, name):
-        calls = []
-        method = getattr(owner, name)
-
-        def counted(*args):
-            calls.append(args)
-            return method(*args)
-
-        patch.setattr(owner, name, counted)
-        return calls
-
     @pytest.mark.parametrize("n", [0, 1, 3])
     def test_identity_factor_runs_no_product_loop(self, n):
         m = RationalMatrix([[Fraction(i + 1, j + 2) for j in range(n)] for i in range(2)], cols=n)
         with pytest.MonkeyPatch.context() as patch:
-            calls = self.counting(patch, RationalMatrix, "_product")
+            calls = calls_to(patch, RationalMatrix, "_product")
             for eye in identities(n):
                 m @ eye
                 _times_transpose(m, eye)
@@ -1048,7 +1030,7 @@ class TestIdentityAndWholeSpaceCostNothing:
             for sub in (Subspace.zero(n), Subspace.full(n), span(drawn, n)):
                 expected = oracle_image(matrix_rows(eye), matrix_rows(sub.basis), n)
                 with pytest.MonkeyPatch.context() as patch:
-                    eliminations = self.counting(patch, RationalMatrix, "rref")
+                    eliminations = calls_to(patch, RationalMatrix, "rref")
                     assert map_subspace(eye, sub) is sub
                 assert eliminations == []
                 assert matrix_rows(sub.basis) == expected
@@ -1057,7 +1039,7 @@ class TestIdentityAndWholeSpaceCostNothing:
         span = RationalMatrix([[1, 2], [Fraction(1, 3), 0], [0, 5]])
         for eye in identities(3):
             with pytest.MonkeyPatch.context() as patch:
-                calls = self.counting(patch, RationalMatrix, "rref")
+                calls = calls_to(patch, RationalMatrix, "rref")
                 _preimage_of_columns(eye, span)
             assert len(calls) == 1
 
@@ -1074,7 +1056,7 @@ class TestIdentityAndWholeSpaceCostNothing:
         for f, span in cases:
             expected = bench_oracle.preimage(matrix_rows(f), matrix_rows(span.transpose()), f.cols)
             with pytest.MonkeyPatch.context() as patch:
-                calls = self.counting(patch, RationalMatrix, "rref")
+                calls = calls_to(patch, RationalMatrix, "rref")
                 result = _preimage_of_columns(f, span)
             assert len(calls) == 1
             assert matrix_rows(result.basis) == oracle_span(expected, f.cols)
@@ -1085,8 +1067,8 @@ class TestIdentityAndWholeSpaceCostNothing:
         a = span([[Fraction(1, j + 1) for j in range(n)]], n)
         whole = Subspace.full(n)
         with pytest.MonkeyPatch.context() as patch:
-            reductions = self.counting(patch, linalg, "_reduce")
-            eliminations = self.counting(patch, RationalMatrix, "rref")
+            reductions = calls_to(patch, linalg, "_reduce")
+            eliminations = calls_to(patch, RationalMatrix, "rref")
             assert a.intersect(whole) is a and whole.intersect(a) is a
             assert a + whole is whole and whole + a is whole
         assert reductions == eliminations == []
@@ -1103,7 +1085,7 @@ class TestIdentityAndWholeSpaceCostNothing:
             cases.append((surface, random_lagrangian(sum(genera), seed + 1)))
         cylinders = [(identity(surface), lag) for surface, lag in cases]
         with pytest.MonkeyPatch.context() as patch:
-            eliminations = self.counting(patch, RationalMatrix, "rref")
+            eliminations = calls_to(patch, RationalMatrix, "rref")
             for m, lag in cylinders:
                 assert push_forward(m, lag) is lag and pull_back(m, lag) is lag
                 with pytest.raises(DimensionMismatchError, match="surface has dimension"):
@@ -1113,8 +1095,6 @@ class TestIdentityAndWholeSpaceCostNothing:
 
 class TestIntersectionFromTheForwardPass:
     """`intersect` runs the forward pass only, and canonicalizes nothing but the meet."""
-
-    counting = staticmethod(TestIdentityAndWholeSpaceCostNothing.counting)
 
     @staticmethod
     def pairs(seeds, contain_radical):
@@ -1140,7 +1120,7 @@ class TestIntersectionFromTheForwardPass:
                 transverse.append((a, b))
         assert len(transverse) >= 15
         with pytest.MonkeyPatch.context() as patch:
-            eliminations = self.counting(patch, RationalMatrix, "rref")
+            eliminations = calls_to(patch, RationalMatrix, "rref")
             meets = [a.intersect(b) for a, b in transverse]
         assert eliminations == []
         assert all(m == Subspace.zero(a.ambient_dim) for m, (a, _) in zip(meets, transverse))
@@ -1154,7 +1134,7 @@ class TestIntersectionFromTheForwardPass:
         assert len(cases) >= 8
         for a, b, radical in cases:
             with pytest.MonkeyPatch.context() as patch:
-                eliminations = self.counting(patch, RationalMatrix, "rref")
+                eliminations = calls_to(patch, RationalMatrix, "rref")
                 meet = a.intersect(b)
             assert meet == radical
             assert [m.rows for (m,) in eliminations] == [radical.dim]

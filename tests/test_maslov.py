@@ -29,6 +29,7 @@ from evencob.sampling import random_abstract_even_pair, random_even_pair, random
 from evencob.symplectic import standard_surface_space
 from oracles import (
     bench_oracle,
+    calls_to,
     combination,
     matrix_rows,
     oracle_decompose,
@@ -204,18 +205,12 @@ def _compose_triples(sampler, seeds, genus_max=3):
     when it glues the pairs the sampler draws: one per pair glued along a
     nonempty surface, since along the empty one it builds the block sum."""
     pairs = [sampler(seed, genus_max) for seed in seeds]
-    triples = []
-
-    def recorded(triple):
-        triples.append(triple)
-        return maslov_index(triple)
-
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(cobordism, "maslov_index", recorded)
+        calls = calls_to(patch, cobordism, "maslov_index")
         for m1, m2 in pairs:
             cobordism.compose(m1, m2)
-    assert len(triples) == sum(not m1.target.is_empty for m1, _ in pairs)
-    return triples
+    assert len(calls) == sum(not m1.target.is_empty for m1, _ in pairs)
+    return [triple for (triple,) in calls]
 
 
 class TestMaslovFormOnComposeTriples:
@@ -239,24 +234,15 @@ class TestMaslovFormOnComposeTriples:
         triples = _compose_triples(random_even_pair, range(20)) + [
             random_triple(seed, 4) for seed in range(20)
         ]
-        calls = Counter()
-
-        def counted(name, method):
-            def wrapper(*args):
-                calls[name] += 1
-                return method(*args)
-
-            return wrapper
-
-        monkeypatch.setattr(RationalMatrix, "solve", counted("solve", RationalMatrix.solve))
-        monkeypatch.setattr(Subspace, "__add__", counted("+", Subspace.__add__))
-        monkeypatch.setattr(RationalMatrix, "rref", counted("rref", RationalMatrix.rref))
+        solves = calls_to(monkeypatch, RationalMatrix, "solve")
+        sums = calls_to(monkeypatch, Subspace, "__add__")
+        eliminations = calls_to(monkeypatch, RationalMatrix, "rref")
         per_form = []
         for t in triples:
-            before = calls["rref"]
+            eliminations.clear()
             maslov_form(t)
-            per_form.append(calls["rref"] - before)
-        assert calls["solve"] == calls["+"] == 0
+            per_form.append(len(eliminations))
+        assert solves == sums == []
         # the Zassenhaus elimination, and at most one more inside `intersect`
         assert set(per_form) <= {1, 2} and 1 in per_form and 2 in per_form
 
@@ -266,19 +252,12 @@ class TestMaslovFormOnComposeTriples:
         triples = _compose_triples(random_even_pair, range(20)) + [
             random_triple(seed, 4) for seed in range(40)
         ]
-        calls = Counter()
-        matmul = RationalMatrix.__matmul__
-
-        def counted(a, b):
-            calls["@"] += 1
-            return matmul(a, b)
-
-        monkeypatch.setattr(RationalMatrix, "__matmul__", counted)
+        products = calls_to(monkeypatch, RationalMatrix, "__matmul__")
         per_form = Counter()
         for t in triples:
-            before = calls["@"]
+            products.clear()
             maslov_form(t)
-            per_form[t.space._pairing is None, calls["@"] - before] += 1
+            per_form[t.space._pairing is None, len(products)] += 1
         assert set(per_form) == {(False, 1), (True, 1)}
 
     def test_whole_sum_runs_no_intersection(self, monkeypatch):
@@ -287,14 +266,7 @@ class TestMaslovFormOnComposeTriples:
         triples = _compose_triples(random_even_pair, range(20)) + [
             random_triple(seed, 4) for seed in range(40)
         ] + [TRIPLE_EF, LagrangianTriple(GENUS_ONE, SPAN_E, SPAN_E, SPAN_F)]
-        meets = []
-        intersect = Subspace.intersect
-
-        def counted(a, b):
-            meets.append((a, b))
-            return intersect(a, b)
-
-        monkeypatch.setattr(Subspace, "intersect", counted)
+        meets = calls_to(monkeypatch, Subspace, "intersect")
         whole = {True: 0, False: 0}
         for t in triples:
             n = t.space.dim
@@ -520,19 +492,11 @@ class TestLatticeComputedOnce:
         path = tmp_path / "triple.ssf"
         names = {"A": t.l1, "B": t.l2, "C": t.l3}
         path.write_text(serialize_scenario(Scenario(t.space, names, (("A", "B", "C"),))))
-        calls = Counter()
-
-        def counted(op, method):
-            def wrapper(a, b):
-                calls[op, a, b] += 1
-                return method(a, b)
-
-            return wrapper
-
-        monkeypatch.setattr(Subspace, "intersect", counted("meet", Subspace.intersect))
-        monkeypatch.setattr(Subspace, "__add__", counted("+", Subspace.__add__))
+        meets = calls_to(monkeypatch, Subspace, "intersect")
+        sums = calls_to(monkeypatch, Subspace, "__add__")
         assert cli.main([*command, "--in", str(path), "--output", "json"]) == 0
         capsys.readouterr()
+        calls = Counter([("meet", *args) for args in meets] + [("+", *args) for args in sums])
         # operand pairs are told apart by value: with distinct Lagrangians no
         # two lattice elements the query needs are built from equal operands
         assert calls and max(calls.values()) == 1, [k[0] for k, n in calls.items() if n > 1]

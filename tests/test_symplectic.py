@@ -34,6 +34,7 @@ from evencob.symplectic import (
     symplectic_generators,
 )
 from oracles import (
+    calls_to,
     matrix_rows,
     oracle_is_lagrangian,
     reference_random_symplectic,
@@ -810,11 +811,9 @@ class TestRadicalSizeAsRank:
         for seed in range(5):
             space, a, b = random_subspace_pair(seed, 3, contain_radical=True)
             spaces.append((SymplecticSpace(space.gram), [a, b]))
-        calls = []
-        kernel, rref = symplectic.kernel, RationalMatrix.rref
-        monkeypatch.setattr(symplectic, "kernel", lambda f: calls.append("kernel") or kernel(f))
-        monkeypatch.setattr(RationalMatrix, "rref", lambda m: calls.append("rref") or rref(m))
+        kernels = calls_to(monkeypatch, symplectic, "kernel")
+        eliminations = calls_to(monkeypatch, RationalMatrix, "rref")
         answers = [space.is_lagrangian(sub) for space, subs in spaces for sub in subs]
-        assert calls == []
+        assert kernels == eliminations == []
         assert answers[:2] == [True, False]
         assert not any(space.__dict__.get("_radical") for space, _ in spaces)
