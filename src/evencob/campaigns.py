@@ -1,17 +1,19 @@
 """Randomized theorem campaigns with replayable counterexample files.
 
-Each entry of the `THEOREMS` registry, named by its key, is an arity, a
-sampler that draws a random instance from a trial seed, and an evaluator.
-The evaluator is the one place its statement is checked: the library does
-not check it again, so a violation is a counterexample and `python -O`
-changes nothing.
+Each entry of the `THEOREMS` registry, named by its key, is four things: a
+sampler that draws a random instance from a trial seed, an evaluator, a writer
+that turns an instance into a replayable file (its kind, suffix and text), and
+a reader that turns such a file into labelled instances, or None when the
+theorem has no file form of its own.  The evaluator is the one place its
+statement is checked: the library does not check it again, so a violation is
+a counterexample and `python -O` changes nothing.
 `run_campaign` is the one trial loop, for the `check` theorems and for even
 closure alike: it returns the first violation, or None when every trial
 holds, and the caller derives any count from that.  A violation carries the
-instance serialized, so the exact failing data can be re-checked standalone:
-a triple or pair theorem writes a scenario (.ssf) for
-`check --theorem X --in file`, and closure writes a two-morphism pipeline
-(.cbf) for `compose --in file`.
+file its writer made, so the exact failing data can be re-checked standalone:
+a triple or pair theorem writes a scenario (.ssf), which its reader reads for
+`check --theorem X --in file`, and closure, which has no reader, writes a
+two-morphism pipeline (.cbf) for `compose --in file`.
 
 Per-trial seeds are base seed + trial index, so reports are deterministic and
 order-independent.
@@ -24,15 +26,17 @@ from itertools import combinations
 from typing import Callable
 
 from .cobordism import compose, is_even, validate
-from .formats import Pipeline, PipelineEntry, Scenario, serialize_pipeline, serialize_scenario
-from .linalg import Subspace
-from .maslov import (
-    LagrangianTriple,
-    _parity_by,
-    dim_sum_parity,
-    form_annihilator,
-    maslov_index,
+from .formats import (
+    Pipeline,
+    PipelineEntry,
+    Scenario,
+    _at_line,
+    parse_scenario,
+    serialize_pipeline,
+    serialize_scenario,
 )
+from .linalg import Subspace
+from .maslov import LagrangianTriple, _parity_by, dim_sum_parity, form_annihilator, maslov_index
 from . import sampling
 from .symplectic import SymplecticSpace
 
@@ -47,7 +51,8 @@ class CheckOutcome:
 class Failure:
     trial: int
     seed: int
-    kind: str  # "scenario" (.ssf) or "pipeline" (.cbf)
+    kind: str  # "scenario" or "pipeline"
+    suffix: str
     text: str
     details: dict | None
 
@@ -122,28 +127,56 @@ def evaluate_closure(m1, m2) -> CheckOutcome:
     return CheckOutcome(not validate(composite) and is_even(composite).is_even, None)
 
 
+# A writer gives the file's kind as reports name it, its suffix and its text;
+# each kind meets its suffix in one function.
+
+
+def _scenario_file(space: SymplecticSpace, named: dict, queries=()) -> tuple[str, str, str]:
+    return "scenario", ".ssf", serialize_scenario(Scenario(space, named, queries))
+
+
+def write_triple(t: LagrangianTriple) -> tuple[str, str, str]:
+    return _scenario_file(t.space, {"L1": t.l1, "L2": t.l2, "L3": t.l3}, (("L1", "L2", "L3"),))
+
+
+def write_pair(space: SymplecticSpace, a: Subspace, b: Subspace) -> tuple[str, str, str]:
+    return _scenario_file(space, {"A": a, "B": b})
+
+
+def write_morphism_pair(m1, m2) -> tuple[str, str, str]:
+    objects = {"a": m1.source, "b": m1.target, "c": m2.target}
+    entries = (PipelineEntry("m1", "a", "b", m1), PipelineEntry("m2", "b", "c", m2))
+    return "pipeline", ".cbf", serialize_pipeline(Pipeline(objects, entries))
+
+
+def read_triples(text: str) -> list[tuple[tuple[str, ...], tuple]]:
+    """Each triple query of a scenario file, labelled by its names, validated
+    once: a query that is not a Lagrangian triple is an error naming its line."""
+    scenario = parse_scenario(text)
+    named, instances = scenario.named_subspaces, []
+    for names, line in zip(scenario.queries, scenario.query_lines):
+        with _at_line(line, f"triple {' '.join(names)}: "):
+            instances.append((names, (LagrangianTriple(scenario.space, *map(named.get, names)),)))
+    return instances
+
+
+def read_pairs(text: str) -> list[tuple[tuple[str, ...], tuple]]:
+    """Every unordered pair of a scenario file's named subspaces, in name order."""
+    scenario = parse_scenario(text)
+    named = scenario.named_subspaces
+    return [(p, (scenario.space, *map(named.get, p))) for p in combinations(sorted(named), 2)]
+
+
 @dataclass(frozen=True)
 class TheoremCheck:
     """A registry entry, named by its key in `THEOREMS`.  An instance is the
-    tuple of `evaluate`'s arguments."""
+    tuple of `evaluate`'s arguments; `write(*instance)` gives its file, and
+    `read(text)` a file's labelled instances, or is None (closure)."""
 
-    arity: str  # "triple", "pair" or "morphism-pair"
     sample: Callable[[int, int], tuple]
     evaluate: Callable[..., CheckOutcome]
-
-    def counterexample(self, *instance) -> tuple[str, str]:
-        """The instance as a replayable file: its kind and its text."""
-        if self.arity == "triple":
-            (t,) = instance
-            names = {"L1": t.l1, "L2": t.l2, "L3": t.l3}
-            return "scenario", serialize_scenario(Scenario(t.space, names, (("L1", "L2", "L3"),)))
-        if self.arity == "pair":
-            space, a, b = instance
-            return "scenario", serialize_scenario(Scenario(space, {"A": a, "B": b}, ()))
-        m1, m2 = instance
-        objects = {"a": m1.source, "b": m1.target, "c": m2.target}
-        entries = (PipelineEntry("m1", "a", "b", m1), PipelineEntry("m2", "b", "c", m2))
-        return "pipeline", serialize_pipeline(Pipeline(objects, entries))
+    write: Callable[..., tuple[str, str, str]]
+    read: Callable[[str], list[tuple[tuple[str, ...], tuple]]] | None
 
 
 # These wrappers look the sampling functions up in their module on every call,
@@ -172,12 +205,16 @@ def abstract_closure(seed: int, genus_max: int) -> str:
 
 
 THEOREMS: dict[str, TheoremCheck] = {
-    "parity": TheoremCheck("triple", _sample_triple, evaluate_parity),
-    "dim-sum": TheoremCheck("triple", _sample_triple, evaluate_dim_sum),
-    "annihilator": TheoremCheck("triple", _sample_triple, evaluate_annihilator),
-    "pair-dims": TheoremCheck("pair", sampling.random_lagrangian_pair, evaluate_pair_dims),
-    "ann-identities": TheoremCheck("pair", _sample_subspace_pair, evaluate_ann_identities),
-    "closure": TheoremCheck("morphism-pair", _sample_even_pair, evaluate_closure),
+    "parity": TheoremCheck(_sample_triple, evaluate_parity, write_triple, read_triples),
+    "dim-sum": TheoremCheck(_sample_triple, evaluate_dim_sum, write_triple, read_triples),
+    "annihilator": TheoremCheck(_sample_triple, evaluate_annihilator, write_triple, read_triples),
+    "pair-dims": TheoremCheck(
+        sampling.random_lagrangian_pair, evaluate_pair_dims, write_pair, read_pairs
+    ),
+    "ann-identities": TheoremCheck(
+        _sample_subspace_pair, evaluate_ann_identities, write_pair, read_pairs
+    ),
+    "closure": TheoremCheck(_sample_even_pair, evaluate_closure, write_morphism_pair, None),
 }
 
 
@@ -189,38 +226,13 @@ def run_campaign(theorem: TheoremCheck, trials: int, seed: int, genus_max: int) 
         instance = theorem.sample(trial_seed, genus_max)
         outcome = theorem.evaluate(*instance)
         if not outcome.holds:
-            kind, text = theorem.counterexample(*instance)
-            return Failure(trial, trial_seed, kind, text, outcome.details)
+            return Failure(trial, trial_seed, *theorem.write(*instance), outcome.details)
     return None
 
 
-def scenario_triples(scenario: Scenario) -> list[tuple[tuple[str, str, str], LagrangianTriple]]:
-    """Each triple query with its triple, validated once; InvalidTripleError if one is not."""
-    return [
-        (names, LagrangianTriple(scenario.space, *(scenario.named_subspaces[n] for n in names)))
-        for names in scenario.queries
-    ]
-
-
-def scenario_instances(theorem: TheoremCheck, scenario: Scenario) -> list[tuple[str, tuple]]:
-    """The theorem's instances in a scenario file, each with its label.
-
-    Triple theorems take each triple query, validated once by
-    `scenario_triples`; pair theorems take every unordered pair of named
-    subspaces, in name order.
-    """
-    if theorem.arity == "triple":
-        return [(" ".join(names), (triple,)) for names, triple in scenario_triples(scenario)]
-    named = scenario.named_subspaces
-    return [
-        (f"{first} {second}", (scenario.space, named[first], named[second]))
-        for first, second in combinations(sorted(named), 2)
-    ]
-
-
 def evaluate_scenario(
-    theorem: TheoremCheck, instances: list[tuple[str, tuple]]
-) -> list[tuple[str, CheckOutcome]]:
+    theorem: TheoremCheck, instances: list[tuple[tuple[str, ...], tuple]]
+) -> list[tuple[tuple[str, ...], CheckOutcome]]:
     """Evaluate the theorem on each labelled instance, leaving out the ones it skips."""
     outcomes = [(label, theorem.evaluate(*instance)) for label, instance in instances]
     return [(label, out) for label, out in outcomes if "skipped" not in out.details]

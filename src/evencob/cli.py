@@ -36,7 +36,6 @@ from .errors import EvencobError, OutputError
 from .formats import (
     Pipeline,
     parse_pipeline,
-    parse_scenario,
     pipeline_for_morphism,
     serialize_pipeline,
 )
@@ -107,8 +106,8 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
 
     p = sub.add_parser("check", help="verify a theorem on random or given data")
-    # closure's instances are morphism pairs, which no scenario file holds
-    theorems = [t for t, entry in campaigns.THEOREMS.items() if entry.arity != "morphism-pair"]
+    # a theorem with no reader (closure) cannot re-check a file
+    theorems = [t for t, entry in campaigns.THEOREMS.items() if entry.read is not None]
     p.add_argument("--theorem", required=True, choices=theorems)
     campaign(p)
     p.add_argument("--in", dest="input", metavar="PATH")
@@ -181,16 +180,13 @@ def _triple_report(names: tuple[str, str, str], triple: LagrangianTriple) -> dic
 
 
 def _read_maslov(args: argparse.Namespace) -> list:
-    return campaigns.scenario_triples(parse_scenario(_read_input(args.input)))
+    return campaigns.read_triples(_read_input(args.input))
 
 
 def _run_maslov(args: argparse.Namespace, triples: list) -> tuple[dict, int]:
     report = _base_report("maslov", {"input": args.input})
-    report["results"] = [_triple_report(names, triple) for names, triple in triples]
+    report["results"] = [_triple_report(names, triple) for names, (triple,) in triples]
     return report, EXIT_OK
-
-
-_SUFFIXES = {"scenario": ".ssf", "pipeline": ".cbf"}
 
 
 def _campaign_status(
@@ -200,7 +196,7 @@ def _campaign_status(
     if failure is None:
         report["status"] = "holds"
         return report, EXIT_OK
-    out_path = out_path or f"{theorem}-counterexample{_SUFFIXES[failure.kind]}"
+    out_path = out_path or f"{theorem}-counterexample{failure.suffix}"
     _write_output(out_path, failure.text)
     report["status"] = "counterexample"
     report["counterexample"] = {
@@ -215,27 +211,19 @@ def _campaign_status(
 
 
 def _read_check(args: argparse.Namespace) -> list | None:
-    """The theorem's instances in the scenario file; a sampled campaign reads only flags."""
-    if args.input is None:
-        return None
-    scenario = parse_scenario(_read_input(args.input))
-    return campaigns.scenario_instances(campaigns.THEOREMS[args.theorem], scenario)
+    """The theorem's instances in its input file; a sampled campaign reads only flags."""
+    theorem = campaigns.THEOREMS[args.theorem]
+    return None if args.input is None else theorem.read(_read_input(args.input))
 
 
 def _run_check(args: argparse.Namespace, instances: list | None) -> tuple[dict, int]:
-    params = {
-        "theorem": args.theorem,
-        "seed": args.seed,
-        "trials": args.trials,
-        "genus_max": args.genus_max,
-        "input": args.input,
-    }
-    report = _base_report("check", params)
+    flags = ("theorem", "seed", "trials", "genus_max", "input")
+    report = _base_report("check", {flag: getattr(args, flag) for flag in flags})
     theorem = campaigns.THEOREMS[args.theorem]
     if instances is not None:
         results = campaigns.evaluate_scenario(theorem, instances)
         report["results"] = [
-            {"instance": label, "holds": out.holds, "details": out.details}
+            {"instance": " ".join(label), "holds": out.holds, "details": out.details}
             for label, out in results
         ]
         holds = all(out.holds for _, out in results)

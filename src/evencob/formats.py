@@ -101,6 +101,8 @@ class Scenario:
     space: SymplecticSpace
     named_subspaces: dict[str, Subspace] = field(default_factory=dict)
     queries: tuple[tuple[str, str, str], ...] = ()
+    # the line of each query in its file; empty for scenarios built in memory
+    query_lines: tuple[int, ...] = field(default=(), compare=False)
 
 
 @dataclass(frozen=True)
@@ -185,6 +187,7 @@ def parse_scenario(text: str) -> Scenario:
     space: SymplecticSpace | None = None
     subspaces: dict[str, Subspace] = {}
     queries: list[tuple[str, str, str]] = []
+    query_lines: list[int] = []
     while not lines.done():
         number, tokens = lines.take()
         keyword = tokens[0]
@@ -215,11 +218,12 @@ def parse_scenario(text: str) -> Scenario:
                 if name not in subspaces:
                     raise UnknownNameError(f"triple refers to undeclared subspace {name!r}", number)
             queries.append((tokens[1], tokens[2], tokens[3]))
+            query_lines.append(number)
         else:
             raise FileSyntaxError(f"unknown statement {keyword!r}", number)
     if space is None:
         space = SymplecticSpace(RationalMatrix((), cols=0))
-    return Scenario(space, subspaces, tuple(queries))
+    return Scenario(space, subspaces, tuple(queries), tuple(query_lines))
 
 
 # the least magnitude with more digits than the readers accept

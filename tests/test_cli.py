@@ -17,7 +17,13 @@ from evencob.campaigns import CheckOutcome
 from evencob.cli import build_parser, main
 from evencob.cobordism import compose, validate
 from evencob.errors import DimensionMismatchError, InvalidTripleError
-from evencob.formats import parse_pipeline, serialize_pipeline
+from evencob.formats import (
+    Scenario,
+    parse_pipeline,
+    parse_scenario,
+    serialize_pipeline,
+    serialize_scenario,
+)
 from evencob.generators import (
     MAX_NESTING,
     MAX_TEXT_GENUS,
@@ -26,7 +32,7 @@ from evencob.generators import (
     text_work,
 )
 from evencob.linalg import RationalMatrix, Subspace
-from evencob.sampling import random_even_pair
+from evencob.sampling import random_even_pair, random_lagrangian_pair
 from test_golden import CHECK_CE, CLOSURE_CE, EXPECTED, FAULTS, GEN_SPECS, OVER_BUDGET, RUNS
 
 GENUS_ONE_SSF = """\
@@ -129,6 +135,21 @@ class TestMaslovCommand:
             "subspace B 1\n1 0\nsubspace C 1\n0 1\ntriple A B C\n"
         )
         assert main(["maslov", "--in", str(bad)]) == 2
+
+    @pytest.mark.parametrize(
+        "command",
+        [["maslov"]] + [["check", "--theorem", t] for t in ("parity", "dim-sum", "annihilator")],
+    )
+    def test_non_lagrangian_triple_names_its_line(self, capsys, tmp_path, command):
+        # the second query fails; comments and blank lines count as lines
+        bad = tmp_path / "bad.ssf"
+        bad.write_text(
+            "# the plane A is not Lagrangian\n\n" + GENUS_ONE_SSF
+            + "subspace A 2\n1 0\n0 1\ntriple L1 L2 A\n"
+        )
+        assert main([*command, "--in", str(bad)]) == 2
+        out, err = capsys.readouterr()
+        assert (out, err) == ("", "error: line 16: triple L1 L2 A: l3 is not Lagrangian\n")
 
     def test_missing_file(self, capsys):
         assert main(["maslov", "--in", "does-not-exist.ssf"]) == 2
@@ -342,12 +363,23 @@ class TestClosureCommand:
         assert abstract["even"] + abstract["odd"] == 6
 
 
-# a falsifiable statement per instance shape: two of the subspaces meet, or
-# the composite's weight is even
+# a falsifiable statement per theorem: two of the subspaces meet, or the
+# composite's weight is even
+def _triples_meet(triple):
+    return CheckOutcome(triple.l1.intersect(triple.l2).dim > 0, {})
+
+
+def _pairs_meet(space, a, b):
+    return CheckOutcome(a.intersect(b).dim > 0, {})
+
+
 FALSE_STATEMENTS = {
-    "triple": lambda triple: CheckOutcome(triple.l1.intersect(triple.l2).dim > 0, {}),
-    "pair": lambda space, a, b: CheckOutcome(a.intersect(b).dim > 0, {}),
-    "morphism-pair": lambda m1, m2: CheckOutcome(compose(m1, m2).weight % 2 == 0, None),
+    "parity": _triples_meet,
+    "dim-sum": _triples_meet,
+    "annihilator": _triples_meet,
+    "pair-dims": _pairs_meet,
+    "ann-identities": _pairs_meet,
+    "closure": lambda m1, m2: CheckOutcome(compose(m1, m2).weight % 2 == 0, None),
 }
 
 
@@ -356,9 +388,10 @@ def test_counterexample_round_trip(capsys, tmp_path, monkeypatch, name):
     # no registered theorem can fail, so a falsifiable statement takes its
     # name; the file written for the failure must replay to the same failure
     theorem = campaigns.THEOREMS[name]
-    falsifiable = replace(theorem, evaluate=FALSE_STATEMENTS[theorem.arity])
+    falsifiable = replace(theorem, evaluate=FALSE_STATEMENTS[name])
     monkeypatch.setitem(campaigns.THEOREMS, name, falsifiable)
-    closure = theorem.arity == "morphism-pair"
+    # closure has no reader: its counterexample replays with compose
+    closure = theorem.read is None
     out_path = tmp_path / ("ce.cbf" if closure else "ce.ssf")
     argv = ["closure"] if closure else ["check", "--theorem", name]
     code, report = run_json(
@@ -373,6 +406,63 @@ def test_counterexample_round_trip(capsys, tmp_path, monkeypatch, name):
         code, replay = run_json(capsys, "check", "--theorem", name, "--in", str(out_path))
         assert (code, replay["status"]) == (1, "counterexample")
         assert [r["holds"] for r in replay["results"]] == [False]
+
+
+# A throwaway theorem over single Lagrangians, false at odd genus: every
+# Lagrangian has even dimension.  Its one registry entry brings its own file
+# form, a scenario of one subspace L, and no code outside the entry knows it.
+def _sample_lagrangian(seed, genus_max):
+    space, a, _ = random_lagrangian_pair(seed, genus_max)
+    return space, a
+
+
+def _even_dimension(space, lagrangian):
+    return CheckOutcome(lagrangian.dim % 2 == 0, {"dim": lagrangian.dim})
+
+
+def _write_lagrangian(space, lagrangian):
+    return "scenario", ".ssf", serialize_scenario(Scenario(space, {"L": lagrangian}))
+
+
+def _read_lagrangians(text):
+    scenario = parse_scenario(text)
+    return [((name,), (scenario.space, sub)) for name, sub in scenario.named_subspaces.items()]
+
+
+@pytest.fixture
+def registry(monkeypatch):
+    """Register theorems for one test: `check`'s parser is built afresh after
+    the registration and again after the registry is restored."""
+    build_parser.cache_clear()
+    yield lambda name, entry: monkeypatch.setitem(campaigns.THEOREMS, name, entry)
+    build_parser.cache_clear()
+
+
+def test_a_theorem_is_one_registry_entry(capsys, tmp_path, monkeypatch, registry):
+    monkeypatch.chdir(tmp_path)
+    entry = campaigns.TheoremCheck(
+        _sample_lagrangian, _even_dimension, _write_lagrangian, _read_lagrangians
+    )
+    registry("even-dimension", entry)
+    registry("no-file-form", replace(entry, read=None))
+
+    code, report = run_json(capsys, "check", "--theorem", "even-dimension", "--trials", "20")
+    assert (code, report["status"]) == (1, "counterexample")
+    failure = report["counterexample"]
+    assert failure["written_to"] == "even-dimension-counterexample.ssf"
+    assert failure["scenario"] == (tmp_path / failure["written_to"]).read_text()
+    assert failure["details"]["dim"] % 2 == 1
+
+    replay_argv = ["check", "--theorem", "even-dimension", "--in", failure["written_to"]]
+    code, replay = run_json(capsys, *replay_argv)
+    assert (code, replay["status"]) == (1, "counterexample")
+    assert replay["results"] == [{"instance": "L", "holds": False, "details": failure["details"]}]
+
+    # a theorem without a reader is not offered by check
+    assert main(["check", "--help"]) == 0
+    help_text = capsys.readouterr().out
+    assert "even-dimension" in help_text and "no-file-form" not in help_text
+    assert main(["check", "--theorem", "no-file-form"]) == 2
 
 
 # Runs the command in argv[3:] with one statement made false and exits with its
