@@ -187,6 +187,10 @@ def _sample_triple(seed: int, genus_max: int) -> tuple:
     return (sampling.random_triple(seed, genus_max),)
 
 
+def _sample_lagrangian_pair(seed: int, genus_max: int) -> tuple:
+    return sampling.random_lagrangian_pair(seed, genus_max)
+
+
 def _sample_subspace_pair(seed: int, genus_max: int) -> tuple:
     # alternate unrestricted and radical-containing pairs so both halves of
     # the identity get exercised
@@ -208,9 +212,7 @@ THEOREMS: dict[str, TheoremCheck] = {
     "parity": TheoremCheck(_sample_triple, evaluate_parity, write_triple, read_triples),
     "dim-sum": TheoremCheck(_sample_triple, evaluate_dim_sum, write_triple, read_triples),
     "annihilator": TheoremCheck(_sample_triple, evaluate_annihilator, write_triple, read_triples),
-    "pair-dims": TheoremCheck(
-        sampling.random_lagrangian_pair, evaluate_pair_dims, write_pair, read_pairs
-    ),
+    "pair-dims": TheoremCheck(_sample_lagrangian_pair, evaluate_pair_dims, write_pair, read_pairs),
     "ann-identities": TheoremCheck(
         _sample_subspace_pair, evaluate_ann_identities, write_pair, read_pairs
     ),

@@ -22,15 +22,18 @@ Pipeline files (.cbf) describe surface objects and cobordism morphisms:
 Rationals are written p/q or as bare integers; no floating point is accepted
 anywhere.  Serializing and re-parsing yields structurally identical values.
 
-The readers are the trust boundary for numbers.  Each token is read once, by
-`_read_ratio`: it takes an optional sign and ASCII digits only, with `/` and a
-denominator that does not start with 0, `generators.check_digits` bounds its
-digit counts, and `int()` reads its numerator and denominator, which are
-divided by their gcd.  A line of tokens becomes one integer row over the lcm
-of its denominators, the row form `linalg` stores, so matrices and subspaces
-are built from the text with no `Fraction` in between.  Other integers and
-the genera are read and bounded as generator text reads them, by
-`generators.read_int` and `generators.check_genera`.
+The readers are the trust boundary for numbers.  `_read_ratio` is the one
+definition of a number token: an optional sign and ASCII digits only, with `/`
+and a denominator that does not start with 0, digit counts bounded by
+`generators.check_digits`, and `int()` reading its numerator and denominator,
+which are divided by their gcd.  A data line is read by `_read_row`: in one
+pass when checks on the whole line prove every token well-formed, and
+otherwise token by token through `_read_ratio`, which words the error.  Either
+way the line becomes one integer row over the lcm of its denominators, the
+row form `linalg` stores, so matrices and subspaces are built from the text
+with no `Fraction` in between.  Other integers and the genera are read and
+bounded as generator text reads them, by `generators.read_int` and
+`generators.check_genera`.
 
 An error raised while a statement is checked keeps its class and gets
 `line N: ` in front.  Consecutive pipeline entries must glue, as
@@ -43,7 +46,7 @@ from __future__ import annotations
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import Iterable, Iterator
 
 from .cobordism import CobordismMorphism, SurfaceObject, check_composable
@@ -57,7 +60,7 @@ from .generators import (
     parse_generator_spec,
     read_int,
 )
-from .linalg import IntRow, RationalMatrix, Subspace, _over_lcm
+from .linalg import IntRow, RationalMatrix, Subspace, _over_lcm, _reduced
 from .symplectic import SymplecticSpace, beta0, beta1
 
 
@@ -92,6 +95,37 @@ def _read_ratio(token: str, line: int | None) -> tuple[int, int]:
 
 def parse_rational(token: str, line: int | None = None) -> Fraction:
     return Fraction(*_read_ratio(token, line))
+
+
+def _read_row(tokens: list[str], line: int | None) -> tuple[IntRow, int]:
+    """The tokens' rationals as integers over one denominator, in lowest terms:
+    ``_over_lcm`` of each token's `_read_ratio`.
+
+    The line is read in one pass when checks on the whole line prove every
+    token well-formed: it is ASCII with no ``_``, no denominator starts with
+    0 or a sign, and no token is longer than the digit bound.  ``int()`` then
+    rejects every other malformed token, and any line the checks or ``int()``
+    refuse is read token by token, so `_read_ratio` alone words the error.
+    """
+    text = " ".join(tokens)
+    if (
+        text.isascii()
+        and "_" not in text
+        and "/0" not in text
+        and "/+" not in text
+        and "/-" not in text
+        and (len(text) <= MAX_NUMBER_DIGITS or max(map(len, tokens)) <= MAX_NUMBER_DIGITS)
+    ):
+        try:
+            if "/" not in text:
+                return tuple(map(int, tokens)), 1
+            parts = [t.partition("/") for t in tokens]
+            dens = [int(d) if slash else 1 for _, slash, d in parts]
+            den = lcm(*dens)
+            return _reduced([int(n) * (den // d) for (n, _, _), d in zip(parts, dens)], den)
+        except ValueError:
+            pass
+    return _over_lcm([_read_ratio(t, line) for t in tokens])
 
 
 @dataclass(frozen=True)
@@ -139,9 +173,9 @@ class _Lines:
     def __init__(self, text: str):
         self.items: list[tuple[int, list[str]]] = []
         for number, raw in enumerate(text.splitlines(), start=1):
-            body = raw.split("#", 1)[0].strip()
-            if body:
-                self.items.append((number, body.split()))
+            tokens = raw.partition("#")[0].split()
+            if tokens:
+                self.items.append((number, tokens))
         self.pos = 0
 
     def done(self) -> bool:
@@ -164,7 +198,7 @@ class _Lines:
                 f"line {number}: expected {count} rationals for {line_hint}, "
                 f"found {len(tokens)}"
             )
-        return _over_lcm([_read_ratio(t, number) for t in tokens])
+        return _read_row(tokens, number)
 
 
 def _parse_count(token: str, line: int, what: str, most: int | None = None) -> int:
@@ -209,7 +243,8 @@ def parse_scenario(text: str) -> Scenario:
             if name in subspaces:
                 raise FileSyntaxError(f"duplicate subspace name {name!r}", number)
             k = _parse_count(tokens[2], number, "subspace row count")
-            rows = [lines.take_numbers(space.dim, f"a row of subspace {name}") for _ in range(k)]
+            hint = f"a row of subspace {name}"
+            rows = [lines.take_numbers(space.dim, hint) for _ in range(k)]
             subspaces[name] = Subspace(RationalMatrix._of_pairs(rows, space.dim))
         elif keyword == "triple":
             if len(tokens) != 4:
@@ -285,7 +320,8 @@ def parse_pipeline(text: str) -> Pipeline:
                 raise FileSyntaxError("object must be followed by: lagrangian <rows>", ln)
             k = _parse_count(lt[1], ln, "lagrangian row count")
             width = beta1(genera)
-            rows = [lines.take_numbers(width, f"a lagrangian row of {name}") for _ in range(k)]
+            hint = f"a lagrangian row of {name}"
+            rows = [lines.take_numbers(width, hint) for _ in range(k)]
             with _at_line(number):
                 lagrangian = Subspace(RationalMatrix._of_pairs(rows, width))
                 objects[name] = SurfaceObject(genera, lagrangian)

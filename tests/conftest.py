@@ -15,10 +15,10 @@ settings.register_profile("suite", deadline=None, max_examples=60)
 # again under this profile: the kernel, the preimage and the Maslov form's sum
 # skip canonicalization on the strength of them, the radical is taken as
 # ker G, its size as n - rank G and a surface form applied as a gather on the
-# strength of the symplectic ones, file tokens are read without a pattern on
-# the strength of the formats ones, and carries, gluings and validate read the
-# transfer F = T^-1 A through an end certified symplectic on the strength of
-# the cobordism ones
+# strength of the symplectic ones, file tokens are read without a pattern and
+# file rows in one pass on the strength of the formats ones, and carries,
+# gluings and validate read the transfer F = T^-1 A through an end certified
+# symplectic on the strength of the cobordism ones
 settings.register_profile("thorough", deadline=None, max_examples=600)
 settings.load_profile("suite")
 

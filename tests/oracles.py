@@ -76,16 +76,17 @@ def calls_to(patch, owner, name: str) -> list[tuple]:
 
     `patch` is a ``pytest.MonkeyPatch``: the fixture, or
     ``pytest.MonkeyPatch.context()`` inside a hypothesis test.  It wraps
-    ``owner.name`` so that each call appends its arguments (a method's start
-    with ``self``) to the list returned, then returns what the original
-    returns or raises; undoing `patch` restores the original.
+    ``owner.name`` so that each call appends its positional arguments (a
+    method's start with ``self``) to the list returned, then passes them and
+    any keyword arguments on and returns what the original returns or raises;
+    undoing `patch` restores the original.
     """
     calls = []
     original = getattr(owner, name)
 
-    def recorded(*args):
+    def recorded(*args, **kwargs):
         calls.append(args)
-        return original(*args)
+        return original(*args, **kwargs)
 
     patch.setattr(owner, name, recorded)
     return calls

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from evencob import campaigns
+from evencob import campaigns, sampling
 from evencob.campaigns import CheckOutcome
 from evencob.cli import build_parser, main
 from evencob.cobordism import compose, validate
@@ -33,6 +33,7 @@ from evencob.generators import (
 )
 from evencob.linalg import RationalMatrix, Subspace
 from evencob.sampling import random_even_pair, random_lagrangian_pair
+from oracles import calls_to
 from test_golden import CHECK_CE, CLOSURE_CE, EXPECTED, FAULTS, GEN_SPECS, OVER_BUDGET, RUNS
 
 GENUS_ONE_SSF = """\
@@ -463,6 +464,28 @@ def test_a_theorem_is_one_registry_entry(capsys, tmp_path, monkeypatch, registry
     help_text = capsys.readouterr().out
     assert "even-dimension" in help_text and "no-file-form" not in help_text
     assert main(["check", "--theorem", "no-file-form"]) == 2
+
+
+# the sampler each campaign draws its instances from
+SAMPLERS = {
+    "parity": "random_triple",
+    "dim-sum": "random_triple",
+    "annihilator": "random_triple",
+    "pair-dims": "random_lagrangian_pair",
+    "ann-identities": "random_subspace_pair",
+    "closure": "random_even_pair",
+}
+
+
+@pytest.mark.parametrize("name", list(campaigns.THEOREMS))
+def test_a_campaign_draws_through_the_sampling_module(capsys, monkeypatch, name):
+    # the registry looks each sampler up on every call, so a patch of
+    # evencob.sampling sees one draw per trial, with the trial's seed
+    draws = calls_to(monkeypatch, sampling, SAMPLERS[name])
+    argv = ["closure"] if name == "closure" else ["check", "--theorem", name]
+    code, report = run_json(capsys, *argv, "--trials", "3", "--seed", "5", "--genus-max", "2")
+    assert (code, report["status"]) == (0, "holds")
+    assert draws == [(seed, 2) for seed in (5, 6, 7)]
 
 
 # Runs the command in argv[3:] with one statement made false and exits with its

@@ -1,9 +1,11 @@
 from fractions import Fraction
+from math import lcm
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from evencob import formats
 from evencob.cobordism import CobordismMorphism, empty_surface
 from evencob.errors import (
     DimensionMismatchError,
@@ -17,6 +19,7 @@ from evencob.errors import (
 from evencob.formats import (
     MAX_NUMBER_DIGITS,
     Pipeline,
+    _read_row,
     parse_pipeline,
     parse_rational,
     parse_scenario,
@@ -28,7 +31,7 @@ from evencob.generators import disjoint_union, handlebody, parse_generator_spec
 from evencob.linalg import RationalMatrix, Subspace, canonical_basis
 from evencob.sampling import random_even_pair
 from evencob.symplectic import random_lagrangian, standard_surface_space
-from oracles import reference_parse_rational
+from oracles import BENCH, calls_to, reference_parse_rational
 
 GENUS_ONE_SSF = """\
 # genus-1 standard form with the transverse triple
@@ -594,6 +597,103 @@ def test_integer_tokens_match_the_fraction_reader(token):
 )
 def test_short_tokens_match_the_fraction_reader(token):
     assert _read_outcome(parse_rational, token) == _read_outcome(reference_parse_rational, token)
+
+
+@st.composite
+def _numerals(draw, longest: int = MAX_NUMBER_DIGITS + 1):
+    """A token of the file grammar's shape, an optional sign, digits and
+    perhaps / and digits that do not start with 0, each part short or of 999
+    digits or more, up to `longest`: past the digit bound by default."""
+
+    def part(first: str) -> str:
+        lengths = st.sampled_from([1, 2, 3, 5, 999, 1000, 1001]).filter(lambda n: n <= longest)
+        length = draw(lengths)
+        digits = st.text(alphabet="0123456789", max_size=min(length - 1, 4))
+        return (draw(st.sampled_from(first)) + draw(digits)).ljust(length, "7")
+
+    token = draw(st.sampled_from(["", "", "-", "+"])) + part("0123456789")
+    if draw(st.booleans()):
+        token += "/" + part("123456789")
+    return token
+
+
+# each malformed shape a row token can take: digits outside ASCII, an
+# underscore, a denominator that is 0, starts with 0 or is signed, an empty
+# part, a second slash, a sign alone and no number at all
+MALFORMED_TOKENS = [
+    "\u0663", "-\u0661/2", "1/\u0662", "\uff19", "\u00b2", "1_0", "1/2_0", "1/0", "-3/0",
+    "1/05", "1/+2", "1/-2", "/2", "-/2", "1/", "-1/", "1/2/3", "/", "+", "-", "+-1", "--1",
+    "1.5", "1e3", "x", "0x10", "9" * 1001, "1/" + "9" * 1001, "-" + "1" * 1001 + "/3",
+]
+
+_malformed = st.one_of(
+    st.sampled_from(MALFORMED_TOKENS),
+    # the file reader's own token fuzz, as one whitespace-free token
+    _number_tokens().filter(lambda t: t.split() == [t]),
+)
+
+
+@st.composite
+def _one_bad_token(draw):
+    """Short well-formed tokens and one spoilt token among them, digits with
+    a spoiler between them, so that the whole-line check for that spoiler
+    alone stands between the token and ``int()``."""
+    digits = st.text(alphabet="0123456789", min_size=1, max_size=3)
+    spoiler = st.sampled_from(["/0", "/+", "/-", "_", "\u0663", "+", ".", "/"])
+    bad = draw(st.sampled_from(["", "-"])) + draw(digits) + draw(spoiler) + draw(digits)
+    tokens = draw(st.lists(_numerals(longest=5), max_size=6))
+    tokens.insert(draw(st.integers(0, len(tokens))), bad)
+    return tokens
+
+
+@st.composite
+def _long_valid_rows(draw):
+    """Rows longer than the digit bound in characters, every token well-formed
+    and within the bound: two or more tokens, one with a 999- or 1000-digit part."""
+    tokens = draw(st.lists(_numerals(longest=5), min_size=1, max_size=6))
+    long = draw(_numerals(longest=MAX_NUMBER_DIGITS).filter(lambda t: len(t) >= 999))
+    tokens.insert(draw(st.integers(0, len(tokens))), long)
+    return tokens
+
+
+def _token_by_token(tokens: list[str], line: int) -> tuple[tuple[int, ...], int]:
+    """The row as integers over the lcm of its denominators, each token read
+    by `reference_parse_rational`, which raises the first token's error."""
+    values = [reference_parse_rational(t, line) for t in tokens]
+    den = lcm(*[x.denominator for x in values])
+    return tuple(int(x * den) for x in values), den
+
+
+@settings(max_examples=400)
+@given(
+    st.one_of(
+        st.lists(st.one_of(_numerals(), _malformed), min_size=1, max_size=8),
+        _one_bad_token(),
+        _long_valid_rows(),
+    )
+)
+# one digit past the bound in a line of two tokens, and a token one character
+# past it whose digits are within it
+@example(["1", "9" * (MAX_NUMBER_DIGITS + 1)])
+@example(["2/3", "1/" + "9" * (MAX_NUMBER_DIGITS + 1)])
+@example(["-" + "9" * MAX_NUMBER_DIGITS, "1/3"])
+def test_a_row_reads_as_its_tokens_do(tokens):
+    assert _read_outcome(_read_row, tokens) == _read_outcome(_token_by_token, tokens)
+
+
+def test_corpus_rows_are_read_in_one_pass(monkeypatch):
+    # no token of a committed benchmark file needs the per-token reader
+    rows = calls_to(monkeypatch, formats, "_read_row")
+    ratios = calls_to(monkeypatch, formats, "_read_ratio")
+    corpus = sorted((BENCH / "corpus").iterdir())
+    for path in corpus:
+        parse = parse_scenario if path.suffix == ".ssf" else parse_pipeline
+        parse(path.read_text())
+    assert {p.suffix for p in corpus} == {".ssf", ".cbf"} and rows and ratios == []
+    # the recorder sees the per-token reader where a row needs it
+    with pytest.raises(FileSyntaxError):
+        parse_scenario("form 2\n0 1/2_0\n-1 0\n")
+    assert ratios == [("0", 2), ("1/2_0", 2)]
 
 
 @st.composite
