@@ -260,7 +260,7 @@ def _read_compose(args: argparse.Namespace) -> Pipeline:
     for entry in pipeline.entries:
         if violations := validate(entry.morphism):
             raise EvencobError(
-                f"line {entry.line}: entry {entry.name!r} is not realizable: {violations[0]}"
+                f"entry {entry.name!r} is not realizable: {violations[0]}", entry.line
             )
     return pipeline
 

@@ -1,7 +1,10 @@
 """Exception hierarchy shared across the package.
 
 Bad text input and bad command line flags raise :class:`EvencobError` or a
-subclass, so callers can tell the failure kinds apart.  The mathematical
+subclass, so callers can tell the failure kinds apart.  An error raised
+while a file is read starts ``line N: ``, N the line at fault or, when the
+file ends inside a statement, its last non-empty line: `EvencobError` writes
+that prefix from its ``line`` argument.  The mathematical
 checks (a form that is not skew, a subspace that is not Lagrangian, morphisms
 that do not glue) raise these subclasses too.  The command line front end
 reads and validates its input first: an `EvencobError` there is bad input
@@ -20,6 +23,9 @@ bool) in ``standard_surface_space``, ``SurfaceObject`` or ``GeneratorSpec``
 
 class EvencobError(Exception):
     """Base class for all errors raised by this package."""
+
+    def __init__(self, message: str, line: int | None = None):
+        super().__init__(message if line is None else f"line {line}: {message}")
 
 
 class DimensionMismatchError(EvencobError):
@@ -74,18 +80,9 @@ class OutputError(EvencobError):
     """A file the run was asked to write cannot be written."""
 
 
-class ParseError(EvencobError):
-    """Line-oriented input could not be parsed."""
-
-    def __init__(self, message: str, line: int | None = None):
-        if line is not None:
-            message = f"line {line}: {message}"
-        super().__init__(message)
-
-
-class FileSyntaxError(ParseError):
+class FileSyntaxError(EvencobError):
     """A statement does not match the file grammar."""
 
 
-class UnknownNameError(ParseError):
+class UnknownNameError(EvencobError):
     """A statement refers to a name that was never declared."""

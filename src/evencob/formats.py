@@ -35,10 +35,12 @@ with no `Fraction` in between.  Other integers and the genera are read and
 bounded as generator text reads them, by `generators.read_int` and
 `generators.check_genera`.
 
-An error raised while a statement is checked keeps its class and gets
-`line N: ` in front.  Consecutive pipeline entries must glue, as
-`cobordism.check_composable` decides for `compose`.  The writers refuse a
-weight, numerator or denominator with more digits than the readers accept.
+Every error the readers raise starts `line N: `, N the line at fault; a
+file that ends inside a statement names its last non-empty line.  An error
+raised while a statement is checked keeps its class.  Consecutive pipeline
+entries must glue, as `cobordism.check_composable` decides for `compose`.
+The writers refuse a weight, numerator or denominator with more digits than
+the readers accept.
 """
 
 from __future__ import annotations
@@ -159,16 +161,17 @@ class Pipeline:
 
 @contextmanager
 def _at_line(number: int, what: str = "") -> Iterator[None]:
-    """Re-raise an EvencobError from the block, of the same class, with its
-    message prefixed by the line number and then by `what`."""
+    """Re-raise an EvencobError from the block as one of the same class at
+    the line, its message prefixed by `what`."""
     try:
         yield
     except EvencobError as exc:
-        raise type(exc)(f"line {number}: {what}{exc}") from exc
+        raise type(exc)(f"{what}{exc}", number) from exc
 
 
 class _Lines:
-    """Cursor over the non-empty, comment-stripped lines of a file."""
+    """Cursor over the non-empty, comment-stripped lines of a file: iterating
+    gives each statement's line, and `take` the lines the statement goes on to."""
 
     def __init__(self, text: str):
         self.items: list[tuple[int, list[str]]] = []
@@ -176,27 +179,24 @@ class _Lines:
             tokens = raw.partition("#")[0].split()
             if tokens:
                 self.items.append((number, tokens))
-        self.pos = 0
+        self.rest = iter(self.items)
 
-    def done(self) -> bool:
-        return self.pos >= len(self.items)
+    def __iter__(self) -> Iterator[tuple[int, list[str]]]:
+        return self.rest
 
-    def take(self, expect: str | None = None) -> tuple[int, list[str]]:
-        if self.done():
-            raise FileSyntaxError(
-                f"unexpected end of file, expected {expect}" if expect else "unexpected end of file"
-            )
-        item = self.items[self.pos]
-        self.pos += 1
+    def take(self, expect: str) -> tuple[int, list[str]]:
+        item = next(self.rest, None)
+        if item is None:
+            # a statement was read, so the file has a last line to name
+            raise FileSyntaxError(f"unexpected end of file, expected {expect}", self.items[-1][0])
         return item
 
     def take_numbers(self, count: int, line_hint: str) -> tuple[IntRow, int]:
         """The next line's rationals as integers over one denominator, in lowest terms."""
-        number, tokens = self.take(expect=line_hint)
+        number, tokens = self.take(line_hint)
         if len(tokens) != count:
             raise DimensionMismatchError(
-                f"line {number}: expected {count} rationals for {line_hint}, "
-                f"found {len(tokens)}"
+                f"expected {count} rationals for {line_hint}, found {len(tokens)}", number
             )
         return _read_row(tokens, number)
 
@@ -222,8 +222,7 @@ def parse_scenario(text: str) -> Scenario:
     subspaces: dict[str, Subspace] = {}
     queries: list[tuple[str, str, str]] = []
     query_lines: list[int] = []
-    while not lines.done():
-        number, tokens = lines.take()
+    for number, tokens in lines:
         keyword = tokens[0]
         if keyword == "form":
             if space is not None:
@@ -304,8 +303,7 @@ def parse_pipeline(text: str) -> Pipeline:
             raise UnknownNameError(f"undeclared object {name!r}", number)
         return objects[name]
 
-    while not lines.done():
-        number, tokens = lines.take()
+    for number, tokens in lines:
         keyword = tokens[0]
         if keyword == "object":
             if len(tokens) < 3 or tokens[2] != "genera":
@@ -315,7 +313,7 @@ def parse_pipeline(text: str) -> Pipeline:
                 raise FileSyntaxError(f"duplicate object name {name!r}", number)
             genera = tuple(_parse_count(t, number, "genus") for t in tokens[3:])
             check_genera(genera, FileSyntaxError, number)
-            ln, lt = lines.take(expect="lagrangian")
+            ln, lt = lines.take("lagrangian")
             if len(lt) != 2 or lt[0] != "lagrangian":
                 raise FileSyntaxError("object must be followed by: lagrangian <rows>", ln)
             k = _parse_count(lt[1], ln, "lagrangian row count")
@@ -350,7 +348,7 @@ def parse_pipeline(text: str) -> Pipeline:
             )
             blocks = []
             for label, (r, c) in zip(_MORPHISM_BLOCKS, shapes):
-                ln, lt = lines.take(expect=label)
+                ln, lt = lines.take(label)
                 if lt != [label]:
                     raise FileSyntaxError(f"expected block label {label!r}", ln)
                 blocks.append(_read_matrix(lines, r, c, f"a row of {label}"))

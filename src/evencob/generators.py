@@ -83,30 +83,30 @@ MAX_TEXT_WORK = 2**24
 
 
 # the one set of rules for integers and sizes in generator text and in
-# .ssf/.cbf files: each raises error(message, *where), a file passing its line
-def check_digits(digits: str, what: str, error: type[EvencobError], *where: int | None) -> None:
+# .ssf/.cbf files: each raises error(message, line), a file passing its line
+def check_digits(
+    digits: str, what: str, error: type[EvencobError], line: int | None = None
+) -> None:
     if len(digits) > MAX_NUMBER_DIGITS:
-        raise error(
-            f"{what} has {len(digits)} digits, at most {MAX_NUMBER_DIGITS} allowed", *where
-        )
+        raise error(f"{what} has {len(digits)} digits, at most {MAX_NUMBER_DIGITS} allowed", line)
 
 
-def read_int(token: str, what: str, error: type[EvencobError], *where: int | None) -> int:
+def read_int(token: str, what: str, error: type[EvencobError], line: int | None = None) -> int:
     """The integer a token writes: one optional minus sign, then ASCII digits."""
     digits = token.removeprefix("-")
     if not (digits.isascii() and digits.isdecimal()):
-        raise error(f"{what} must be an integer, found {token!r}", *where)
-    check_digits(digits, what, error, *where)
+        raise error(f"{what} must be an integer, found {token!r}", line)
+    check_digits(digits, what, error, line)
     return int(token)
 
 
-def check_genera(genera: tuple[int, ...], error: type[EvencobError], *where: int | None) -> None:
+def check_genera(
+    genera: tuple[int, ...], error: type[EvencobError], line: int | None = None
+) -> None:
     if len(genera) > MAX_BODY_DIM:
-        raise error(
-            f"genera have {len(genera)} components, at most {MAX_BODY_DIM} allowed", *where
-        )
+        raise error(f"genera have {len(genera)} components, at most {MAX_BODY_DIM} allowed", line)
     if sum(genera) > MAX_TEXT_GENUS:
-        raise error(f"genera add up to {sum(genera)}, at most {MAX_TEXT_GENUS} allowed", *where)
+        raise error(f"genera add up to {sum(genera)}, at most {MAX_TEXT_GENUS} allowed", line)
 
 
 def _check_twist(name: str, twist: RationalMatrix, surface: SurfaceObject) -> None:

@@ -6,6 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from evencob import formats
+from evencob.cli import main
 from evencob.cobordism import CobordismMorphism, empty_surface
 from evencob.errors import (
     DimensionMismatchError,
@@ -195,6 +196,69 @@ class TestPipelineParsing:
         )
         with pytest.raises(GeneraMismatchError):
             parse_pipeline(text)
+
+
+ONE_OBJECT_CBF = "object T genera 1\nlagrangian 1\n1 0\n"
+ONE_MORPHISM_CBF = ONE_OBJECT_CBF + "morphism m T T weight 0 h1 1 h0 1\njsrc_h1\n1 0\n"
+
+# files each reader refuses, with the full message, which `maslov --in`
+# (.ssf) or `even --in` (.cbf) prints with exit 2; a file that ends inside a
+# statement names its last non-empty line
+MALFORMED_FILES = {
+    "ssf-form-usage": ("form\n", "line 1: usage: form <n>"),
+    "ssf-subspace-usage": ("form 0\nsubspace A\n", "line 2: usage: subspace <name> <rows>"),
+    "ssf-duplicate-subspace": (
+        "form 0\nsubspace A 0\nsubspace A 0\n",
+        "line 3: duplicate subspace name 'A'",
+    ),
+    "ssf-end-in-form": (
+        "form 2\n0 1\n\n# the second row is missing\n",
+        "line 2: unexpected end of file, expected a form row",
+    ),
+    "ssf-end-in-subspace": (
+        "form 2\n0 1\n-1 0\nsubspace A 1\n",
+        "line 4: unexpected end of file, expected a row of subspace A",
+    ),
+    "cbf-object-usage": ("object E\n", "line 1: usage: object <name> genera <g1> <g2> ..."),
+    "cbf-morphism-usage": (
+        ONE_OBJECT_CBF + "morphism m T T weight 0\n",
+        "line 4: usage: morphism <name> <src> <dst> weight <w> h1 <n> h0 <m>",
+    ),
+    "cbf-generator-usage": (
+        ONE_OBJECT_CBF + "generator g T T\n",
+        "line 4: usage: generator <name> <src> <dst> <generator text>",
+    ),
+    "cbf-end-before-lagrangian": (
+        "object T genera 1\n",
+        "line 1: unexpected end of file, expected lagrangian",
+    ),
+    "cbf-end-in-lagrangian": (
+        "object T genera 1\nlagrangian 1\n",
+        "line 2: unexpected end of file, expected a lagrangian row of T",
+    ),
+    "cbf-end-before-block": (
+        ONE_MORPHISM_CBF,
+        "line 6: unexpected end of file, expected jtgt_h1",
+    ),
+    "cbf-end-in-block": (
+        ONE_MORPHISM_CBF + "jtgt_h1\n",
+        "line 7: unexpected end of file, expected a row of jtgt_h1",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_FILES))
+def test_malformed_files_are_line_numbered_input_errors(capsys, tmp_path, case):
+    text, message = MALFORMED_FILES[case]
+    kind = case.partition("-")[0]
+    parse, command = (parse_scenario, "maslov") if kind == "ssf" else (parse_pipeline, "even")
+    with pytest.raises(EvencobError) as exc:
+        parse(text)
+    assert str(exc.value) == message
+    path = tmp_path / f"malformed.{kind}"
+    path.write_text(text)
+    code = main([command, "--in", str(path)])
+    assert (code, *capsys.readouterr()) == (2, "", f"error: {message}\n")
 
 
 class TestPipelineRoundTrip:

@@ -19,6 +19,7 @@ from evencob.cobordism import (
     validate,
 )
 from evencob import symplectic
+from evencob.cli import main
 from evencob.errors import DimensionMismatchError, GeneratorSpecError, NotSymplecticError
 from evencob.generators import (
     MAX_TEXT_WORK,
@@ -265,6 +266,9 @@ class TestDisjointUnion:
         assert epsilon(m) == 1 and epsilon(u) == 1
 
 
+CAP = GeneratorSpec("cap")
+
+
 class TestGeneratorSpecText:
     @pytest.mark.parametrize(
         "text",
@@ -284,17 +288,53 @@ class TestGeneratorSpecText:
         spec = parse_generator_spec(text)
         assert parse_generator_spec(format_generator_spec(spec)) == spec
 
-    def test_unknown_kind(self):
-        with pytest.raises(GeneratorSpecError):
-            parse_generator_spec("mystery genus=1")
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("mystery genus=1", "unknown generator kind 'mystery'"),
+            ("cap genus=1 color=3", "unknown generator parameter 'color'"),
+            ("cap genus=1) extra", "trailing tokens in generator text: [')', 'extra']"),
+            ("cap genus=1 ]", "cannot tokenize generator text at ' ]'"),
+            ("cap genus=", "unexpected end of generator text"),
+            ("composite(cap genus)", "expected '=', found ')'"),
+            ("cap genera=1", "genera expects a bracketed list like [1,2]"),
+            ("composite(cap genus=1)", "composite needs at least two children"),
+        ],
+        ids=[
+            "unknown-kind",
+            "unknown-parameter",
+            "trailing-tokens",
+            "untokenizable",
+            "cut-short",
+            "no-equals",
+            "genera-not-a-list",
+            "one-child",
+        ],
+    )
+    def test_text_outside_the_grammar_is_an_input_error(self, capsys, text, message):
+        with pytest.raises(GeneratorSpecError) as exc:
+            parse_generator_spec(text)
+        assert str(exc.value) == message
+        code = main(["gen", "--spec", text])
+        assert (code, *capsys.readouterr()) == (2, "", f"error: {message}\n")
 
-    def test_unknown_parameter(self):
-        with pytest.raises(GeneratorSpecError):
-            parse_generator_spec("cap genus=1 color=3")
-
-    def test_trailing_tokens(self):
-        with pytest.raises(GeneratorSpecError):
-            parse_generator_spec("cap genus=1) extra")
+    @pytest.mark.parametrize(
+        "kind, fields, message",
+        [
+            ("cap", {"children": (CAP, CAP)}, "cap takes no children"),
+            (
+                "composite",
+                {"genera": (1,), "children": (CAP, CAP)},
+                "composite takes only children",
+            ),
+            ("mystery", {}, "unknown generator kind 'mystery'"),
+        ],
+        ids=["atom-with-children", "combination-with-genera", "unknown-kind"],
+    )
+    def test_spec_kind_errors(self, kind, fields, message):
+        with pytest.raises(GeneratorSpecError) as exc:
+            GeneratorSpec(kind, **fields)
+        assert str(exc.value) == message
 
     @pytest.mark.parametrize(
         "text",
