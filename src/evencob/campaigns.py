@@ -21,7 +21,6 @@ order-independent.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
 from typing import Callable
 
@@ -39,22 +38,27 @@ from .linalg import Subspace
 from .maslov import LagrangianTriple, _parity_by, dim_sum_parity, form_annihilator, maslov_index
 from . import sampling
 from .symplectic import SymplecticSpace
+from .values import Value
 
 
-@dataclass(frozen=True)
-class CheckOutcome:
-    holds: bool
-    details: dict | None  # None: the campaign reports no details
+class CheckOutcome(Value):
+    def __init__(self, holds: bool, details: dict | None):
+        # details None: the campaign reports no details
+        object.__setattr__(self, "holds", holds)
+        object.__setattr__(self, "details", details)
 
 
-@dataclass(frozen=True)
-class Failure:
-    trial: int
-    seed: int
-    kind: str  # "scenario" or "pipeline"
-    suffix: str
-    text: str
-    details: dict | None
+class Failure(Value):
+    def __init__(
+        self, trial: int, seed: int, kind: str, suffix: str, text: str, details: dict | None
+    ):
+        # kind is "scenario" or "pipeline"
+        object.__setattr__(self, "trial", trial)
+        object.__setattr__(self, "seed", seed)
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "suffix", suffix)
+        object.__setattr__(self, "text", text)
+        object.__setattr__(self, "details", details)
 
 
 def evaluate_parity(triple: LagrangianTriple) -> CheckOutcome:
@@ -167,16 +171,22 @@ def read_pairs(text: str) -> list[tuple[tuple[str, ...], tuple]]:
     return [(p, (scenario.space, *map(named.get, p))) for p in combinations(sorted(named), 2)]
 
 
-@dataclass(frozen=True)
-class TheoremCheck:
+class TheoremCheck(Value):
     """A registry entry, named by its key in `THEOREMS`.  An instance is the
     tuple of `evaluate`'s arguments; `write(*instance)` gives its file, and
     `read(text)` a file's labelled instances, or is None (closure)."""
 
-    sample: Callable[[int, int], tuple]
-    evaluate: Callable[..., CheckOutcome]
-    write: Callable[..., tuple[str, str, str]]
-    read: Callable[[str], list[tuple[tuple[str, ...], tuple]]] | None
+    def __init__(
+        self,
+        sample: Callable[[int, int], tuple],
+        evaluate: Callable[..., CheckOutcome],
+        write: Callable[..., tuple[str, str, str]],
+        read: Callable[[str], list[tuple[tuple[str, ...], tuple]]] | None,
+    ):
+        object.__setattr__(self, "sample", sample)
+        object.__setattr__(self, "evaluate", evaluate)
+        object.__setattr__(self, "write", write)
+        object.__setattr__(self, "read", read)
 
 
 # These wrappers look the sampling functions up in their module on every call,

@@ -48,7 +48,6 @@ can differ by a basis choice, so tests compare invariants instead.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache
 
 from .errors import (
@@ -77,14 +76,16 @@ from .symplectic import (
     beta1,
     validated_genera,
 )
+from .values import Value, replace
 
 
-@dataclass(frozen=True)
-class SurfaceObject:
+class SurfaceObject(Value):
     """A surface type (genera, one entry per component) with a Lagrangian."""
 
-    genera: tuple[int, ...]
-    lagrangian: Subspace
+    def __init__(self, genera: tuple[int, ...], lagrangian: Subspace):
+        object.__setattr__(self, "genera", genera)
+        object.__setattr__(self, "lagrangian", lagrangian)
+        self.__post_init__()
 
     def __post_init__(self):
         object.__setattr__(self, "genera", validated_genera(self.genera))
@@ -120,8 +121,7 @@ def empty_surface() -> SurfaceObject:
     return SurfaceObject((), Subspace.zero(0))
 
 
-@dataclass(frozen=True)
-class CobordismMorphism:
+class CobordismMorphism(Value):
     """A weighted cobordism, recorded by its induced maps on rational homology.
 
     h1_dim and h0_dim are the Betti numbers of the body; the four matrices
@@ -129,15 +129,28 @@ class CobordismMorphism:
     homology coordinates).
     """
 
-    source: SurfaceObject
-    target: SurfaceObject
-    weight: int
-    h1_dim: int
-    h0_dim: int
-    j_src_h1: RationalMatrix
-    j_tgt_h1: RationalMatrix
-    j_src_h0: RationalMatrix
-    j_tgt_h0: RationalMatrix
+    def __init__(
+        self,
+        source: SurfaceObject,
+        target: SurfaceObject,
+        weight: int,
+        h1_dim: int,
+        h0_dim: int,
+        j_src_h1: RationalMatrix,
+        j_tgt_h1: RationalMatrix,
+        j_src_h0: RationalMatrix,
+        j_tgt_h0: RationalMatrix,
+    ):
+        object.__setattr__(self, "source", source)
+        object.__setattr__(self, "target", target)
+        object.__setattr__(self, "weight", weight)
+        object.__setattr__(self, "h1_dim", h1_dim)
+        object.__setattr__(self, "h0_dim", h0_dim)
+        object.__setattr__(self, "j_src_h1", j_src_h1)
+        object.__setattr__(self, "j_tgt_h1", j_tgt_h1)
+        object.__setattr__(self, "j_src_h0", j_src_h0)
+        object.__setattr__(self, "j_tgt_h0", j_tgt_h0)
+        self.__post_init__()
 
     def __post_init__(self):
         shapes = (
@@ -167,14 +180,16 @@ def _transfer(start: RationalMatrix, end: RationalMatrix) -> RationalMatrix | No
     return None if inverse is None else inverse @ start
 
 
-@dataclass(frozen=True)
-class EvennessReport:
+class EvennessReport(Value):
     """Outcome of the evenness predicate with its named parity summands."""
 
-    parity_rhs: int
-    weight_parity: int
-    is_even: bool
-    term_breakdown: dict[str, int]
+    def __init__(
+        self, parity_rhs: int, weight_parity: int, is_even: bool, term_breakdown: dict[str, int]
+    ):
+        object.__setattr__(self, "parity_rhs", parity_rhs)
+        object.__setattr__(self, "weight_parity", weight_parity)
+        object.__setattr__(self, "is_even", is_even)
+        object.__setattr__(self, "term_breakdown", term_breakdown)
 
 
 def identity(surface: SurfaceObject) -> CobordismMorphism:

@@ -46,7 +46,6 @@ the readers accept.
 from __future__ import annotations
 
 from contextlib import contextmanager
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Iterator
@@ -64,6 +63,7 @@ from .generators import (
 )
 from .linalg import IntRow, RationalMatrix, Subspace, _over_lcm, _reduced
 from .symplectic import SymplecticSpace, beta0, beta1
+from .values import Value
 
 
 def _is_digits(text: str) -> bool:
@@ -130,33 +130,57 @@ def _read_row(tokens: list[str], line: int | None) -> tuple[IntRow, int]:
     return _over_lcm([_read_ratio(t, line) for t in tokens])
 
 
-@dataclass(frozen=True)
-class Scenario:
+class Scenario(Value):
     """A symplectic space, named subspaces, and triple queries."""
 
-    space: SymplecticSpace
-    named_subspaces: dict[str, Subspace] = field(default_factory=dict)
-    queries: tuple[tuple[str, str, str], ...] = ()
-    # the line of each query in its file; empty for scenarios built in memory
-    query_lines: tuple[int, ...] = field(default=(), compare=False)
+    # query_lines holds the line of each query in its file, and is empty for
+    # scenarios built in memory
+    _uncompared = ("query_lines",)
+
+    def __init__(
+        self,
+        space: SymplecticSpace,
+        named_subspaces: dict[str, Subspace] | None = None,
+        queries: tuple[tuple[str, str, str], ...] = (),
+        query_lines: tuple[int, ...] = (),
+    ):
+        object.__setattr__(self, "space", space)
+        if named_subspaces is None:
+            named_subspaces = {}
+        object.__setattr__(self, "named_subspaces", named_subspaces)
+        object.__setattr__(self, "queries", queries)
+        object.__setattr__(self, "query_lines", query_lines)
 
 
-@dataclass(frozen=True)
-class PipelineEntry:
-    name: str
-    source_name: str
-    target_name: str
-    morphism: CobordismMorphism
-    # where the record starts in its file; None for entries built in memory
-    line: int | None = field(default=None, compare=False)
+class PipelineEntry(Value):
+    # line is where the record starts in its file, None for entries built in memory
+    _uncompared = ("line",)
+
+    def __init__(
+        self,
+        name: str,
+        source_name: str,
+        target_name: str,
+        morphism: CobordismMorphism,
+        line: int | None = None,
+    ):
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "source_name", source_name)
+        object.__setattr__(self, "target_name", target_name)
+        object.__setattr__(self, "morphism", morphism)
+        object.__setattr__(self, "line", line)
 
 
-@dataclass(frozen=True)
-class Pipeline:
+class Pipeline(Value):
     """Named surface objects and an ordered sequence of morphism records."""
 
-    objects: dict[str, SurfaceObject] = field(default_factory=dict)
-    entries: tuple[PipelineEntry, ...] = ()
+    def __init__(
+        self,
+        objects: dict[str, SurfaceObject] | None = None,
+        entries: tuple[PipelineEntry, ...] = (),
+    ):
+        object.__setattr__(self, "objects", {} if objects is None else objects)
+        object.__setattr__(self, "entries", entries)
 
 
 @contextmanager

@@ -34,7 +34,6 @@ from __future__ import annotations
 
 import random
 import re
-from dataclasses import dataclass, replace
 
 from .cobordism import (
     CobordismMorphism,
@@ -55,6 +54,7 @@ from .symplectic import (
     random_lagrangian,
     random_symplectic,
 )
+from .values import Value, replace
 
 ATOM_KINDS = ("identity", "pseudo_cylinder", "twisted_cylinder", "handlebody", "cap")
 COMBO_KINDS = ("disjoint_union", "composite")
@@ -193,8 +193,7 @@ def disjoint_union(m1: CobordismMorphism, m2: CobordismMorphism) -> CobordismMor
     return _block_sum(m1, m2, source, _union_object(m1.target, m2.target))
 
 
-@dataclass(frozen=True)
-class GeneratorSpec:
+class GeneratorSpec(Value):
     """A build plan: which generator, over which surface type, with what data.
 
     genera None means "take the surface type from context" (the previous
@@ -202,12 +201,22 @@ class GeneratorSpec:
     Weight None means seed-drawn.
     """
 
-    kind: str
-    genera: tuple[int, ...] | None = None
-    weight: int | None = None
-    twist_seed: int | None = None
-    twist_length: int = DEFAULT_WALK_LENGTH
-    children: tuple["GeneratorSpec", ...] = ()
+    def __init__(
+        self,
+        kind: str,
+        genera: tuple[int, ...] | None = None,
+        weight: int | None = None,
+        twist_seed: int | None = None,
+        twist_length: int = DEFAULT_WALK_LENGTH,
+        children: tuple["GeneratorSpec", ...] = (),
+    ):
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "genera", genera)
+        object.__setattr__(self, "weight", weight)
+        object.__setattr__(self, "twist_seed", twist_seed)
+        object.__setattr__(self, "twist_length", twist_length)
+        object.__setattr__(self, "children", children)
+        self.__post_init__()
 
     def __post_init__(self):
         if self.kind in ATOM_KINDS:

@@ -66,7 +66,6 @@ reaches.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from itertools import chain
@@ -75,6 +74,7 @@ from operator import mul
 from typing import Iterable, Sequence
 
 from .errors import DimensionMismatchError
+from .values import Value
 
 Vector = tuple[Fraction, ...]
 IntRow = tuple[int, ...]
@@ -442,18 +442,15 @@ class RationalMatrix:
         return x
 
 
-@dataclass(frozen=True)
-class Subspace:
+class Subspace(Value):
     """The row span of the matrix it is given, held as its unique RREF row basis.
 
     The constructor keeps the nonzero rows of the RREF of any spanning matrix,
     so two Subspace values are equal iff they are the same subspace.
     """
 
-    basis: RationalMatrix
-
-    def __post_init__(self):
-        red, pivots = self.basis.rref()
+    def __init__(self, basis: RationalMatrix):
+        red, pivots = basis.rref()
         r = len(pivots)
         object.__setattr__(self, "basis", RationalMatrix._of(red._rows[:r], red._dens[:r], red.cols))
 

@@ -13,7 +13,6 @@ exposes the dimension-parity quantities the index obeys.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
 from math import gcd
@@ -35,16 +34,18 @@ from .linalg import (
     kernel,
 )
 from .symplectic import SymplecticSpace
+from .values import Value
 
 
-@dataclass(frozen=True)
-class LagrangianTriple:
+class LagrangianTriple(Value):
     """Three Lagrangian subspaces of one symplectic space."""
 
-    space: SymplecticSpace
-    l1: Subspace
-    l2: Subspace
-    l3: Subspace
+    def __init__(self, space: SymplecticSpace, l1: Subspace, l2: Subspace, l3: Subspace):
+        object.__setattr__(self, "space", space)
+        object.__setattr__(self, "l1", l1)
+        object.__setattr__(self, "l2", l2)
+        object.__setattr__(self, "l3", l3)
+        self.__post_init__()
 
     def __post_init__(self):
         for idx, lag in enumerate((self.l1, self.l2, self.l3), start=1):
@@ -75,12 +76,14 @@ class LagrangianTriple:
         return table[key]
 
 
-@dataclass(frozen=True)
-class MaslovForm:
+class MaslovForm(Value):
     """The symmetric pairing on (l1 + l2) cap l3 in a fixed ambient basis."""
 
-    domain_basis: RationalMatrix  # rows are ambient vectors spanning the domain
-    gram: RationalMatrix
+    def __init__(self, domain_basis: RationalMatrix, gram: RationalMatrix):
+        # the rows of domain_basis are ambient vectors spanning the domain
+        object.__setattr__(self, "domain_basis", domain_basis)
+        object.__setattr__(self, "gram", gram)
+        self.__post_init__()
 
     def __post_init__(self):
         if self.gram.rows != self.gram.cols or self.gram.rows != self.domain_basis.rows:

@@ -20,7 +20,6 @@ Lagrangians used throughout the test campaigns.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import lcm
@@ -36,6 +35,7 @@ from .linalg import (
     as_vector,
     kernel,
 )
+from .values import Value
 
 #: Default number of generator factors in a random symplectic walk.  Long
 #: enough to move Lagrangians well away from coordinate subspaces while the
@@ -43,11 +43,12 @@ from .linalg import (
 DEFAULT_WALK_LENGTH = 20
 
 
-@dataclass(frozen=True)
-class SymplecticSpace:
+class SymplecticSpace(Value):
     """A rational vector space with a skew-symmetric, possibly degenerate form."""
 
-    gram: RationalMatrix
+    def __init__(self, gram: RationalMatrix):
+        object.__setattr__(self, "gram", gram)
+        self.__post_init__()
 
     def __post_init__(self):
         g = self.gram

@@ -5,7 +5,6 @@ import subprocess
 import sys
 import time
 from contextlib import redirect_stderr, redirect_stdout
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -33,6 +32,7 @@ from evencob.generators import (
 )
 from evencob.linalg import RationalMatrix, Subspace
 from evencob.sampling import random_even_pair, random_lagrangian_pair
+from evencob.values import replace
 from oracles import calls_to
 from test_golden import CHECK_CE, CLOSURE_CE, EXPECTED, FAULTS, GEN_SPECS, OVER_BUDGET, RUNS
 
@@ -492,8 +492,8 @@ def test_a_campaign_draws_through_the_sampling_module(capsys, monkeypatch, name)
 # code; argv[1] is the -O level the caller asked for, argv[2] names the fault.
 UNDER_FAULT = """
 import sys
-from dataclasses import replace
 from evencob import campaigns, cli, maslov, sampling
+from evencob.values import replace
 if sys.flags.optimize != int(sys.argv[1]):
     sys.exit("not running at the requested -O level")
 fault, sample = sys.argv[2], sampling.random_even_pair

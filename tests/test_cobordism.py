@@ -1,6 +1,5 @@
 import random
 from collections import Counter
-from dataclasses import fields, replace
 from fractions import Fraction
 
 import pytest
@@ -49,13 +48,20 @@ from evencob.linalg import (
     cokernel,
     kernel,
 )
+from evencob.maslov import LagrangianTriple, dim_sum_parity
 from evencob.sampling import (
     random_abstract_even_pair,
     random_abstract_morphism,
     random_even_chain,
     random_even_pair,
 )
-from evencob.symplectic import _symplectic_inverse, random_lagrangian, random_symplectic
+from evencob.symplectic import (
+    SymplecticSpace,
+    _symplectic_inverse,
+    random_lagrangian,
+    random_symplectic,
+)
+from evencob.values import replace
 from oracles import bench_oracle, calls_to, matrix_rows, oracle_image, reference_is_pseudo_cylinder
 
 SPAN_E = canonical_basis([(1, 0)], 2)
@@ -804,9 +810,19 @@ class TestInvertibleEnds:
 
     def test_equality_hash_and_replace_ignore_the_cache(self):
         m = twisted((2,), random_symplectic(2, 1), 0)
+        space = SymplecticSpace(m.source.space.gram)  # filled by the triple's Lagrangian tests
+        triple = LagrangianTriple(space, m.source.lagrangian, m.target.lagrangian, m.source.lagrangian)
         fresh = replace(m)
         assert validate(m) == []
-        assert "_forward" in vars(m) and "_forward" not in vars(fresh)
-        assert m == fresh and hash(m) == hash(fresh)
+        pull_back(m, m.target.lagrangian)
+        dim_sum_parity(triple)
+        caches = [
+            (m, fresh, ("_forward", "_backward")),
+            (triple, replace(triple), ("_lattice",)),
+            (space, replace(space), ("_radical_dim", "_gram_rows", "_pairing")),
+        ]
+        for record, copy, names in caches:
+            assert all(name in vars(record) and name not in vars(copy) for name in names)
+            assert record == copy and hash(record) == hash(copy)
+            assert not any(name.startswith("_") for name in record._fields)
         assert "_forward" not in vars(replace(m, weight=1))
-        assert not any(f.name.startswith("_") for f in fields(m))

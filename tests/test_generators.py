@@ -1,5 +1,4 @@
 import random
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -44,6 +43,7 @@ from evencob.sampling import (
     random_shape,
 )
 from evencob.symplectic import SymplecticSpace, random_lagrangian, random_symplectic
+from evencob.values import replace
 from oracles import bench_oracle, calls_to, oracle_preserves_form
 
 SPAN_E = canonical_basis([(1, 0)], 2)

@@ -10,12 +10,11 @@ surfaces, where ker(alpha0) is not zero.  `bench/` is only loaded, never
 modified: `checks` is `oracles.bench_checks`.
 """
 
-from dataclasses import replace
-
 import pytest
 
 from evencob.cobordism import compose, evened
 from evencob.sampling import random_abstract_even_pair, random_even_pair
+from evencob.values import replace
 from oracles import bench_checks as checks
 from test_cobordism import bent_cylinder, reversed_morphism, sphere_tube
 

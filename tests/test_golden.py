@@ -8,7 +8,6 @@ inject a fault, because no true theorem yields a counterexample.
 """
 
 import json
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -16,6 +15,7 @@ import pytest
 from evencob import campaigns, sampling
 from evencob.campaigns import CheckOutcome
 from evencob.cli import main
+from evencob.values import replace
 
 EXPECTED = Path(__file__).parent / "golden" / "expected.json"
 
