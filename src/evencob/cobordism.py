@@ -83,22 +83,18 @@ class SurfaceObject(Value):
     """A surface type (genera, one entry per component) with a Lagrangian."""
 
     def __init__(self, genera: tuple[int, ...], lagrangian: Subspace):
+        genera = validated_genera(genera)
+        if lagrangian.ambient_dim != beta1(genera):
+            raise DimensionMismatchError(
+                f"lagrangian lives in dimension {lagrangian.ambient_dim}, "
+                f"surface homology has dimension {beta1(genera)}"
+            )
+        if not _standard_space(genera).is_lagrangian(lagrangian):
+            raise NotLagrangianError(
+                f"subspace of dimension {lagrangian.dim} is not Lagrangian for genera {genera}"
+            )
         object.__setattr__(self, "genera", genera)
         object.__setattr__(self, "lagrangian", lagrangian)
-        self.__post_init__()
-
-    def __post_init__(self):
-        object.__setattr__(self, "genera", validated_genera(self.genera))
-        if self.lagrangian.ambient_dim != beta1(self.genera):
-            raise DimensionMismatchError(
-                f"lagrangian lives in dimension {self.lagrangian.ambient_dim}, "
-                f"surface homology has dimension {beta1(self.genera)}"
-            )
-        if not self.space.is_lagrangian(self.lagrangian):
-            raise NotLagrangianError(
-                f"subspace of dimension {self.lagrangian.dim} is not Lagrangian "
-                f"for genera {self.genera}"
-            )
 
     @property
     def space(self) -> SymplecticSpace:
@@ -141,6 +137,17 @@ class CobordismMorphism(Value):
         j_src_h0: RationalMatrix,
         j_tgt_h0: RationalMatrix,
     ):
+        shapes = (
+            ("j_src_h1", j_src_h1, h1_dim, source.beta1),
+            ("j_tgt_h1", j_tgt_h1, h1_dim, target.beta1),
+            ("j_src_h0", j_src_h0, h0_dim, source.beta0),
+            ("j_tgt_h0", j_tgt_h0, h0_dim, target.beta0),
+        )
+        for name, mat, rows, cols in shapes:
+            if mat.rows != rows or mat.cols != cols:
+                raise DimensionMismatchError(
+                    f"{name} is {mat.rows}x{mat.cols}, expected {rows}x{cols}"
+                )
         object.__setattr__(self, "source", source)
         object.__setattr__(self, "target", target)
         object.__setattr__(self, "weight", weight)
@@ -150,20 +157,6 @@ class CobordismMorphism(Value):
         object.__setattr__(self, "j_tgt_h1", j_tgt_h1)
         object.__setattr__(self, "j_src_h0", j_src_h0)
         object.__setattr__(self, "j_tgt_h0", j_tgt_h0)
-        self.__post_init__()
-
-    def __post_init__(self):
-        shapes = (
-            ("j_src_h1", self.j_src_h1, self.h1_dim, self.source.beta1),
-            ("j_tgt_h1", self.j_tgt_h1, self.h1_dim, self.target.beta1),
-            ("j_src_h0", self.j_src_h0, self.h0_dim, self.source.beta0),
-            ("j_tgt_h0", self.j_tgt_h0, self.h0_dim, self.target.beta0),
-        )
-        for name, mat, rows, cols in shapes:
-            if mat.rows != rows or mat.cols != cols:
-                raise DimensionMismatchError(
-                    f"{name} is {mat.rows}x{mat.cols}, expected {rows}x{cols}"
-                )
 
     @cached_property
     def _forward(self) -> RationalMatrix | None:
@@ -194,9 +187,7 @@ class EvennessReport(Value):
 
 def identity(surface: SurfaceObject) -> CobordismMorphism:
     """The cylinder surface x I with weight zero and identity boundary maps."""
-    n1, n0 = surface.beta1, surface.beta0
-    eye1, eye0 = RationalMatrix.identity(n1), RationalMatrix.identity(n0)
-    return CobordismMorphism(surface, surface, 0, n1, n0, eye1, eye1, eye0, eye0)
+    return _cylinder(surface, surface, 0)
 
 
 def pseudo_cylinder(
@@ -209,19 +200,18 @@ def pseudo_cylinder(
 def _cylinder(
     source: SurfaceObject, target: SurfaceObject, weight: int, twist: RationalMatrix | None = None
 ) -> CobordismMorphism:
-    # the pseudo-cylinder between two objects of the same genera; with a twist A
-    # that preserves the form, the mapping cylinder, whose target map is -J A^T J
-    m = replace(identity(source), target=target, weight=weight)
-    return m if twist is None else replace(m, j_tgt_h1=_standard_inverse(twist))
+    # the pseudo-cylinder between two objects of the same genera, as one record;
+    # with a twist A that preserves the form, the mapping cylinder, whose target map is -J A^T J
+    n1, n0 = source.beta1, source.beta0
+    eye1, eye0 = RationalMatrix.identity(n1), RationalMatrix.identity(n0)
+    target_h1 = eye1 if twist is None else _standard_inverse(twist)
+    return CobordismMorphism(source, target, weight, n1, n0, eye1, target_h1, eye0, eye0)
 
 
 def is_pseudo_cylinder(m: CobordismMorphism) -> bool:
     """Identity homological data between surfaces of the same type: the
-    record, with its target set to its source and its weight to 0, is
-    identity(source)."""
-    if m.source.genera != m.target.genera:
-        return False
-    return replace(m, target=m.source, weight=0) == identity(m.source)
+    record equals the untwisted cylinder with its own ends and weight."""
+    return m.source.genera == m.target.genera and m == _cylinder(m.source, m.target, m.weight)
 
 
 def inverse_pseudo_cylinder(m: CobordismMorphism) -> CobordismMorphism:

@@ -210,32 +210,28 @@ class GeneratorSpec(Value):
         twist_length: int = DEFAULT_WALK_LENGTH,
         children: tuple["GeneratorSpec", ...] = (),
     ):
+        if kind in ATOM_KINDS:
+            if children:
+                raise GeneratorSpecError(f"{kind} takes no children")
+        elif kind in COMBO_KINDS:
+            if len(children) < 2:
+                raise GeneratorSpecError(f"{kind} needs at least two children")
+            if genera is not None or weight is not None:
+                raise GeneratorSpecError(f"{kind} takes only children")
+        else:
+            raise GeneratorSpecError(f"unknown generator kind {kind!r}")
+        if genera is not None:
+            genera = _int_genera(genera)
+            if any(g < 0 for g in genera):
+                raise GeneratorSpecError(f"genera must be non-negative, got {genera}")
+        if twist_length < 0:
+            raise GeneratorSpecError(f"twist_length must be non-negative, got {twist_length}")
         object.__setattr__(self, "kind", kind)
         object.__setattr__(self, "genera", genera)
         object.__setattr__(self, "weight", weight)
         object.__setattr__(self, "twist_seed", twist_seed)
         object.__setattr__(self, "twist_length", twist_length)
         object.__setattr__(self, "children", children)
-        self.__post_init__()
-
-    def __post_init__(self):
-        if self.kind in ATOM_KINDS:
-            if self.children:
-                raise GeneratorSpecError(f"{self.kind} takes no children")
-        elif self.kind in COMBO_KINDS:
-            if len(self.children) < 2:
-                raise GeneratorSpecError(f"{self.kind} needs at least two children")
-            if self.genera is not None or self.weight is not None:
-                raise GeneratorSpecError(f"{self.kind} takes only children")
-        else:
-            raise GeneratorSpecError(f"unknown generator kind {self.kind!r}")
-        if self.genera is not None:
-            genera = _int_genera(self.genera)
-            if any(g < 0 for g in genera):
-                raise GeneratorSpecError(f"genera must be non-negative, got {genera}")
-            object.__setattr__(self, "genera", genera)
-        if self.twist_length < 0:
-            raise GeneratorSpecError(f"twist_length must be non-negative, got {self.twist_length}")
 
 
 def _draw_object(genera: tuple[int, ...], rng: random.Random) -> SurfaceObject:

@@ -47,6 +47,7 @@ class LagrangianTriple(Value):
         object.__setattr__(self, "l3", l3)
         self.__post_init__()
 
+    # a hook of its own, because bench/tracing.py counts maslov.triple_check by wrapping it
     def __post_init__(self):
         for idx, lag in enumerate((self.l1, self.l2, self.l3), start=1):
             if lag.ambient_dim != self.space.dim:
@@ -81,18 +82,14 @@ class MaslovForm(Value):
 
     def __init__(self, domain_basis: RationalMatrix, gram: RationalMatrix):
         # the rows of domain_basis are ambient vectors spanning the domain
+        if gram.rows != gram.cols or gram.rows != domain_basis.rows:
+            raise DimensionMismatchError(
+                f"gram is {gram.rows}x{gram.cols} for a domain of dimension {domain_basis.rows}"
+            )
+        if not gram.is_symmetric():
+            raise NotSymmetricError("Maslov form gram must be symmetric")
         object.__setattr__(self, "domain_basis", domain_basis)
         object.__setattr__(self, "gram", gram)
-        self.__post_init__()
-
-    def __post_init__(self):
-        if self.gram.rows != self.gram.cols or self.gram.rows != self.domain_basis.rows:
-            raise DimensionMismatchError(
-                f"gram is {self.gram.rows}x{self.gram.cols} for a domain of dimension "
-                f"{self.domain_basis.rows}"
-            )
-        if not self.gram.is_symmetric():
-            raise NotSymmetricError("Maslov form gram must be symmetric")
 
     @property
     def dim(self) -> int:

@@ -47,17 +47,13 @@ class SymplecticSpace(Value):
     """A rational vector space with a skew-symmetric, possibly degenerate form."""
 
     def __init__(self, gram: RationalMatrix):
-        object.__setattr__(self, "gram", gram)
-        self.__post_init__()
-
-    def __post_init__(self):
-        g = self.gram
-        if g.rows != g.cols:
-            raise NonSkewFormError(f"gram matrix is {g.rows}x{g.cols}, not square")
-        mismatch = g._mirror_mismatch(-1)
+        if gram.rows != gram.cols:
+            raise NonSkewFormError(f"gram matrix is {gram.rows}x{gram.cols}, not square")
+        mismatch = gram._mirror_mismatch(-1)
         if mismatch is not None:
             i, j = mismatch
             raise NonSkewFormError(f"gram[{i}][{j}] != -gram[{j}][{i}]")
+        object.__setattr__(self, "gram", gram)
 
     @property
     def dim(self) -> int:

@@ -1,11 +1,13 @@
 """Immutable value records with hand-written methods.
 
 A value class's fields are its ``__init__`` parameters, in order.  The
-``__init__`` stores each one with ``object.__setattr__`` and then calls the
-class's ``__post_init__`` validation hook where it has one; a field cannot
-be assigned or deleted afterwards.  Stored that way, one per line, fields
-cost no more to build or read than the decorator-made classes they replace:
-writing them through ``__dict__`` would slow every later read of them.
+``__init__`` checks its arguments first, then stores each field once, with
+one ``object.__setattr__`` line; a field cannot be assigned or deleted
+afterwards.  ``LagrangianTriple`` alone checks after storing, in a
+``__post_init__`` hook of its own, because the benchmark's tracer counts its
+check by wrapping that method.  Stored one per line, fields cost no more to
+build or read than the decorator-made classes they replace; a loop over the
+fields would slow every build.
 ``==`` and ``hash`` read the tuple of the fields not named in
 ``_uncompared``, so identical members short-circuit.
 ``functools.cached_property`` caches sit in the instance dict beside the

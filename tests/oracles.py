@@ -14,7 +14,7 @@ sides of a comparison.  `matrix_rows` reads a matrix's entries into that form.
 this oracle.  `load_file` is the suite's one loader for a file outside the
 package: these two and the tests' `bench/` and `scripts/` modules.
 `calls_to` is the suite's one call recorder: every call count a test
-asserts reads the list it returns.  The CI steps under ``python -O`` import
+asserts reads the list it returns.  The CI step under ``python -O`` imports
 this module, where pytest does not rewrite asserts, so it holds none.
 
 The ``oracle_*`` adapters below are the glue: they take ``Fraction`` rows and

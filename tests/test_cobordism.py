@@ -165,6 +165,39 @@ class TestInversePseudoCylinder:
                 assert push_forward(loop, lag) == lag
 
 
+CYLINDERS = {
+    "identity": lambda: identity(TORUS_E),
+    "pseudo_cylinder": lambda: pseudo_cylinder(TORUS_E, SPAN_F, 3),
+    "twisted_cylinder": lambda: twisted_cylinder(TORUS_E, ROT, SPAN_F, 1),
+}
+
+
+class TestOneRecordPerCylinder:
+    """Each cylinder, and each pseudo-cylinder test, builds one record."""
+
+    @pytest.mark.parametrize("kind", CYLINDERS)
+    def test_a_cylinder_is_one_record(self, monkeypatch, kind):
+        records = calls_to(monkeypatch, CobordismMorphism, "__init__")
+        cylinder = CYLINDERS[kind]()
+        assert len(records) == 1 and records[0][0] is cylinder
+
+    def test_the_pseudo_cylinder_test_builds_one_record(self, monkeypatch):
+        cylinder, twisted = CYLINDERS["pseudo_cylinder"](), CYLINDERS["twisted_cylinder"]()
+        records = calls_to(monkeypatch, CobordismMorphism, "__init__")
+        assert is_pseudo_cylinder(cylinder) and not is_pseudo_cylinder(twisted)
+        assert len(records) == 2
+        # surfaces of different types are refused before any record is built
+        assert not is_pseudo_cylinder(handlebody(1, SPAN_E, 0))
+        assert len(records) == 3
+
+    def test_the_inverse_is_one_record_after_the_test(self, monkeypatch):
+        cylinder = CYLINDERS["pseudo_cylinder"]()
+        records = calls_to(monkeypatch, CobordismMorphism, "__init__")
+        inverse = inverse_pseudo_cylinder(cylinder)
+        # one record compared by is_pseudo_cylinder, then the inverse itself
+        assert len(records) == 2 and records[1][0] is inverse
+
+
 PERTURBATIONS = ("none", "entry", "h1-row", "h0-row", "weight", "target")
 
 
@@ -206,7 +239,7 @@ def _perturbed(m: CobordismMorphism, how: str, rng: random.Random) -> CobordismM
 
 
 class TestIsPseudoCylinder:
-    """The comparison with identity(source) agrees with the field-by-field test."""
+    """The comparison with the untwisted cylinder agrees with the field-by-field test."""
 
     @given(
         st.sampled_from(ATOM_KINDS),

@@ -3,7 +3,7 @@
 Each statement is checked once: by its campaign's evaluator, or, for what a
 construction guarantees, by a test of that construction.  The tests' helper
 module `oracles.py` holds no `assert` either: pytest rewrites asserts only in
-test modules, and the CI steps under ``python -O`` import it, so one there
+test modules, and the CI step under ``python -O`` imports it, so one there
 would vanish without a sign.
 
 Nor does evencob write the ``line N: `` prefix of an input error anywhere but

@@ -8,9 +8,10 @@ fields only, and `replace` running the validation again.  The caches a record
 keeps beside its fields are covered in
 tests/test_cobordism.py::TestInvertibleEnds::test_equality_hash_and_replace_ignore_the_cache.
 
-The last test imports evencob in a fresh interpreter and finds neither
-``dataclasses`` nor ``inspect`` loaded: every command pays for what that
-import loads.
+A guard finds ``__post_init__`` on ``LagrangianTriple`` alone: the others
+check their arguments in ``__init__``.  The last test imports evencob in a
+fresh interpreter and finds neither ``dataclasses`` nor ``inspect`` loaded:
+every command pays for what that import loads.
 """
 
 import os
@@ -294,6 +295,15 @@ def test_replace_validates_again(cls, fields, defaults, args, others, refused):
         with pytest.raises(error) as caught:
             replace(record, **changes)
         assert str(caught.value) == message
+
+
+def test_only_lagrangian_triple_checks_in_a_hook():
+    hooked = [cls.__name__ for cls in TABLE if "__post_init__" in vars(cls)]
+    assert hooked == ["LagrangianTriple"], (
+        "records check their arguments in __init__; LagrangianTriple keeps its "
+        "__post_init__ only because bench/tracing.py counts maslov.triple_check "
+        "by wrapping that method"
+    )
 
 
 def test_importing_evencob_loads_no_dataclasses_or_inspect():
